@@ -11,7 +11,7 @@
 //	                [-pprof] [-drain-timeout SECONDS]
 //	                [-shard-id N] [-shard-addrs URL,URL,...]
 //	                [-store-dir DIR] [-snapshot-every N] [-segment-bytes N]
-//	                [-recovery-report FILE]
+//	                [-recovery-report FILE] [-journal LEGACY-FILE]
 //
 // Durability. -store-dir enables the log-structured store: every
 // accepted trip (and received cross-shard scatter group) appends to an
@@ -22,9 +22,9 @@
 // O(history). On boot each shard recovers from its newest intact
 // snapshot plus tail replay, falling back one snapshot (or to a full
 // replay) on corruption; the per-shard outcome prints and, with
-// -recovery-report, lands in a JSON artifact. A legacy -journal file
-// found next to a virgin store is migrated in as its first segment.
-// The old single-file -journal mode (no -store-dir) still works.
+// -recovery-report, lands in a JSON artifact. -journal only names a
+// legacy journal file (<path>.shardN per shard) for a virgin store to
+// adopt as its first segment; without -store-dir it is refused.
 //
 // Process topology. By default one process hosts everything: a
 // monolith (-shards 1) or N in-process shards behind an in-process
@@ -41,8 +41,8 @@
 // routes uploads to the shard processes and merges reads; any number of
 // coordinators can front the same shards. Every process derives the
 // same world and route partition from -seed, so no topology needs to be
-// exchanged at runtime. In multi-process mode -journal belongs to the
-// shard processes (each keeps <path>.shardN for its own id).
+// exchanged at runtime. -store-dir belongs to the processes that own
+// backends: the shard processes, never the coordinator tier.
 //
 // Endpoints:
 //
@@ -64,6 +64,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -72,10 +73,9 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
-
-	"encoding/json"
 
 	"busprobe/internal/clock"
 	"busprobe/internal/core/fingerprint"
@@ -85,103 +85,66 @@ import (
 	"busprobe/internal/store"
 )
 
+var (
+	addr           = flag.String("addr", ":8080", "listen address")
+	seed           = flag.Uint64("seed", 1, "master world seed")
+	worldPreset    = flag.String("world", "paper", "world preset: paper, small, or london")
+	surveyRuns     = flag.Int("survey-runs", 4, "fingerprint survey passes per stop")
+	fpdbPath       = flag.String("fpdb", "", "fingerprint DB file: loaded if present, written after a survey otherwise")
+	journal        = flag.String("journal", "", "legacy trip journal (JSONL) to migrate into a virgin -store-dir (sharded layouts: one <path>.shardN file per shard); requires -store-dir")
+	shards         = flag.Int("shards", 1, "region shards behind the coordinator (1 = monolithic)")
+	ingestWorkers  = flag.Int("ingest-workers", 0, "batch-ingest parallelism (0 = GOMAXPROCS)")
+	maxInflight    = flag.Int("max-inflight-batches", 0, "admission gate: concurrent batch ingests before shedding with 429 (0 = unbounded)")
+	reqTimeoutS    = flag.Float64("request-timeout", 0, "per-request handling budget in seconds (0 = none)")
+	pprofOn        = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+	drainTimeoutS  = flag.Float64("drain-timeout", 10, "seconds to drain in-flight requests on SIGTERM before forcing exit")
+	shardID        = flag.Int("shard-id", -1, "run as shard process N of the -shard-addrs topology (-1 = not a shard process)")
+	shardAddrList  = flag.String("shard-addrs", "", "comma-separated shard process base URLs, in shard order; with -shard-id runs that shard, without it runs a stateless coordinator tier over them")
+	storeDir       = flag.String("store-dir", "", "log-structured store base directory (per-shard stores under <dir>/shardN/)")
+	snapshotEvery  = flag.Int("snapshot-every", 50000, "records appended between automatic checkpoints (0 = checkpoint only on shutdown)")
+	segmentBytes   = flag.Int64("segment-bytes", 0, "sealed-segment size threshold in bytes (0 = 4 MiB default)")
+	recoveryReport = flag.String("recovery-report", "", "write the boot recovery report as JSON to this file")
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("busprobe-server: ")
-
-	addr := flag.String("addr", ":8080", "listen address")
-	seed := flag.Uint64("seed", 1, "master world seed")
-	world := flag.String("world", "paper", "world preset: paper, small, or london")
-	surveyRuns := flag.Int("survey-runs", 4, "fingerprint survey passes per stop")
-	fpdbPath := flag.String("fpdb", "", "fingerprint DB file: loaded if present, written after a survey otherwise")
-	journalPath := flag.String("journal", "", "trip journal (JSONL): replayed at startup, appended on upload (with -shards > 1, one <path>.shardN file per shard)")
-	shards := flag.Int("shards", 1, "region shards behind the coordinator (1 = monolithic)")
-	ingestWorkers := flag.Int("ingest-workers", 0, "batch-ingest parallelism (0 = GOMAXPROCS)")
-	maxInflight := flag.Int("max-inflight-batches", 0, "admission gate: concurrent batch ingests before shedding with 429 (0 = unbounded)")
-	reqTimeout := flag.Float64("request-timeout", 0, "per-request handling budget in seconds (0 = none)")
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	drainTimeout := flag.Float64("drain-timeout", 10, "seconds to drain in-flight requests on SIGTERM before forcing exit")
-	shardID := flag.Int("shard-id", -1, "run as shard process N of the -shard-addrs topology (-1 = not a shard process)")
-	shardAddrs := flag.String("shard-addrs", "", "comma-separated shard process base URLs, in shard order; with -shard-id runs that shard, without it runs a stateless coordinator tier over them")
-	storeDir := flag.String("store-dir", "", "log-structured store base directory (per-shard stores under <dir>/shardN/); replaces -journal, which is migrated in if present")
-	snapshotEvery := flag.Int("snapshot-every", 50000, "records appended between automatic checkpoints (0 = checkpoint only on shutdown)")
-	segmentBytes := flag.Int64("segment-bytes", 0, "sealed-segment size threshold in bytes (0 = 4 MiB default)")
-	recoveryReport := flag.String("recovery-report", "", "write the boot recovery report as JSON to this file")
 	flag.Parse()
-
-	if err := run(topology{
-		addr: *addr, seed: *seed, world: *world, surveyRuns: *surveyRuns, shards: *shards,
-		fpdbPath: *fpdbPath, journalPath: *journalPath,
-		ingestWorkers: *ingestWorkers, maxInflight: *maxInflight,
-		reqTimeoutS: *reqTimeout, pprofOn: *pprofOn, drainTimeoutS: *drainTimeout,
-		shardID: *shardID, shardAddrs: splitAddrs(*shardAddrs),
-		storeDir: *storeDir, snapshotEvery: *snapshotEvery,
-		segmentBytes: *segmentBytes, recoveryReport: *recoveryReport,
-	}); err != nil {
+	if err := run(); err != nil {
 		log.Println(err)
 		os.Exit(1)
 	}
 }
 
-// topology bundles the process's role and tunables.
-type topology struct {
-	addr          string
-	seed          uint64
-	world         string
-	surveyRuns    int
-	shards        int
-	fpdbPath      string
-	journalPath   string
-	ingestWorkers int
-	maxInflight   int
-	reqTimeoutS   float64
-	pprofOn       bool
-	drainTimeoutS float64
-	shardID       int
-	shardAddrs    []string
-
-	storeDir       string
-	snapshotEvery  int
-	segmentBytes   int64
-	recoveryReport string
+// validateFlags rejects contradictory flags, all at once, before
+// anything is built or any file touched.
+func validateFlags(nShards int, legacy, dir string, id int, addrs []string) error {
+	var errs []error
+	if nShards < 1 {
+		errs = append(errs, errors.New("-shards must be >= 1"))
+	}
+	if legacy != "" && dir == "" {
+		errs = append(errs, errors.New("-journal only names a legacy file to migrate and needs -store-dir to migrate it into (the file is left untouched)"))
+	}
+	switch {
+	case id >= 0 && len(addrs) == 0:
+		errs = append(errs, errors.New("-shard-id requires -shard-addrs"))
+	case id >= len(addrs):
+		errs = append(errs, fmt.Errorf("-shard-id %d outside the %d-entry -shard-addrs list", id, len(addrs)))
+	case id < 0 && len(addrs) > 0 && (dir != "" || legacy != ""):
+		errs = append(errs, errors.New("-store-dir and -journal belong to the shard processes, not the coordinator tier"))
+	}
+	return errors.Join(errs...)
 }
 
-// storeOpts derives one shard's store options from the topology.
-func (t topology) storeOpts(dir string) store.Options {
-	return store.Options{
-		Dir:           dir,
-		SegmentBytes:  t.segmentBytes,
-		SnapshotEvery: t.snapshotEvery,
-		Clock:         clock.Wall{},
+// run is the one boot path: validate the topology, build the API and
+// the backends this process owns, recover them from the store, serve.
+func run() error {
+	shardAddrs := strings.FieldsFunc(*shardAddrList, func(r rune) bool { return r == ',' || r == ' ' })
+	if err := validateFlags(*shards, *journal, *storeDir, *shardID, shardAddrs); err != nil {
+		return err
 	}
-}
-
-// splitAddrs parses the -shard-addrs list, dropping empty entries.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func run(t topology) error {
-	addr, seed, surveyRuns, shards := t.addr, t.seed, t.surveyRuns, t.shards
-	fpdbPath, journalPath := t.fpdbPath, t.journalPath
-	ingestWorkers, maxInflight := t.ingestWorkers, t.maxInflight
-	reqTimeoutS, pprofOn, drainTimeoutS := t.reqTimeoutS, t.pprofOn, t.drainTimeoutS
-	if shards < 1 {
-		return fmt.Errorf("-shards must be >= 1")
-	}
-	if t.shardID >= 0 && len(t.shardAddrs) == 0 {
-		return fmt.Errorf("-shard-id requires -shard-addrs")
-	}
-	if t.shardID >= len(t.shardAddrs) && t.shardID >= 0 {
-		return fmt.Errorf("-shard-id %d outside the %d-entry -shard-addrs list", t.shardID, len(t.shardAddrs))
-	}
-	// Root context: canceled on SIGTERM/SIGINT so journal replay and
+	// Root context: canceled on SIGTERM/SIGINT so recovery replay and
 	// in-flight ingestion observe shutdown, not just the listener.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -189,21 +152,21 @@ func run(t topology) error {
 	// The preset decides the city's footprint; every process in a
 	// topology (shards, coordinators, harness drivers) must agree on
 	// both preset and seed to derive the same world.
-	worldCfg, err := sim.PresetWorldConfig(t.world)
+	worldCfg, err := sim.PresetWorldConfig(*worldPreset)
 	if err != nil {
 		return err
 	}
-	worldCfg.Seed = seed
+	worldCfg.Seed = *seed
 	world, err := sim.BuildWorld(worldCfg)
 	if err != nil {
 		return err
 	}
 	cfg := server.DefaultConfig()
-	cfg.IngestWorkers = ingestWorkers
-	cfg.MaxInflightBatches = maxInflight
-	cfg.RequestTimeoutS = reqTimeoutS
+	cfg.IngestWorkers = *ingestWorkers
+	cfg.MaxInflightBatches = *maxInflight
+	cfg.RequestTimeoutS = *reqTimeoutS
 	cfg.Obs = core
-	fpdb, err := loadOrSurvey(world, cfg, surveyRuns, seed, fpdbPath)
+	fpdb, err := loadOrSurvey(world, cfg, *surveyRuns, *seed, *fpdbPath)
 	if err != nil {
 		return err
 	}
@@ -211,70 +174,30 @@ func run(t topology) error {
 		world.Net.NumSegments(), world.Transit.NumStops(),
 		world.Transit.NumRoutes(), world.Cells.NumTowers())
 	fmt.Printf("fingerprint DB: %d stops surveyed\n", fpdb.Len())
-	hc := server.HandlerConfig{Obs: core, Pprof: pprofOn}
+
+	// The API this process serves, the coordinator behind it (nil in a
+	// shard process) and the backends it owns: one for a shard process,
+	// none for a coordinator tier, every shard for an in-process layout.
+	hc := server.HandlerConfig{Obs: core, Pprof: *pprofOn}
 	var handler http.Handler
-	// Store-backed shards: each backend here checkpoints when its store
-	// signals (and once more on drain), and its log closes on exit.
-	var storeBackends []*server.Backend
-	var storeLogs []*server.StoreLog
+	var coord *server.Coordinator
+	var local []*server.Backend
 	switch {
-	case t.shardID >= 0:
-		// Shard process: one region shard of the -shard-addrs topology,
-		// serving the internal shard protocol (and read-only public API).
-		b, err := server.NewShardBackend(cfg, world.Transit, fpdb, t.shardID, t.shardAddrs)
+	case *shardID >= 0:
+		// One region shard of the -shard-addrs topology, serving the
+		// internal shard protocol (and the read-only public API).
+		b, err := server.NewShardBackend(cfg, world.Transit, fpdb, *shardID, shardAddrs)
 		if err != nil {
 			return err
 		}
-		if t.storeDir != "" {
-			legacy := ""
-			if journalPath != "" {
-				legacy = journalPaths(journalPath, len(t.shardAddrs))[t.shardID]
-			}
-			dir := server.ShardStoreDir(t.storeDir, t.shardID)
-			rec, err := server.RecoverBackendStore(ctx, t.storeOpts(dir), legacy, b)
-			if err != nil {
-				return err
-			}
-			recs := []*server.StoreRecovery{rec}
-			printRecovery(recs)
-			if err := writeRecoveryReport(t.recoveryReport, recs); err != nil {
-				return err
-			}
-			storeBackends = append(storeBackends, b)
-			storeLogs = append(storeLogs, rec.Log())
-		} else if journalPath != "" {
-			// Each shard process journals (and replays) only its own
-			// <path>.shardN file: trips in it were routed here by a
-			// coordinator, and replay re-scatters cross-shard groups
-			// under their original idempotency keys, so a peer that
-			// never lost its fold ignores them.
-			p := journalPaths(journalPath, len(t.shardAddrs))[t.shardID]
-			reports, err := server.ReplayJournals(ctx, []string{p}, b)
-			if err != nil {
-				return err
-			}
-			printReplay(reports)
-			j, err := server.OpenJournal(p)
-			if err != nil {
-				return err
-			}
-			defer j.Close()
-			b.AttachJournal(j)
-		}
 		fmt.Printf("shard process %d of %d (peers: %s)\n",
-			t.shardID, len(t.shardAddrs), strings.Join(t.shardAddrs, ", "))
+			*shardID, len(shardAddrs), strings.Join(shardAddrs, ", "))
+		local = []*server.Backend{b}
 		handler = server.NewShardHandler(b, hc)
-	case len(t.shardAddrs) > 0:
+	case len(shardAddrs) > 0:
 		// Stateless coordinator tier over already-running shard
-		// processes: routes uploads, merges reads, journals nothing.
-		if journalPath != "" {
-			return fmt.Errorf("-journal belongs to the shard processes in multi-process mode")
-		}
-		if t.storeDir != "" {
-			return fmt.Errorf("-store-dir belongs to the shard processes in multi-process mode")
-		}
-		coord, err := server.NewRemoteCoordinator(cfg, world.Transit, fpdb, t.shardAddrs)
-		if err != nil {
+		// processes: routes uploads, merges reads, persists nothing.
+		if coord, err = server.NewRemoteCoordinator(cfg, world.Transit, fpdb, shardAddrs); err != nil {
 			return err
 		}
 		probeCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
@@ -285,80 +208,56 @@ func run(t topology) error {
 			// reports per-shard health while reads degrade around it.
 			log.Printf("warning: shard probe: %v", err)
 		}
+	default:
+		if coord, err = server.NewCoordinator(cfg, world.Transit, fpdb, *shards); err != nil {
+			return err
+		}
+		local = coord.Shards()
+	}
+	if coord != nil {
 		for _, st := range coord.ShardStatuses() {
 			fmt.Printf("shard %d @ %s: healthy=%t, %d routes, %d stops, %d segments\n",
 				st.Shard, st.Addr, st.Healthy, st.Routes, st.Stops, st.Segments)
 		}
 		handler = server.NewHandler(coord, hc)
-	default:
-		coord, err := server.NewCoordinator(cfg, world.Transit, fpdb, shards)
-		if err != nil {
+	}
+
+	// Persistence, the same for every topology: recover the owned
+	// backends from <store-dir>/shardN/ (both entry points run the one
+	// phased routine), report, and start one snapshotter per shard. A
+	// shard whose recovery failed has no log and runs fresh.
+	var recs []*server.StoreRecovery
+	var snapshotters sync.WaitGroup
+	if *storeDir != "" {
+		opts := store.Options{SegmentBytes: *segmentBytes, SnapshotEvery: *snapshotEvery, Clock: clock.Wall{}}
+		if *shardID >= 0 {
+			opts.Dir = server.ShardStoreDir(*storeDir, *shardID)
+			rec, err := server.RecoverBackendStore(ctx, opts, legacyJournals(*journal, len(shardAddrs))[*shardID], local[0])
+			if err != nil {
+				return err
+			}
+			recs = []*server.StoreRecovery{rec}
+		} else if recs, err = coord.RecoverStores(ctx, *storeDir, opts, legacyJournals(*journal, *shards)); err != nil {
 			return err
 		}
-		if t.storeDir != "" {
-			var legacies []string
-			if journalPath != "" {
-				legacies = journalPaths(journalPath, shards)
-			}
-			recs, err := coord.RecoverStores(ctx, t.storeDir, t.storeOpts(""), legacies)
-			if err != nil {
-				return err
-			}
-			printRecovery(recs)
-			if err := writeRecoveryReport(t.recoveryReport, recs); err != nil {
-				return err
-			}
-			for i, b := range coord.Shards() {
-				if recs[i].Log() == nil {
-					continue
-				}
-				storeBackends = append(storeBackends, b)
-				storeLogs = append(storeLogs, recs[i].Log())
-			}
-		} else if journalPath != "" {
-			// Replay through the coordinator, not the owning shard:
-			// routing is content-deterministic, so trips land back on
-			// their home shards even if the shard count changed since
-			// the journals were written.
-			paths := journalPaths(journalPath, shards)
-			reports, err := server.ReplayJournals(ctx, paths, coord)
-			if err != nil {
-				return err
-			}
-			printReplay(reports)
-			journals := make([]*server.Journal, shards)
-			for i, p := range paths {
-				j, err := server.OpenJournal(p)
-				if err != nil {
-					return err
-				}
-				defer j.Close()
-				journals[i] = j
-			}
-			if err := coord.AttachJournals(journals); err != nil {
-				return err
+		if err := reportRecovery(*recoveryReport, recs); err != nil {
+			return err
+		}
+		for i, rec := range recs {
+			if rec.Log() != nil {
+				snapshotters.Add(1)
+				go snapshotter(ctx, &snapshotters, local[i], rec.Log())
 			}
 		}
-		if shards > 1 {
-			for _, st := range coord.ShardStatuses() {
-				fmt.Printf("shard %d: %d routes, %d stops, %d segments\n",
-					st.Shard, st.Routes, st.Stops, st.Segments)
-			}
-		}
-		handler = server.NewHandler(coord, hc)
 	}
-	if pprofOn {
+
+	if *pprofOn {
 		fmt.Println("pprof: serving /debug/pprof/")
 	}
-	// One snapshotter per store-backed shard: when SnapshotEvery records
-	// have appended, checkpoint that shard (seal + snapshot + compact).
-	for i := range storeBackends {
-		go snapshotter(ctx, storeBackends[i], storeLogs[i])
-	}
-	srv := &http.Server{Addr: addr, Handler: handler}
+	srv := &http.Server{Addr: *addr, Handler: handler}
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("listening on %s\n", addr)
+		fmt.Printf("listening on %s\n", *addr)
 		errc <- srv.ListenAndServe()
 	}()
 	select {
@@ -369,18 +268,24 @@ func run(t topology) error {
 	// Graceful drain: stop accepting, let in-flight trips finish, bound
 	// the wait so a wedged handler cannot block shutdown forever.
 	fmt.Println("shutting down: draining in-flight requests")
-	drainCtx, cancel := context.WithTimeout(context.Background(), time.Duration(drainTimeoutS*float64(time.Second)))
+	drainCtx, cancel := context.WithTimeout(context.Background(), time.Duration(*drainTimeoutS*float64(time.Second)))
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
 	// Final checkpoint: the drained state lands in a snapshot so the
 	// next boot restarts in O(tail)≈O(1) instead of replaying history.
-	for i, b := range storeBackends {
-		if err := b.Checkpoint(); err != nil {
+	// The snapshotters have seen ctx end; join them first, so none is
+	// mid-checkpoint when its store closes.
+	snapshotters.Wait()
+	for i, rec := range recs {
+		if rec.Log() == nil {
+			continue
+		}
+		if err := local[i].Checkpoint(); err != nil {
 			log.Printf("warning: final checkpoint: %v", err)
 		}
-		if err := storeLogs[i].Close(); err != nil {
+		if err := rec.Log().Close(); err != nil {
 			log.Printf("warning: close store: %v", err)
 		}
 	}
@@ -388,9 +293,11 @@ func run(t topology) error {
 	return nil
 }
 
-// snapshotter checkpoints one store-backed shard whenever its store
-// signals that enough records have appended since the last snapshot.
-func snapshotter(ctx context.Context, b *server.Backend, l *server.StoreLog) {
+// snapshotter checkpoints one store-backed shard (seal + snapshot +
+// compact) whenever its store signals that SnapshotEvery records have
+// appended since the last snapshot, until ctx ends.
+func snapshotter(ctx context.Context, done *sync.WaitGroup, b *server.Backend, l *server.StoreLog) {
+	defer done.Done()
 	for {
 		select {
 		case <-ctx.Done():
@@ -403,8 +310,10 @@ func snapshotter(ctx context.Context, b *server.Backend, l *server.StoreLog) {
 	}
 }
 
-// printRecovery summarizes each shard's store recovery on the boot log.
-func printRecovery(recs []*server.StoreRecovery) {
+// reportRecovery summarizes each shard's store recovery on the boot log
+// and, given a path, lands the outcomes as a JSON artifact (CI uploads
+// it; operators diff it across boots).
+func reportRecovery(path string, recs []*server.StoreRecovery) error {
 	for _, r := range recs {
 		if r.Err != "" {
 			fmt.Printf("store shard %d: RECOVERY FAILED: %s (shard starts fresh)\n", r.Shard, r.Err)
@@ -419,11 +328,6 @@ func printRecovery(recs []*server.StoreRecovery) {
 			fmt.Printf("store shard %d: note: %s\n", r.Shard, n)
 		}
 	}
-}
-
-// writeRecoveryReport lands the per-shard recovery outcomes as a JSON
-// artifact (CI uploads it; operators diff it across boots).
-func writeRecoveryReport(path string, recs []*server.StoreRecovery) error {
 	if path == "" {
 		return nil
 	}
@@ -438,34 +342,15 @@ func writeRecoveryReport(path string, recs []*server.StoreRecovery) error {
 	return nil
 }
 
-// printReplay summarizes journal replay, totaled and per shard file.
-func printReplay(reports []server.ReplayReport) {
-	var replayed, skipped int
-	for _, r := range reports {
-		replayed += r.Replayed
-		skipped += r.Skipped
-	}
-	fmt.Printf("journal: replayed %d trips (%d skipped)\n", replayed, skipped)
-	if len(reports) > 1 {
-		for _, r := range reports {
-			if r.Missing {
-				fmt.Printf("journal shard %d: %s missing (fresh shard)\n", r.Shard, r.Path)
-				continue
-			}
-			fmt.Printf("journal shard %d: replayed %d (%d skipped)\n", r.Shard, r.Replayed, r.Skipped)
-		}
-	}
-}
-
-// journalPaths names each shard's journal file: the bare path for a
-// monolithic run, "<path>.shardN" per shard otherwise.
-func journalPaths(path string, shards int) []string {
-	if shards == 1 {
-		return []string{path}
-	}
+// legacyJournals names the legacy journal file each shard of a layout
+// migrates: the bare -journal path for one shard, "<path>.shardN" per
+// shard otherwise, nothing when -journal is unset.
+func legacyJournals(path string, shards int) []string {
 	out := make([]string, shards)
 	for i := range out {
-		out[i] = fmt.Sprintf("%s.shard%d", path, i)
+		if out[i] = path; path != "" && shards > 1 {
+			out[i] = fmt.Sprintf("%s.shard%d", path, i)
+		}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -27,8 +28,9 @@ import (
 //     mid-corpus and rebooted from their per-shard stores, including
 //     the cross-shard scatter groups persisted in the receiving
 //     shard's log.
-//  3. Legacy migration: a -journal-only run's file is adopted by the
-//     next -store-dir boot, replayed in full, and retired.
+//  3. Legacy migration: a single-file journal left by an older build
+//     is adopted by a -store-dir boot, replayed in full, and retired;
+//     -journal without -store-dir is refused and leaves the file alone.
 var scenarioRestart = Scenario{
 	Name:        "restart-recovery",
 	Description: "kill -9 a store-backed server mid-corpus: reboot recovers snapshot+tail, traffic byte-identical (monolith, shard procs, legacy migration)",
@@ -438,30 +440,37 @@ func restartShardProcs(ctx context.Context, e *env, r *Result, rec *LatencyRecor
 	return nil
 }
 
-// restartLegacyMigration runs phase 3: a journal-only run's file must
-// be adopted by the next store-backed boot — replayed in full,
-// retired from disk, and invisible in the served bytes.
+// restartLegacyMigration runs phase 3: a legacy journal — one bare JSON
+// trip per line, as builds before the store wrote it — must be refused
+// by a boot that names no store, then adopted by a store-backed boot:
+// replayed in full, retired from disk, and invisible in the served
+// bytes.
 func restartLegacyMigration(ctx context.Context, e *env, r *Result, rec *LatencyRecorder, corpus []probe.Trip, cut int, refBytes []byte, work string) error {
 	dir := filepath.Join(work, "legacy-store")
 	journal := filepath.Join(work, "legacy.jsonl")
+	var legacy bytes.Buffer
+	enc := json.NewEncoder(&legacy)
+	for i := range corpus[:cut] {
+		if err := enc.Encode(&corpus[i]); err != nil {
+			return err
+		}
+	}
+	if err := os.WriteFile(journal, legacy.Bytes(), 0o644); err != nil {
+		return err
+	}
 
-	srv1, err := e.bootServer(ctx, "legacy-v1", "-journal", journal)
+	refused, err := StartProc("legacy-refused", e.opts.ServerBin, append(e.bootArgs("127.0.0.1:0"), "-journal", journal)...)
 	if err != nil {
 		return err
 	}
-	wc := newWireCounter(srv1.Client, rec)
-	if err := driveTrips(ctx, wc, corpus[:cut]); err != nil {
-		killProc(ctx, e, srv1) //lint:allow errcheckio best-effort reap on the error path; the drive error is the verdict
-		return err
-	}
-	tallyWire(r, wc)
-	// The journal flushes per append, so even a crash here would keep
-	// it; a graceful stop keeps this phase about migration, not tearing.
-	stopCtx, cancel := e.shutdownCtx()
-	code, stopErr := srv1.Stop(stopCtx)
+	waitCtx, cancel := context.WithTimeout(ctx, e.opts.BootTimeout)
+	code, waitErr := refused.Wait(waitCtx)
 	cancel()
-	r.check("legacy: journal-only server drains clean", stopErr == nil && code == 0,
-		fmt.Sprintf("exit code %d, err %v", code, stopErr))
+	after, readErr := os.ReadFile(journal)
+	r.check("legacy: -journal without -store-dir is refused, file untouched",
+		waitErr == nil && code != 0 && strings.Contains(refused.Output(), "-store-dir") &&
+			readErr == nil && bytes.Equal(after, legacy.Bytes()),
+		fmt.Sprintf("exit code %d, err %v, journal read err %v, output %q", code, waitErr, readErr, tail(refused.Output(), 3)))
 
 	report := filepath.Join(work, "restart-recovery-legacy-reboot.json")
 	args := append(storeFlags(dir, report, snapshotEveryFor(cut)), "-journal", journal)

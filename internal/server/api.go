@@ -17,7 +17,7 @@ import (
 // route through ProcessTrip / IngestBatch; reads are merged views that a
 // Coordinator fans in across its shards.
 type API interface {
-	// ProcessTrip ingests one trip (validate, dedup, journal,
+	// ProcessTrip ingests one trip (validate, dedup, log append,
 	// pipeline). The context bounds admission and carries the trace.
 	ProcessTrip(ctx context.Context, trip probe.Trip) (ProcessedTrip, error)
 	// IngestBatch ingests a batch behind the admission gate; shed trips

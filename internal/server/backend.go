@@ -175,7 +175,7 @@ type Backend struct {
 	// carry their own internal synchronization.
 	dedupMu sync.Mutex
 	seen    map[string]bool //lint:guardedby dedupMu
-	journal TripLog         //lint:guardedby dedupMu
+	tripLog TripLog         //lint:guardedby dedupMu
 
 	// checkpointMu is the checkpoint consistency cut: every trip holds
 	// the read side across admission (log append) AND fold, so under the
@@ -185,6 +185,9 @@ type Backend struct {
 	// never block on checkpointMu or two shards checkpointing while
 	// scattering to each other would deadlock).
 	checkpointMu sync.RWMutex
+	// checkpointFlight serializes whole Checkpoint calls (the periodic
+	// snapshotter against the drain's final one).
+	checkpointFlight sync.Mutex
 
 	statsMu sync.Mutex
 	stats   Stats //lint:guardedby statsMu
@@ -362,7 +365,7 @@ func (b *Backend) Upload(ctx context.Context, trip probe.Trip) error {
 // ProcessTrip runs one trip through the full stage pipeline and folds
 // its observations into the traffic estimator. It is a thin
 // composition over the pipeline phases: admission (validate, dedup,
-// journal), the CPU-bound stage computation, and the ordered fold
+// log append), the CPU-bound stage computation, and the ordered fold
 // (estimation + counters). The context bounds admission and carries
 // the trip's trace: when observability is on, a trip arriving without
 // a trace ID gets its deterministic one (obs.TripTrace), and the whole
@@ -400,7 +403,7 @@ func (b *Backend) tripCtx(ctx context.Context, trip probe.Trip) context.Context 
 	return obs.EnsureTrip(ctx, trip.ID)
 }
 
-// admit validates, deduplicates, and journals one upload. It takes
+// admit validates, deduplicates, and logs one upload. It takes
 // only the dedup lock, so admission never contends with stats readers
 // or estimator queries. Rejection counters are applied in a single
 // critical section, keeping Stats() trip-atomic.
@@ -422,7 +425,7 @@ func (b *Backend) admit(ctx context.Context, trip probe.Trip) error {
 	if !dup {
 		b.seen[trip.ID] = true
 	}
-	journal := b.journal
+	tripLog := b.tripLog
 	b.dedupMu.Unlock()
 	if dup {
 		b.statsMu.Lock()
@@ -431,11 +434,11 @@ func (b *Backend) admit(ctx context.Context, trip probe.Trip) error {
 		b.statsMu.Unlock()
 		return fmt.Errorf("%w %s", ErrDuplicateTrip, trip.ID)
 	}
-	// Persist accepted uploads before processing; a journaling failure
+	// Persist accepted uploads before processing; an append failure
 	// fails the upload so the client retries rather than silently
 	// losing durability.
-	if journal != nil {
-		if err := journal.Append(ctx, trip); err != nil {
+	if tripLog != nil {
+		if err := tripLog.Append(ctx, trip); err != nil {
 			// The trip never became durable: un-mark it so the client's
 			// retry is admitted. A phantom ID here would reject the
 			// retry as a duplicate for the backend's lifetime — and a
@@ -553,7 +556,7 @@ func (b *Backend) fold(ctx context.Context, w *tripWork) {
 					est, err = b.obsScatter(ctx, owner, key, byOwner[owner])
 					if err != nil {
 						// The owner is unreachable: the trip is already
-						// admitted and journaled, so its remaining
+						// admitted and logged, so its remaining
 						// groups keep folding and the failure surfaces
 						// to the caller. The lost group is not gone —
 						// log replay re-scatters it under the same key,
@@ -586,7 +589,7 @@ func (b *Backend) fold(ctx context.Context, w *tripWork) {
 // scatterKey derives the idempotency key of one trip's observation
 // group bound for one owner shard. A trip has exactly one home shard
 // and at most one group per owner, so (trip ID, owner) names the group
-// uniquely — and deterministically across retries and journal replays.
+// uniquely — and deterministically across retries and log replays.
 func scatterKey(tripID string, owner int) string {
 	return tripID + "#" + strconv.Itoa(owner)
 }
@@ -744,18 +747,6 @@ func (b *Backend) onlineUpdate(trip probe.Trip, clusters []cluster.Cluster, mapp
 		// Best-effort: a failed update never fails the trip.
 		_ = b.fpdb.PutFromSamples(v.Stop, pool)
 	}
-}
-
-// AttachJournal makes the backend append every accepted trip to the
-// legacy single-file journal. Attach AFTER ReplayJournal, or replayed
-// trips would be re-journaled. New deployments attach a store instead
-// (AttachStore / RecoverBackendStore).
-func (b *Backend) AttachJournal(j *Journal) {
-	var l TripLog
-	if j != nil {
-		l = j
-	}
-	b.AttachTripLog(l)
 }
 
 // Advance drives the estimator's periodic refresh from the caller's

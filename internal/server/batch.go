@@ -23,7 +23,7 @@ var _ phone.BatchUploader = (*Backend)(nil)
 // uses Config.IngestWorkers, itself defaulting to GOMAXPROCS.
 //
 // The result is deterministic and identical to a serial ProcessTrip
-// loop over the same slice: admission (validation, dedup, journaling)
+// loop over the same slice: admission (validation, dedup, log append)
 // runs sequentially in input order, the stage computations fan out,
 // and estimator folding plus counter application are re-serialized in
 // input order. When OnlineUpdate is enabled the batch degrades to the
@@ -66,7 +66,7 @@ func (b *Backend) ProcessTrips(ctx context.Context, trips []probe.Trip, workers 
 		tripCtxs[i] = b.tripCtx(ctx, trips[i])
 	}
 
-	// Phase 1 — ordered admission: validate, dedup, journal. Duplicate
+	// Phase 1 — ordered admission: validate, dedup, log. Duplicate
 	// IDs within the batch resolve exactly as serial ingestion would
 	// (first occurrence wins).
 	admitted := make([]bool, len(trips))

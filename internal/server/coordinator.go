@@ -24,7 +24,7 @@ import (
 // Coordinator shards the backend by city region: the transit network is
 // split into route-closed groups on the region zone grid
 // (transit.PartitionRoutes), and each shard is a full Backend — its own
-// dedup set, stage pipeline, admission gate, journal, and estimator —
+// dedup set, stage pipeline, admission gate, trip log, and estimator —
 // over the shared transit and fingerprint databases. Uploads route to
 // their home shard by fingerprint pre-match; reads fan in across shards
 // and merge deterministically.
@@ -510,23 +510,6 @@ func (c *Coordinator) RouteStatuses(departS float64) ([]RouteStatus, error) {
 // reusing the cached merge instead of re-fanning out.
 func (c *Coordinator) PredictArrivals(routeID transit.RouteID, fromIdx int, departS float64) ([]arrival.Prediction, error) {
 	return predictArrivals(c.tdb, routeID, fromIdx, departS, snapshotSource(c.TrafficSnapshot().Estimates))
-}
-
-// AttachJournals gives each shard its own journal (one per shard, in
-// shard order). Attach AFTER replay, as with Backend.AttachJournal.
-// Only valid for in-process shards: a remote shard process journals
-// locally behind its own flag.
-func (c *Coordinator) AttachJournals(js []*Journal) error {
-	if len(js) != len(c.shards) {
-		return fmt.Errorf("server: %d journals for %d shards", len(js), len(c.shards))
-	}
-	for i, b := range c.backends {
-		if b == nil {
-			return fmt.Errorf("server: shard %d is remote; it journals in its own process", i)
-		}
-		b.AttachJournal(js[i])
-	}
-	return nil
 }
 
 // registerObs projects the coordinator's partition footprint into the

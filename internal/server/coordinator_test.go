@@ -52,7 +52,7 @@ func twinCorpus(t *testing.T, w *sim.World, fcfg faults.Config) []probe.Trip {
 // replayInto feeds a corpus trip-by-trip, absorbing duplicate
 // rejections (fault-injected corpora contain duplicates by design) and
 // failing on anything else.
-func replayInto(t *testing.T, sink TripProcessor, trips []probe.Trip) {
+func replayInto(t *testing.T, sink API, trips []probe.Trip) {
 	t.Helper()
 	for _, trip := range trips {
 		if _, err := sink.ProcessTrip(context.Background(), trip); err != nil && !errors.Is(err, ErrDuplicateTrip) {
@@ -304,62 +304,5 @@ func TestPerShardShedding(t *testing.T) {
 	res = coord.IngestBatch(context.Background(), []probe.Trip{byShard[0][3]})
 	if res[0].Err != nil {
 		t.Errorf("post-release ingest failed: %v", res[0].Err)
-	}
-}
-
-func TestCoordinatorJournalReplay(t *testing.T) {
-	// Per-shard journals must rebuild the merged traffic map through the
-	// coordinator replay path, surviving a corrupt line mid-file.
-	w, fpdb := twinWorld(t)
-	coord := newTwinCoordinator(t, w, fpdb, 2)
-	dir := t.TempDir()
-	paths := []string{dir + "/j.shard0", dir + "/j.shard1"}
-	journals := make([]*Journal, 2)
-	for i, p := range paths {
-		j, err := OpenJournal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		journals[i] = j
-	}
-	if err := coord.AttachJournals(journals); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.AttachJournals(journals[:1]); err == nil {
-		t.Error("AttachJournals accepted wrong journal count")
-	}
-
-	trips := twinCorpus(t, w, faults.Config{})
-	replayInto(t, coord, trips)
-	for _, j := range journals {
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	coord.Advance(3 * clock.DayS)
-	want := trafficBytes(t, coord)
-	if len(coord.Traffic()) == 0 {
-		t.Fatal("no estimates before restart")
-	}
-
-	// "Restart" with a fresh coordinator, replaying every shard journal
-	// through the coordinator (content-deterministic routing sends each
-	// trip back to its home shard).
-	rebuilt := newTwinCoordinator(t, w, fpdb, 2)
-	var replayed, skipped int
-	for _, p := range paths {
-		r, s, err := ReplayJournal(context.Background(), p, rebuilt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayed += r
-		skipped += s
-	}
-	if replayed == 0 || skipped != 0 {
-		t.Fatalf("replayed=%d skipped=%d", replayed, skipped)
-	}
-	rebuilt.Advance(3 * clock.DayS)
-	if got := trafficBytes(t, rebuilt); !bytes.Equal(got, want) {
-		t.Error("rebuilt coordinator traffic differs")
 	}
 }

@@ -42,7 +42,7 @@ func (b *Backend) endSpan(ctx context.Context, start time.Time, name string, att
 // given shard label. It registers scrape-time collectors for the work
 // counters and per-stage instrumentation, creates the per-stage
 // latency histograms, and chains span emission onto the stage hook.
-// Like AttachJournal and the observation router, it must run before
+// Like AttachTripLog and the observation router, it must run before
 // any ingestion; a Coordinator calls it once per shard with distinct
 // labels (NewBackend self-registers as shard "0" when Config.Obs is
 // set, which is why the coordinator builds its shards without it).

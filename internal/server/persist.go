@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -14,16 +15,14 @@ import (
 )
 
 // TripLog is the backend's durable trip sink: admit() appends every
-// accepted upload before processing it. Both the legacy single-file
-// *Journal and the log-structured *StoreLog satisfy it.
+// accepted upload before processing it. *StoreLog is the one serving
+// implementation; the interface remains so a test can substitute a
+// failing log and the benchmark ledger a timing one.
 type TripLog interface {
 	Append(ctx context.Context, trip probe.Trip) error
 }
 
-var (
-	_ TripLog = (*Journal)(nil)
-	_ TripLog = (*StoreLog)(nil)
-)
+var _ TripLog = (*StoreLog)(nil)
 
 // PersistentStateSchema versions the snapshot state blob. A snapshot
 // carrying another schema is skipped down the recovery ladder.
@@ -72,8 +71,8 @@ type PendingScatter struct {
 // ExportState captures the backend's durable state. Safe to call on a
 // live backend, but only a checkpoint-quiesced export (Checkpoint) is
 // guaranteed consistent with a segment boundary — a concurrent trip
-// could otherwise land its journal record and its fold on opposite
-// sides of the export.
+// could otherwise land its log record and its fold on opposite sides
+// of the export.
 func (b *Backend) ExportState() *PersistentState {
 	b.scatterMu.Lock()
 	defer b.scatterMu.Unlock()
@@ -240,20 +239,12 @@ func (l *StoreLog) AppendScatter(ctx context.Context, key string, obs []traffic.
 // Close flushes and closes the underlying store.
 func (l *StoreLog) Close() error { return l.s.Close() }
 
-// AttachStore wires both of the backend's append points to the store
-// log: accepted trips and received scatter groups. Attach AFTER
-// recovery, like AttachJournal — RecoverBackendStore and RecoverStores
-// sequence this themselves.
-func (b *Backend) AttachStore(l *StoreLog) {
-	b.attachScatterLog(l)
-	b.AttachTripLog(l)
-}
-
 // AttachTripLog makes the backend append every accepted trip to the
-// log. Attach AFTER replay, or replayed trips would be re-journaled.
+// log. Attach AFTER replay, or replayed trips would be appended again;
+// recovery sequences this itself.
 func (b *Backend) AttachTripLog(l TripLog) {
 	b.dedupMu.Lock()
-	b.journal = l
+	b.tripLog = l
 	b.dedupMu.Unlock()
 }
 
@@ -270,7 +261,11 @@ func (b *Backend) attachScatterLog(l *StoreLog) {
 // admit→fold, received scatters hold scatterMu across append→fold, so
 // under both write locks no record can land on one side of the
 // boundary with its fold on the other); the snapshot write and the
-// compaction run after the locks drop.
+// compaction run after the locks drop. Checkpoints are single-flight:
+// two overlapping calls with no record between them would both write
+// the same snap-<upTo>.snap.tmp (Seal is a no-op for the second), and
+// the interleaved bytes renamed into place fail their CRC on the next
+// boot.
 func (b *Backend) Checkpoint() error {
 	b.scatterMu.Lock()
 	sl := b.scatterLog
@@ -278,14 +273,16 @@ func (b *Backend) Checkpoint() error {
 	if sl == nil {
 		return fmt.Errorf("server: checkpoint without an attached store")
 	}
+	b.checkpointFlight.Lock()
+	defer b.checkpointFlight.Unlock()
 	// Re-deliver pending cross-shard groups before the cut: this
 	// snapshot may cover (and its compaction delete) the originating
 	// trip records, leaving the exported Pending list as those groups'
 	// only route to their owners. Drain what can be drained; the rest
 	// exports below and retries at the next checkpoint or recovery.
 	b.RetryPendingScatters(context.Background()) //lint:allow ctxpropagate checkpoints run from the snapshotter and shutdown with no request in flight; durability work must not be cut short by a caller's deadline
-	b.checkpointMu.Lock()
-	b.scatterMu.Lock() //lint:allow lockorder deliberate checkpointMu>scatterMu order, the only place both are held; FoldScatter takes scatterMu alone so the cut cannot deadlock
+	b.checkpointMu.Lock()                        //lint:allow lockorder checkpointFlight is taken only in this function and always first, so the order cannot invert
+	b.scatterMu.Lock()                           //lint:allow lockorder deliberate checkpointMu>scatterMu order, the only place both are held; FoldScatter takes scatterMu alone so the cut cannot deadlock
 	upTo, err := sl.s.Seal()
 	var blob []byte
 	if err == nil {
@@ -345,58 +342,173 @@ type StoreRecovery struct {
 // recovery that produced this).
 func (r *StoreRecovery) Log() *StoreLog { return r.log }
 
-// RecoverBackendStore restores one backend from its store directory
-// and leaves the store attached and appending:
+// recoverTarget is one local backend to restore: where its store lives
+// and which legacy journal file (if any) to adopt into it.
+type recoverTarget struct {
+	b      *Backend
+	dir    string
+	legacy string
+}
+
+// recoverBackends is the one recovery routine: it restores freshly
+// constructed local backends from their store directories and leaves
+// every store attached and appending. The phases run across the whole
+// slice so cross-shard scatters replayed by one shard land on peers
+// that have already imported their snapshots:
 //
-//  1. A legacy single-file journal at legacyJournal (if any, and only
-//     into a virgin store) is migrated in as the first segment.
-//  2. The store opens for appending. Opening comes BEFORE planning
-//     because Open normalizes the directory — a fully-sealed-but-
-//     unrenamed active segment (crash between footer write and
-//     rename) is finished into its sealed name, a torn active tail is
-//     trimmed — and a plan built against the pre-normalization paths
-//     would skip the renamed segment's acked records as "unreadable"
-//     at replay time, after which compaction would delete them.
-//  3. The recovery ladder picks a snapshot; its state imports into the
-//     backend. A checksum-valid snapshot whose state fails to decode
-//     falls all the way to a full replay.
-//  4. The tail replays in record order: trips re-process (their
+//  1. Per backend: a legacy single-file journal (if any, and only into
+//     a virgin store) migrates in as the first segment; the store
+//     opens for appending; the recovery ladder picks a snapshot and
+//     its state imports (a checksum-valid snapshot whose state fails
+//     to decode falls all the way to a full replay); the scatter log
+//     attaches. Opening comes BEFORE planning because Open normalizes
+//     the directory — a fully-sealed-but-unrenamed active segment
+//     (crash between footer write and rename) is finished into its
+//     sealed name, a torn active tail is trimmed — and a plan built
+//     against the pre-normalization paths would skip the renamed
+//     segment's acked records as "unreadable" at replay time, after
+//     which compaction would delete them.
+//  2. Every tail replays in slice order: trips re-process (their
 //     cross-shard groups re-scatter under the original idempotency
-//     keys; the shard's own replayed scatter records fold without
-//     re-appending), so after replay the backend is byte-identical to
-//     one that never crashed.
-//  5. Both append points attach, and cross-shard groups the snapshot
-//     listed as pending are re-delivered (best-effort: an unreachable
-//     owner keeps them pending for the next checkpoint's retry).
+//     keys; a shard's own replayed scatter records fold without
+//     re-appending), so after replay each backend is byte-identical
+//     to one that never crashed.
+//  3. Cross-shard groups the snapshots listed as pending are
+//     re-delivered — every local peer has imported and replayed by
+//     now (best-effort: an unreachable owner keeps them pending for
+//     the next checkpoint's retry).
+//  4. Trip logs attach.
 //
-// The backend must be freshly constructed. The error return is for
-// failures that leave the backend unusable (directory unreadable,
-// store unopenable); data-level corruption degrades inside the report
-// instead.
+// A backend whose phase 1 fails is recorded (Err) and left fresh with
+// no log; the rest still recover. Data-level corruption degrades
+// inside the report instead. The error return is reserved for context
+// cancellation.
+func recoverBackends(ctx context.Context, opts store.Options, targets []recoverTarget) ([]*StoreRecovery, error) {
+	recs := make([]*StoreRecovery, len(targets))
+	plans := make([]*store.Recovery, len(targets))
+	for i, t := range targets {
+		recs[i] = &StoreRecovery{Shard: t.b.shardIdx}
+		shardOpts := opts
+		shardOpts.Dir = t.dir
+		plan, s, err := openAndPlan(shardOpts, t.legacy, t.b, recs[i])
+		if err != nil {
+			recs[i].Err = err.Error()
+			continue
+		}
+		plans[i] = plan
+		recs[i].log = NewStoreLog(s)
+		t.b.attachScatterLog(recs[i].log)
+	}
+	for i, plan := range plans {
+		if plan == nil {
+			continue
+		}
+		if err := recoverReplay(ctx, plan, targets[i].b, recs[i]); err != nil {
+			for _, r := range recs {
+				if r.log != nil {
+					_ = r.log.Close() //lint:allow errcheckio best-effort close on a canceled recovery; the cancellation is the cause worth reporting
+				}
+			}
+			return recs, err
+		}
+		recs[i].Report = plan.Report
+	}
+	for i := range plans {
+		if plans[i] != nil {
+			targets[i].b.RetryPendingScatters(ctx)
+		}
+	}
+	for i := range plans {
+		if plans[i] != nil {
+			targets[i].b.AttachTripLog(recs[i].log)
+		}
+	}
+	return recs, nil
+}
+
+// RecoverBackendStore restores one freshly constructed backend from
+// the store directory opts.Dir (recoverBackends over a single target),
+// adopting legacyJournal into a virgin store first. Unlike the
+// coordinator's degraded boot, a store that cannot be migrated, opened
+// or planned is an error: a lone backend has no peers to serve around
+// it.
 func RecoverBackendStore(ctx context.Context, opts store.Options, legacyJournal string, b *Backend) (*StoreRecovery, error) {
-	rec := &StoreRecovery{Shard: b.shardIdx}
-	migrated, err := store.MigrateLegacy(opts.Dir, legacyJournal)
+	recs, err := recoverBackends(ctx, opts, []recoverTarget{{b: b, dir: opts.Dir, legacy: legacyJournal}})
 	if err != nil {
 		return nil, err
+	}
+	if recs[0].Err != "" {
+		return nil, errors.New(recs[0].Err)
+	}
+	return recs[0], nil
+}
+
+// RecoverStores restores every in-process shard of a coordinator from
+// per-shard store directories under base (ShardStoreDir), adopting
+// legacyJournals[i] into shard i's virgin store. A shard whose
+// recovery fails is recorded (Err) and left fresh — the remaining
+// shards still recover (degraded boot, matching the degraded-read
+// philosophy).
+func (c *Coordinator) RecoverStores(ctx context.Context, base string, opts store.Options, legacyJournals []string) ([]*StoreRecovery, error) {
+	targets := make([]recoverTarget, len(c.backends))
+	for i, b := range c.backends {
+		if b == nil {
+			return nil, fmt.Errorf("server: shard %d is remote; it recovers its own store", i)
+		}
+		targets[i] = recoverTarget{b: b, dir: ShardStoreDir(base, i)}
+		if i < len(legacyJournals) {
+			targets[i].legacy = legacyJournals[i]
+		}
+	}
+	return recoverBackends(ctx, opts, targets)
+}
+
+// openAndPlan is phase 1 for one backend: migrate, open, plan, import.
+// It returns the open store and the plan whose tail phase 2 replays.
+func openAndPlan(opts store.Options, legacy string, b *Backend, rec *StoreRecovery) (*store.Recovery, *store.Store, error) {
+	migrated, err := store.MigrateLegacy(opts.Dir, legacy)
+	if err != nil {
+		return nil, nil, err
 	}
 	s, err := store.Open(opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	plan, err := planShardRecovery(opts, migrated, b, rec)
-	if err == nil {
-		err = recoverReplay(ctx, plan, b, rec)
-	}
+	plan, err := planAndImport(opts, b, rec)
 	if err != nil {
-		_ = s.Close() //lint:allow errcheckio best-effort close on a recovery that already failed; the close error cannot outrank the cause
+		_ = s.Close() //lint:allow errcheckio best-effort close; the backend boots fresh without a log and the plan error is the cause worth reporting
+		return nil, nil, err
+	}
+	plan.Report.Migrated = migrated
+	rec.Report = plan.Report
+	return plan, s, nil
+}
+
+// planAndImport runs the recovery ladder over an opened store and
+// imports the chosen snapshot's state into the backend, re-planning as
+// a full replay when a checksum-valid snapshot fails to decode.
+func planAndImport(opts store.Options, b *Backend, rec *StoreRecovery) (*store.Recovery, error) {
+	plan, err := store.PlanRecovery(opts)
+	if err != nil || plan.State == nil {
+		return plan, err
+	}
+	var st PersistentState
+	ierr := json.Unmarshal(plan.State, &st)
+	if ierr == nil {
+		ierr = b.ImportState(&st)
+	}
+	if ierr == nil {
+		rec.SnapshotImported = true
+		return plan, nil
+	}
+	opts.SkipSnapshots = true
+	plan, err = store.PlanRecovery(opts)
+	if err != nil {
 		return nil, err
 	}
-	rec.log = NewStoreLog(s)
-	b.attachScatterLog(rec.log)
-	b.AttachTripLog(rec.log)
-	rec.Report = plan.Report
-	b.RetryPendingScatters(ctx)
-	return rec, nil
+	plan.Report.Notes = append(plan.Report.Notes,
+		fmt.Sprintf("snapshot state not importable (%v); fell back to full replay", ierr))
+	return plan, nil
 }
 
 // recoverReplay walks the planned tail through the backend's pipeline.
@@ -431,137 +543,4 @@ func recoverReplay(ctx context.Context, plan *store.Recovery, b *Backend, rec *S
 		}
 		return nil
 	})
-}
-
-// RecoverStores restores every in-process shard of a coordinator from
-// per-shard store directories under base (ShardStoreDir), phase by
-// phase so cross-shard scatters replayed by one shard land on peers
-// that have already imported their snapshots:
-//
-//	phase 1: every shard migrates, opens its store (normalizing the
-//	         directory BEFORE the plan is built, so the plan's segment
-//	         paths match what is on disk at replay time), plans +
-//	         imports its snapshot, and attaches its scatter log;
-//	phase 2: every shard replays its tail in shard order;
-//	phase 3: pending cross-shard groups restored from snapshots are
-//	         re-delivered — every peer has imported and replayed by
-//	         now, so deliveries land on recovered estimators;
-//	phase 4: trip logs attach.
-//
-// A shard whose recovery fails is recorded (Err) and left fresh — the
-// remaining shards still recover (degraded boot, matching the
-// degraded-read philosophy). The error return is reserved for context
-// cancellation.
-func (c *Coordinator) RecoverStores(ctx context.Context, base string, opts store.Options, legacyJournals []string) ([]*StoreRecovery, error) {
-	recs := make([]*StoreRecovery, len(c.backends))
-	plans := make([]*store.Recovery, len(c.backends))
-	for i, b := range c.backends {
-		if b == nil {
-			return nil, fmt.Errorf("server: shard %d is remote; it recovers its own store", i)
-		}
-		recs[i] = &StoreRecovery{Shard: i}
-		shardOpts := opts
-		shardOpts.Dir = ShardStoreDir(base, i)
-		legacy := ""
-		if i < len(legacyJournals) {
-			legacy = legacyJournals[i]
-		}
-		migrated, err := store.MigrateLegacy(shardOpts.Dir, legacy)
-		if err != nil {
-			recs[i].Err = err.Error()
-			continue
-		}
-		s, err := store.Open(shardOpts)
-		if err != nil {
-			recs[i].Err = err.Error()
-			continue
-		}
-		plan, err := planShardRecovery(shardOpts, migrated, b, recs[i])
-		if err != nil {
-			recs[i].Err = err.Error()
-			_ = s.Close() //lint:allow errcheckio best-effort close; the shard boots fresh without a log and the plan error is the cause worth reporting
-			continue
-		}
-		plans[i] = plan
-		recs[i].log = NewStoreLog(s)
-		b.attachScatterLog(recs[i].log)
-	}
-	for i, plan := range plans {
-		if plan == nil {
-			continue
-		}
-		if err := recoverReplay(ctx, plan, c.backends[i], recs[i]); err != nil {
-			if ctx.Err() != nil {
-				return recs, err
-			}
-			recs[i].Err = err.Error()
-		}
-		recs[i].Report = plan.Report
-	}
-	for i := range plans {
-		if plans[i] == nil {
-			continue
-		}
-		c.backends[i].RetryPendingScatters(ctx)
-	}
-	for i := range plans {
-		if plans[i] == nil || recs[i].log == nil {
-			continue
-		}
-		c.backends[i].AttachTripLog(recs[i].log)
-	}
-	return recs, nil
-}
-
-// planShardRecovery is the shared plan+import step of
-// RecoverBackendStore and the coordinator's phased variant. Callers
-// migrate any legacy journal and Open the store FIRST — Open
-// normalizes the directory, and a plan built before normalization
-// would replay paths that no longer exist.
-func planShardRecovery(opts store.Options, migrated bool, b *Backend, rec *StoreRecovery) (*store.Recovery, error) {
-	plan, err := store.PlanRecovery(opts)
-	if err != nil {
-		return nil, err
-	}
-	plan.Report.Migrated = migrated
-	if plan.State == nil {
-		rec.Report = plan.Report
-		return plan, nil
-	}
-	var st PersistentState
-	ierr := json.Unmarshal(plan.State, &st)
-	if ierr == nil {
-		ierr = b.ImportState(&st)
-	}
-	if ierr != nil {
-		full := opts
-		full.SkipSnapshots = true
-		plan, err = store.PlanRecovery(full)
-		if err != nil {
-			return nil, err
-		}
-		plan.Report.Migrated = migrated
-		plan.Report.Notes = append(plan.Report.Notes,
-			fmt.Sprintf("snapshot state not importable (%v); fell back to full replay", ierr))
-	} else {
-		rec.SnapshotImported = true
-	}
-	rec.Report = plan.Report
-	return plan, nil
-}
-
-// AttachStores gives each in-process shard its own store log (one per
-// shard, in shard order), both append points. Attach AFTER recovery,
-// as with AttachJournals.
-func (c *Coordinator) AttachStores(ls []*StoreLog) error {
-	if len(ls) != len(c.shards) {
-		return fmt.Errorf("server: %d store logs for %d shards", len(ls), len(c.shards))
-	}
-	for i, b := range c.backends {
-		if b == nil {
-			return fmt.Errorf("server: shard %d is remote; it persists in its own process", i)
-		}
-		b.AttachStore(ls[i])
-	}
-	return nil
 }

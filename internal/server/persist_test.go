@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -298,27 +300,63 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 	}
 }
 
-// TestStoreLegacyJournalMigration: a deployment carrying a single-file
-// journal boots onto the store by adopting the journal as the first
-// segment, replaying it, and serving the identical map.
-func TestStoreLegacyJournalMigration(t *testing.T) {
-	fx := newTwinFixture(t)
-	trips := twinCorpus(t, fx.world, faults.Config{})
+// legacyDamage names the shapes a crash or a bad disk left in the
+// retired single-file journals.
+type legacyDamage uint8
 
-	legacy := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournal(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, trip := range trips {
-		if err := j.Append(context.Background(), trip); err != nil {
+const (
+	corruptMiddleLine legacyDamage = 1 << iota // a garbled line between intact records
+	oversizedLine                              // a line longer than any upload, so it can only be corruption
+	duplicateID                                // an intact record written twice
+	tornFinalLine                              // a crash mid-append
+	allLegacyDamage   = corruptMiddleLine | oversizedLine | duplicateID | tornFinalLine
+)
+
+// writeLegacyJournal writes trips the way the retired journal did: one
+// bare JSON trip per line. Damage lands after the first record, the
+// torn line at the end.
+func writeLegacyJournal(t *testing.T, path string, trips []probe.Trip, dmg legacyDamage) {
+	t.Helper()
+	var buf bytes.Buffer
+	for i := range trips {
+		line, err := json.Marshal(&trips[i])
+		if err != nil {
 			t.Fatal(err)
 		}
+		line = append(line, '\n')
+		buf.Write(line)
+		if i > 0 {
+			continue
+		}
+		if dmg&corruptMiddleLine != 0 {
+			buf.WriteString("{\"id\":\"garbled\",\"sam\n")
+		}
+		if dmg&oversizedLine != 0 {
+			buf.Write(bytes.Repeat([]byte{'x'}, maxUploadBytes+16))
+			buf.WriteByte('\n')
+		}
+		if dmg&duplicateID != 0 {
+			buf.Write(line)
+		}
 	}
-	if err := j.Close(); err != nil {
+	if dmg&tornFinalLine != 0 {
+		buf.WriteString(`{"id":"torn","samples":[{`)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
 
+// checkLegacyMigration boots a deployment carrying legacy journals (one
+// file for a monolith, <path>.shardN per shard, each holding the trips
+// routed to that shard) onto the store: every journal must be adopted
+// as its shard's first segment and retired, damage must cost exactly
+// the damaged records, the served map must be identical to an
+// uninterrupted run, and the migrated store must checkpoint and
+// restart like any other.
+func checkLegacyMigration(t *testing.T, shards int, dmg legacyDamage) {
+	fx := newTwinFixture(t)
+	trips := twinCorpus(t, fx.world, faults.Config{})
 	ref, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
 	if err != nil {
 		t.Fatal(err)
@@ -327,37 +365,199 @@ func TestStoreLegacyJournalMigration(t *testing.T) {
 	ref.Advance(3 * clock.DayS)
 	want := trafficBytes(t, ref)
 
-	dir := t.TempDir()
-	b, rec := recoverFresh(t, fx, dir, legacy)
-	if !rec.Report.Migrated {
-		t.Fatal("legacy journal not migrated")
+	router := newTwinCoordinator(t, fx.world, fx.fpdb, shards)
+	byShard := make([][]probe.Trip, shards)
+	for _, trip := range trips {
+		sh := router.ShardFor(trip)
+		byShard[sh] = append(byShard[sh], trip)
 	}
-	if rec.TripsReplayed != len(trips) {
-		t.Fatalf("replayed %d trips from migrated journal, want %d", rec.TripsReplayed, len(trips))
+	legacy := filepath.Join(t.TempDir(), "journal.jsonl")
+	paths := []string{legacy}
+	if shards > 1 {
+		paths = paths[:0]
+		for i := 0; i < shards; i++ {
+			paths = append(paths, legacy+".shard"+strconv.Itoa(i))
+		}
 	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatal("legacy journal still present after migration")
+	for i, p := range paths {
+		if len(byShard[i]) == 0 {
+			t.Fatalf("corpus routes nothing to shard %d", i)
+		}
+		writeLegacyJournal(t, p, byShard[i], dmg)
 	}
-	b.Advance(3 * clock.DayS)
-	if got := trafficBytes(t, b); !bytes.Equal(got, want) {
+
+	base := t.TempDir()
+	boot := func() (API, []*Backend, []*StoreRecovery) {
+		if shards == 1 {
+			b, rec := recoverFresh(t, fx, ShardStoreDir(base, 0), paths[0])
+			return b, []*Backend{b}, []*StoreRecovery{rec}
+		}
+		c := newTwinCoordinator(t, fx.world, fx.fpdb, shards)
+		recs, err := c.RecoverStores(context.Background(), base, storeTestOpts(""), paths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, c.Shards(), recs
+	}
+	// The garbled line and the duplicate are counted by the replay, the
+	// oversized line by the store's line reader; Open trims the torn
+	// tail before the plan is built.
+	wantSkipped := bits.OnesCount8(uint8(dmg & (corruptMiddleLine | duplicateID)))
+	wantOversized := bits.OnesCount8(uint8(dmg & oversizedLine))
+	api, backends, recs := boot()
+	for i, rec := range recs {
+		if rec.Err != "" || !rec.Report.Migrated {
+			t.Fatalf("shard %d: legacy journal not migrated: %+v", i, rec)
+		}
+		if rec.TripsReplayed != len(byShard[i]) {
+			t.Errorf("shard %d: replayed %d trips from the migrated journal, want %d", i, rec.TripsReplayed, len(byShard[i]))
+		}
+		if rec.TripsSkipped != wantSkipped || rec.Report.RecordsSkipped != wantOversized {
+			t.Errorf("shard %d: skipped %d trips and %d records, want %d and %d",
+				i, rec.TripsSkipped, rec.Report.RecordsSkipped, wantSkipped, wantOversized)
+		}
+		if _, err := os.Stat(paths[i]); !os.IsNotExist(err) {
+			t.Errorf("shard %d: legacy journal still present after migration", i)
+		}
+	}
+	api.Advance(3 * clock.DayS)
+	if got := trafficBytes(t, api); !bytes.Equal(got, want) {
 		t.Error("migrated /v1/traffic differs from the uninterrupted run")
 	}
 
-	// The migrated store keeps working: new trips append and a
-	// checkpoint lands.
-	if err := b.Checkpoint(); err != nil {
+	for i, b := range backends {
+		if err := b.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := recs[i].Log().Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	api, _, recs = boot()
+	for i, rec := range recs {
+		if rec.Report.Mode != "snapshot+tail" || rec.TripsReplayed != 0 {
+			t.Fatalf("shard %d: post-migration recovery %+v, want snapshot+tail replaying nothing", i, rec)
+		}
+	}
+	api.Advance(3 * clock.DayS)
+	if got := trafficBytes(t, api); !bytes.Equal(got, want) {
+		t.Error("post-migration checkpointed recovery differs")
+	}
+}
+
+// TestStoreLegacyJournalMigration: see checkLegacyMigration. A journal
+// with every kind of damage at once costs exactly the damaged records
+// in both the monolith and the 2-shard <path>.shardN layout.
+func TestStoreLegacyJournalMigration(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards int
+		dmg    legacyDamage
+	}{
+		{"monolith", 1, 0},
+		{"monolith-damaged", 1, allLegacyDamage},
+		{"two-shard-damaged", 2, allLegacyDamage},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkLegacyMigration(t, tc.shards, tc.dmg) })
+	}
+}
+
+// The replay-tolerance tests the journal had, one damage kind each, now
+// over the migrated journal — the only place its format is still read.
+
+// TestReplaySkipsCorruptMiddleLine: a corrupt line in the MIDDLE of the
+// file (a partial write that later appends happened to follow, or disk
+// damage) costs only that record; everything after it still replays.
+func TestReplaySkipsCorruptMiddleLine(t *testing.T) {
+	checkLegacyMigration(t, 1, corruptMiddleLine)
+}
+
+// TestReplaySkipsOversizedLine: a line longer than any upload the
+// server accepts costs only itself, not the rest of the replay.
+func TestReplaySkipsOversizedLine(t *testing.T) {
+	checkLegacyMigration(t, 1, oversizedLine)
+}
+
+// TestReplaySkipsDuplicatesAndGarbage: a record written twice replays
+// once, and a torn final line is dropped.
+func TestReplaySkipsDuplicatesAndGarbage(t *testing.T) {
+	checkLegacyMigration(t, 1, duplicateID|tornFinalLine)
+}
+
+// TestCoordinatorJournalReplay: per-shard journals rebuild the merged
+// traffic map through the coordinator's recovery, surviving a corrupt
+// line mid-file.
+func TestCoordinatorJournalReplay(t *testing.T) {
+	checkLegacyMigration(t, 2, corruptMiddleLine)
+}
+
+// TestReplayMissingFile: a -journal path with no file behind it (a
+// shard that never ingested, or a journal already migrated) is not an
+// error: nothing migrates and the store boots fresh.
+func TestReplayMissingFile(t *testing.T) {
+	fx := newTwinFixture(t)
+	_, rec := recoverFresh(t, fx, t.TempDir(), filepath.Join(t.TempDir(), "nope.jsonl"))
+	if rec.Report.Migrated || rec.Report.Mode != "fresh" {
+		t.Fatalf("missing legacy journal recovered as %+v, want an unmigrated fresh boot", rec.Report)
+	}
+}
+
+// TestAttachedJournalCapturesUploads: the attached trip log (the name
+// predates the store) holds each accepted upload exactly once —
+// duplicates are rejected before the append.
+func TestAttachedJournalCapturesUploads(t *testing.T) {
+	fx := newTwinFixture(t)
+	trip := twinCorpus(t, fx.world, faults.Config{})[0]
+	dir := t.TempDir()
+	b, rec := recoverFresh(t, fx, dir, "")
+	if _, err := b.ProcessTrip(context.Background(), trip); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := b.ProcessTrip(context.Background(), trip); !errors.Is(err, ErrDuplicateTrip) {
+		t.Fatalf("duplicate accepted: %v", err)
 	}
 	if err := rec.Log().Close(); err != nil {
 		t.Fatal(err)
 	}
-	b2, rec2 := recoverFresh(t, fx, dir, legacy)
-	if rec2.Report.Mode != "snapshot+tail" {
-		t.Fatalf("post-migration recovery mode %q, want snapshot+tail", rec2.Report.Mode)
+	_, rec2 := recoverFresh(t, fx, dir, "")
+	if rec2.TripsReplayed != 1 || rec2.TripsSkipped != 0 {
+		t.Errorf("replayed=%d skipped=%d, want 1/0 (the duplicate reached the log)", rec2.TripsReplayed, rec2.TripsSkipped)
 	}
-	b2.Advance(3 * clock.DayS)
-	if got := trafficBytes(t, b2); !bytes.Equal(got, want) {
-		t.Error("post-migration checkpointed recovery differs")
+}
+
+// TestRecoverStoresContinuesPastFailedShard: one shard whose store
+// cannot be brought up (here its legacy journal path is a directory,
+// which migrates but cannot open as a segment) lands its failure on
+// its own report and boots fresh with no log; the other shards still
+// recover.
+func TestRecoverStoresContinuesPastFailedShard(t *testing.T) {
+	fx := newTwinFixture(t)
+	trips := twinCorpus(t, fx.world, faults.Config{})
+	c := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
+	var shard0 []probe.Trip
+	for _, trip := range trips {
+		if c.ShardFor(trip) == 0 {
+			shard0 = append(shard0, trip)
+		}
+	}
+	legacy := filepath.Join(t.TempDir(), "journal.jsonl")
+	writeLegacyJournal(t, legacy+".shard0", shard0, 0)
+	if err := os.Mkdir(legacy+".shard1", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := c.RecoverStores(context.Background(), t.TempDir(), storeTestOpts(""),
+		[]string{legacy + ".shard0", legacy + ".shard1"})
+	if err != nil {
+		t.Fatalf("one failed shard aborted the recovery: %v", err)
+	}
+	if recs[0].Err != "" || recs[0].TripsReplayed != len(shard0) || recs[0].Log() == nil {
+		t.Errorf("shard 0: %+v, want %d trips replayed and a log attached", recs[0], len(shard0))
+	}
+	if recs[1].Err == "" || recs[1].Log() != nil {
+		t.Errorf("shard 1: %+v, want a recorded failure and no log", recs[1])
+	}
+	if err := c.Shards()[1].Checkpoint(); err == nil {
+		t.Error("the failed shard has a store attached")
 	}
 }
 
@@ -426,6 +626,45 @@ func TestCheckpointUnderConcurrentIngest(t *testing.T) {
 	second.Advance(3 * clock.DayS)
 	if got := trafficBytes(t, second); !bytes.Equal(got, want) {
 		t.Error("recovery after racing checkpoints differs from the uninterrupted run")
+	}
+}
+
+// TestConcurrentCheckpointsLeaveValidSnapshot: the periodic
+// snapshotter and the drain's final checkpoint can call Checkpoint at
+// once with no record in between. Both would write the same
+// snap-<upTo>.snap.tmp; serialized, every call succeeds and the newest
+// snapshot passes its checksum and imports.
+func TestConcurrentCheckpointsLeaveValidSnapshot(t *testing.T) {
+	fx := newTwinFixture(t)
+	trips := twinCorpus(t, fx.world, faults.Config{})
+	dir := t.TempDir()
+	first, rec := recoverFresh(t, fx, dir, "")
+	replayInto(t, first, trips)
+	first.Advance(3 * clock.DayS)
+	want := trafficBytes(t, first)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := first.Checkpoint(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := rec.Log().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second, rec2 := recoverFresh(t, fx, dir, "")
+	if !rec2.SnapshotImported || rec2.Report.SnapshotsSkipped != 0 || rec2.TripsReplayed != 0 {
+		t.Fatalf("recovery after concurrent checkpoints: %+v, want the newest snapshot imported intact and nothing replayed", rec2)
+	}
+	second.Advance(3 * clock.DayS)
+	if got := trafficBytes(t, second); !bytes.Equal(got, want) {
+		t.Error("recovery after concurrent checkpoints differs from the pre-checkpoint map")
 	}
 }
 

@@ -24,7 +24,7 @@ var ErrShardUnavailable = fmt.Errorf("server: shard unavailable")
 
 // scatterAttempts bounds one scatter's delivery tries. Scatter is the
 // one call worth retrying inside the shard tier: the trip is already
-// admitted and journaled on its home shard, so giving up turns a
+// admitted and logged on its home shard, so giving up turns a
 // transient network blip into a trip failure, while the idempotency key
 // makes the extra deliveries harmless.
 const scatterAttempts = 3

@@ -24,7 +24,7 @@ const LocalAddr = "local"
 // as a monolith would process it, and a Scatter call folds its
 // observation group into this shard's estimator exactly once per
 // idempotency key — a retried scatter (lost response, replayed
-// journal) returns the recorded outcome instead of folding again.
+// log) returns the recorded outcome instead of folding again.
 type Shard interface {
 	// Addr names the shard's location: LocalAddr for an in-process
 	// backend, the base URL for a remote shard process.

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -466,74 +465,6 @@ func TestDegradedReadsAfterShardDeath(t *testing.T) {
 	}
 	if len(shardRows) != 2 || shardRows[1].Healthy {
 		t.Errorf("/v1/shards rows = %+v", shardRows)
-	}
-}
-
-func TestReplayJournalsReportsPerShard(t *testing.T) {
-	// Satellite 3: multi-process journal replay must survive a missing
-	// shard file and lines truncated mid-record, reporting per-shard
-	// skipped counts instead of aborting.
-	w, fpdb := twinWorld(t)
-	coord := newTwinCoordinator(t, w, fpdb, 2)
-	trips := twinCorpus(t, w, faults.Config{})
-	if len(trips) < 4 {
-		t.Fatalf("corpus too small: %d", len(trips))
-	}
-
-	dir := t.TempDir()
-	paths := []string{dir + "/j.shard0", dir + "/j.shard1", dir + "/j.shard2"}
-
-	// Shard 0: two intact records, then a record truncated mid-line, as
-	// a crash mid-append leaves it.
-	line := func(tr probe.Trip) []byte {
-		b, err := json.Marshal(&tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(b, '\n')
-	}
-	var f0 bytes.Buffer
-	f0.Write(line(trips[0]))
-	f0.Write(line(trips[1]))
-	torn := line(trips[2])
-	f0.Write(torn[:len(torn)/2])
-	if err := os.WriteFile(paths[0], f0.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Shard 1: missing entirely (a shard that never ingested).
-	// Shard 2: a corrupt line BETWEEN intact records.
-	var f2 bytes.Buffer
-	f2.Write(line(trips[3]))
-	f2.WriteString("{not json at all\n")
-	f2.Write(line(trips[4]))
-	if err := os.WriteFile(paths[2], f2.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	reports, err := ReplayJournals(context.Background(), paths, coord)
-	if err != nil {
-		t.Fatalf("ReplayJournals aborted: %v", err)
-	}
-	if len(reports) != 3 {
-		t.Fatalf("%d reports, want 3", len(reports))
-	}
-	r0, r1, r2 := reports[0], reports[1], reports[2]
-	if r0.Missing || r0.Replayed != 2 || r0.Skipped != 1 {
-		t.Errorf("shard 0 report = %+v, want 2 replayed / 1 skipped (torn tail)", r0)
-	}
-	if !r1.Missing || r1.Replayed != 0 || r1.Skipped != 0 {
-		t.Errorf("shard 1 report = %+v, want missing", r1)
-	}
-	if r2.Missing || r2.Replayed != 2 || r2.Skipped != 1 {
-		t.Errorf("shard 2 report = %+v, want 2 replayed / 1 skipped (corrupt middle)", r2)
-	}
-	for i, r := range reports {
-		if r.Shard != i || r.Path != paths[i] {
-			t.Errorf("report %d mislabeled: %+v", i, r)
-		}
-	}
-	if got := coord.Stats().TripsReceived; got != 4 {
-		t.Errorf("replayed trips reached the pipeline: %d, want 4", got)
 	}
 }
 

@@ -121,5 +121,5 @@ func (s *System) StageMetrics() []stage.Metrics {
 
 // Traffic returns the current per-segment traffic estimates.
 func (s *System) Traffic() map[road.SegmentID]traffic.Estimate {
-	return s.back.Traffic()
+	return s.back.TrafficSnapshot().CloneEstimates()
 }

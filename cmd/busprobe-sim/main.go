@@ -175,7 +175,7 @@ func run(days, participants int, tripsPerDay float64, seed uint64, serverURL str
 			float64(m.DurationNs)/1e6)
 	}
 
-	snap := backend.Traffic()
+	snap := backend.TrafficSnapshot().Estimates
 	counts := make(map[traffic.Level]int)
 	var speeds []float64
 	for _, est := range snap {

@@ -2,7 +2,9 @@
 // day of rider participation, the live traffic map answers "when does my
 // bus get here?" — the bus-arrival application the authors built the
 // system to feed — and summarizes region-wide congestion inferred from
-// the covered corridors.
+// the covered corridors. Both reads are functions of one traffic
+// snapshot (server.RegionModel, server.PredictArrivals), so they work
+// over any server.API — this in-process backend or a sharded coordinator.
 //
 //	go run ./examples/arrivals
 package main
@@ -14,6 +16,7 @@ import (
 	"log"
 
 	"busprobe"
+	"busprobe/internal/server"
 	"busprobe/internal/sim"
 )
 
@@ -34,7 +37,7 @@ func main() {
 	backend := sys.Backend()
 
 	// Region-wide congestion from the covered segments.
-	model, err := backend.RegionModel()
+	model, err := server.RegionModel(backend)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +47,7 @@ func main() {
 	// Arrival predictions for the first three routes at evening rush.
 	departS := 18 * 3600.0
 	for _, rt := range sys.World().Transit.Routes()[:3] {
-		preds, err := backend.PredictArrivals(rt.ID, 0, departS)
+		preds, err := server.PredictArrivals(backend, rt.ID, 0, departS)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -73,13 +73,17 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// TrafficSource supplies per-segment estimates; *traffic.Estimator
-// implements it.
+// TrafficSource supplies per-segment estimates. *traffic.Estimator
+// implements it over whatever snapshot is current at each Get;
+// *traffic.Snapshot implements it over one pinned version.
 type TrafficSource interface {
 	Get(sid road.SegmentID) (traffic.Estimate, bool)
 }
 
-var _ TrafficSource = (*traffic.Estimator)(nil)
+var (
+	_ TrafficSource = (*traffic.Estimator)(nil)
+	_ TrafficSource = (*traffic.Snapshot)(nil)
+)
 
 // Prediction is one downstream stop's forecast.
 type Prediction struct {

@@ -16,6 +16,7 @@ package region
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"busprobe/internal/core/traffic"
 	"busprobe/internal/geo"
@@ -99,9 +100,18 @@ func Infer(net *road.Network, estimates map[road.SegmentID]traffic.Estimate, cfg
 	if len(estimates) == 0 {
 		return nil, fmt.Errorf("region: no covered segments to infer from")
 	}
+	// Accumulate in segment order: float sums are order-sensitive, and
+	// the model must be a pure function of the map (two deployments
+	// holding the same snapshot answer /v1/region byte-identically).
+	sids := make([]road.SegmentID, 0, len(estimates))
+	for sid := range estimates {
+		sids = append(sids, sid)
+	}
+	slices.Sort(sids)
 	agg := make(map[zoneKey]*zoneAgg)
 	var totalRatioLen, totalLen float64
-	for sid, est := range estimates {
+	for _, sid := range sids {
+		est := estimates[sid]
 		seg := net.Segment(sid)
 		ratio := est.SpeedKmh / seg.FreeKmh
 		mid := seg.Shape.At(seg.LengthM() / 2)

@@ -173,3 +173,35 @@ func TestThinCoverageFallback(t *testing.T) {
 		t.Errorf("prediction %v", v)
 	}
 }
+
+func TestInferIsAPureFunctionOfTheMap(t *testing.T) {
+	// Float sums are order-sensitive and Go randomizes map iteration, so
+	// an Infer that accumulates in map order answers the same map with
+	// indices that differ in the last bit from call to call — enough to
+	// break byte-identical /v1/region across two deployments holding the
+	// same snapshot.
+	net := testNet(t)
+	est := make(map[road.SegmentID]traffic.Estimate)
+	for i := 0; i < net.NumSegments(); i++ {
+		sid := road.SegmentID(i)
+		est[sid] = estimateAtRatio(net, sid, 0.31+0.0137*float64(i%41))
+	}
+	first, err := Infer(net, est, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 50; trial++ {
+		m, err := Infer(net, est, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.OverallIndex() != first.OverallIndex() {
+			t.Fatalf("trial %d: overall index %v, first call gave %v", trial, m.OverallIndex(), first.OverallIndex())
+		}
+		for key, idx := range first.zones {
+			if m.zones[key] != idx {
+				t.Fatalf("trial %d: zone %v index %v, first call gave %v", trial, key, m.zones[key], idx)
+			}
+		}
+	}
+}

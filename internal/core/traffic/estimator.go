@@ -324,8 +324,7 @@ func fuseAt(hist Estimate, v, varV, atS float64) Estimate {
 // Get returns the fused estimate for a segment, if any window has been
 // folded for it yet. Lock-free: it reads the published snapshot.
 func (e *Estimator) Get(sid road.SegmentID) (Estimate, bool) {
-	est, ok := e.snap.Load().Estimates[sid]
-	return est, ok
+	return e.snap.Load().Get(sid)
 }
 
 // View returns the current published snapshot: an immutable, shared,

@@ -91,6 +91,14 @@ func NextSnapshot(prev *Snapshot, estimates map[road.SegmentID]Estimate) *Snapsh
 	return &Snapshot{Version: ver, Estimates: estimates, ChangedAt: ca, RemovedAt: ra}
 }
 
+// Get returns one segment's estimate, if the snapshot holds one. It
+// makes *Snapshot an arrival.TrafficSource, so a prediction run reads
+// every segment from one version of the map.
+func (s *Snapshot) Get(sid road.SegmentID) (Estimate, bool) {
+	est, ok := s.Estimates[sid]
+	return est, ok
+}
+
 // CloneEstimates returns a mutable copy of the estimate map.
 func (s *Snapshot) CloneEstimates() map[road.SegmentID]Estimate {
 	out := make(map[road.SegmentID]Estimate, len(s.Estimates))

@@ -102,7 +102,7 @@ func FaultSweep(ctx context.Context, l *Lab, base sim.CampaignConfig, dropRates 
 			pt.DeliveredNoRetry = float64(bareAccepted) / float64(cleanAccepted)
 		}
 
-		snap := run.Backend.Traffic()
+		snap := run.Backend.TrafficSnapshot().Estimates
 		var sumAbs float64
 		for sid, est := range snap {
 			truth := l.World.Field.CarKmh(sid, est.UpdatedS)

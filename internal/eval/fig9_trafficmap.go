@@ -48,7 +48,7 @@ func RunCampaign(ctx context.Context, l *Lab, cfg sim.CampaignConfig, snapshotEv
 		if snapshotEveryS > 0 && tS-lastSnap >= snapshotEveryS {
 			run.Snapshots = append(run.Snapshots, TrafficSnapshot{
 				TimeS:     tS,
-				Estimates: b.Traffic(),
+				Estimates: b.TrafficSnapshot().Estimates,
 			})
 			lastSnap = tS
 		}

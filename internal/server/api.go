@@ -3,19 +3,21 @@ package server
 import (
 	"context"
 
-	"busprobe/internal/core/arrival"
-	"busprobe/internal/core/region"
 	"busprobe/internal/core/traffic"
 	"busprobe/internal/probe"
-	"busprobe/internal/road"
 	"busprobe/internal/server/stage"
 	"busprobe/internal/transit"
 )
 
-// API is the serving surface the HTTP layer (and in-process callers)
-// talk to: either a monolithic Backend or a sharded Coordinator. Writes
-// route through ProcessTrip / IngestBatch; reads are merged views that a
-// Coordinator fans in across its shards.
+// API is the kernel of the serving surface the HTTP layer (and
+// in-process callers) talk to: ingest, the one published product — the
+// versioned traffic snapshot — and the operational views. A monolithic
+// Backend and a sharded Coordinator both implement it. Everything riders
+// read beyond the raw map (region index, route digests, ETAs, one
+// segment, a mutable copy) is derived from (Transit, TrafficSnapshot) by
+// the package-level functions in extensions.go and the snapshot's own
+// methods, so a new derived read costs one function, not an interface
+// method plus an implementation per topology.
 type API interface {
 	// ProcessTrip ingests one trip (validate, dedup, log append,
 	// pipeline). The context bounds admission and carries the trace.
@@ -23,34 +25,28 @@ type API interface {
 	// IngestBatch ingests a batch behind the admission gate; shed trips
 	// fail with ErrOverloaded.
 	IngestBatch(ctx context.Context, trips []probe.Trip) []TripResult
+	// TrafficSnapshot returns the current immutable, versioned traffic
+	// snapshot. Lock-free on a Backend; a Coordinator serves its cached
+	// merge, re-merging only when a shard's version moved. Callers must
+	// not mutate the snapshot's maps (CloneEstimates gives a copy they
+	// own), and a read that consults more than one segment must load the
+	// snapshot once and keep it, or it can mix versions.
+	TrafficSnapshot() *traffic.Snapshot
 	// Stats returns the aggregated work counters.
 	Stats() Stats
 	// StageMetrics returns the per-stage instrumentation, aggregated
 	// across shards without double counting.
 	StageMetrics() []stage.Metrics
-	// Traffic returns the merged traffic map as a mutable copy the
-	// caller owns; mutating it never touches served state.
-	Traffic() map[road.SegmentID]traffic.Estimate
-	// TrafficSnapshot returns the current immutable, versioned traffic
-	// snapshot. Lock-free on a Backend; a Coordinator serves its cached
-	// merge, re-merging only when a shard's version moved. Callers must
-	// not mutate the snapshot's maps.
-	TrafficSnapshot() *traffic.Snapshot
-	// TrafficSegment returns one segment's estimate, if any.
-	TrafficSegment(sid road.SegmentID) (traffic.Estimate, bool)
+	// ShardStatuses reports per-shard footprint and counters (one row
+	// for a monolithic backend).
+	ShardStatuses() []ShardStatus
 	// Advance drives the estimator clocks.
 	Advance(nowS float64)
 	// Config returns the serving configuration.
 	Config() Config
-	// RegionModel infers the §VI zone model over the merged snapshot.
-	RegionModel() (*region.Model, error)
-	// RouteStatuses digests the merged map into per-route travel times.
-	RouteStatuses(departS float64) ([]RouteStatus, error)
-	// PredictArrivals forecasts downstream ETAs from the merged map.
-	PredictArrivals(routeID transit.RouteID, fromIdx int, departS float64) ([]arrival.Prediction, error)
-	// ShardStatuses reports per-shard footprint and counters (one row
-	// for a monolithic backend).
-	ShardStatuses() []ShardStatus
+	// Transit returns the transit database the derived reads resolve
+	// routes and road geometry against.
+	Transit() *transit.DB
 }
 
 // ShardStatus is one shard's partition footprint, topology, health, and

@@ -16,9 +16,11 @@ import (
 
 	"busprobe/internal/obs"
 
+	"busprobe/internal/cellular"
 	"busprobe/internal/core/cluster"
 	"busprobe/internal/core/fingerprint"
 	"busprobe/internal/core/traffic"
+	"busprobe/internal/core/tripmap"
 	"busprobe/internal/probe"
 	"busprobe/internal/road"
 	"busprobe/internal/server/stage"
@@ -71,9 +73,8 @@ type Config struct {
 	// Obs, when non-nil, is the unified observability core: backend
 	// counters and per-stage durations register into its metrics
 	// registry, and every stage run of a traced trip emits a span. Nil
-	// disables observability at zero cost. A standalone Backend
-	// registers itself as shard "0"; a Coordinator re-registers each
-	// shard under its own label instead.
+	// disables observability at zero cost. Every backend registers its
+	// series under its shard index ("0" for a standalone Backend).
 	Obs *obs.Core
 	// StageHook, when non-nil, observes every pipeline stage run
 	// (counters + duration). It must be safe for concurrent use.
@@ -126,7 +127,8 @@ type Stats struct {
 	TripsShed   int
 }
 
-// add accumulates a per-trip counter delta.
+// add accumulates a counter delta: one trip's (whose shed counters are
+// zero) or, in a coordinator's sum, a whole shard's.
 func (s *Stats) add(d Stats) {
 	s.TripsReceived += d.TripsReceived
 	s.TripsRejected += d.TripsRejected
@@ -138,6 +140,8 @@ func (s *Stats) add(d Stats) {
 	s.VisitsMapped += d.VisitsMapped
 	s.Observations += d.Observations
 	s.ObsDiscarded += d.ObsDiscarded
+	s.BatchesShed += d.BatchesShed
+	s.TripsShed += d.TripsShed
 }
 
 // ProcessedTrip reports how one trip moved through the pipeline.
@@ -233,16 +237,21 @@ type Backend struct {
 	// into a permanently missing fold.
 	scatterPending map[string]pendingScatter //lint:guardedby scatterMu
 
-	// obsCore / obsShard are set by RegisterObs (before any ingestion,
-	// read-only afterwards): the observability core this backend reports
-	// into and the shard label its series carry.
-	obsCore  *obs.Core
+	// obsShard is the shard label this backend's series and spans carry
+	// in cfg.Obs (set at construction, read-only afterwards).
 	obsShard string
 }
 
-// NewBackend assembles a backend over the transit database and the
-// pre-built stop fingerprint database.
+// NewBackend assembles a standalone backend over the transit database
+// and the pre-built stop fingerprint database.
 func NewBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB) (*Backend, error) {
+	return newBackend(cfg, tdb, fpdb, 0)
+}
+
+// newBackend is the one constructor: a standalone backend is shard 0,
+// and a coordinator's or shard process's backend is built directly under
+// its own index, which is also the label its observability series carry.
+func newBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shardIdx int) (*Backend, error) {
 	if tdb == nil || fpdb == nil {
 		return nil, fmt.Errorf("server: nil transit or fingerprint DB")
 	}
@@ -282,9 +291,10 @@ func NewBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB) (*Backend, er
 		seen:           make(map[string]bool),
 		scatterSeen:    make(map[string]stage.EstimateOutput),
 		scatterPending: make(map[string]pendingScatter),
+		shardIdx:       shardIdx,
 	}
 	if cfg.Obs != nil {
-		b.RegisterObs(cfg.Obs, "0")
+		b.registerObs(strconv.Itoa(shardIdx))
 	}
 	return b, nil
 }
@@ -319,32 +329,27 @@ func (b *Backend) StageMetrics() []stage.Metrics {
 // when the ingest finishes. A saturated gate sheds the batch: ok is
 // false and the shed counters are updated.
 func (b *Backend) AdmitBatch(n int) (release func(), ok bool) {
-	if b.gate == nil {
-		b.statsMu.Lock()
-		b.admission.Runs++
-		b.admission.ItemsIn += int64(n)
-		b.admission.ItemsOut += int64(n)
-		b.statsMu.Unlock()
-		return func() {}, true
+	release, ok = func() {}, true
+	if b.gate != nil {
+		select {
+		case b.gate <- struct{}{}:
+			release = func() { <-b.gate }
+		default:
+			release, ok = nil, false
+		}
 	}
-	select {
-	case b.gate <- struct{}{}:
-		b.statsMu.Lock()
-		b.admission.Runs++
-		b.admission.ItemsIn += int64(n)
+	b.statsMu.Lock()
+	b.admission.Runs++
+	b.admission.ItemsIn += int64(n)
+	if ok {
 		b.admission.ItemsOut += int64(n)
-		b.statsMu.Unlock()
-		return func() { <-b.gate }, true
-	default:
-		b.statsMu.Lock()
-		b.admission.Runs++
-		b.admission.ItemsIn += int64(n)
+	} else {
 		b.admission.Dropped += int64(n)
 		b.stats.BatchesShed++
 		b.stats.TripsShed += n
-		b.statsMu.Unlock()
-		return nil, false
 	}
+	b.statsMu.Unlock()
+	return release, ok
 }
 
 // Stats returns a snapshot of the work counters. Counters are applied
@@ -397,7 +402,7 @@ func (b *Backend) processTrip(ctx context.Context, trip probe.Trip) (ProcessedTr
 // tripCtx guarantees a traced context for one trip when observability
 // is on; with it off, the context passes through untouched.
 func (b *Backend) tripCtx(ctx context.Context, trip probe.Trip) context.Context {
-	if b.obsCore == nil {
+	if b.cfg.Obs == nil {
 		return ctx
 	}
 	return obs.EnsureTrip(ctx, trip.ID)
@@ -709,13 +714,13 @@ func (b *Backend) foldScatter(ctx context.Context, key string, obs []traffic.Obs
 // pool and the medoid wins, so a drifting radio environment (tower swap,
 // re-planned cells) gradually replaces the survey without losing it to
 // one noisy trip.
-func (b *Backend) onlineUpdate(trip probe.Trip, clusters []cluster.Cluster, mapped []visit) {
+func (b *Backend) onlineUpdate(trip probe.Trip, clusters []cluster.Cluster, mapped []tripmap.Visit) {
 	// Fingerprints by sample timestamp (duplicate timestamps queue).
-	byTime := make(map[float64][]cellularFP, len(trip.Samples))
+	byTime := make(map[float64][]cellular.Fingerprint, len(trip.Samples))
 	for _, s := range trip.Samples {
 		byTime[s.TimeS] = append(byTime[s.TimeS], s.Fingerprint())
 	}
-	take := func(t float64) (cellularFP, bool) {
+	take := func(t float64) (cellular.Fingerprint, bool) {
 		q := byTime[t]
 		if len(q) == 0 {
 			return nil, false
@@ -732,7 +737,7 @@ func (b *Backend) onlineUpdate(trip probe.Trip, clusters []cluster.Cluster, mapp
 		if v.Confidence < b.cfg.OnlineUpdateMinConf || len(c.Elements) < b.cfg.OnlineUpdateMinSamples {
 			continue
 		}
-		var pool []cellularFP
+		var pool []cellular.Fingerprint
 		for _, e := range c.Elements {
 			if fp, ok := take(e.TimeS); ok {
 				pool = append(pool, fp)
@@ -754,9 +759,9 @@ func (b *Backend) onlineUpdate(trip probe.Trip, clusters []cluster.Cluster, mapp
 func (b *Backend) Advance(nowS float64) { b.est.Advance(nowS) }
 
 // Traffic returns the current fused estimate per covered road segment,
-// as a mutable copy the caller owns — mutating it never corrupts the
-// served snapshot. Lock-free (a pointer load plus the copy); hot read
-// paths use TrafficSnapshot to skip the copy.
+// as a mutable copy the caller owns: TrafficSnapshot().CloneEstimates().
+// It is not part of API; it stays because the benchmark ledger times
+// the clone through it.
 func (b *Backend) Traffic() map[road.SegmentID]traffic.Estimate {
 	return b.est.Snapshot()
 }
@@ -766,12 +771,6 @@ func (b *Backend) Traffic() map[road.SegmentID]traffic.Estimate {
 // Callers must not mutate its maps.
 func (b *Backend) TrafficSnapshot() *traffic.Snapshot {
 	return b.est.View()
-}
-
-// TrafficSegment returns one segment's fused estimate, if any.
-// Lock-free.
-func (b *Backend) TrafficSegment(sid road.SegmentID) (traffic.Estimate, bool) {
-	return b.est.Get(sid)
 }
 
 // ShardStatuses reports the backend as a single all-owning shard, so the

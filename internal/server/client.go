@@ -65,6 +65,26 @@ func statusErr(status int) error {
 	}
 }
 
+// codeErr rebuilds a wire rejection row (the code uploadCode rendered,
+// plus the message) as the matching sentinel error, so a phone behind
+// Client.UploadBatch and a coordinator behind RemoteShard classify
+// remote rejections exactly like in-process ones (and the HTTP layer
+// re-derives the same status code). It is only called for a rejected
+// row, so an unknown or missing code is still an error, just an
+// unclassified one.
+func codeErr(code, msg string) error {
+	switch code {
+	case "duplicate":
+		return fmt.Errorf("upload rejected: %s: %w", msg, ErrDuplicateTrip)
+	case "invalid":
+		return fmt.Errorf("upload rejected: %s: %w", msg, ErrInvalidTrip)
+	case "overloaded":
+		return fmt.Errorf("upload rejected: %s: %w", msg, ErrOverloaded)
+	default:
+		return fmt.Errorf("server: upload rejected: %s", msg)
+	}
+}
+
 // post sends a JSON body with the request context; a trace ID in the
 // context rides the X-Busprobe-Trace header, so server-side spans join
 // the caller's trace across the network hop.
@@ -145,18 +165,8 @@ func (c *Client) UploadBatch(ctx context.Context, trips []probe.Trip) []error {
 		return errs
 	}
 	for i, row := range out.Results {
-		if row.Accepted {
-			continue
-		}
-		switch row.Code {
-		case "duplicate":
-			errs[i] = fmt.Errorf("upload rejected: %s: %w", row.Error, ErrDuplicateTrip)
-		case "invalid":
-			errs[i] = fmt.Errorf("upload rejected: %s: %w", row.Error, ErrInvalidTrip)
-		case "overloaded":
-			errs[i] = fmt.Errorf("upload rejected: %s: %w", row.Error, ErrOverloaded)
-		default:
-			errs[i] = fmt.Errorf("server: upload rejected: %s", row.Error)
+		if !row.Accepted {
+			errs[i] = codeErr(row.Code, row.Error)
 		}
 	}
 	return errs

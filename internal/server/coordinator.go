@@ -10,7 +10,6 @@ import (
 
 	"busprobe/internal/obs"
 
-	"busprobe/internal/core/arrival"
 	"busprobe/internal/core/fingerprint"
 	"busprobe/internal/core/region"
 	"busprobe/internal/core/traffic"
@@ -126,18 +125,10 @@ func NewCoordinator(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shards in
 	if err != nil {
 		return nil, err
 	}
-	// Shards are built without the observability core (NewBackend would
-	// self-register every one as shard "0") and registered explicitly
-	// under their own labels below.
-	shardCfg := cfg
-	shardCfg.Obs = nil
 	for i := 0; i < shards; i++ {
-		b, err := NewBackend(shardCfg, tdb, fpdb)
+		b, err := newBackend(cfg, tdb, fpdb, i)
 		if err != nil {
 			return nil, err
-		}
-		if cfg.Obs != nil {
-			b.RegisterObs(cfg.Obs, strconv.Itoa(i))
 		}
 		c.backends = append(c.backends, b)
 		c.shards = append(c.shards, localShard{b})
@@ -145,9 +136,8 @@ func NewCoordinator(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shards in
 	c.registerObs(cfg.Obs)
 	// Installed after every shard exists: the scatter can target any
 	// peer's estimator.
-	for i, b := range c.backends {
-		b.shardIdx = i
-		b.obsOwner = c.ownerShard
+	for _, b := range c.backends {
+		b.obsOwner = segmentOwner(c.part)
 		b.obsScatter = c.scatter
 	}
 	return c, nil
@@ -194,14 +184,17 @@ func newCoordinator(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shards in
 	return c, nil
 }
 
-// ownerShard names the shard owning an observation's road segments (a
-// leg's segments all belong to one route, hence one shard). Unowned
-// segments fold on the home shard.
-func (c *Coordinator) ownerShard(o traffic.Observation) (int, bool) {
-	if len(o.Segments) > 0 {
-		return c.part.SegmentShard(o.Segments[0])
+// segmentOwner builds a backend's obsOwner over the route partition:
+// the shard owning an observation's road segments (a leg's segments all
+// belong to one route, hence one shard). Unowned segments fold on the
+// home shard.
+func segmentOwner(part *transit.Partition) func(traffic.Observation) (int, bool) {
+	return func(o traffic.Observation) (int, bool) {
+		if len(o.Segments) > 0 {
+			return part.SegmentShard(o.Segments[0])
+		}
+		return 0, false
 	}
-	return 0, false
 }
 
 // scatter forwards one cross-shard observation group to its owner.
@@ -255,6 +248,9 @@ func (c *Coordinator) ProbeShards(ctx context.Context) error {
 // Config returns the serving configuration.
 func (c *Coordinator) Config() Config { return c.cfg }
 
+// Transit returns the transit database shared by every shard.
+func (c *Coordinator) Transit() *transit.DB { return c.tdb }
+
 // Partition exposes the route-closed shard assignment.
 func (c *Coordinator) Partition() *transit.Partition { return c.part }
 
@@ -271,7 +267,12 @@ func (c *Coordinator) Shards() []*Backend { return c.backends }
 // duplicated upload routes identically and is absorbed by the home
 // shard's dedup set. Trips matching nothing fall back to shard 0 (they
 // produce no visits anywhere, so only the counter placement varies).
+// With one shard the answer is necessarily 0, so the monolith-as-
+// coordinator pays no pre-match per upload.
 func (c *Coordinator) ShardFor(trip probe.Trip) int {
+	if len(c.shards) == 1 {
+		return 0
+	}
 	for _, s := range trip.Samples {
 		m, ok := c.fpdb.Match(s.Fingerprint())
 		if !ok {
@@ -295,25 +296,24 @@ func (c *Coordinator) Upload(ctx context.Context, trip probe.Trip) error {
 	return err
 }
 
-// splitByShard groups batch indices by home shard, preserving input
-// order within each shard.
-func (c *Coordinator) splitByShard(trips []probe.Trip) [][]int {
-	idxs := make([][]int, len(c.shards))
+// IngestBatch ingests a batch with per-shard admission: each home
+// shard's sub-batch passes that shard's gate, so a saturated region
+// sheds its own trips (ErrOverloaded, surfaced as 429s that feed the
+// phone-side retry/backoff machinery) while the rest of the city keeps
+// ingesting. The batch fans out to its home shards (one goroutine per
+// non-empty shard) and per-trip results reassemble in input order.
+// Within a shard trips keep their relative order, so per-shard dedup and
+// fold semantics match serial ingestion. The context rides the fan-out
+// into every shard's admission and stage runs.
+func (c *Coordinator) IngestBatch(ctx context.Context, trips []probe.Trip) []TripResult {
+	byShard := make([][]int, len(c.shards))
 	for i, trip := range trips {
 		sh := c.ShardFor(trip)
-		idxs[sh] = append(idxs[sh], i)
+		byShard[sh] = append(byShard[sh], i)
 	}
-	return idxs
-}
-
-// runSharded fans a batch out to its home shards (one goroutine per
-// non-empty shard) and reassembles per-trip results in input order.
-// Within a shard trips keep their relative order, so per-shard dedup and
-// fold semantics match serial ingestion.
-func (c *Coordinator) runSharded(trips []probe.Trip, run func(sh int, sub []probe.Trip) []TripResult) []TripResult {
 	res := make([]TripResult, len(trips))
 	var wg sync.WaitGroup
-	for sh, idxs := range c.splitByShard(trips) {
+	for sh, idxs := range byShard {
 		if len(idxs) == 0 {
 			continue
 		}
@@ -324,33 +324,13 @@ func (c *Coordinator) runSharded(trips []probe.Trip, run func(sh int, sub []prob
 			for k, i := range idxs {
 				sub[k] = trips[i]
 			}
-			for k, r := range run(sh, sub) {
+			for k, r := range c.shards[sh].IngestBatch(ctx, sub) {
 				res[idxs[k]] = r
 			}
 		}(sh, idxs)
 	}
 	wg.Wait()
 	return res
-}
-
-// ProcessTrips ingests a batch without admission gating, fanning
-// sub-batches to their home shards. The context rides the scatter into
-// every shard's admission and stage runs.
-func (c *Coordinator) ProcessTrips(ctx context.Context, trips []probe.Trip, workers int) []TripResult {
-	return c.runSharded(trips, func(sh int, sub []probe.Trip) []TripResult {
-		return c.shards[sh].ProcessTrips(ctx, sub, workers)
-	})
-}
-
-// IngestBatch ingests a batch with per-shard admission: each home
-// shard's sub-batch passes that shard's gate, so a saturated region
-// sheds its own trips (ErrOverloaded, surfaced as 429s that feed the
-// phone-side retry/backoff machinery) while the rest of the city keeps
-// ingesting.
-func (c *Coordinator) IngestBatch(ctx context.Context, trips []probe.Trip) []TripResult {
-	return c.runSharded(trips, func(sh int, sub []probe.Trip) []TripResult {
-		return c.shards[sh].IngestBatch(ctx, sub)
-	})
 }
 
 // UploadBatch implements phone.BatchUploader over IngestBatch.
@@ -374,8 +354,6 @@ func (c *Coordinator) Stats() Stats {
 			continue
 		}
 		out.add(s)
-		out.BatchesShed += s.BatchesShed
-		out.TripsShed += s.TripsShed
 	}
 	return out
 }
@@ -396,25 +374,19 @@ func (c *Coordinator) StageMetrics() []stage.Metrics {
 	return stage.Merge(groups...)
 }
 
-// Traffic fans in across shards and merges the snapshots, returning a
-// mutable copy the caller owns. The scatter gives every segment exactly
-// one owning estimator, so the union is disjoint and merge order cannot
-// matter. An unreachable shard's segments drop out of the merged view
-// until it returns (degraded-but-alive reads).
-func (c *Coordinator) Traffic() map[road.SegmentID]traffic.Estimate {
-	return c.TrafficSnapshot().CloneEstimates()
-}
-
-// TrafficSnapshot returns the merged, coordinator-versioned traffic
-// snapshot. The fan-out itself is cheap — a pointer load per in-process
-// shard, a conditional GET (usually 304) per remote one — and the merge
-// only re-runs when the fetched shard version vector differs from the
-// cached one, so RouteStatuses / PredictArrivals / watch pollers reuse
-// one merge instead of re-merging per read. The coordinator keeps its
-// own version sequence over the merged map (shard versions are local
-// sequences and cannot be combined into one), maintained by
-// traffic.NextSnapshot so deltas account for segments a dead shard
-// dropped out of the view.
+// TrafficSnapshot fans in across shards and returns the merged,
+// coordinator-versioned traffic snapshot. The scatter gives every
+// segment exactly one owning estimator, so the union is disjoint and
+// merge order cannot matter; an unreachable shard's segments drop out of
+// the merged view until it returns (degraded-but-alive reads). The
+// fan-out itself is cheap — a pointer load per in-process shard, a
+// conditional GET (usually 304) per remote one — and the merge only
+// re-runs when the fetched shard version vector differs from the cached
+// one, so the derived reads and watch pollers reuse one merge instead
+// of re-merging per read. The coordinator keeps its own version sequence
+// over the merged map (shard versions are local sequences and cannot be
+// combined into one), maintained by traffic.NextSnapshot so deltas
+// account for segments a dead shard dropped out of the view.
 func (c *Coordinator) TrafficSnapshot() *traffic.Snapshot {
 	parts := make([]*traffic.Snapshot, len(c.shards))
 	vec := make([]shardVersion, len(c.shards))
@@ -462,54 +434,12 @@ func (c *Coordinator) TrafficSnapshot() *traffic.Snapshot {
 	return next
 }
 
-// TrafficSegment reads one segment from its owning shard.
-func (c *Coordinator) TrafficSegment(sid road.SegmentID) (traffic.Estimate, bool) {
-	if sh, ok := c.part.SegmentShard(sid); ok {
-		est, ok, err := c.shards[sh].TrafficSegment(context.Background(), sid) //lint:allow ctxpropagate reads stay ctx-free: shard read RPCs carry their own transport timeout
-		c.noteShard(sh, err)
-		if err != nil {
-			return traffic.Estimate{}, false
-		}
-		return est, ok
-	}
-	return traffic.Estimate{}, false
-}
-
 // Advance drives every shard's estimator clock, keeping the shard
 // watermarks in lockstep with a monolithic deployment's.
 func (c *Coordinator) Advance(nowS float64) {
 	for i, sh := range c.shards {
 		c.noteShard(i, sh.Advance(context.Background(), nowS)) //lint:allow ctxpropagate clock ticks must reach every shard even when a caller's request ctx has expired
 	}
-}
-
-// snapshotSource adapts one merged traffic snapshot to
-// arrival.TrafficSource, so route and arrival predictions see the
-// city-wide map without a per-segment fan-out (one read per shard
-// instead of one RPC per segment when shards are remote).
-type snapshotSource map[road.SegmentID]traffic.Estimate
-
-func (s snapshotSource) Get(sid road.SegmentID) (traffic.Estimate, bool) {
-	est, ok := s[sid]
-	return est, ok
-}
-
-// RegionModel infers the §VI zone model over the cached merge
-// (inference only reads the map, so no copy is taken).
-func (c *Coordinator) RegionModel() (*region.Model, error) {
-	return region.Infer(c.tdb.Network(), c.TrafficSnapshot().Estimates, region.DefaultConfig())
-}
-
-// RouteStatuses digests the merged map into per-route travel times,
-// reusing the cached merge instead of re-fanning out.
-func (c *Coordinator) RouteStatuses(departS float64) ([]RouteStatus, error) {
-	return routeStatuses(c.tdb, departS, snapshotSource(c.TrafficSnapshot().Estimates))
-}
-
-// PredictArrivals forecasts downstream ETAs from the merged map,
-// reusing the cached merge instead of re-fanning out.
-func (c *Coordinator) PredictArrivals(routeID transit.RouteID, fromIdx int, departS float64) ([]arrival.Prediction, error) {
-	return predictArrivals(c.tdb, routeID, fromIdx, departS, snapshotSource(c.TrafficSnapshot().Estimates))
 }
 
 // registerObs projects the coordinator's partition footprint into the

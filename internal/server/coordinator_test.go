@@ -8,12 +8,16 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"testing"
 
 	"busprobe/internal/core/fingerprint"
 	"busprobe/internal/faults"
 	"busprobe/internal/probe"
+	"busprobe/internal/road"
 	"busprobe/internal/sim"
+	"busprobe/internal/transit"
 )
 
 // twinWorld builds the two-island city whose routes partition into two
@@ -61,6 +65,55 @@ func replayInto(t *testing.T, sink API, trips []probe.Trip) {
 	}
 }
 
+// readBytes serves one GET in process and returns the status code plus
+// the body, so error answers (404, 503) compare as strictly as 200s.
+func readBytes(tb testing.TB, b API, path string) []byte {
+	tb.Helper()
+	rec := httptest.NewRecorder()
+	Handler(b).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	return append([]byte(strconv.Itoa(rec.Code)+"\n"), rec.Body.Bytes()...)
+}
+
+// checkDerivedReads fails unless every deployment answers every read
+// derived from the traffic snapshot byte-identically to the first (the
+// monolith): the region index, the route digest, arrivals from stop 0
+// of every route, and one segment lookup per class present in the
+// monolith's current map — covered, owned but uncovered, and owned by
+// no shard of part. Callers run it on the empty map and again after the
+// campaign, so all three classes are exercised.
+func checkDerivedReads(t *testing.T, w *sim.World, part *transit.Partition, names []string, apis []API) {
+	t.Helper()
+	paths := []string{"/v1/region", "/v1/routes?depart=46800"}
+	for _, rt := range w.Transit.Routes() {
+		paths = append(paths, "/v1/arrivals?route="+url.QueryEscape(string(rt.ID))+"&stop=0&depart=46800")
+	}
+	snap := apis[0].TrafficSnapshot()
+	picked := make(map[string]bool)
+	for i := 0; i < w.Transit.Network().NumSegments(); i++ {
+		class := "unowned"
+		if _, has := snap.Get(road.SegmentID(i)); has {
+			class = "covered"
+		} else if _, owned := part.SegmentShard(road.SegmentID(i)); owned {
+			class = "uncovered"
+		}
+		if !picked[class] {
+			picked[class] = true
+			paths = append(paths, "/v1/traffic/segment?id="+strconv.Itoa(i))
+		}
+	}
+	if !picked["unowned"] || !(picked["covered"] || picked["uncovered"]) {
+		t.Fatalf("segment classes incomplete: %v", picked)
+	}
+	for _, path := range paths {
+		want := readBytes(t, apis[0], path)
+		for i, api := range apis[1:] {
+			if got := readBytes(t, api, path); !bytes.Equal(got, want) {
+				t.Errorf("%s %s = %s, %s answers %s", names[i+1], path, got, names[0], want)
+			}
+		}
+	}
+}
+
 func newTwinCoordinator(t *testing.T, w *sim.World, fpdb *fingerprint.DB, shards int) *Coordinator {
 	t.Helper()
 	c, err := NewCoordinator(DefaultConfig(), w.Transit, fpdb, shards)
@@ -72,9 +125,10 @@ func newTwinCoordinator(t *testing.T, w *sim.World, fpdb *fingerprint.DB, shards
 
 func TestShardEquivalence(t *testing.T) {
 	// The tentpole acceptance bar: on the same campaign, a 4-shard
-	// coordinator must produce a byte-identical /v1/traffic response to
-	// a 1-shard coordinator and to the monolithic backend — with and
-	// without fault injection (duplication, reordering, delay).
+	// coordinator must produce a byte-identical /v1/traffic response —
+	// and byte-identical derived reads — to a 1-shard coordinator and to
+	// the monolithic backend, with and without fault injection
+	// (duplication, reordering, delay).
 	w, fpdb := twinWorld(t)
 	for _, tc := range []struct {
 		name string
@@ -92,10 +146,13 @@ func TestShardEquivalence(t *testing.T) {
 			}
 			one := newTwinCoordinator(t, w, fpdb, 1)
 			four := newTwinCoordinator(t, w, fpdb, 4)
-			replayInto(t, mono, trips)
-			replayInto(t, one, trips)
-			replayInto(t, four, trips)
-			for _, api := range []API{mono, one, four} {
+			names := []string{"monolith", "1-shard coordinator", "4-shard coordinator"}
+			apis := []API{mono, one, four}
+			checkDerivedReads(t, w, four.Partition(), names, apis)
+			for _, api := range apis {
+				replayInto(t, api, trips)
+			}
+			for _, api := range apis {
 				api.Advance(3 * clock.DayS)
 			}
 
@@ -109,6 +166,7 @@ func TestShardEquivalence(t *testing.T) {
 			if got := trafficBytes(t, four); !bytes.Equal(got, wantTraffic) {
 				t.Errorf("4-shard coordinator /v1/traffic differs from monolith")
 			}
+			checkDerivedReads(t, w, four.Partition(), names, apis)
 
 			// The sharding must be real: both islands' shards ingested.
 			busy := 0

@@ -10,11 +10,18 @@ import (
 	"busprobe/internal/transit"
 )
 
-// RegionModel infers the §VI regional traffic model from the backend's
-// current per-segment estimates. Inference only reads the map, so it
-// works off the published snapshot without a copy.
-func (b *Backend) RegionModel() (*region.Model, error) {
-	return region.Infer(b.transit.Network(), b.est.View().Estimates, region.DefaultConfig())
+// The §VI extension reads. Each is a pure function of the transit
+// database and ONE traffic snapshot: it loads api.TrafficSnapshot()
+// exactly once, so a response never mixes segment estimates from two
+// map versions, and it is the only implementation — a monolithic
+// Backend, an N-shard Coordinator and a remote coordinator tier answer
+// identically because they publish identical snapshots.
+
+// RegionModel infers the §VI regional traffic model from the current
+// per-segment estimates. Inference only reads the map, so it works off
+// the published snapshot without a copy.
+func RegionModel(api API) (*region.Model, error) {
+	return region.Infer(api.Transit().Network(), api.TrafficSnapshot().Estimates, region.DefaultConfig())
 }
 
 // ReconstructTrip rebuilds the continuous bus trajectory of a processed
@@ -26,11 +33,11 @@ func (b *Backend) ReconstructTrip(visits []VisitRecord) (*reconstruct.Trajectory
 	if len(visits) < 2 {
 		return nil, fmt.Errorf("server: need at least two visits")
 	}
-	mapped := make([]visit, len(visits))
+	mapped := make([]tripmap.Visit, len(visits))
 	for i, v := range visits {
 		mapped[i] = tripmap.Visit(v)
 	}
-	routes := b.rankRoutesByVisitSupport(mapped)
+	routes := b.pipe.Extract.RankRoutesByVisitSupport(mapped)
 	if len(routes) == 0 {
 		return nil, fmt.Errorf("server: no routes in transit DB")
 	}
@@ -54,15 +61,10 @@ func (b *Backend) ReconstructTrip(visits []VisitRecord) (*reconstruct.Trajectory
 }
 
 // PredictArrivals forecasts arrival times at the stops after fromIdx of
-// a route, for a bus departing that stop at departS, using the live
-// traffic map.
-func (b *Backend) PredictArrivals(routeID transit.RouteID, fromIdx int, departS float64) ([]arrival.Prediction, error) {
-	return predictArrivals(b.transit, routeID, fromIdx, departS, b.est)
-}
-
-// predictArrivals is the prediction read path shared by the monolithic
-// Backend (local estimator) and the Coordinator (merged fan-in source).
-func predictArrivals(tdb *transit.DB, routeID transit.RouteID, fromIdx int, departS float64, src arrival.TrafficSource) ([]arrival.Prediction, error) {
+// a route, for a bus departing that stop at departS, from the current
+// traffic snapshot.
+func PredictArrivals(api API, routeID transit.RouteID, fromIdx int, departS float64) ([]arrival.Prediction, error) {
+	tdb := api.Transit()
 	rt := tdb.Route(routeID)
 	if rt == nil {
 		return nil, fmt.Errorf("server: unknown route %q", routeID)
@@ -71,7 +73,7 @@ func predictArrivals(tdb *transit.DB, routeID transit.RouteID, fromIdx int, depa
 	if err != nil {
 		return nil, err
 	}
-	return pred.Predict(rt, fromIdx, departS, src)
+	return pred.Predict(rt, fromIdx, departS, api.TrafficSnapshot())
 }
 
 // RouteStatus summarizes one route's current conditions.
@@ -84,14 +86,10 @@ type RouteStatus struct {
 }
 
 // RouteStatuses returns every route's live end-to-end travel time at the
-// given departure time, the rider-facing digest of the traffic map.
-func (b *Backend) RouteStatuses(departS float64) ([]RouteStatus, error) {
-	return routeStatuses(b.transit, departS, b.est)
-}
-
-// routeStatuses is the digest read path shared by Backend and
-// Coordinator; src is the local estimator or the merged fan-in view.
-func routeStatuses(tdb *transit.DB, departS float64, src arrival.TrafficSource) ([]RouteStatus, error) {
+// given departure time, the rider-facing digest of the traffic map. All
+// routes are predicted against the same snapshot.
+func RouteStatuses(api API, departS float64) ([]RouteStatus, error) {
+	tdb, src := api.Transit(), api.TrafficSnapshot()
 	pred, err := arrival.NewPredictor(tdb.Network(), arrival.DefaultConfig())
 	if err != nil {
 		return nil, err

@@ -167,8 +167,12 @@ func uploadRow(tripID string, res ProcessedTrip, err error) UploadResponseJSON {
 }
 
 // Handler returns the serving HTTP API over a monolithic Backend or a
-// sharded Coordinator — the responses are identical either way (the
-// coordinator's reads fan in and merge deterministically):
+// sharded Coordinator — the responses are identical either way: both
+// publish the same traffic snapshot (the coordinator's fans in and
+// merges deterministically), and every read below /v1/traffic is
+// derived from one load of that snapshot by code that does not know
+// which it is talking to. Routes are registered with method patterns,
+// so any other verb answers 405 with an Allow header:
 //
 //	POST /v1/trips            upload one probe.Trip (JSON)
 //	POST /v1/trips/batch      upload a JSON array of trips (concurrent ingest)
@@ -237,14 +241,10 @@ func traceCtx(r *http.Request) *http.Request {
 // apiMux builds the /v1 + /healthz surface.
 func apiMux(b API, core *obs.Core) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok") //lint:allow errcheckio a failed liveness write means the prober is gone; there is no one left to tell
 	})
-	mux.HandleFunc("/v1/trips", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("POST /v1/trips", func(w http.ResponseWriter, r *http.Request) {
 		var trip probe.Trip
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
 		if err := dec.Decode(&trip); err != nil {
@@ -258,11 +258,7 @@ func apiMux(b API, core *obs.Core) http.Handler {
 		}
 		writeJSON(w, http.StatusAccepted, uploadRow(trip.ID, res, nil))
 	})
-	mux.HandleFunc("/v1/trips/batch", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("POST /v1/trips/batch", func(w http.ResponseWriter, r *http.Request) {
 		var trips []probe.Trip
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchUploadBytes))
 		if err := dec.Decode(&trips); err != nil {
@@ -300,14 +296,10 @@ func apiMux(b API, core *obs.Core) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, out)
 	})
-	mux.HandleFunc("/v1/pipeline", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/pipeline", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, b.StageMetrics())
 	})
-	mux.HandleFunc("/v1/traffic", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET /v1/traffic", func(w http.ResponseWriter, r *http.Request) {
 		snap := b.TrafficSnapshot()
 		if trafficHeaders(w, r, snap.Version) {
 			return
@@ -319,11 +311,7 @@ func apiMux(b API, core *obs.Core) http.Handler {
 		sortRows(rows)
 		writeJSON(w, http.StatusOK, rows)
 	})
-	mux.HandleFunc("/v1/traffic/watch", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET /v1/traffic/watch", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		var since uint64
 		if s := q.Get("since"); s != "" {
@@ -374,28 +362,28 @@ func apiMux(b API, core *obs.Core) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, out)
 	})
-	mux.HandleFunc("/v1/traffic/segment", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/traffic/segment", func(w http.ResponseWriter, r *http.Request) {
 		idStr := r.URL.Query().Get("id")
 		id, err := strconv.Atoi(strings.TrimSpace(idStr))
 		if err != nil {
 			http.Error(w, "bad segment id", http.StatusBadRequest)
 			return
 		}
-		est, ok := b.TrafficSegment(road.SegmentID(id))
+		est, ok := b.TrafficSnapshot().Get(road.SegmentID(id))
 		if !ok {
 			http.Error(w, "no estimate for segment", http.StatusNotFound)
 			return
 		}
 		writeJSON(w, http.StatusOK, estimateJSON(road.SegmentID(id), est))
 	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, b.Stats())
 	})
-	mux.HandleFunc("/v1/shards", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/shards", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, b.ShardStatuses())
 	})
-	mux.HandleFunc("/v1/region", func(w http.ResponseWriter, r *http.Request) {
-		model, err := b.RegionModel()
+	mux.HandleFunc("GET /v1/region", func(w http.ResponseWriter, r *http.Request) {
+		model, err := RegionModel(b)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
@@ -405,13 +393,13 @@ func apiMux(b API, core *obs.Core) http.Handler {
 			CoveredZones: model.CoveredZones(),
 		})
 	})
-	mux.HandleFunc("/v1/routes", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/routes", func(w http.ResponseWriter, r *http.Request) {
 		departS, err := strconv.ParseFloat(r.URL.Query().Get("depart"), 64)
 		if err != nil {
 			http.Error(w, "need depart parameter", http.StatusBadRequest)
 			return
 		}
-		statuses, err := b.RouteStatuses(departS)
+		statuses, err := RouteStatuses(b, departS)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -428,7 +416,7 @@ func apiMux(b API, core *obs.Core) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, rows)
 	})
-	mux.HandleFunc("/v1/arrivals", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/arrivals", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		routeID := transit.RouteID(q.Get("route"))
 		fromIdx, err1 := strconv.Atoi(q.Get("stop"))
@@ -437,7 +425,7 @@ func apiMux(b API, core *obs.Core) http.Handler {
 			http.Error(w, "need route, stop and depart parameters", http.StatusBadRequest)
 			return
 		}
-		preds, err := b.PredictArrivals(routeID, fromIdx, departS)
+		preds, err := PredictArrivals(b, routeID, fromIdx, departS)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 			return

@@ -19,15 +19,15 @@ import (
 // startSpan marks a span start on the observability clock; the zero
 // time when observability is off.
 func (b *Backend) startSpan() time.Time {
-	if b.obsCore == nil {
+	if b.cfg.Obs == nil {
 		return time.Time{}
 	}
-	return b.obsCore.Clock.Now()
+	return b.cfg.Obs.Clock.Now()
 }
 
 // endSpan emits one completed span for the traced request, if any.
 func (b *Backend) endSpan(ctx context.Context, start time.Time, name string, attrs ...obs.Attr) {
-	if b.obsCore == nil {
+	if b.cfg.Obs == nil {
 		return
 	}
 	tr := obs.TraceID(ctx)
@@ -35,22 +35,16 @@ func (b *Backend) endSpan(ctx context.Context, start time.Time, name string, att
 		return
 	}
 	attrs = append(attrs, obs.Attr{Key: "shard", Value: b.obsShard})
-	b.obsCore.Tracer.Emit(tr, name, start, b.obsCore.Clock.Now(), attrs...)
+	b.cfg.Obs.Tracer.Emit(tr, name, start, b.cfg.Obs.Clock.Now(), attrs...)
 }
 
-// RegisterObs plugs the backend into an observability core under the
-// given shard label. It registers scrape-time collectors for the work
-// counters and per-stage instrumentation, creates the per-stage
-// latency histograms, and chains span emission onto the stage hook.
-// Like AttachTripLog and the observation router, it must run before
-// any ingestion; a Coordinator calls it once per shard with distinct
-// labels (NewBackend self-registers as shard "0" when Config.Obs is
-// set, which is why the coordinator builds its shards without it).
-func (b *Backend) RegisterObs(core *obs.Core, shard string) {
-	if core == nil {
-		return
-	}
-	b.obsCore = core
+// registerObs plugs the backend into its observability core (cfg.Obs,
+// non-nil) under the given shard label. It registers scrape-time
+// collectors for the work counters and per-stage instrumentation,
+// creates the per-stage latency histograms, and chains span emission
+// onto the stage hook. newBackend calls it once, before any ingestion.
+func (b *Backend) registerObs(shard string) {
+	core := b.cfg.Obs
 	b.obsShard = shard
 	reg := core.Registry
 	sl := obs.Label{Name: "shard", Value: shard}

@@ -211,7 +211,7 @@ func TestStoreScatterDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	first.Advance(3600)
-	want, ok := first.TrafficSegment(2)
+	want, ok := first.TrafficSnapshot().Get(2)
 	if !ok || want.Reports == 0 {
 		t.Fatalf("scatter did not fold: %+v", want)
 	}
@@ -224,7 +224,7 @@ func TestStoreScatterDurability(t *testing.T) {
 		t.Fatalf("ScatterReplayed = %d, want 1 (report: %+v)", rec2.ScatterReplayed, rec2.Report)
 	}
 	second.Advance(3600)
-	got, ok := second.TrafficSegment(2)
+	got, ok := second.TrafficSnapshot().Get(2)
 	if !ok || got != want {
 		t.Fatalf("recovered scatter estimate %+v, want %+v", got, want)
 	}
@@ -237,7 +237,7 @@ func TestStoreScatterDurability(t *testing.T) {
 		t.Fatal("replayed key returned a zero outcome, want the recorded one")
 	}
 	second.Advance(7200)
-	if again, _ := second.TrafficSegment(2); again.Reports != got.Reports {
+	if again, _ := second.TrafficSnapshot().Get(2); again.Reports != got.Reports {
 		t.Fatalf("re-delivered scatter double-counted: %d reports, want %d", again.Reports, got.Reports)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"busprobe/internal/core/tripmap"
 	"busprobe/internal/geo"
 	"busprobe/internal/probe"
+	"busprobe/internal/server/stage"
 	"busprobe/internal/transit"
 )
 
@@ -32,7 +33,8 @@ func TestObservationsAdjacentStops(t *testing.T) {
 		visitAt(rt.Stops[0], 100, 110),
 		visitAt(rt.Stops[1], 180, 195),
 	}
-	obs, discarded := b.observations(context.Background(), visits)
+	ex := b.pipe.Extract.Run(context.Background(), stage.ExtractInput{Visits: visits})
+	obs, discarded := ex.Observations, ex.Discarded
 	if discarded != 0 {
 		t.Errorf("discarded = %d", discarded)
 	}
@@ -65,7 +67,8 @@ func TestObservationsMergeSkippedStop(t *testing.T) {
 		visitAt(rt.Stops[1], 100, 110),
 		visitAt(rt.Stops[3], 250, 260), // stop 2 skipped
 	}
-	obs, discarded := b.observations(context.Background(), visits)
+	ex := b.pipe.Extract.Run(context.Background(), stage.ExtractInput{Visits: visits})
+	obs, discarded := ex.Observations, ex.Discarded
 	if discarded != 0 || len(obs) != 1 {
 		t.Fatalf("obs=%d discarded=%d", len(obs), discarded)
 	}
@@ -104,7 +107,8 @@ func TestObservationsDiscardImplausible(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		obs, discarded := b.observations(context.Background(), c.visits)
+		ex := b.pipe.Extract.Run(context.Background(), stage.ExtractInput{Visits: c.visits})
+		obs, discarded := ex.Observations, ex.Discarded
 		if len(obs) != 0 || discarded != 1 {
 			t.Errorf("%s: obs=%d discarded=%d", c.name, len(obs), discarded)
 		}
@@ -120,7 +124,8 @@ func TestObservationsRepeatedStopSkipped(t *testing.T) {
 		visitAt(rt.Stops[0], 130, 140), // same stop resolved twice
 		visitAt(rt.Stops[1], 210, 220),
 	}
-	obs, discarded := b.observations(context.Background(), visits)
+	ex := b.pipe.Extract.Run(context.Background(), stage.ExtractInput{Visits: visits})
+	obs, discarded := ex.Observations, ex.Discarded
 	if discarded != 0 {
 		t.Errorf("discarded = %d", discarded)
 	}
@@ -133,10 +138,11 @@ func TestObservationsEmptyAndSingle(t *testing.T) {
 	w := testWorld(t)
 	b := testBackend(t, w)
 	rt := w.Transit.Routes()[0]
-	if obs, d := b.observations(context.Background(), nil); obs != nil || d != 0 {
+	if ex := b.pipe.Extract.Run(context.Background(), stage.ExtractInput{}); ex.Observations != nil || ex.Discarded != 0 {
 		t.Error("nil visits should be empty")
 	}
-	if obs, d := b.observations(context.Background(), []tripmap.Visit{visitAt(rt.Stops[0], 1, 2)}); obs != nil || d != 0 {
+	single := stage.ExtractInput{Visits: []tripmap.Visit{visitAt(rt.Stops[0], 1, 2)}}
+	if ex := b.pipe.Extract.Run(context.Background(), single); ex.Observations != nil || ex.Discarded != 0 {
 		t.Error("single visit should be empty")
 	}
 }
@@ -150,7 +156,7 @@ func TestRankRoutesByVisitSupport(t *testing.T) {
 		visitAt(rt.Stops[1], 200, 210),
 		visitAt(rt.Stops[2], 300, 310),
 	}
-	ranked := b.rankRoutesByVisitSupport(visits)
+	ranked := b.pipe.Extract.RankRoutesByVisitSupport(visits)
 	if len(ranked) != w.Transit.NumRoutes() {
 		t.Fatalf("ranked = %d routes", len(ranked))
 	}
@@ -164,7 +170,7 @@ func TestLegFreeKmhHarmonicMean(t *testing.T) {
 	rt := w.Transit.Routes()[0]
 	net := w.Transit.Network()
 	leg := rt.LegBetween(net, 0, 3)
-	got := legFreeKmh(net, leg)
+	got := stage.LegFreeKmh(net, leg)
 	var timeS float64
 	for _, sid := range leg.Segments {
 		timeS += net.Segment(sid).FreeTravelS()
@@ -352,7 +358,7 @@ func TestOnlineUpdateDisabledLeavesDBUntouched(t *testing.T) {
 	b := testBackend(t, w) // OnlineUpdate off by default
 	fpdb := b.FingerprintDB()
 	rt := w.Transit.Routes()[0]
-	var before []cellularFP
+	var before []cellular.Fingerprint
 	for _, s := range rt.Stops {
 		fp, _ := fpdb.Get(s)
 		before = append(before, fp)
@@ -427,7 +433,7 @@ func TestOnlineUpdateGating(t *testing.T) {
 	stop := rt.Stops[1]
 	before, _ := fpdb.Get(stop)
 
-	mk := func(times []float64) (probe.Trip, []cluster.Cluster, []visit) {
+	mk := func(times []float64) (probe.Trip, []cluster.Cluster, []tripmap.Visit) {
 		trip := probe.Trip{ID: "gate", DeviceID: "d"}
 		var elems []cluster.Element
 		for _, ts := range times {
@@ -438,7 +444,7 @@ func TestOnlineUpdateGating(t *testing.T) {
 			elems = append(elems, cluster.Element{TimeS: ts, Stop: stop, Score: 5})
 		}
 		cl := []cluster.Cluster{{Elements: elems, ArriveS: times[0], DepartS: times[len(times)-1]}}
-		return trip, cl, []visit{{Stop: stop, ArriveS: times[0], DepartS: times[len(times)-1], Confidence: 1}}
+		return trip, cl, []tripmap.Visit{{Stop: stop, ArriveS: times[0], DepartS: times[len(times)-1], Confidence: 1}}
 	}
 
 	// Too few samples: gate holds.
@@ -481,7 +487,7 @@ func TestRankRoutesSkippedStopsStillSupport(t *testing.T) {
 		visitAt(rt.Stops[0], 100, 110),
 		visitAt(rt.Stops[3], 400, 410), // skips stops 1 and 2
 	}
-	ranked := b.rankRoutesByVisitSupport(visits)
+	ranked := b.pipe.Extract.RankRoutesByVisitSupport(visits)
 	if ranked[0].ID != rt.ID {
 		t.Errorf("top route = %s, want %s (skipped-stop pair must count)", ranked[0].ID, rt.ID)
 	}
@@ -494,7 +500,7 @@ func TestRankRoutesTieBreakDeterminism(t *testing.T) {
 	b := testBackend(t, w)
 	base := w.Transit.Routes()
 	for trial := 0; trial < 3; trial++ {
-		ranked := b.rankRoutesByVisitSupport(nil)
+		ranked := b.pipe.Extract.RankRoutesByVisitSupport(nil)
 		if len(ranked) != len(base) {
 			t.Fatalf("ranked %d routes, want %d", len(ranked), len(base))
 		}
@@ -514,11 +520,11 @@ func TestLegBetweenMergesSkippedStops(t *testing.T) {
 	b := testBackend(t, w)
 	rt := w.Transit.Routes()[0]
 	net := w.Transit.Network()
-	routes := b.rankRoutesByVisitSupport([]tripmap.Visit{
+	routes := b.pipe.Extract.RankRoutesByVisitSupport([]tripmap.Visit{
 		visitAt(rt.Stops[0], 0, 1),
 		visitAt(rt.Stops[3], 2, 3),
 	})
-	leg, ok := b.legBetween(routes, rt.Stops[0], rt.Stops[3])
+	leg, ok := b.pipe.Extract.LegBetween(routes, rt.Stops[0], rt.Stops[3])
 	if !ok {
 		t.Fatal("no leg for skipped-stop pair")
 	}
@@ -539,17 +545,17 @@ func TestLegBetweenUnservedPair(t *testing.T) {
 	w := testWorld(t)
 	b := testBackend(t, w)
 	rt := w.Transit.Routes()[0]
-	routes := b.rankRoutesByVisitSupport(nil)
+	routes := b.pipe.Extract.RankRoutesByVisitSupport(nil)
 	// A stop no route knows: unmatchable in either position.
 	ghost := transit.StopID(1 << 20)
-	if _, ok := b.legBetween(routes, ghost, rt.Stops[1]); ok {
+	if _, ok := b.pipe.Extract.LegBetween(routes, ghost, rt.Stops[1]); ok {
 		t.Error("leg found from unknown stop")
 	}
-	if _, ok := b.legBetween(routes, rt.Stops[1], ghost); ok {
+	if _, ok := b.pipe.Extract.LegBetween(routes, rt.Stops[1], ghost); ok {
 		t.Error("leg found to unknown stop")
 	}
 	// Same stop twice: never "in order" (ti <= fi) on any route.
-	if _, ok := b.legBetween(routes, rt.Stops[1], rt.Stops[1]); ok {
+	if _, ok := b.pipe.Extract.LegBetween(routes, rt.Stops[1], rt.Stops[1]); ok {
 		t.Error("leg found for identical stops")
 	}
 	// A reversed pair is only served if some route runs them that way;
@@ -563,7 +569,7 @@ func TestLegBetweenUnservedPair(t *testing.T) {
 			break
 		}
 	}
-	if _, ok := b.legBetween(routes, from, to); ok != served {
+	if _, ok := b.pipe.Extract.LegBetween(routes, from, to); ok != served {
 		t.Errorf("legBetween(reversed) = %v, route scan says %v", ok, served)
 	}
 }

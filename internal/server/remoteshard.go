@@ -99,8 +99,8 @@ func (s *RemoteShard) ProcessTrip(ctx context.Context, trip probe.Trip) (Process
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return ProcessedTrip{}, s.unavailable("server: forward trip to", err)
 	}
-	if rej := shardErr(out.Code, out.Error); rej != nil {
-		return out.Trip, rej
+	if out.Code != "" {
+		return out.Trip, codeErr(out.Code, out.Error)
 	}
 	if resp.StatusCode != http.StatusAccepted {
 		return out.Trip, s.unavailable("server: forward trip to", fmt.Errorf("status %d", resp.StatusCode))
@@ -108,11 +108,13 @@ func (s *RemoteShard) ProcessTrip(ctx context.Context, trip probe.Trip) (Process
 	return out.Trip, nil
 }
 
-// batch forwards a routed sub-batch and rebuilds per-trip results in
-// input order. A transport failure fails every trip in the sub-batch
-// with ErrShardUnavailable — the phones retry, the home shard's dedup
-// set absorbs any that did land.
-func (s *RemoteShard) batch(ctx context.Context, trips []probe.Trip, path string) []TripResult {
+// IngestBatch forwards a routed sub-batch behind the shard's admission
+// gate and rebuilds per-trip results in input order; shed trips come
+// back as per-row ErrOverloaded, which the public layer surfaces as
+// 429s feeding the phone retry/backoff machinery. A transport failure
+// fails every trip in the sub-batch with ErrShardUnavailable — the
+// phones retry, the home shard's dedup set absorbs any that did land.
+func (s *RemoteShard) IngestBatch(ctx context.Context, trips []probe.Trip) []TripResult {
 	res := make([]TripResult, len(trips))
 	fail := func(err error) []TripResult {
 		for i := range res {
@@ -124,7 +126,7 @@ func (s *RemoteShard) batch(ctx context.Context, trips []probe.Trip, path string
 	if err != nil {
 		return fail(fmt.Errorf("server: encode batch: %w", err))
 	}
-	resp, err := s.cli.post(ctx, path, body)
+	resp, err := s.cli.post(ctx, "/internal/v1/trips", body)
 	if err != nil {
 		return fail(s.unavailable("server: forward batch to", err))
 	}
@@ -143,21 +145,12 @@ func (s *RemoteShard) batch(ctx context.Context, trips []probe.Trip, path string
 			fmt.Errorf("%d results for %d trips", len(out.Results), len(trips))))
 	}
 	for i, row := range out.Results {
-		res[i] = TripResult{Trip: row.Trip, Err: shardErr(row.Code, row.Error)}
+		res[i].Trip = row.Trip
+		if row.Code != "" {
+			res[i].Err = codeErr(row.Code, row.Error)
+		}
 	}
 	return res
-}
-
-// ProcessTrips forwards an ungated sub-batch.
-func (s *RemoteShard) ProcessTrips(ctx context.Context, trips []probe.Trip, workers int) []TripResult {
-	return s.batch(ctx, trips, fmt.Sprintf("/internal/v1/trips?workers=%d", workers))
-}
-
-// IngestBatch forwards a sub-batch behind the shard's admission gate;
-// shed trips come back as per-row ErrOverloaded, which the public
-// layer surfaces as 429s feeding the phone retry/backoff machinery.
-func (s *RemoteShard) IngestBatch(ctx context.Context, trips []probe.Trip) []TripResult {
-	return s.batch(ctx, trips, "/internal/v1/trips?gated=1")
 }
 
 // Scatter delivers one cross-shard observation group, retrying
@@ -267,16 +260,6 @@ func (s *RemoteShard) Traffic(ctx context.Context) (*traffic.Snapshot, error) {
 	default:
 		return nil, s.unavailable("server: traffic from", fmt.Errorf("status %d", resp.StatusCode))
 	}
-}
-
-// TrafficSegment reads one segment's estimate from the shard.
-func (s *RemoteShard) TrafficSegment(ctx context.Context, sid road.SegmentID) (traffic.Estimate, bool, error) {
-	var out segmentLookupJSON
-	path := fmt.Sprintf("/internal/v1/traffic/segment?id=%d", int(sid))
-	if err := s.cli.getJSON(ctx, path, &out); err != nil {
-		return traffic.Estimate{}, false, s.unavailable("server: segment from", err)
-	}
-	return out.Estimate, out.Found, nil
 }
 
 // Advance drives the shard's estimator clock.

@@ -7,12 +7,15 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"busprobe/internal/cellular"
 	"busprobe/internal/core/fingerprint"
+	"busprobe/internal/core/traffic"
 	"busprobe/internal/probe"
 	"busprobe/internal/sim"
 	"busprobe/internal/stats"
@@ -313,14 +316,39 @@ func TestHTTPBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed JSON gave %d", resp.StatusCode)
 	}
-	// Wrong method.
-	resp, err = http.Get(srv.URL + "/v1/trips")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/trips gave %d", resp.StatusCode)
+	// Wrong method: every route is registered under its one verb, on the
+	// public surface and on a shard process's internal wire alike.
+	shard := NewShardHandler(b, HandlerConfig{})
+	for _, c := range []struct {
+		h      http.Handler
+		method string
+		paths  []string
+	}{
+		{Handler(b), http.MethodGet, []string{"/v1/trips", "/v1/trips/batch"}},
+		{Handler(b), http.MethodPost, []string{
+			"/healthz", "/v1/traffic", "/v1/traffic/watch", "/v1/traffic/segment?id=1",
+			"/v1/region", "/v1/routes?depart=1", "/v1/arrivals?route=179&stop=0&depart=1",
+			"/v1/stats", "/v1/pipeline", "/v1/shards",
+		}},
+		{shard, http.MethodGet, []string{
+			"/v1/trips", "/v1/trips/batch", "/internal/v1/trip", "/internal/v1/trips",
+			"/internal/v1/scatter", "/internal/v1/advance",
+		}},
+		{shard, http.MethodPost, []string{
+			"/v1/traffic", "/v1/stats", "/internal/v1/traffic", "/internal/v1/stats",
+			"/internal/v1/pipeline", "/internal/v1/ready",
+		}},
+	} {
+		for _, path := range c.paths {
+			rec := httptest.NewRecorder()
+			c.h.ServeHTTP(rec, httptest.NewRequest(c.method, path, strings.NewReader("{}")))
+			if rec.Code != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s gave %d, want 405", c.method, path, rec.Code)
+			}
+			if rec.Header().Get("Allow") == "" {
+				t.Errorf("%s %s: 405 without an Allow header", c.method, path)
+			}
+		}
 	}
 	// Unknown segment.
 	resp, err = http.Get(srv.URL + "/v1/traffic/segment?id=99999")
@@ -514,5 +542,68 @@ func TestHTTPRouteStatuses(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing depart gave %d", resp2.StatusCode)
+	}
+}
+
+// countingAPI counts snapshot loads on their way to the wrapped API.
+type countingAPI struct {
+	API
+	loads atomic.Int64
+}
+
+func (c *countingAPI) TrafficSnapshot() *traffic.Snapshot {
+	c.loads.Add(1)
+	return c.API.TrafficSnapshot()
+}
+
+func TestDerivedReadsLoadOneSnapshot(t *testing.T) {
+	// A derived read that consults the map more than once can race ingest
+	// and mix segment estimates from two versions. Each must go through
+	// TrafficSnapshot — never around it to a live estimator — and load it
+	// exactly once per request, whatever implements API.
+	w := testWorld(t)
+	b := testBackend(t, w)
+	trip, _ := ridLongTrip(t, w)
+	if _, err := b.ProcessTrip(context.Background(), trip); err != nil {
+		t.Fatal(err)
+	}
+	b.Advance(12 * 3600)
+	var covered int
+	for sid := range b.TrafficSnapshot().Estimates {
+		covered = int(sid)
+		break
+	}
+	api := &countingAPI{API: b}
+	h := Handler(api)
+	rt := w.Transit.Routes()[0]
+	for _, path := range []string{
+		"/v1/traffic",
+		"/v1/traffic/segment?id=" + strconv.Itoa(covered),
+		"/v1/region",
+		"/v1/routes?depart=46800",
+		"/v1/arrivals?route=" + string(rt.ID) + "&stop=0&depart=46800",
+	} {
+		before := api.loads.Load()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s status = %d", path, rec.Code)
+		}
+		if n := api.loads.Load() - before; n != 1 {
+			t.Errorf("%s loaded the traffic snapshot %d times, want exactly 1", path, n)
+		}
+	}
+}
+
+func TestServingSurface(t *testing.T) {
+	// The two interfaces every topology restates must not silently
+	// regrow: a new derived read is a function of (Transit,
+	// TrafficSnapshot), not an API method, and Shard carries only what
+	// the coordinator dispatches.
+	if n := reflect.TypeOf((*API)(nil)).Elem().NumMethod(); n > 9 {
+		t.Errorf("API declares %d methods, want at most 9", n)
+	}
+	if n := reflect.TypeOf((*Shard)(nil)).Elem().NumMethod(); n > 9 {
+		t.Errorf("Shard declares %d methods, want at most 9", n)
 	}
 }

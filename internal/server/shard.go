@@ -5,16 +5,15 @@ import (
 
 	"busprobe/internal/core/traffic"
 	"busprobe/internal/probe"
-	"busprobe/internal/road"
 	"busprobe/internal/server/stage"
 )
 
 // LocalAddr is the Shard address of an in-process shard.
 const LocalAddr = "local"
 
-// Shard is the coordinator's dispatch boundary: everything it needs
-// from one region shard, whether that shard is an in-process *Backend
-// or an independent process reached over the wire protocol
+// Shard is the coordinator's dispatch boundary: exactly what it
+// dispatches to one region shard, whether that shard is an in-process
+// *Backend or an independent process reached over the wire protocol
 // (RemoteShard). Writes carry a context for cancellation and trace
 // propagation; reads return an error so a dead shard degrades the
 // merged view instead of wedging it.
@@ -31,8 +30,6 @@ type Shard interface {
 	Addr() string
 	// ProcessTrip ingests one trip already routed to this shard.
 	ProcessTrip(ctx context.Context, trip probe.Trip) (ProcessedTrip, error)
-	// ProcessTrips ingests a routed sub-batch without admission gating.
-	ProcessTrips(ctx context.Context, trips []probe.Trip, workers int) []TripResult
 	// IngestBatch ingests a routed sub-batch behind this shard's
 	// admission gate; a saturated shard sheds with ErrOverloaded.
 	IngestBatch(ctx context.Context, trips []probe.Trip) []TripResult
@@ -50,8 +47,6 @@ type Shard interface {
 	// nil — the coordinator diffs its own merged view instead). The
 	// snapshot is immutable: callers must not modify its maps.
 	Traffic(ctx context.Context) (*traffic.Snapshot, error)
-	// TrafficSegment reads one segment's estimate, if this shard has one.
-	TrafficSegment(ctx context.Context, sid road.SegmentID) (traffic.Estimate, bool, error)
 	// Advance drives the shard's estimator clock.
 	Advance(ctx context.Context, nowS float64) error
 	// Ready probes the shard's readiness to take traffic.
@@ -72,10 +67,6 @@ func (s localShard) ProcessTrip(ctx context.Context, trip probe.Trip) (Processed
 	return s.b.ProcessTrip(ctx, trip)
 }
 
-func (s localShard) ProcessTrips(ctx context.Context, trips []probe.Trip, workers int) []TripResult {
-	return s.b.ProcessTrips(ctx, trips, workers)
-}
-
 func (s localShard) IngestBatch(ctx context.Context, trips []probe.Trip) []TripResult {
 	return s.b.IngestBatch(ctx, trips)
 }
@@ -92,11 +83,6 @@ func (s localShard) StageMetrics(context.Context) ([]stage.Metrics, error) {
 
 func (s localShard) Traffic(context.Context) (*traffic.Snapshot, error) {
 	return s.b.TrafficSnapshot(), nil
-}
-
-func (s localShard) TrafficSegment(_ context.Context, sid road.SegmentID) (traffic.Estimate, bool, error) {
-	est, ok := s.b.TrafficSegment(sid)
-	return est, ok, nil
 }
 
 func (s localShard) Advance(_ context.Context, nowS float64) error {

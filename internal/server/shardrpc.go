@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 
 	"busprobe/internal/core/fingerprint"
 	"busprobe/internal/core/region"
@@ -22,9 +20,8 @@ import (
 // through RemoteShard:
 //
 //	POST /internal/v1/trip            ingest one routed trip
-//	POST /internal/v1/trips           ingest a routed sub-batch
-//	                                  (?gated=1 → admission gate,
-//	                                   ?workers=N → ungated worker count)
+//	POST /internal/v1/trips           ingest a routed sub-batch behind
+//	                                  the shard's admission gate
 //	POST /internal/v1/scatter         fold a cross-shard observation
 //	                                  group, exactly once per key
 //	POST /internal/v1/advance         drive the estimator clock
@@ -33,14 +30,14 @@ import (
 //	                                  ETag + X-Busprobe-Traffic-Version and
 //	                                  304 on If-None-Match, so a coordinator
 //	                                  polling an idle shard moves no body)
-//	GET  /internal/v1/traffic/segment one segment's estimate
 //	GET  /internal/v1/stats           work counters
 //	GET  /internal/v1/pipeline        per-stage instrumentation
 //	GET  /internal/v1/ready           readiness probe
 //
-// Bodies are JSON. encoding/json renders float64 with the shortest
-// round-tripping representation, so estimates survive the hop
-// bit-exactly and the coordinator's merged /v1/traffic stays
+// Eight endpoints, one per Shard method that crosses the wire, and no
+// per-request options. Bodies are JSON. encoding/json renders float64
+// with the shortest round-tripping representation, so estimates survive
+// the hop bit-exactly and the coordinator's merged /v1/traffic stays
 // byte-identical to a monolith's.
 
 // shardTripJSON is one routed trip's outcome on the shard wire: the
@@ -85,34 +82,9 @@ type shardTrafficJSON struct {
 	Estimates map[road.SegmentID]traffic.Estimate `json:"estimates"`
 }
 
-// segmentLookupJSON answers a single-segment read; Found false means
-// the shard holds no estimate for the segment.
-type segmentLookupJSON struct {
-	Found    bool             `json:"found"`
-	Estimate traffic.Estimate `json:"estimate"`
-}
-
 // shardReadyJSON answers the readiness probe.
 type shardReadyJSON struct {
 	Ready bool `json:"ready"`
-}
-
-// shardErr rebuilds a wire rejection as the matching sentinel error, so
-// a coordinator classifies remote rejections exactly like in-process
-// ones (and the HTTP layer re-derives the same status code).
-func shardErr(code, msg string) error {
-	switch code {
-	case "":
-		return nil
-	case "duplicate":
-		return fmt.Errorf("upload rejected: %s: %w", msg, ErrDuplicateTrip)
-	case "invalid":
-		return fmt.Errorf("upload rejected: %s: %w", msg, ErrInvalidTrip)
-	case "overloaded":
-		return fmt.Errorf("upload rejected: %s: %w", msg, ErrOverloaded)
-	default:
-		return fmt.Errorf("server: shard rejected trip: %s", msg)
-	}
 }
 
 // NewShardBackend assembles the backend of one shard process: a full
@@ -131,16 +103,9 @@ func NewShardBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shardID 
 	if err != nil {
 		return nil, err
 	}
-	// Built without the obs core so the backend can register under its
-	// real shard label instead of the monolith's "0".
-	shardCfg := cfg
-	shardCfg.Obs = nil
-	b, err := NewBackend(shardCfg, tdb, fpdb)
+	b, err := newBackend(cfg, tdb, fpdb, shardID)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Obs != nil {
-		b.RegisterObs(cfg.Obs, strconv.Itoa(shardID))
 	}
 	peers := make([]*RemoteShard, len(addrs))
 	for i, addr := range addrs {
@@ -149,13 +114,7 @@ func NewShardBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shardID 
 		}
 		peers[i] = NewRemoteShard(addr)
 	}
-	b.shardIdx = shardID
-	b.obsOwner = func(o traffic.Observation) (int, bool) {
-		if len(o.Segments) > 0 {
-			return part.SegmentShard(o.Segments[0])
-		}
-		return 0, false
-	}
+	b.obsOwner = segmentOwner(part)
 	b.obsScatter = func(ctx context.Context, owner int, key string, group []traffic.Observation) (stage.EstimateOutput, error) {
 		return peers[owner].Scatter(ctx, key, group)
 	}
@@ -171,20 +130,22 @@ func NewShardBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shardID 
 // dedup set.
 func NewShardHandler(b *Backend, hc HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/", NewHandler(b, hc))
+	// The public surface mounts by prefix, not as a "/" catch-all: a
+	// catch-all would also match a wrong-verb request to an internal
+	// route below and turn its 405 into a 404.
+	public := NewHandler(b, hc)
+	for _, prefix := range []string{"/healthz", "/v1/", "/metrics", "/debug/pprof/"} {
+		mux.Handle(prefix, public)
+	}
 
 	misdirected := func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "shard process: uploads go through the coordinator tier",
 			http.StatusMisdirectedRequest)
 	}
-	mux.HandleFunc("/v1/trips", misdirected)
-	mux.HandleFunc("/v1/trips/batch", misdirected)
+	mux.HandleFunc("POST /v1/trips", misdirected)
+	mux.HandleFunc("POST /v1/trips/batch", misdirected)
 
-	mux.HandleFunc("/internal/v1/trip", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("POST /internal/v1/trip", func(w http.ResponseWriter, r *http.Request) {
 		r = traceCtx(r)
 		var trip probe.Trip
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
@@ -200,11 +161,7 @@ func NewShardHandler(b *Backend, hc HandlerConfig) http.Handler {
 		writeJSON(w, http.StatusAccepted, shardTripJSON{Trip: res})
 	})
 
-	mux.HandleFunc("/internal/v1/trips", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("POST /internal/v1/trips", func(w http.ResponseWriter, r *http.Request) {
 		r = traceCtx(r)
 		var trips []probe.Trip
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchUploadBytes))
@@ -212,13 +169,7 @@ func NewShardHandler(b *Backend, hc HandlerConfig) http.Handler {
 			http.Error(w, "malformed JSON: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		var results []TripResult
-		if r.URL.Query().Get("gated") == "1" {
-			results = b.IngestBatch(r.Context(), trips)
-		} else {
-			workers, _ := strconv.Atoi(r.URL.Query().Get("workers"))
-			results = b.ProcessTrips(r.Context(), trips, workers)
-		}
+		results := b.IngestBatch(r.Context(), trips)
 		out := shardBatchJSON{Results: make([]shardTripJSON, len(results))}
 		for i, res := range results {
 			row := shardTripJSON{Trip: res.Trip}
@@ -231,11 +182,7 @@ func NewShardHandler(b *Backend, hc HandlerConfig) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 
-	mux.HandleFunc("/internal/v1/scatter", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("POST /internal/v1/scatter", func(w http.ResponseWriter, r *http.Request) {
 		r = traceCtx(r)
 		var req scatterRequestJSON
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
@@ -253,11 +200,7 @@ func NewShardHandler(b *Backend, hc HandlerConfig) http.Handler {
 		writeJSON(w, http.StatusOK, scatterResponseJSON{Folded: out.Folded, Discarded: out.Discarded})
 	})
 
-	mux.HandleFunc("/internal/v1/advance", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("POST /internal/v1/advance", func(w http.ResponseWriter, r *http.Request) {
 		var req advanceRequestJSON
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
 		if err := dec.Decode(&req); err != nil {
@@ -268,7 +211,7 @@ func NewShardHandler(b *Backend, hc HandlerConfig) http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 
-	mux.HandleFunc("/internal/v1/traffic", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /internal/v1/traffic", func(w http.ResponseWriter, r *http.Request) {
 		snap := b.TrafficSnapshot()
 		if trafficHeaders(w, r, snap.Version) {
 			return
@@ -276,25 +219,15 @@ func NewShardHandler(b *Backend, hc HandlerConfig) http.Handler {
 		writeJSON(w, http.StatusOK, shardTrafficJSON{Version: snap.Version, Estimates: snap.Estimates})
 	})
 
-	mux.HandleFunc("/internal/v1/traffic/segment", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.Atoi(strings.TrimSpace(r.URL.Query().Get("id")))
-		if err != nil {
-			http.Error(w, "bad segment id", http.StatusBadRequest)
-			return
-		}
-		est, ok := b.TrafficSegment(road.SegmentID(id))
-		writeJSON(w, http.StatusOK, segmentLookupJSON{Found: ok, Estimate: est})
-	})
-
-	mux.HandleFunc("/internal/v1/stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /internal/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, b.Stats())
 	})
 
-	mux.HandleFunc("/internal/v1/pipeline", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /internal/v1/pipeline", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, b.StageMetrics())
 	})
 
-	mux.HandleFunc("/internal/v1/ready", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /internal/v1/ready", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, shardReadyJSON{Ready: true})
 	})
 

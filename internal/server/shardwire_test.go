@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -89,8 +90,8 @@ func TestShardProcsEquivalenceOverSockets(t *testing.T) {
 	// The tentpole acceptance bar, over the wire: a monolith, a 2-shard
 	// in-process coordinator, and 2 shard PROCESSES behind a remote
 	// coordinator — all fed the same campaign over real TCP sockets —
-	// must answer byte-identical /v1/traffic, clean and under
-	// dup/reorder/delay fault injection.
+	// must answer byte-identical /v1/traffic and derived reads, clean and
+	// under dup/reorder/delay fault injection.
 	w, fpdb := twinWorld(t)
 	for _, tc := range []struct {
 		name string
@@ -118,6 +119,9 @@ func TestShardProcsEquivalenceOverSockets(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			names := []string{"monolith", "in-process coordinator", "shard-process coordinator"}
+			apis := []API{mono, inproc, tier.coord}
+			checkDerivedReads(t, w, tier.coord.Partition(), names, apis)
 			replayInto(t, mono, trips)
 			replayInto(t, inproc, trips)
 			for _, trip := range trips {
@@ -148,6 +152,7 @@ func TestShardProcsEquivalenceOverSockets(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("shard-process coordinator /v1/traffic differs from monolith")
 			}
+			checkDerivedReads(t, w, tier.coord.Partition(), names, apis)
 
 			// Both shard processes must have taken real traffic.
 			busy := 0
@@ -222,7 +227,7 @@ func TestScatterIdempotentAcrossRetry(t *testing.T) {
 		t.Errorf("estimate stage ran %d times, want 1 — the retried scatter double-counted", runs)
 	}
 	b.Advance(3600)
-	est, ok := b.TrafficSegment(seg)
+	est, ok := b.TrafficSnapshot().Get(seg)
 	if !ok {
 		t.Fatal("no estimate after scatter")
 	}
@@ -291,7 +296,7 @@ func TestFoldScatterKeyedOnce(t *testing.T) {
 		t.Errorf("estimate stage ran %d times, want 3 (unkeyed folds are not deduped)", runs)
 	}
 	b.Advance(3600)
-	if est, ok := b.TrafficSegment(2); !ok || est.Reports == 0 {
+	if est, ok := b.TrafficSnapshot().Get(2); !ok || est.Reports == 0 {
 		t.Errorf("no estimate on the folded segment: %+v", est)
 	}
 }
@@ -415,21 +420,47 @@ func TestDegradedReadsAfterShardDeath(t *testing.T) {
 	trips := twinCorpus(t, w, faults.Config{})
 	replayInto(t, tier.coord, trips)
 	tier.coord.Advance(3 * clock.DayS)
-	full := tier.coord.Traffic()
+	full := tier.coord.TrafficSnapshot().Estimates
 	if len(full) == 0 {
 		t.Fatal("no estimates before the kill")
 	}
-	aliveOnly, err := tier.backends[0].Traffic(), error(nil)
-	_ = err
+	aliveOnly := tier.backends[0].TrafficSnapshot().Estimates
+	// One covered segment on each side of the kill: the segment read is
+	// derived from the merged view, so the dead shard's must turn into
+	// the same 404 the survivor itself gives, with no RPC to the owner.
+	var kept, lost string
+	for sid := range full {
+		path := "/v1/traffic/segment?id=" + strconv.Itoa(int(sid))
+		if _, alive := aliveOnly[sid]; alive {
+			kept = path
+		} else {
+			lost = path
+		}
+	}
+	if kept == "" || lost == "" {
+		t.Fatalf("covered segments do not span both shards (kept %q, lost %q)", kept, lost)
+	}
+	if got := readBytes(t, tier.coord, lost); !bytes.HasPrefix(got, []byte("200\n")) {
+		t.Fatalf("%s before the kill = %s", lost, got)
+	}
 
 	tier.kill(1)
 
-	degraded := tier.coord.Traffic()
+	degraded := tier.coord.TrafficSnapshot().Estimates
 	if len(degraded) == 0 || len(degraded) >= len(full) {
 		t.Fatalf("degraded map has %d segments (full %d); want the survivor's slice only", len(degraded), len(full))
 	}
 	if len(degraded) != len(aliveOnly) {
 		t.Errorf("degraded map %d segments, survivor holds %d", len(degraded), len(aliveOnly))
+	}
+	for _, path := range []string{kept, lost} {
+		want := readBytes(t, tier.backends[0], path)
+		if got := readBytes(t, tier.coord, path); !bytes.Equal(got, want) {
+			t.Errorf("degraded %s = %s, survivor alone answers %s", path, got, want)
+		}
+	}
+	if got := readBytes(t, tier.coord, lost); !bytes.HasPrefix(got, []byte("404\n")) {
+		t.Errorf("dead shard's segment %s = %s, want 404", lost, got)
 	}
 	if err := tier.coord.ProbeShards(context.Background()); err == nil {
 		t.Error("ProbeShards reported a dead shard ready")

@@ -284,7 +284,7 @@ func TestTrafficDefensiveCopies(t *testing.T) {
 	replayInto(t, c, twinCorpus(t, wTwin, faults.Config{}))
 	c.Advance(12 * 3600)
 	wantC := trafficBytes(t, c)
-	mc := c.Traffic()
+	mc := c.TrafficSnapshot().CloneEstimates()
 	if len(mc) == 0 {
 		t.Fatal("coordinator produced no estimates; copy check is vacuous")
 	}
@@ -292,7 +292,7 @@ func TestTrafficDefensiveCopies(t *testing.T) {
 		mc[sid] = traffic.Estimate{SpeedKmh: -1}
 	}
 	if got := trafficBytes(t, c); !bytes.Equal(got, wantC) {
-		t.Fatal("mutating Coordinator.Traffic()'s return corrupted /v1/traffic")
+		t.Fatal("mutating the coordinator snapshot's CloneEstimates corrupted /v1/traffic")
 	}
 }
 
@@ -364,7 +364,7 @@ func TestReadHammerUnderIngest(t *testing.T) {
 				}
 				last = snap.Version
 				b.Traffic()
-				b.TrafficSegment(road.SegmentID(int(last) % 64))
+				snap.Get(road.SegmentID(int(last) % 64))
 			}
 		}()
 	}

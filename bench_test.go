@@ -3,21 +3,18 @@ package busprobe
 // The benchmark suite regenerates every table and figure of the paper's
 // evaluation (go test -bench=. -benchmem). Each benchmark runs the
 // corresponding experiment and reports its headline metrics as custom
-// benchmark units, so `bench_output.txt` doubles as the numeric record
+// benchmark units, so the benchmark output is the numeric record
 // behind EXPERIMENTS.md. Campaign-backed figures share one full-scale
-// deployment built lazily on first use.
+// deployment built lazily on first use. These are paper evidence;
+// serving performance is measured by the bench/ module instead
+// (go run -C bench . --workload W).
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 
-	"busprobe/internal/clock"
 	"busprobe/internal/eval"
-	"busprobe/internal/lab"
-	"busprobe/internal/obs"
-	"busprobe/internal/probe"
 	"busprobe/internal/sim"
 )
 
@@ -310,182 +307,6 @@ func BenchmarkBeepDetectionSweep(b *testing.B) {
 	}
 	b.ReportMetric(rep.Metric("noise0.05_recall"), "recall@0.05")
 	b.ReportMetric(rep.Metric("noise0.35_recall"), "recall@0.35")
-}
-
-// benchTrips lazily records one intensive campaign day as a raw trip
-// corpus for the ingest benchmarks.
-var (
-	benchTripsOnce sync.Once
-	benchTripsVal  []probe.Trip
-	benchTripsErr  error
-)
-
-func benchTrips(b *testing.B) []probe.Trip {
-	b.Helper()
-	l := benchLab(b)
-	benchTripsOnce.Do(func() {
-		cfg := sim.DefaultCampaignConfig()
-		cfg.Days = 1
-		cfg.Participants = 22
-		cfg.IntensiveFromDay = 0
-		cfg.IntensiveTripsPerDay = 6
-		benchTripsVal, benchTripsErr = lab.CollectTrips(context.Background(), l.Deployment, cfg)
-	})
-	if benchTripsErr != nil {
-		b.Fatal(benchTripsErr)
-	}
-	return benchTripsVal
-}
-
-// benchIngest replays the recorded corpus into a fresh backend each
-// iteration: workers == 1 uses the serial ProcessTrip loop, workers == 0
-// the concurrent batch path at GOMAXPROCS. Run with -cpu 1,4 to see the
-// batch path scale. With withObs, the backend registers into a live
-// observability core and every trip emits its stage spans — the pair of
-// results bounds the instrumentation overhead (budget: <= 5%, recorded
-// in BENCH_obs.json).
-func benchIngest(b *testing.B, workers int, withObs bool) {
-	l := benchLab(b)
-	savedObs := l.Cfg.Obs
-	defer func() { l.Cfg.Obs = savedObs }()
-	l.Cfg.Obs = nil
-	if withObs {
-		l.Cfg.Obs = obs.NewCore(clock.Wall{})
-	}
-	benchIngestRaw(b, workers)
-}
-
-func benchIngestRaw(b *testing.B, workers int) {
-	trips := benchTrips(b)
-	l := benchLab(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		back, err := l.NewBackend() // fresh dedup set every iteration
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if workers == 1 {
-			for _, trip := range trips {
-				if _, err := back.ProcessTrip(context.Background(), trip); err != nil {
-					b.Fatal(err)
-				}
-			}
-		} else {
-			for _, r := range back.ProcessTrips(context.Background(), trips, workers) {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-		}
-	}
-	b.ReportMetric(float64(len(trips))*float64(b.N)/b.Elapsed().Seconds(), "trips/s")
-}
-
-func BenchmarkIngestSerial(b *testing.B) { benchIngest(b, 1, false) }
-
-func BenchmarkIngestBatch(b *testing.B) { benchIngest(b, 0, false) }
-
-func BenchmarkIngestBatchObs(b *testing.B) { benchIngest(b, 0, true) }
-
-// BenchmarkIngestSerialObs measures the serial path with spans + metrics
-// live, the worst case for per-trip instrumentation cost.
-func BenchmarkIngestSerialObs(b *testing.B) { benchIngest(b, 1, true) }
-
-// BenchmarkReadUnderIngest measures the traffic read path — one
-// lock-free snapshot load plus the defensive clone every renderer
-// takes — against an idle backend and against one absorbing a
-// continuous re-ingest load. With the copy-on-write snapshot the two
-// must stay close: readers never touch the estimator lock, so ingest
-// pressure cannot stall the serving path. BENCH_read.json records the
-// measured trajectory.
-func BenchmarkReadUnderIngest(b *testing.B) {
-	trips := benchTrips(b)
-	l := benchLab(b)
-	back, err := l.NewBackend()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range back.ProcessTrips(context.Background(), trips, 0) {
-		if r.Err != nil {
-			b.Fatal(r.Err)
-		}
-	}
-	back.Advance(2 * clock.DayS)
-	if len(back.Traffic()) == 0 {
-		b.Fatal("seed campaign produced no estimates")
-	}
-
-	readLoop := func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if len(back.Traffic()) == 0 {
-				b.Fatal("traffic map emptied mid-run")
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reads/s")
-	}
-
-	b.Run("idle", readLoop)
-
-	// Interleaved: the corpus re-ingests between timed reads with the
-	// clock stopped around every write, so the metric isolates what
-	// ingest does to the read path itself (snapshot churn, cache
-	// pressure) from plain CPU sharing. This is the number the
-	// within-~10%-of-idle budget binds: on a single-core runner the
-	// concurrent variant below necessarily pays the writer's whole CPU
-	// share as well.
-	b.Run("interleaved-ingest", func(b *testing.B) {
-		const readsPerWrite = 50
-		next, round := 0, 1
-		for i := 0; i < b.N; i++ {
-			if i%readsPerWrite == 0 {
-				b.StopTimer()
-				t := trips[next]
-				t.ID = fmt.Sprintf("%s#i%d", t.ID, round)
-				back.ProcessTrip(context.Background(), t) //lint:allow errcheckio background load generator; a rejection cannot invalidate the read measurement
-				if next++; next == len(trips) {
-					next, round = 0, round+1
-				}
-				b.StartTimer()
-			}
-			if len(back.Traffic()) == 0 {
-				b.Fatal("traffic map emptied mid-run")
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reads/s")
-	})
-
-	b.Run("during-ingest", func(b *testing.B) {
-		// One writer goroutine re-offers the corpus serially under fresh
-		// trip IDs (dedup is by ID), so trips keep mapping, folding, and
-		// republishing snapshots while the timed loop reads. A single
-		// stream keeps this a lock-contention measurement rather than a
-		// every-core-busy CPU-starvation one.
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 1; ; round++ {
-				for i := range trips {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					t := trips[i]
-					t.ID = fmt.Sprintf("%s#r%d", t.ID, round)
-					back.ProcessTrip(context.Background(), t) //lint:allow errcheckio background load generator; a rejection cannot invalidate the read measurement
-				}
-			}
-		}()
-		b.ResetTimer()
-		readLoop(b)
-		b.StopTimer()
-		close(stop)
-		wg.Wait()
-	})
 }
 
 // BenchmarkEndToEndDay measures a full system day: city, survey,

@@ -1,8 +1,9 @@
 // Command busprobe-lab is the conformance + load harness: it boots the
 // real busprobe-server binary in each process topology, drives it over
 // HTTP with named scenarios, and emits one standard JSON result per
-// suite. An optional committed baseline (BENCH_lab.json) turns the run
-// into a perf-regression gate.
+// suite. An optional committed baseline (CI uses
+// internal/lab/ci-envelope.json) turns the run into an
+// order-of-magnitude perf tripwire.
 //
 // Usage:
 //
@@ -21,7 +22,6 @@
 //	-surge-riders N    surge scenario population (default 100000)
 //	-mem-bound-mb N    surge driver heap-growth bound (default 256)
 //	-baseline PATH     gate results against this baseline file
-//	-tolerance X       scale the baseline tolerances (default 1)
 //	-timeout SECONDS   whole-run budget (default 1800)
 //
 // Exit status: 0 all suites pass and the gate holds; 1 usage or
@@ -90,7 +90,6 @@ func runScenarios(argv []string) int {
 	surgeRiders := fs.Int("surge-riders", 0, "surge population (0 = default)")
 	memBoundMB := fs.Int("mem-bound-mb", 0, "surge heap-growth bound in MiB (0 = default)")
 	baselinePath := fs.String("baseline", "", "perf baseline file to gate against")
-	tolerance := fs.Float64("tolerance", 1, "scale factor on the baseline tolerances")
 	timeoutS := fs.Float64("timeout", 1800, "whole-run budget in seconds")
 	if err := fs.Parse(argv); err != nil {
 		return 1
@@ -99,6 +98,16 @@ func runScenarios(argv []string) int {
 	if len(names) == 0 {
 		for _, s := range lab.Scenarios() {
 			names = append(names, s.Name)
+		}
+	}
+	// Load the baseline before anything runs: a mistyped path must cost
+	// nothing, not a full run.
+	var base *lab.Baseline
+	if *baselinePath != "" {
+		var err error
+		if base, err = lab.LoadBaseline(*baselinePath); err != nil {
+			warnf("busprobe-lab: %v\n", err)
+			return 1
 		}
 	}
 
@@ -153,13 +162,8 @@ func runScenarios(argv []string) int {
 		return 2
 	}
 
-	if *baselinePath != "" {
-		base, err := lab.LoadBaseline(*baselinePath)
-		if err != nil {
-			warnf("busprobe-lab: %v\n", err)
-			return 1
-		}
-		if violations := base.Gate(results, *tolerance); len(violations) > 0 {
+	if base != nil {
+		if violations := base.Gate(results); len(violations) > 0 {
 			fmt.Println("perf gate FAILED:")
 			for _, v := range violations {
 				fmt.Printf("     - %s\n", v)

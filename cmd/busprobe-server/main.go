@@ -6,7 +6,7 @@
 // Usage:
 //
 //	busprobe-server [-addr :8080] [-seed 1] [-world paper] [-survey-runs 4]
-//	                [-shards N] [-ingest-workers N]
+//	                [-fpdb FILE] [-shards N] [-ingest-workers N]
 //	                [-max-inflight-batches N] [-request-timeout SECONDS]
 //	                [-pprof] [-drain-timeout SECONDS]
 //	                [-shard-id N] [-shard-addrs URL,URL,...]
@@ -48,8 +48,13 @@
 //
 //	POST /v1/trips                 upload a rider trip (JSON)
 //	POST /v1/trips/batch           upload a trip array (concurrent ingest)
-//	GET  /v1/traffic               current traffic map
+//	GET  /v1/traffic               current traffic map (ETag = version)
+//	GET  /v1/traffic/watch?since=V long-poll the delta since version V
 //	GET  /v1/traffic/segment?id=N  one segment
+//	GET  /v1/region                region index and covered zones
+//	GET  /v1/routes?depart=S       per-route end-to-end digest
+//	GET  /v1/arrivals?route=R&stop=I&depart=S
+//	                               arrival predictions down a route
 //	GET  /v1/stats                 pipeline counters
 //	GET  /v1/pipeline              per-stage instrumentation
 //	GET  /v1/shards                per-shard footprint and counters

@@ -13,14 +13,11 @@
 //	go build -o bin/busprobe-vet ./cmd/busprobe-vet
 //	go vet -vettool=bin/busprobe-vet ./...     # the CI path
 //
-// Standalone-only flags: -json emits machine-readable findings on
-// stdout; -tier=syntactic or -tier=typed restricts the suite to one
-// tier (CI times the tiers separately). Tier selection is not offered
-// under go vet, whose result cache keys on the binary alone.
+// Standalone-only flag: -json emits machine-readable findings on
+// stdout.
 package main
 
 import (
-	"fmt"
 	"os"
 
 	"busprobe/internal/lint"
@@ -28,22 +25,5 @@ import (
 )
 
 func main() {
-	suite := lint.Suite()
-	args := os.Args[:1]
-	for _, a := range os.Args[1:] {
-		switch a {
-		case "-tier=syntactic", "--tier=syntactic":
-			suite = lint.Syntactic()
-		case "-tier=typed", "--tier=typed":
-			suite = lint.Typed()
-		default:
-			if len(a) > 6 && a[:6] == "-tier=" {
-				fmt.Fprintln(os.Stderr, "busprobe-vet: unknown tier in", a) //lint:allow errcheckio a CLI cannot report a failed stderr write anywhere
-				os.Exit(3)
-			}
-			args = append(args, a)
-		}
-	}
-	os.Args = args
-	os.Exit(driver.Main(suite))
+	os.Exit(driver.Main(lint.Suite()))
 }

@@ -1,24 +1,13 @@
 package fingerprint
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"busprobe/internal/cellular"
 	"busprobe/internal/stats"
 	"busprobe/internal/transit"
 )
-
-// benchResult is one BENCH_match.json row.
-type benchResult struct {
-	Stops   int     `json:"stops"`
-	Variant string  `json:"variant"` // "indexed" or "scan"
-	NsPerOp int64   `json:"nsPerOp"`
-	Speedup float64 `json:"speedup,omitempty"` // scan / indexed, on the scan row
-}
 
 // benchDB builds an n-stop database with localized tower reuse (the
 // city-scale pattern: neighbouring stops share towers, distant ones
@@ -45,71 +34,23 @@ func benchDB(b *testing.B, n int) (*DB, cellular.Fingerprint) {
 }
 
 // BenchmarkMatchAll compares the inverted-index match path against the
-// exhaustive scan at growing database sizes and writes the measurements
-// to BENCH_match.json at the repo root. The indexed path's advantage
-// should grow roughly linearly with the stop count, since the candidate
-// set stays local while the scan grows with the city.
+// exhaustive scan at growing database sizes. The indexed path's
+// advantage should grow roughly linearly with the stop count, since the
+// candidate set stays local while the scan grows with the city.
 func BenchmarkMatchAll(b *testing.B) {
-	var results []benchResult
 	for _, n := range []int{100, 1000, 10000} {
 		db, sample := benchDB(b, n)
-		var indexedNs, scanNs int64
 		b.Run(fmt.Sprintf("stops=%d/indexed", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				db.MatchAll(sample)
 			}
-			indexedNs = b.Elapsed().Nanoseconds() / int64(b.N)
 		})
 		b.Run(fmt.Sprintf("stops=%d/scan", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				db.matchAllScan(sample)
 			}
-			scanNs = b.Elapsed().Nanoseconds() / int64(b.N)
 		})
-		var speedup float64
-		if indexedNs > 0 {
-			speedup = float64(scanNs) / float64(indexedNs)
-		}
-		results = append(results,
-			benchResult{Stops: n, Variant: "indexed", NsPerOp: indexedNs},
-			benchResult{Stops: n, Variant: "scan", NsPerOp: scanNs, Speedup: speedup},
-		)
 	}
-	writeBenchJSON(b, "BENCH_match.json", results)
-}
-
-// writeBenchJSON drops a machine-readable result file at the repo root
-// (found by walking up to go.mod); failures are logged, not fatal — a
-// read-only checkout must not fail the benchmark.
-func writeBenchJSON(b *testing.B, name string, v any) {
-	b.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		b.Logf("bench json: getwd: %v", err)
-		return
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			b.Logf("bench json: no go.mod above %s", dir)
-			return
-		}
-		dir = parent
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		b.Logf("bench json: encode: %v", err)
-		return
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		b.Logf("bench json: write: %v", err)
-		return
-	}
-	b.Logf("wrote %s", path)
 }

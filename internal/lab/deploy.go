@@ -5,9 +5,10 @@
 // drain-under-load, surge — and emits exactly one standard JSON result
 // per suite: pass/fail with reasons, latency percentiles, throughput,
 // byte-equivalence of /v1/traffic against a reference run, and (for
-// surge) a bounded-memory verdict. A perf-regression gate compares a
-// run's results against committed BENCH_lab.json baselines, so every
-// benchmark trajectory comes from one tool.
+// surge) a bounded-memory verdict. An optional gate compares a run's
+// results against the committed ci-envelope.json — an
+// order-of-magnitude tripwire for CI; performance numbers come from
+// the bench/ module.
 //
 // The package is also the shared home of the simulated-deployment
 // bundle (world + serving config + fingerprint DB) that the evaluation

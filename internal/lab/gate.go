@@ -8,15 +8,16 @@ import (
 )
 
 // BaselineSchema identifies the committed perf-baseline format
-// (BENCH_lab.json).
+// (ci-envelope.json, next to this file).
 const BaselineSchema = "busprobe-lab-baseline/1"
 
 // Baseline is the committed perf envelope a run's results are gated
 // against: per-suite latency and throughput anchors plus the tolerance
 // factors that turn them into pass/fail bounds. Tolerances are
-// multiplicative and deliberately loose — the gate catches order-of-
-// magnitude regressions on shared CI hardware, not single-digit
-// percentage drift (the BENCH_*.json trajectories track that).
+// multiplicative and deliberately loose — the gate is a tripwire for
+// order-of-magnitude regressions on shared CI hardware, not a
+// performance claim; single-digit percentage drift is the bench/
+// module's business (go run -C bench . --workload W).
 type Baseline struct {
 	Schema string `json:"schema"`
 	// Note documents how the anchors were measured.
@@ -51,8 +52,9 @@ func LoadBaseline(path string) (*Baseline, error) {
 	return DecodeBaseline(data)
 }
 
-// DecodeBaseline parses a baseline document, rejecting unknown fields
-// and wrong schemas.
+// DecodeBaseline parses a baseline document, rejecting unknown fields,
+// wrong schemas, and anchors for suites that are not registered — a
+// renamed scenario must fail here rather than silently lose its gate.
 func DecodeBaseline(data []byte) (*Baseline, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -67,8 +69,8 @@ func DecodeBaseline(data []byte) (*Baseline, error) {
 		return nil, fmt.Errorf("lab: negative tolerance in baseline")
 	}
 	for _, s := range b.Suites {
-		if s.Suite == "" {
-			return nil, fmt.Errorf("lab: baseline suite without a name")
+		if _, ok := Lookup(s.Suite); !ok {
+			return nil, fmt.Errorf("lab: baseline anchors unknown suite %q", s.Suite)
 		}
 	}
 	return &b, nil
@@ -85,13 +87,8 @@ func (b *Baseline) suite(name string) (SuiteBaseline, bool) {
 }
 
 // Gate compares results against the baseline and returns one violation
-// string per breached bound (empty = within envelope). tolScale
-// loosens (>1) or tightens (<1) both tolerance factors for one run —
-// the -tolerance flag — and 0 means 1.
-func (b *Baseline) Gate(results []*Result, tolScale float64) []string {
-	if tolScale <= 0 {
-		tolScale = 1
-	}
+// string per breached bound (empty = within envelope).
+func (b *Baseline) Gate(results []*Result) []string {
 	latTol := b.LatencyTolerance
 	if latTol == 0 {
 		latTol = 4
@@ -100,8 +97,6 @@ func (b *Baseline) Gate(results []*Result, tolScale float64) []string {
 	if tputTol == 0 {
 		tputTol = 4
 	}
-	latTol *= tolScale
-	tputTol *= tolScale
 
 	var out []string
 	for _, r := range results {

@@ -8,7 +8,7 @@ import (
 
 // SchemaVersion identifies the standard result format. Every suite run
 // emits exactly one Result carrying this schema string; consumers
-// (the perf gate, CI artifact tooling, BENCH_*.json trajectories)
+// (the perf gate, CI artifact tooling)
 // reject anything else, so drift fails loudly instead of silently.
 const SchemaVersion = "busprobe-lab/1"
 

@@ -6,13 +6,11 @@
 // suite-over-repo test in the driver package keeps the tree clean
 // between CI runs.
 //
-// The suite has two tiers. The syntactic four (nowallclock,
-// paperconst, lockorder, errcheckio) need only parsed files; the
-// type-aware four (guardedby, maporder, ctxpropagate, snapshotmut)
-// resolve fields, signatures, and map-ness through the go/types
-// information every driver now attaches to the pass. Syntactic() and
-// Typed() expose the split so CI can time the tiers separately;
-// Suite() remains the everything list in reporting order.
+// Four analyzers (nowallclock, paperconst, lockorder, errcheckio) need
+// only parsed files; the other four (guardedby, maporder, ctxpropagate,
+// snapshotmut) resolve fields, signatures, and map-ness through the
+// go/types information every driver attaches to every pass, so the
+// suite is one list.
 package lint
 
 import (
@@ -27,27 +25,16 @@ import (
 	"busprobe/internal/lint/snapshotmut"
 )
 
-// Syntactic returns the analyzers that consume only parsed syntax.
-func Syntactic() []*analysis.Analyzer {
+// Suite returns the full busprobe-vet suite in reporting order.
+func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		nowallclock.Analyzer,
 		paperconst.Analyzer,
 		lockorder.Analyzer,
 		errcheckio.Analyzer,
-	}
-}
-
-// Typed returns the analyzers that require type information.
-func Typed() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
 		guardedby.Analyzer,
 		maporder.Analyzer,
 		ctxpropagate.Analyzer,
 		snapshotmut.Analyzer,
 	}
-}
-
-// Suite returns the full busprobe-vet suite in reporting order.
-func Suite() []*analysis.Analyzer {
-	return append(Syntactic(), Typed()...)
 }

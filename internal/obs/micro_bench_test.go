@@ -11,8 +11,8 @@ import (
 // These micro-benchmarks price the observability primitives a single
 // trip pays on the ingest path: roughly six Emits, one EnsureTrip, five
 // histogram observations, and a dozen clock reads. Their sum is the
-// per-trip overhead recorded in BENCH_obs.json; the macro ingest A/B is
-// far noisier than that sum on shared hardware.
+// per-trip instrumentation cost; end to end it shows (or hides in the
+// noise) in `go run -C bench . --workload ingest_batch`.
 
 var microEpoch = time.Date(2015, 6, 29, 0, 0, 0, 0, time.UTC)
 

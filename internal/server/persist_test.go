@@ -110,8 +110,11 @@ func TestStoreRestartByteIdentical(t *testing.T) {
 	if rec2.TripsReplayed == 0 {
 		t.Fatal("tail replay touched no trips; the checkpoint cut is untested")
 	}
-	if rec2.TripsReplayed >= len(trips) {
-		t.Fatalf("replayed %d trips of %d — the snapshot saved nothing", rec2.TripsReplayed, len(trips))
+	// Restart is O(tail): recovery walks exactly the records appended
+	// after the checkpoint, none the snapshot already covers.
+	if got, tail := rec2.TripsReplayed+rec2.TripsSkipped, len(trips)-cut; got != tail {
+		t.Fatalf("recovery walked %d trip records (%d replayed, %d skipped), want exactly the %d-trip tail",
+			got, rec2.TripsReplayed, rec2.TripsSkipped, tail)
 	}
 	second.Advance(3 * clock.DayS)
 	if got := trafficBytes(t, second); !bytes.Equal(got, want) {

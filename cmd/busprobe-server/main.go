@@ -6,7 +6,7 @@
 // Usage:
 //
 //	busprobe-server [-addr :8080] [-seed 1] [-world paper] [-survey-runs 4]
-//	                [-fpdb FILE] [-shards N] [-ingest-workers N]
+//	                [-fpdb FILE] [-shards N]
 //	                [-max-inflight-batches N] [-request-timeout SECONDS]
 //	                [-pprof] [-drain-timeout SECONDS]
 //	                [-shard-id N] [-shard-addrs URL,URL,...]
@@ -36,8 +36,9 @@
 //	busprobe-server -shard-addrs http://h0:9000,http://h1:9001
 //
 // The first two run shard processes (region shard N of len(addrs),
-// serving the internal shard protocol plus the public read API; public
-// writes answer 421). The last runs a stateless coordinator tier that
+// serving the public read API — which is also what the coordinator
+// tier reads — plus the four internal routed writes; public writes
+// answer 421). The last runs a stateless coordinator tier that
 // routes uploads to the shard processes and merges reads; any number of
 // coordinators can front the same shards. Every process derives the
 // same world and route partition from -seed, so no topology needs to be
@@ -98,7 +99,6 @@ var (
 	fpdbPath       = flag.String("fpdb", "", "fingerprint DB file: loaded if present, written after a survey otherwise")
 	journal        = flag.String("journal", "", "legacy trip journal (JSONL) to migrate into a virgin -store-dir (sharded layouts: one <path>.shardN file per shard); requires -store-dir")
 	shards         = flag.Int("shards", 1, "region shards behind the coordinator (1 = monolithic)")
-	ingestWorkers  = flag.Int("ingest-workers", 0, "batch-ingest parallelism (0 = GOMAXPROCS)")
 	maxInflight    = flag.Int("max-inflight-batches", 0, "admission gate: concurrent batch ingests before shedding with 429 (0 = unbounded)")
 	reqTimeoutS    = flag.Float64("request-timeout", 0, "per-request handling budget in seconds (0 = none)")
 	pprofOn        = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -167,7 +167,6 @@ func run() error {
 		return err
 	}
 	cfg := server.DefaultConfig()
-	cfg.IngestWorkers = *ingestWorkers
 	cfg.MaxInflightBatches = *maxInflight
 	cfg.RequestTimeoutS = *reqTimeoutS
 	cfg.Obs = core
@@ -190,7 +189,7 @@ func run() error {
 	switch {
 	case *shardID >= 0:
 		// One region shard of the -shard-addrs topology, serving the
-		// internal shard protocol (and the read-only public API).
+		// read-only public API and the internal routed writes.
 		b, err := server.NewShardBackend(cfg, world.Transit, fpdb, *shardID, shardAddrs)
 		if err != nil {
 			return err

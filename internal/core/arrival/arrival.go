@@ -85,14 +85,15 @@ var (
 	_ TrafficSource = (*traffic.Snapshot)(nil)
 )
 
-// Prediction is one downstream stop's forecast.
+// Prediction is one downstream stop's forecast (and, through its tags,
+// the serving API's arrivals row).
 type Prediction struct {
-	StopIdx int
-	Stop    transit.StopID
-	ArriveS float64
+	StopIdx int            `json:"stopIdx"`
+	Stop    transit.StopID `json:"stop"`
+	ArriveS float64        `json:"arriveS"`
 	// CoveredFrac is the fraction of the predicted driving time that
 	// came from live estimates rather than the fallback assumption.
-	CoveredFrac float64
+	CoveredFrac float64 `json:"coveredFrac"`
 }
 
 // Predictor forecasts arrivals over a transit network.

@@ -18,7 +18,6 @@ package lab
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"busprobe/internal/core/fingerprint"
@@ -102,22 +101,4 @@ func (d *Deployment) ReplayTrips(ctx context.Context, trips []probe.Trip, worker
 		}
 	}
 	return b, nil
-}
-
-// ReplayTripsSharded feeds a recorded corpus through a fresh
-// shards-way coordinator, trip by trip in input order. Duplicate
-// uploads (a fault-injected corpus contains them by design) are
-// absorbed by the home shard's dedup set, exactly as a live campaign's
-// would be; any other rejection aborts.
-func (d *Deployment) ReplayTripsSharded(ctx context.Context, trips []probe.Trip, shards int) (*server.Coordinator, error) {
-	c, err := d.NewCoordinator(shards)
-	if err != nil {
-		return nil, err
-	}
-	for _, trip := range trips {
-		if _, err := c.ProcessTrip(ctx, trip); err != nil && !errors.Is(err, server.ErrDuplicateTrip) {
-			return nil, err
-		}
-	}
-	return c, nil
 }

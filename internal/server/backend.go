@@ -28,8 +28,8 @@ import (
 )
 
 // Sentinel upload-rejection errors. The HTTP layer maps them to status
-// codes (400 / 409 / 429); in-process callers distinguish them with
-// errors.Is instead of string matching. Each wraps the transport-neutral
+// codes and row codes (the rejections table); in-process callers
+// distinguish them with errors.Is instead of string matching. Each wraps the transport-neutral
 // probe sentinel, so phone-side retry policy can classify rejections
 // without importing this package.
 var (
@@ -59,10 +59,6 @@ type Config struct {
 	// MinSpeedKmh / MaxSpeedKmh bound plausible leg observations;
 	// out-of-range travel times are discarded as noise.
 	MinSpeedKmh, MaxSpeedKmh float64
-	// IngestWorkers caps the goroutines a batch ingest (ProcessTrips /
-	// UploadBatch) fans the CPU-bound stages across. <= 0 uses
-	// GOMAXPROCS.
-	IngestWorkers int
 	// MaxInflightBatches bounds concurrently admitted batch ingests;
 	// beyond it the admission gate sheds the batch (HTTP 429 with
 	// Retry-After). 0 disables shedding.

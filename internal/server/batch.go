@@ -20,7 +20,7 @@ var _ phone.BatchUploader = (*Backend)(nil)
 // ProcessTrips ingests a batch of uploads, fanning the CPU-bound
 // stages — per-sample Smith–Waterman matching and the clustering /
 // mapping / extraction behind it — across a worker pool. workers <= 0
-// uses Config.IngestWorkers, itself defaulting to GOMAXPROCS.
+// uses GOMAXPROCS.
 //
 // The result is deterministic and identical to a serial ProcessTrip
 // loop over the same slice: admission (validation, dedup, log append)
@@ -33,9 +33,6 @@ func (b *Backend) ProcessTrips(ctx context.Context, trips []probe.Trip, workers 
 	res := make([]TripResult, len(trips))
 	if len(trips) == 0 {
 		return res
-	}
-	if workers <= 0 {
-		workers = b.cfg.IngestWorkers
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
+	"busprobe/internal/core/arrival"
 	"busprobe/internal/obs"
 	"busprobe/internal/phone"
 	"busprobe/internal/probe"
@@ -47,102 +50,72 @@ func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
 	return &Client{baseURL: strings.TrimRight(baseURL, "/"), http: httpClient}, nil
 }
 
-// statusErr maps a rejection status to the matching sentinel so callers
-// classify HTTP rejections exactly like in-process ones; unknown
-// statuses map to nil.
-func statusErr(status int) error {
-	switch status {
-	case http.StatusConflict:
-		return ErrDuplicateTrip
-	case http.StatusBadRequest:
-		return ErrInvalidTrip
-	case http.StatusTooManyRequests:
-		return ErrOverloaded
-	case http.StatusBadGateway:
-		return ErrShardUnavailable
-	default:
-		return nil
-	}
-}
-
-// codeErr rebuilds a wire rejection row (the code uploadCode rendered,
-// plus the message) as the matching sentinel error, so a phone behind
-// Client.UploadBatch and a coordinator behind RemoteShard classify
-// remote rejections exactly like in-process ones (and the HTTP layer
-// re-derives the same status code). It is only called for a rejected
-// row, so an unknown or missing code is still an error, just an
-// unclassified one.
-func codeErr(code, msg string) error {
-	switch code {
-	case "duplicate":
-		return fmt.Errorf("upload rejected: %s: %w", msg, ErrDuplicateTrip)
-	case "invalid":
-		return fmt.Errorf("upload rejected: %s: %w", msg, ErrInvalidTrip)
-	case "overloaded":
-		return fmt.Errorf("upload rejected: %s: %w", msg, ErrOverloaded)
-	default:
-		return fmt.Errorf("server: upload rejected: %s", msg)
-	}
-}
-
-// post sends a JSON body with the request context; a trace ID in the
-// context rides the X-Busprobe-Trace header, so server-side spans join
-// the caller's trace across the network hop.
-func (c *Client) post(ctx context.Context, path string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+path, bytes.NewReader(body))
+// do sends one request under the caller's context — every call Client
+// and RemoteShard make goes through it. A non-nil body is posted as
+// JSON (a nil one is an empty reader, which net/http sends as no body);
+// a trace ID in the context rides the X-Busprobe-Trace header, so
+// server-side spans join the caller's trace across the network hop; a
+// non-empty etag revalidates with If-None-Match.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, etag string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	if tr := obs.TraceID(ctx); tr != "" {
 		req.Header.Set(obs.TraceHeader, tr)
+	}
+	if etag != "" {
+		req.Header.Set("If-None-Match", etag)
 	}
 	return c.http.Do(req)
 }
 
-// Upload posts one trip. Rejections carry the server sentinels: 409 →
-// ErrDuplicateTrip, 400 → ErrInvalidTrip, 429 → ErrOverloaded. The
-// context cancels the round trip and propagates the caller's trace.
+// statusText renders a refusal for an error message: its status and the
+// head of its body.
+func statusText(resp *http.Response) string {
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+	return fmt.Sprintf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+}
+
+// Upload posts one trip. Rejections carry the server sentinels the
+// rejections table pairs with the answer's status. The context cancels
+// the round trip and propagates the caller's trace.
 func (c *Client) Upload(ctx context.Context, trip probe.Trip) error {
 	body, err := json.Marshal(&trip)
 	if err != nil {
 		return fmt.Errorf("server: encode trip: %w", err)
 	}
-	resp, err := c.post(ctx, "/v1/trips", body)
+	resp, err := c.do(ctx, http.MethodPost, "/v1/trips", body, "")
 	if err != nil {
 		return fmt.Errorf("server: upload: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		if sent := statusErr(resp.StatusCode); sent != nil {
-			return fmt.Errorf("upload rejected (%d): %s: %w", resp.StatusCode, strings.TrimSpace(string(msg)), sent)
-		}
-		return fmt.Errorf("server: upload rejected (%d): %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+		return rejected("", resp.StatusCode, statusText(resp))
 	}
 	return nil
 }
 
 // UploadTrips posts a batch of trips through the server's concurrent
-// ingest endpoint, returning the per-trip outcomes in input order.
+// ingest endpoint, returning the per-trip outcomes in input order. A
+// batch refused whole (shed in full, malformed) fails like an Upload,
+// with the sentinel its status names.
 func (c *Client) UploadTrips(ctx context.Context, trips []probe.Trip) (BatchUploadResponseJSON, error) {
 	var out BatchUploadResponseJSON
 	body, err := json.Marshal(trips)
 	if err != nil {
 		return out, fmt.Errorf("server: encode batch: %w", err)
 	}
-	resp, err := c.post(ctx, "/v1/trips/batch", body)
+	resp, err := c.do(ctx, http.MethodPost, "/v1/trips/batch", body, "")
 	if err != nil {
 		return out, fmt.Errorf("server: batch upload: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		if resp.StatusCode == http.StatusTooManyRequests {
-			return out, fmt.Errorf("batch upload shed (retry after %s): %w",
-				resp.Header.Get("Retry-After"), ErrOverloaded)
-		}
-		return out, fmt.Errorf("server: batch upload rejected (%d): %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+		return out, rejected("", resp.StatusCode, statusText(resp))
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return out, fmt.Errorf("server: batch upload: decode: %w", err)
@@ -166,7 +139,7 @@ func (c *Client) UploadBatch(ctx context.Context, trips []probe.Trip) []error {
 	}
 	for i, row := range out.Results {
 		if !row.Accepted {
-			errs[i] = codeErr(row.Code, row.Error)
+			errs[i] = rejected(row.Code, 0, row.Error)
 		}
 	}
 	return errs
@@ -175,20 +148,12 @@ func (c *Client) UploadBatch(ctx context.Context, trips []probe.Trip) []error {
 // PipelineMetrics fetches the backend's per-stage instrumentation
 // counters.
 func (c *Client) PipelineMetrics(ctx context.Context) ([]stage.Metrics, error) {
-	var out []stage.Metrics
-	if err := c.getJSON(ctx, "/v1/pipeline", &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return getJSON[[]stage.Metrics](ctx, c, "/v1/pipeline")
 }
 
 // Traffic fetches the full traffic-map snapshot.
 func (c *Client) Traffic(ctx context.Context) ([]SegmentEstimateJSON, error) {
-	var out []SegmentEstimateJSON
-	if err := c.getJSON(ctx, "/v1/traffic", &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return getJSON[[]SegmentEstimateJSON](ctx, c, "/v1/traffic")
 }
 
 // TrafficWatch long-polls /v1/traffic/watch for the delta past version
@@ -197,57 +162,39 @@ func (c *Client) Traffic(ctx context.Context) ([]SegmentEstimateJSON, error) {
 // callers using the default http.Client should keep waitS under
 // DefaultClientTimeout.
 func (c *Client) TrafficWatch(ctx context.Context, since uint64, waitS float64) (TrafficWatchJSON, error) {
-	var out TrafficWatchJSON
 	path := fmt.Sprintf("/v1/traffic/watch?since=%d", since)
 	if waitS >= 0 {
 		path += fmt.Sprintf("&waitS=%g", waitS)
 	}
-	err := c.getJSON(ctx, path, &out)
-	return out, err
+	return getJSON[TrafficWatchJSON](ctx, c, path)
 }
 
 // Stats fetches the backend counters.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	var out Stats
-	err := c.getJSON(ctx, "/v1/stats", &out)
-	return out, err
+	return getJSON[Stats](ctx, c, "/v1/stats")
 }
 
 // Shards fetches the per-shard footprint and counters (one row for a
 // monolithic backend).
 func (c *Client) Shards(ctx context.Context) ([]ShardStatus, error) {
-	var out []ShardStatus
-	if err := c.getJSON(ctx, "/v1/shards", &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return getJSON[[]ShardStatus](ctx, c, "/v1/shards")
 }
 
 // Region fetches the inferred regional congestion summary.
 func (c *Client) Region(ctx context.Context) (RegionJSON, error) {
-	var out RegionJSON
-	err := c.getJSON(ctx, "/v1/region", &out)
-	return out, err
+	return getJSON[RegionJSON](ctx, c, "/v1/region")
 }
 
 // Arrivals fetches downstream ETAs for a bus departing stop index
 // fromIdx of a route at departS.
-func (c *Client) Arrivals(ctx context.Context, route string, fromIdx int, departS float64) ([]ArrivalJSON, error) {
-	var out []ArrivalJSON
-	path := fmt.Sprintf("/v1/arrivals?route=%s&stop=%d&depart=%g", route, fromIdx, departS)
-	if err := c.getJSON(ctx, path, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+func (c *Client) Arrivals(ctx context.Context, route string, fromIdx int, departS float64) ([]arrival.Prediction, error) {
+	q := url.Values{"route": {route}, "stop": {strconv.Itoa(fromIdx)}, "depart": {strconv.FormatFloat(departS, 'g', -1, 64)}}
+	return getJSON[[]arrival.Prediction](ctx, c, "/v1/arrivals?"+q.Encode())
 }
 
 // Healthy reports whether the backend answers its liveness probe.
 func (c *Client) Healthy(ctx context.Context) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, "/healthz", nil, "")
 	if err != nil {
 		return false
 	}
@@ -255,21 +202,19 @@ func (c *Client) Healthy(ctx context.Context) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-func (c *Client) getJSON(ctx context.Context, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+path, nil)
+// getJSON fetches path and decodes its 200 answer as a T; the value is
+// meaningful only when the error is nil.
+func getJSON[T any](ctx context.Context, c *Client, path string) (out T, err error) {
+	resp, err := c.do(ctx, http.MethodGet, path, nil, "")
 	if err != nil {
-		return fmt.Errorf("server: GET %s: %w", path, err)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("server: GET %s: %w", path, err)
+		return out, fmt.Errorf("server: GET %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("server: GET %s: status %d", path, resp.StatusCode)
+		return out, fmt.Errorf("server: GET %s: status %d", path, resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return fmt.Errorf("server: GET %s: decode: %w", path, err)
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return out, fmt.Errorf("server: GET %s: decode: %w", path, err)
 	}
-	return nil
+	return out, nil
 }

@@ -223,9 +223,10 @@ func (c *Coordinator) shardHealthAt(i int) shardHealth {
 	return c.health[i]
 }
 
-// ProbeShards checks every shard's readiness concurrently, records the
-// outcomes in the health table served by GET /v1/shards, and returns
-// the joined errors of the shards that failed (nil when all are ready).
+// ProbeShards checks every shard's readiness concurrently — a shard that
+// answers a Stats call is ready — records the outcomes in the health
+// table served by GET /v1/shards, and returns the joined errors of the
+// shards that failed (nil when all are ready).
 func (c *Coordinator) ProbeShards(ctx context.Context) error {
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
@@ -233,7 +234,7 @@ func (c *Coordinator) ProbeShards(ctx context.Context) error {
 		wg.Add(1)
 		go func(i int, sh Shard) {
 			defer wg.Done()
-			err := sh.Ready(ctx)
+			_, err := sh.Stats(ctx)
 			if err != nil {
 				err = fmt.Errorf("shard %d (%s): %w", i, sh.Addr(), err)
 			}
@@ -253,9 +254,6 @@ func (c *Coordinator) Transit() *transit.DB { return c.tdb }
 
 // Partition exposes the route-closed shard assignment.
 func (c *Coordinator) Partition() *transit.Partition { return c.part }
-
-// NumShards returns the shard count.
-func (c *Coordinator) NumShards() int { return len(c.shards) }
 
 // Shards exposes the underlying in-process shard backends (read-mostly;
 // used by evaluations and tests). Entries are nil for remote shards.

@@ -76,13 +76,14 @@ func PredictArrivals(api API, routeID transit.RouteID, fromIdx int, departS floa
 	return pred.Predict(rt, fromIdx, departS, api.TrafficSnapshot())
 }
 
-// RouteStatus summarizes one route's current conditions.
+// RouteStatus summarizes one route's current conditions; it is also the
+// /v1/routes row.
 type RouteStatus struct {
-	Route       transit.RouteID
-	Stops       int
-	LengthM     float64
-	EndToEndS   float64 // predicted full-route travel time right now
-	CoveredFrac float64 // share of the drive time backed by live data
+	Route       transit.RouteID `json:"route"`
+	Stops       int             `json:"stops"`
+	LengthM     float64         `json:"lengthM"`
+	EndToEndS   float64         `json:"endToEndS"`   // predicted full-route travel time right now
+	CoveredFrac float64         `json:"coveredFrac"` // share of the drive time backed by live data
 }
 
 // RouteStatuses returns every route's live end-to-end travel time at the
@@ -95,7 +96,7 @@ func RouteStatuses(api API, departS float64) ([]RouteStatus, error) {
 		return nil, err
 	}
 	net := tdb.Network()
-	var out []RouteStatus
+	out := make([]RouteStatus, 0, tdb.NumRoutes())
 	for _, rt := range tdb.Routes() {
 		preds, err := pred.Predict(rt, 0, departS, src)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -90,9 +91,9 @@ type TrafficWatchJSON struct {
 }
 
 // UploadResponseJSON acknowledges a trip upload. Code carries the
-// machine-readable rejection class ("duplicate", "invalid",
-// "overloaded", or empty) so batch clients can classify per-row
-// failures without string-matching Error.
+// machine-readable rejection class (a rejections code, or empty) so
+// batch clients can classify per-row failures without string-matching
+// Error.
 type UploadResponseJSON struct {
 	Accepted     bool   `json:"accepted"`
 	TripID       string `json:"tripId"`
@@ -117,46 +118,55 @@ const maxUploadBytes = 4 << 20
 // maxBatchUploadBytes bounds one batched upload.
 const maxBatchUploadBytes = 64 << 20
 
-// uploadStatus maps a rejection to its HTTP status: sentinel errors
-// get distinguishable codes (409 duplicate, 400 invalid, 429 shed) so
-// clients need not string-match; anything else is a 422.
-func uploadStatus(err error) int {
-	switch {
-	case errors.Is(err, ErrDuplicateTrip):
-		return http.StatusConflict
-	case errors.Is(err, ErrInvalidTrip):
-		return http.StatusBadRequest
-	case errors.Is(err, ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrShardUnavailable):
-		return http.StatusBadGateway
-	default:
-		return http.StatusUnprocessableEntity
-	}
+// rejection is one class of refused upload as it crosses a wire: the
+// sentinel in-process callers match with errors.Is, the code a response
+// row carries, and the HTTP status a single upload answers with.
+type rejection struct {
+	err    error
+	code   string
+	status int
 }
 
-// uploadCode is the machine-readable rejection class for a row.
-func uploadCode(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, ErrDuplicateTrip):
-		return "duplicate"
-	case errors.Is(err, ErrInvalidTrip):
-		return "invalid"
-	case errors.Is(err, ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, ErrShardUnavailable):
-		return "unavailable"
-	default:
-		return "error"
+// rejections is the one table both directions read: servers classify an
+// error into (code, status) with classify, clients rebuild the sentinel
+// from either with rejected — so a remote rejection is indistinguishable
+// from an in-process one, and the two directions cannot disagree.
+var rejections = []rejection{
+	{ErrDuplicateTrip, "duplicate", http.StatusConflict},
+	{ErrInvalidTrip, "invalid", http.StatusBadRequest},
+	{ErrOverloaded, "overloaded", http.StatusTooManyRequests},
+	{ErrShardUnavailable, "unavailable", http.StatusBadGateway},
+}
+
+// classify finds an error's rejection class; anything outside the table
+// is an unclassified "error" answered 422.
+func classify(err error) rejection {
+	for _, rej := range rejections {
+		if errors.Is(err, rej.err) {
+			return rej
+		}
 	}
+	return rejection{err, "error", http.StatusUnprocessableEntity}
+}
+
+// rejected rebuilds the error a peer reported, by row code (batch rows,
+// the shard wire) or by HTTP status (a single upload) — callers pass the
+// one they hold and a zero for the other. It is only called for a
+// refused upload, so a class outside the table is still an error, just
+// an unclassified one.
+func rejected(code string, status int, msg string) error {
+	for _, rej := range rejections {
+		if rej.code == code || rej.status == status {
+			return fmt.Errorf("upload rejected: %s: %w", msg, rej.err)
+		}
+	}
+	return fmt.Errorf("server: upload rejected: %s", msg)
 }
 
 // uploadRow renders one trip outcome as a response row.
 func uploadRow(tripID string, res ProcessedTrip, err error) UploadResponseJSON {
 	if err != nil {
-		return UploadResponseJSON{TripID: tripID, Error: err.Error(), Code: uploadCode(err)}
+		return UploadResponseJSON{TripID: tripID, Error: err.Error(), Code: classify(err).code}
 	}
 	return UploadResponseJSON{
 		Accepted:     true,
@@ -166,28 +176,12 @@ func uploadRow(tripID string, res ProcessedTrip, err error) UploadResponseJSON {
 	}
 }
 
-// Handler returns the serving HTTP API over a monolithic Backend or a
-// sharded Coordinator — the responses are identical either way: both
-// publish the same traffic snapshot (the coordinator's fans in and
-// merges deterministically), and every read below /v1/traffic is
+// Handler returns the serving HTTP API (publicRoutes) over a monolithic
+// Backend or a sharded Coordinator — the responses are identical either
+// way: both publish the same traffic snapshot (the coordinator's fans in
+// and merges deterministically), and every read below /v1/traffic is
 // derived from one load of that snapshot by code that does not know
-// which it is talking to. Routes are registered with method patterns,
-// so any other verb answers 405 with an Allow header:
-//
-//	POST /v1/trips            upload one probe.Trip (JSON)
-//	POST /v1/trips/batch      upload a JSON array of trips (concurrent ingest)
-//	GET  /v1/traffic          full traffic-map snapshot (versioned: ETag +
-//	                          X-Busprobe-Traffic-Version, If-None-Match → 304)
-//	GET  /v1/traffic/watch?since=V&waitS=S   long-poll for the delta past
-//	                          version V (since omitted/0 → full map)
-//	GET  /v1/traffic/segment?id=N   one segment's estimate
-//	GET  /v1/region           inferred regional congestion index
-//	GET  /v1/routes?depart=T  per-route live end-to-end travel times
-//	GET  /v1/arrivals?route=R&stop=I&depart=T   downstream ETAs
-//	GET  /v1/stats            pipeline counters
-//	GET  /v1/pipeline         per-stage instrumentation counters
-//	GET  /v1/shards           per-shard footprint and counters
-//	GET  /healthz             liveness
+// which it is talking to.
 func Handler(b API) http.Handler { return NewHandler(b, HandlerConfig{}) }
 
 // HandlerConfig extends the API handler with the observability
@@ -238,216 +232,258 @@ func traceCtx(r *http.Request) *http.Request {
 	return r
 }
 
-// apiMux builds the /v1 + /healthz surface.
+// route is one endpoint: its verb and path, registered as a method
+// pattern so any other verb answers 405 with an Allow header.
+type route struct {
+	method, path string
+	handler      http.HandlerFunc
+}
+
+// publicRoutes is the public surface, stated once: the mux registers
+// it, the HTTP metrics label by its paths, a shard process refuses its
+// writes, and a shard's read side IS these reads (RemoteShard fetches
+// /v1/stats, /v1/pipeline and /v1/traffic). A new derived read is one
+// function of (Transit, TrafficSnapshot) plus one row here.
+func publicRoutes(b API) []route {
+	return []route{
+		// Liveness.
+		{http.MethodGet, "/healthz", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintln(w, "ok") //lint:allow errcheckio a failed liveness write means the prober is gone; there is no one left to tell
+		}},
+		// Upload one probe.Trip (JSON).
+		{http.MethodPost, "/v1/trips", func(w http.ResponseWriter, r *http.Request) {
+			var trip probe.Trip
+			if !decodeBody(w, r, maxUploadBytes, &trip, func(msg string) any { return UploadResponseJSON{Error: msg} }) {
+				return
+			}
+			res, err := b.ProcessTrip(r.Context(), trip)
+			if err != nil {
+				writeJSON(w, classify(err).status, uploadRow(trip.ID, res, err))
+				return
+			}
+			writeJSON(w, http.StatusAccepted, uploadRow(trip.ID, res, nil))
+		}},
+		// Upload a JSON array of trips (concurrent ingest).
+		{http.MethodPost, "/v1/trips/batch", func(w http.ResponseWriter, r *http.Request) {
+			var trips []probe.Trip
+			if !decodeBody(w, r, maxBatchUploadBytes, &trips, func(msg string) any { return BatchUploadResponseJSON{Error: msg} }) {
+				return
+			}
+			// Admission is per shard inside IngestBatch: on a coordinator a
+			// saturated region sheds only its own trips (per-row
+			// ErrOverloaded codes) while the rest of the batch ingests. Only
+			// a batch shed in full keeps the 429 + Retry-After answer.
+			results := b.IngestBatch(r.Context(), trips)
+			shedAll := len(results) > 0
+			for _, res := range results {
+				if !errors.Is(res.Err, ErrOverloaded) {
+					shedAll = false
+					break
+				}
+			}
+			if shedAll {
+				w.Header().Set("Retry-After", "1")
+				writeJSON(w, classify(ErrOverloaded).status, BatchUploadResponseJSON{
+					Rejected: len(trips),
+					Error:    ErrOverloaded.Error(),
+				})
+				return
+			}
+			out := BatchUploadResponseJSON{Results: make([]UploadResponseJSON, len(results))}
+			for i, res := range results {
+				out.Results[i] = uploadRow(trips[i].ID, res.Trip, res.Err)
+				if res.Err != nil {
+					out.Rejected++
+				} else {
+					out.Accepted++
+				}
+			}
+			writeJSON(w, http.StatusOK, out)
+		}},
+		// Per-stage instrumentation counters.
+		{http.MethodGet, "/v1/pipeline", func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusOK, b.StageMetrics())
+		}},
+		// Full traffic-map snapshot, versioned: ETag +
+		// X-Busprobe-Traffic-Version, If-None-Match → 304.
+		{http.MethodGet, "/v1/traffic", func(w http.ResponseWriter, r *http.Request) {
+			snap := b.TrafficSnapshot()
+			if trafficHeaders(w, r, snap.Version) {
+				return
+			}
+			rows := make([]SegmentEstimateJSON, 0, len(snap.Estimates))
+			for sid, est := range snap.Estimates {
+				rows = append(rows, estimateJSON(sid, est))
+			}
+			sortRows(rows)
+			writeJSON(w, http.StatusOK, rows)
+		}},
+		// ?since=V&waitS=S: long-poll for the delta past version V (since
+		// omitted/0 → full map).
+		{http.MethodGet, "/v1/traffic/watch", func(w http.ResponseWriter, r *http.Request) {
+			q := r.URL.Query()
+			var since uint64
+			if s := q.Get("since"); s != "" {
+				v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
+				if err != nil {
+					http.Error(w, "bad since version", http.StatusBadRequest)
+					return
+				}
+				since = v
+			}
+			waitS := defaultWatchWaitS
+			if s := q.Get("waitS"); s != "" {
+				v, err := finiteParam(strings.TrimSpace(s))
+				if err != nil || v < 0 {
+					http.Error(w, "bad waitS", http.StatusBadRequest)
+					return
+				}
+				waitS = v
+			}
+			if waitS > maxWatchWaitS {
+				waitS = maxWatchWaitS
+			}
+			// The long poll must resolve inside the per-request timeout
+			// wrapping the /v1 surface, or TimeoutHandler would cut it off
+			// mid-wait and answer 503 for a healthy server.
+			if rt := b.Config().RequestTimeoutS; rt > 0 && waitS > rt/2 {
+				waitS = rt / 2
+			}
+			snap, resync := watchSnapshot(r.Context(), b, since, waitS)
+			if resync {
+				since = 0
+			}
+			if trafficHeaders(w, r, snap.Version) {
+				return
+			}
+			changed, removed := snap.DeltaSince(since)
+			out := TrafficWatchJSON{
+				Version: snap.Version,
+				Since:   since,
+				Resync:  resync,
+				Changed: make([]SegmentEstimateJSON, 0, len(changed)),
+			}
+			for _, sid := range changed {
+				out.Changed = append(out.Changed, estimateJSON(sid, snap.Estimates[sid]))
+			}
+			for _, sid := range removed {
+				out.Removed = append(out.Removed, int(sid))
+			}
+			writeJSON(w, http.StatusOK, out)
+		}},
+		// ?id=N: one segment's estimate.
+		{http.MethodGet, "/v1/traffic/segment", func(w http.ResponseWriter, r *http.Request) {
+			idStr := r.URL.Query().Get("id")
+			id, err := strconv.Atoi(strings.TrimSpace(idStr))
+			if err != nil {
+				http.Error(w, "bad segment id", http.StatusBadRequest)
+				return
+			}
+			est, ok := b.TrafficSnapshot().Get(road.SegmentID(id))
+			if !ok {
+				http.Error(w, "no estimate for segment", http.StatusNotFound)
+				return
+			}
+			writeJSON(w, http.StatusOK, estimateJSON(road.SegmentID(id), est))
+		}},
+		// Pipeline counters.
+		{http.MethodGet, "/v1/stats", func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusOK, b.Stats())
+		}},
+		// Per-shard footprint and counters.
+		{http.MethodGet, "/v1/shards", func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusOK, b.ShardStatuses())
+		}},
+		// Inferred regional congestion index.
+		{http.MethodGet, "/v1/region", func(w http.ResponseWriter, r *http.Request) {
+			model, err := RegionModel(b)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusServiceUnavailable)
+				return
+			}
+			writeJSON(w, http.StatusOK, RegionJSON{
+				OverallIndex: model.OverallIndex(),
+				CoveredZones: model.CoveredZones(),
+			})
+		}},
+		// ?depart=T: per-route live end-to-end travel times.
+		{http.MethodGet, "/v1/routes", func(w http.ResponseWriter, r *http.Request) {
+			departS, err := finiteParam(r.URL.Query().Get("depart"))
+			if err != nil {
+				http.Error(w, "need depart parameter", http.StatusBadRequest)
+				return
+			}
+			statuses, err := RouteStatuses(b, departS)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			writeJSON(w, http.StatusOK, statuses)
+		}},
+		// ?route=R&stop=I&depart=T: downstream ETAs.
+		{http.MethodGet, "/v1/arrivals", func(w http.ResponseWriter, r *http.Request) {
+			q := r.URL.Query()
+			routeID := transit.RouteID(q.Get("route"))
+			fromIdx, err1 := strconv.Atoi(q.Get("stop"))
+			departS, err2 := finiteParam(q.Get("depart"))
+			if routeID == "" || err1 != nil || err2 != nil {
+				http.Error(w, "need route, stop and depart parameters", http.StatusBadRequest)
+				return
+			}
+			preds, err := PredictArrivals(b, routeID, fromIdx, departS)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+				return
+			}
+			writeJSON(w, http.StatusOK, preds)
+		}},
+	}
+}
+
+// apiMux builds the /v1 + /healthz surface from publicRoutes.
 func apiMux(b API, core *obs.Core) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok") //lint:allow errcheckio a failed liveness write means the prober is gone; there is no one left to tell
-	})
-	mux.HandleFunc("POST /v1/trips", func(w http.ResponseWriter, r *http.Request) {
-		var trip probe.Trip
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
-		if err := dec.Decode(&trip); err != nil {
-			writeJSON(w, http.StatusBadRequest, UploadResponseJSON{Error: "malformed JSON: " + err.Error()})
-			return
-		}
-		res, err := b.ProcessTrip(r.Context(), trip)
-		if err != nil {
-			writeJSON(w, uploadStatus(err), uploadRow(trip.ID, res, err))
-			return
-		}
-		writeJSON(w, http.StatusAccepted, uploadRow(trip.ID, res, nil))
-	})
-	mux.HandleFunc("POST /v1/trips/batch", func(w http.ResponseWriter, r *http.Request) {
-		var trips []probe.Trip
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchUploadBytes))
-		if err := dec.Decode(&trips); err != nil {
-			writeJSON(w, http.StatusBadRequest, BatchUploadResponseJSON{Error: "malformed JSON: " + err.Error()})
-			return
-		}
-		// Admission is per shard inside IngestBatch: on a coordinator a
-		// saturated region sheds only its own trips (per-row
-		// "overloaded" codes) while the rest of the batch ingests. Only
-		// a batch shed in full keeps the 429 + Retry-After answer.
-		results := b.IngestBatch(r.Context(), trips)
-		shedAll := len(results) > 0
-		for _, res := range results {
-			if !errors.Is(res.Err, ErrOverloaded) {
-				shedAll = false
-				break
-			}
-		}
-		if shedAll {
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, BatchUploadResponseJSON{
-				Rejected: len(trips),
-				Error:    ErrOverloaded.Error(),
-			})
-			return
-		}
-		out := BatchUploadResponseJSON{Results: make([]UploadResponseJSON, len(results))}
-		for i, res := range results {
-			out.Results[i] = uploadRow(trips[i].ID, res.Trip, res.Err)
-			if res.Err != nil {
-				out.Rejected++
-			} else {
-				out.Accepted++
-			}
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
-	mux.HandleFunc("GET /v1/pipeline", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, b.StageMetrics())
-	})
-	mux.HandleFunc("GET /v1/traffic", func(w http.ResponseWriter, r *http.Request) {
-		snap := b.TrafficSnapshot()
-		if trafficHeaders(w, r, snap.Version) {
-			return
-		}
-		rows := make([]SegmentEstimateJSON, 0, len(snap.Estimates))
-		for sid, est := range snap.Estimates {
-			rows = append(rows, estimateJSON(sid, est))
-		}
-		sortRows(rows)
-		writeJSON(w, http.StatusOK, rows)
-	})
-	mux.HandleFunc("GET /v1/traffic/watch", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		var since uint64
-		if s := q.Get("since"); s != "" {
-			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				http.Error(w, "bad since version", http.StatusBadRequest)
-				return
-			}
-			since = v
-		}
-		waitS := defaultWatchWaitS
-		if s := q.Get("waitS"); s != "" {
-			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || v < 0 {
-				http.Error(w, "bad waitS", http.StatusBadRequest)
-				return
-			}
-			waitS = v
-		}
-		if waitS > maxWatchWaitS {
-			waitS = maxWatchWaitS
-		}
-		// The long poll must resolve inside the per-request timeout
-		// wrapping the /v1 surface, or TimeoutHandler would cut it off
-		// mid-wait and answer 503 for a healthy server.
-		if rt := b.Config().RequestTimeoutS; rt > 0 && waitS > rt/2 {
-			waitS = rt / 2
-		}
-		snap, resync := watchSnapshot(r.Context(), b, since, waitS)
-		if resync {
-			since = 0
-		}
-		if trafficHeaders(w, r, snap.Version) {
-			return
-		}
-		changed, removed := snap.DeltaSince(since)
-		out := TrafficWatchJSON{
-			Version: snap.Version,
-			Since:   since,
-			Resync:  resync,
-			Changed: make([]SegmentEstimateJSON, 0, len(changed)),
-		}
-		for _, sid := range changed {
-			out.Changed = append(out.Changed, estimateJSON(sid, snap.Estimates[sid]))
-		}
-		for _, sid := range removed {
-			out.Removed = append(out.Removed, int(sid))
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
-	mux.HandleFunc("GET /v1/traffic/segment", func(w http.ResponseWriter, r *http.Request) {
-		idStr := r.URL.Query().Get("id")
-		id, err := strconv.Atoi(strings.TrimSpace(idStr))
-		if err != nil {
-			http.Error(w, "bad segment id", http.StatusBadRequest)
-			return
-		}
-		est, ok := b.TrafficSnapshot().Get(road.SegmentID(id))
-		if !ok {
-			http.Error(w, "no estimate for segment", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, http.StatusOK, estimateJSON(road.SegmentID(id), est))
-	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, b.Stats())
-	})
-	mux.HandleFunc("GET /v1/shards", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, b.ShardStatuses())
-	})
-	mux.HandleFunc("GET /v1/region", func(w http.ResponseWriter, r *http.Request) {
-		model, err := RegionModel(b)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		writeJSON(w, http.StatusOK, RegionJSON{
-			OverallIndex: model.OverallIndex(),
-			CoveredZones: model.CoveredZones(),
-		})
-	})
-	mux.HandleFunc("GET /v1/routes", func(w http.ResponseWriter, r *http.Request) {
-		departS, err := strconv.ParseFloat(r.URL.Query().Get("depart"), 64)
-		if err != nil {
-			http.Error(w, "need depart parameter", http.StatusBadRequest)
-			return
-		}
-		statuses, err := RouteStatuses(b, departS)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		rows := make([]RouteStatusJSON, len(statuses))
-		for i, s := range statuses {
-			rows[i] = RouteStatusJSON{
-				Route:       string(s.Route),
-				Stops:       s.Stops,
-				LengthM:     s.LengthM,
-				EndToEndS:   s.EndToEndS,
-				CoveredFrac: s.CoveredFrac,
-			}
-		}
-		writeJSON(w, http.StatusOK, rows)
-	})
-	mux.HandleFunc("GET /v1/arrivals", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		routeID := transit.RouteID(q.Get("route"))
-		fromIdx, err1 := strconv.Atoi(q.Get("stop"))
-		departS, err2 := strconv.ParseFloat(q.Get("depart"), 64)
-		if routeID == "" || err1 != nil || err2 != nil {
-			http.Error(w, "need route, stop and depart parameters", http.StatusBadRequest)
-			return
-		}
-		preds, err := PredictArrivals(b, routeID, fromIdx, departS)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		rows := make([]ArrivalJSON, len(preds))
-		for i, p := range preds {
-			rows[i] = ArrivalJSON{
-				StopIdx:     p.StopIdx,
-				Stop:        int(p.Stop),
-				ArriveS:     p.ArriveS,
-				CoveredFrac: p.CoveredFrac,
-			}
-		}
-		writeJSON(w, http.StatusOK, rows)
-	})
+	paths := make(map[string]bool)
+	for _, rt := range publicRoutes(b) {
+		mux.HandleFunc(rt.method+" "+rt.path, rt.handler)
+		paths[rt.path] = true
+	}
 	var handler http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mux.ServeHTTP(w, traceCtx(r))
 	})
 	if core != nil {
-		handler = obsMiddleware(core, handler)
+		handler = obsMiddleware(core, paths, handler)
 	}
 	return handler
+}
+
+// decodeBody reads a size-bounded JSON request body into v. A body that
+// does not parse (or overruns limit) is answered 400 — with errBody's
+// rendering of the message where the endpoint has a response shape for
+// it, as plain text otherwise — and reported false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, errBody func(msg string) any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	switch {
+	case err == nil:
+		return true
+	case errBody == nil:
+		http.Error(w, "malformed JSON: "+err.Error(), http.StatusBadRequest)
+	default:
+		writeJSON(w, http.StatusBadRequest, errBody("malformed JSON: "+err.Error()))
+	}
+	return false
+}
+
+// finiteParam parses a float query parameter, refusing the NaN and ±Inf
+// spellings strconv accepts: they pass any range check, and one
+// reaching a response body fails its JSON encoding after the 200 is
+// already on the wire.
+func finiteParam(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%q is not finite", s)
+	}
+	return v, err
 }
 
 // defaultWatchWaitS is how long /v1/traffic/watch holds a poll open
@@ -500,23 +536,14 @@ func watchSnapshot(ctx context.Context, b API, since uint64, waitS float64) (sna
 	}
 }
 
-// apiPaths are the endpoints the HTTP metrics label by; anything else
-// (404s, probes) collapses into "other" so label cardinality stays
-// bounded.
-var apiPaths = map[string]bool{
-	"/healthz": true, "/v1/trips": true, "/v1/trips/batch": true,
-	"/v1/pipeline": true, "/v1/traffic": true, "/v1/traffic/segment": true,
-	"/v1/traffic/watch": true, "/v1/stats": true, "/v1/shards": true,
-	"/v1/region": true, "/v1/routes": true, "/v1/arrivals": true,
-}
-
-// obsMiddleware counts requests and observes their latency per known
-// path on the core clock.
-func obsMiddleware(core *obs.Core, next http.Handler) http.Handler {
+// obsMiddleware counts requests and observes their latency on the core
+// clock, labeled by path; anything outside paths (404s, probes)
+// collapses into "other" so label cardinality stays bounded.
+func obsMiddleware(core *obs.Core, paths map[string]bool, next http.Handler) http.Handler {
 	reg := core.Registry
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		path := r.URL.Path
-		if !apiPaths[path] {
+		if !paths[path] {
 			path = "other"
 		}
 		pl := obs.Label{Name: "path", Value: path}
@@ -533,23 +560,6 @@ func obsMiddleware(core *obs.Core, next http.Handler) http.Handler {
 type RegionJSON struct {
 	OverallIndex float64 `json:"overallIndex"`
 	CoveredZones int     `json:"coveredZones"`
-}
-
-// RouteStatusJSON is one /v1/routes row.
-type RouteStatusJSON struct {
-	Route       string  `json:"route"`
-	Stops       int     `json:"stops"`
-	LengthM     float64 `json:"lengthM"`
-	EndToEndS   float64 `json:"endToEndS"`
-	CoveredFrac float64 `json:"coveredFrac"`
-}
-
-// ArrivalJSON is one /v1/arrivals row.
-type ArrivalJSON struct {
-	StopIdx     int     `json:"stopIdx"`
-	Stop        int     `json:"stop"`
-	ArriveS     float64 `json:"arriveS"`
-	CoveredFrac float64 `json:"coveredFrac"`
 }
 
 func estimateJSON(sid road.SegmentID, est traffic.Estimate) SegmentEstimateJSON {
@@ -570,8 +580,5 @@ func sortRows(rows []SegmentEstimateJSON) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	// The status line is already on the wire; an encode failure here
-	// means the client disconnected mid-body, and the server has no
-	// channel left to report it on.
-	_ = json.NewEncoder(w).Encode(v) //lint:allow errcheckio headers already sent; nothing can be done about a mid-body disconnect
+	_ = json.NewEncoder(w).Encode(v) //lint:allow errcheckio the status line is already on the wire; a failure here is a mid-body disconnect with no channel left to report it on
 }

@@ -260,6 +260,27 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	if a, b := stable(scrape()), stable(scrape()); a != b {
 		t.Errorf("quiescent scrapes differ:\n%s\nvs\n%s", a, b)
 	}
+
+	// A shard's read side is its public API, so a coordinator tier's
+	// fan-in shows in the shard's own HTTP series: one coordinator
+	// /v1/traffic read is one counted /v1/traffic request on the shard.
+	if strings.Contains(got, `busprobe_http_requests_total{path="/v1/traffic"}`) {
+		t.Fatal("shard already counted a /v1/traffic read; the fan-in check is vacuous")
+	}
+	srv := httptest.NewServer(NewShardHandler(b, HandlerConfig{Obs: core}))
+	defer srv.Close()
+	coord, err := NewRemoteCoordinator(DefaultConfig(), w.Transit, fpdb, []string{srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	Handler(coord).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traffic", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("coordinator /v1/traffic status = %d", rec.Code)
+	}
+	if want := `busprobe_http_requests_total{path="/v1/traffic"} 1`; !strings.Contains(scrape(), want) {
+		t.Errorf("shard scrape after a coordinator read lacks %q", want)
+	}
 }
 
 // TestPprofGate: the profiling surface only exists when asked for.

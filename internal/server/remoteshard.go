@@ -3,9 +3,10 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -17,9 +18,9 @@ import (
 )
 
 // ErrShardUnavailable marks a shard process the coordinator could not
-// reach (transport failure or unexpected status). The HTTP layer maps
-// it to 502; the phone-side retry policy treats it like any other
-// transient failure and retries with backoff.
+// reach (transport failure or unexpected status). It has its own row
+// in the rejections table; the phone-side retry policy treats it like
+// any other transient failure and retries with backoff.
 var ErrShardUnavailable = fmt.Errorf("server: shard unavailable")
 
 // scatterAttempts bounds one scatter's delivery tries. Scatter is the
@@ -29,10 +30,12 @@ var ErrShardUnavailable = fmt.Errorf("server: shard unavailable")
 // makes the extra deliveries harmless.
 const scatterAttempts = 3
 
-// RemoteShard speaks the shard wire protocol to one shard process. It
-// implements Shard, so a Coordinator dispatches to it exactly as it
-// does to an in-process backend; contexts ride the hop (cancellation
-// and the X-Busprobe-Trace header, via Client.post).
+// RemoteShard is one shard process as the coordinator sees it. It
+// implements Shard, so a Coordinator dispatches to it exactly as it does
+// to an in-process backend: the four writes travel the internal wire
+// (shardrpc.go), the three reads are plain GETs of the public API the
+// shard process serves anyway, and contexts ride every hop
+// (cancellation and the X-Busprobe-Trace header, via Client.do).
 type RemoteShard struct {
 	cli *Client
 	// retrySleep pauses before scatter attempt n (n ≥ 1), returning
@@ -81,8 +84,27 @@ func (s *RemoteShard) unavailable(op string, err error) error {
 // Addr names the shard process's base URL.
 func (s *RemoteShard) Addr() string { return s.cli.baseURL }
 
+// call posts one pre-encoded body to an internal route and, when the
+// shard answers want, decodes the response into out (nil: none
+// expected). Any other status is an error carrying the head of the
+// body. Errors come back bare; each caller wraps them as unavailable.
+func (s *RemoteShard) call(ctx context.Context, path string, body []byte, want int, out any) error {
+	resp, err := s.cli.do(ctx, http.MethodPost, path, body, "")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != want {
+		return errors.New(statusText(resp))
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
 // ProcessTrip forwards one routed trip. Rejections come back as the
-// same sentinels the in-process path returns, rebuilt from the wire
+// same sentinels the in-process path returns, rebuilt from the row
 // code, so the coordinator's upload responses are indistinguishable
 // from a monolith's.
 func (s *RemoteShard) ProcessTrip(ctx context.Context, trip probe.Trip) (ProcessedTrip, error) {
@@ -90,22 +112,11 @@ func (s *RemoteShard) ProcessTrip(ctx context.Context, trip probe.Trip) (Process
 	if err != nil {
 		return ProcessedTrip{}, fmt.Errorf("server: encode trip: %w", err)
 	}
-	resp, err := s.cli.post(ctx, "/internal/v1/trip", body)
-	if err != nil {
-		return ProcessedTrip{}, s.unavailable("server: forward trip to", err)
-	}
-	defer resp.Body.Close()
 	var out shardTripJSON
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := s.call(ctx, "/internal/v1/trip", body, http.StatusOK, &out); err != nil {
 		return ProcessedTrip{}, s.unavailable("server: forward trip to", err)
 	}
-	if out.Code != "" {
-		return out.Trip, codeErr(out.Code, out.Error)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return out.Trip, s.unavailable("server: forward trip to", fmt.Errorf("status %d", resp.StatusCode))
-	}
-	return out.Trip, nil
+	return out.Trip, out.err()
 }
 
 // IngestBatch forwards a routed sub-batch behind the shard's admission
@@ -126,29 +137,16 @@ func (s *RemoteShard) IngestBatch(ctx context.Context, trips []probe.Trip) []Tri
 	if err != nil {
 		return fail(fmt.Errorf("server: encode batch: %w", err))
 	}
-	resp, err := s.cli.post(ctx, "/internal/v1/trips", body)
-	if err != nil {
+	var rows []shardTripJSON
+	if err := s.call(ctx, "/internal/v1/trips", body, http.StatusOK, &rows); err != nil {
 		return fail(s.unavailable("server: forward batch to", err))
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+	if len(rows) != len(trips) {
 		return fail(s.unavailable("server: forward batch to",
-			fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))))
+			fmt.Errorf("%d results for %d trips", len(rows), len(trips))))
 	}
-	var out shardBatchJSON
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return fail(s.unavailable("server: forward batch to", err))
-	}
-	if len(out.Results) != len(trips) {
-		return fail(s.unavailable("server: forward batch to",
-			fmt.Errorf("%d results for %d trips", len(out.Results), len(trips))))
-	}
-	for i, row := range out.Results {
-		res[i].Trip = row.Trip
-		if row.Code != "" {
-			res[i].Err = codeErr(row.Code, row.Error)
-		}
+	for i, row := range rows {
+		res[i] = TripResult{Trip: row.Trip, Err: row.err()}
 	}
 	return res
 }
@@ -170,11 +168,10 @@ func (s *RemoteShard) Scatter(ctx context.Context, key string, obsGroup []traffi
 				break
 			}
 		}
-		out, err := s.scatterOnce(ctx, body)
-		if err == nil {
+		var out stage.EstimateOutput
+		if lastErr = s.call(ctx, "/internal/v1/scatter", body, http.StatusOK, &out); lastErr == nil {
 			return out, nil
 		}
-		lastErr = err
 		if ctx.Err() != nil {
 			break
 		}
@@ -182,28 +179,11 @@ func (s *RemoteShard) Scatter(ctx context.Context, key string, obsGroup []traffi
 	return stage.EstimateOutput{}, s.unavailable("server: scatter to", lastErr)
 }
 
-// scatterOnce is one delivery attempt.
-func (s *RemoteShard) scatterOnce(ctx context.Context, body []byte) (stage.EstimateOutput, error) {
-	resp, err := s.cli.post(ctx, "/internal/v1/scatter", body)
-	if err != nil {
-		return stage.EstimateOutput{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return stage.EstimateOutput{}, fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-	var out scatterResponseJSON
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return stage.EstimateOutput{}, err
-	}
-	return stage.EstimateOutput{Folded: out.Folded, Discarded: out.Discarded}, nil
-}
-
-// Stats fetches the shard's work counters.
+// Stats fetches the shard's work counters; answering at all is also the
+// shard's readiness probe (Coordinator.ProbeShards).
 func (s *RemoteShard) Stats(ctx context.Context) (Stats, error) {
-	var out Stats
-	if err := s.cli.getJSON(ctx, "/internal/v1/stats", &out); err != nil {
+	out, err := getJSON[Stats](ctx, s.cli, "/v1/stats")
+	if err != nil {
 		return Stats{}, s.unavailable("server: stats from", err)
 	}
 	return out, nil
@@ -211,82 +191,69 @@ func (s *RemoteShard) Stats(ctx context.Context) (Stats, error) {
 
 // StageMetrics fetches the shard's per-stage instrumentation.
 func (s *RemoteShard) StageMetrics(ctx context.Context) ([]stage.Metrics, error) {
-	var out []stage.Metrics
-	if err := s.cli.getJSON(ctx, "/internal/v1/pipeline", &out); err != nil {
+	out, err := getJSON[[]stage.Metrics](ctx, s.cli, "/v1/pipeline")
+	if err != nil {
 		return nil, s.unavailable("server: pipeline from", err)
 	}
 	return out, nil
 }
 
-// Traffic fetches the shard's versioned segment→estimate snapshot,
-// revalidating the cached one with If-None-Match so an unchanged shard
-// answers 304 and ships no body. encoding/json round-trips the float64
-// fields bit-exactly, so the coordinator's merged map matches an
-// in-process merge byte for byte. The returned snapshot carries only
-// Version and Estimates (see Shard.Traffic); it is shared across calls
-// and must not be mutated.
+// Traffic fetches the shard's versioned snapshot from its public
+// /v1/traffic, revalidating the cached one with If-None-Match so an
+// unchanged shard answers 304 and ships no body. The version is the
+// X-Busprobe-Traffic-Version header; the rows carry every Estimate
+// field and encoding/json round-trips float64 bit-exactly, so the
+// coordinator's merged map matches an in-process merge byte for byte.
+// The returned snapshot carries only Version and Estimates (see
+// Shard.Traffic); it is shared across calls and must not be mutated.
 func (s *RemoteShard) Traffic(ctx context.Context) (*traffic.Snapshot, error) {
 	s.trafficMu.Lock()
 	cached := s.lastTraffic
 	s.trafficMu.Unlock()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.cli.baseURL+"/internal/v1/traffic", nil)
-	if err != nil {
-		return nil, s.unavailable("server: traffic from", err)
-	}
+	etag := ""
 	if cached != nil {
-		req.Header.Set("If-None-Match", trafficETag(cached.Version))
+		etag = trafficETag(cached.Version)
 	}
-	resp, err := s.cli.http.Do(req)
+	resp, err := s.cli.do(ctx, http.MethodGet, "/v1/traffic", nil, etag)
 	if err != nil {
 		return nil, s.unavailable("server: traffic from", err)
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotModified:
+	if resp.StatusCode == http.StatusNotModified && cached != nil {
 		return cached, nil
-	case http.StatusOK:
-		var out shardTrafficJSON
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return nil, s.unavailable("server: traffic from", err)
-		}
-		if out.Estimates == nil {
-			out.Estimates = map[road.SegmentID]traffic.Estimate{}
-		}
-		snap := &traffic.Snapshot{Version: out.Version, Estimates: out.Estimates}
-		s.trafficMu.Lock()
-		s.lastTraffic = snap
-		s.trafficMu.Unlock()
-		return snap, nil
-	default:
+	}
+	if resp.StatusCode != http.StatusOK {
 		return nil, s.unavailable("server: traffic from", fmt.Errorf("status %d", resp.StatusCode))
 	}
+	version, err := strconv.ParseUint(resp.Header.Get(TrafficVersionHeader), 10, 64)
+	if err != nil {
+		return nil, s.unavailable("server: traffic from", fmt.Errorf("version header: %w", err))
+	}
+	var rows []SegmentEstimateJSON
+	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
+		return nil, s.unavailable("server: traffic from", err)
+	}
+	ests := make(map[road.SegmentID]traffic.Estimate, len(rows))
+	for _, row := range rows {
+		ests[road.SegmentID(row.Segment)] = traffic.Estimate{
+			SpeedKmh: row.SpeedKmh, Var: row.Var, Reports: row.Reports, UpdatedS: row.UpdatedS,
+		}
+	}
+	snap := &traffic.Snapshot{Version: version, Estimates: ests}
+	s.trafficMu.Lock()
+	s.lastTraffic = snap
+	s.trafficMu.Unlock()
+	return snap, nil
 }
 
 // Advance drives the shard's estimator clock.
 func (s *RemoteShard) Advance(ctx context.Context, nowS float64) error {
-	body, err := json.Marshal(advanceRequestJSON{NowS: nowS})
+	body, err := json.Marshal(nowS)
 	if err != nil {
 		return fmt.Errorf("server: encode advance: %w", err)
 	}
-	resp, err := s.cli.post(ctx, "/internal/v1/advance", body)
-	if err != nil {
+	if err := s.call(ctx, "/internal/v1/advance", body, http.StatusNoContent, nil); err != nil {
 		return s.unavailable("server: advance", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return s.unavailable("server: advance", fmt.Errorf("status %d", resp.StatusCode))
-	}
-	return nil
-}
-
-// Ready probes the shard process's readiness.
-func (s *RemoteShard) Ready(ctx context.Context) error {
-	var out shardReadyJSON
-	if err := s.cli.getJSON(ctx, "/internal/v1/ready", &out); err != nil {
-		return s.unavailable("server: probe", err)
-	}
-	if !out.Ready {
-		return s.unavailable("server: probe", fmt.Errorf("shard reports not ready"))
 	}
 	return nil
 }

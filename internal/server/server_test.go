@@ -317,37 +317,57 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Errorf("malformed JSON gave %d", resp.StatusCode)
 	}
 	// Wrong method: every route is registered under its one verb, on the
-	// public surface and on a shard process's internal wire alike.
+	// public surface and on a shard process's internal wire alike. The
+	// cases are the route tables themselves, so a new route is covered
+	// the day it is added.
 	shard := NewShardHandler(b, HandlerConfig{})
 	for _, c := range []struct {
 		h      http.Handler
-		method string
-		paths  []string
+		routes []route
 	}{
-		{Handler(b), http.MethodGet, []string{"/v1/trips", "/v1/trips/batch"}},
-		{Handler(b), http.MethodPost, []string{
-			"/healthz", "/v1/traffic", "/v1/traffic/watch", "/v1/traffic/segment?id=1",
-			"/v1/region", "/v1/routes?depart=1", "/v1/arrivals?route=179&stop=0&depart=1",
-			"/v1/stats", "/v1/pipeline", "/v1/shards",
-		}},
-		{shard, http.MethodGet, []string{
-			"/v1/trips", "/v1/trips/batch", "/internal/v1/trip", "/internal/v1/trips",
-			"/internal/v1/scatter", "/internal/v1/advance",
-		}},
-		{shard, http.MethodPost, []string{
-			"/v1/traffic", "/v1/stats", "/internal/v1/traffic", "/internal/v1/stats",
-			"/internal/v1/pipeline", "/internal/v1/ready",
-		}},
+		{Handler(b), publicRoutes(b)},
+		{shard, publicRoutes(b)},
+		{shard, shardRoutes(b)},
 	} {
-		for _, path := range c.paths {
+		for _, rt := range c.routes {
+			wrong := http.MethodPost
+			if rt.method == http.MethodPost {
+				wrong = http.MethodGet
+			}
 			rec := httptest.NewRecorder()
-			c.h.ServeHTTP(rec, httptest.NewRequest(c.method, path, strings.NewReader("{}")))
+			c.h.ServeHTTP(rec, httptest.NewRequest(wrong, rt.path, strings.NewReader("{}")))
 			if rec.Code != http.StatusMethodNotAllowed {
-				t.Errorf("%s %s gave %d, want 405", c.method, path, rec.Code)
+				t.Errorf("%s %s gave %d, want 405", wrong, rt.path, rec.Code)
 			}
-			if rec.Header().Get("Allow") == "" {
-				t.Errorf("%s %s: 405 without an Allow header", c.method, path)
+			if allow := rec.Header().Get("Allow"); !strings.Contains(allow, rt.method) {
+				t.Errorf("%s %s: 405 with Allow %q, want %s", wrong, rt.path, allow, rt.method)
 			}
+		}
+	}
+	if n := len(shardRoutes(b)); n != 4 {
+		t.Errorf("internal wire has %d routes, want the four writes", n)
+	}
+	// A shard's read side is the public API: the internal GETs are gone.
+	for _, path := range []string{"/internal/v1/traffic", "/internal/v1/stats", "/internal/v1/pipeline", "/internal/v1/ready"} {
+		rec := httptest.NewRecorder()
+		shard.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s on a shard gave %d, want 404", path, rec.Code)
+		}
+	}
+	// Malformed and non-finite query parameters: strconv parses NaN and
+	// Inf, which would otherwise reach a response body JSON cannot
+	// encode (a 200 with no body) or a duration conversion.
+	for _, path := range []string{
+		"/v1/routes?depart=NaN", "/v1/routes?depart=Inf", "/v1/routes?depart=-inf",
+		"/v1/arrivals?route=179&stop=0&depart=NaN", "/v1/arrivals?route=179&stop=0&depart=Inf",
+		"/v1/traffic/watch?waitS=NaN", "/v1/traffic/watch?waitS=Inf", "/v1/traffic/watch?waitS=-1",
+		"/v1/traffic/watch?since=abc",
+	} {
+		rec := httptest.NewRecorder()
+		Handler(b).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("GET %s gave %d, want 400", path, rec.Code)
 		}
 	}
 	// Unknown segment.
@@ -507,7 +527,7 @@ func TestHTTPRouteStatuses(t *testing.T) {
 	}
 	b.Advance(12 * 3600)
 
-	var rows []RouteStatusJSON
+	var rows []RouteStatus
 	resp, err := http.Get(srv.URL + "/v1/routes?depart=46800")
 	if err != nil {
 		t.Fatal(err)
@@ -603,7 +623,7 @@ func TestServingSurface(t *testing.T) {
 	if n := reflect.TypeOf((*API)(nil)).Elem().NumMethod(); n > 9 {
 		t.Errorf("API declares %d methods, want at most 9", n)
 	}
-	if n := reflect.TypeOf((*Shard)(nil)).Elem().NumMethod(); n > 9 {
-		t.Errorf("Shard declares %d methods, want at most 9", n)
+	if n := reflect.TypeOf((*Shard)(nil)).Elem().NumMethod(); n > 8 {
+		t.Errorf("Shard declares %d methods, want at most 8", n)
 	}
 }

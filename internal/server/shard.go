@@ -36,21 +36,20 @@ type Shard interface {
 	// Scatter folds one cross-shard observation group into this shard's
 	// estimator, exactly once per key.
 	Scatter(ctx context.Context, key string, obs []traffic.Observation) (stage.EstimateOutput, error)
-	// Stats snapshots the shard's work counters.
+	// Stats snapshots the shard's work counters. It is also the
+	// readiness probe: a shard that answers is ready to take traffic.
 	Stats(ctx context.Context) (Stats, error)
 	// StageMetrics snapshots the shard's per-stage instrumentation.
 	StageMetrics(ctx context.Context) ([]stage.Metrics, error)
 	// Traffic returns the shard's current versioned estimate snapshot.
 	// Version and Estimates are always populated; the per-segment delta
 	// maps travel only on locally-published snapshots (a RemoteShard
-	// reconstructs Version + Estimates from the wire and leaves them
-	// nil — the coordinator diffs its own merged view instead). The
+	// rebuilds Version + Estimates from the shard's /v1/traffic and
+	// leaves them nil — the coordinator diffs its own merged view). The
 	// snapshot is immutable: callers must not modify its maps.
 	Traffic(ctx context.Context) (*traffic.Snapshot, error)
 	// Advance drives the shard's estimator clock.
 	Advance(ctx context.Context, nowS float64) error
-	// Ready probes the shard's readiness to take traffic.
-	Ready(ctx context.Context) error
 }
 
 // localShard adapts an in-process *Backend to the Shard boundary. The
@@ -89,5 +88,3 @@ func (s localShard) Advance(_ context.Context, nowS float64) error {
 	s.b.Advance(nowS)
 	return nil
 }
-
-func (s localShard) Ready(context.Context) error { return nil }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -10,81 +9,64 @@ import (
 	"busprobe/internal/core/region"
 	"busprobe/internal/core/traffic"
 	"busprobe/internal/probe"
-	"busprobe/internal/road"
 	"busprobe/internal/server/stage"
 	"busprobe/internal/transit"
 )
 
-// The shard wire protocol. A shard process mounts these endpoints next
-// to the public read API; the coordinator tier dispatches to them
-// through RemoteShard:
+// The shard wire protocol. A shard process is a server: its read side
+// is the public API it mounts anyway — RemoteShard fetches /v1/stats
+// (which doubles as the readiness probe), /v1/pipeline and the
+// versioned /v1/traffic, so a coordinator polling an idle shard is
+// answered 304 and its fan-in shows in the shard's busprobe_http_*
+// series. The internal wire (shardRoutes) is only the four writes no
+// rider makes:
 //
-//	POST /internal/v1/trip            ingest one routed trip
-//	POST /internal/v1/trips           ingest a routed sub-batch behind
-//	                                  the shard's admission gate
-//	POST /internal/v1/scatter         fold a cross-shard observation
-//	                                  group, exactly once per key
-//	POST /internal/v1/advance         drive the estimator clock
-//	GET  /internal/v1/traffic         versioned segment→estimate snapshot
-//	                                  ({version, estimates}; answers with
-//	                                  ETag + X-Busprobe-Traffic-Version and
-//	                                  304 on If-None-Match, so a coordinator
-//	                                  polling an idle shard moves no body)
-//	GET  /internal/v1/stats           work counters
-//	GET  /internal/v1/pipeline        per-stage instrumentation
-//	GET  /internal/v1/ready           readiness probe
+//	POST /internal/v1/trip       ingest one routed trip
+//	POST /internal/v1/trips      ingest a routed sub-batch behind the
+//	                             shard's admission gate (rows in input
+//	                             order)
+//	POST /internal/v1/scatter    fold a cross-shard observation group,
+//	                             exactly once per key
+//	POST /internal/v1/advance    drive the estimator clock to the
+//	                             watermark in the body (a bare number)
 //
-// Eight endpoints, one per Shard method that crosses the wire, and no
-// per-request options. Bodies are JSON. encoding/json renders float64
-// with the shortest round-tripping representation, so estimates survive
-// the hop bit-exactly and the coordinator's merged /v1/traffic stays
-// byte-identical to a monolith's.
+// One endpoint per Shard write, no per-request options. Bodies are
+// JSON. encoding/json renders float64 with the shortest round-tripping
+// representation, so estimates survive the hop bit-exactly and the
+// coordinator's merged /v1/traffic stays byte-identical to a
+// monolith's.
 
 // shardTripJSON is one routed trip's outcome on the shard wire: the
 // full ProcessedTrip (not just counts, so the coordinator's public
-// upload response is byte-identical to a monolith's) plus the
-// machine-readable rejection class of uploadCode.
+// upload response is byte-identical to a monolith's) plus, for a
+// refused trip, its rejections code and message.
 type shardTripJSON struct {
 	Trip  ProcessedTrip `json:"trip"`
 	Error string        `json:"error,omitempty"`
 	Code  string        `json:"code,omitempty"`
 }
 
-// shardBatchJSON carries a sub-batch's outcomes in input order.
-type shardBatchJSON struct {
-	Results []shardTripJSON `json:"results"`
+// shardTripRow renders one trip outcome as a wire row.
+func shardTripRow(res ProcessedTrip, err error) shardTripJSON {
+	if err != nil {
+		return shardTripJSON{Trip: res, Error: err.Error(), Code: classify(err).code}
+	}
+	return shardTripJSON{Trip: res}
+}
+
+// err rebuilds a refused row's error as the matching sentinel.
+func (row shardTripJSON) err() error {
+	if row.Code == "" {
+		return nil
+	}
+	return rejected(row.Code, 0, row.Error)
 }
 
 // scatterRequestJSON is one cross-shard observation group under its
-// idempotency key.
+// idempotency key; the answer is the fold's stage.EstimateOutput.
 type scatterRequestJSON struct {
 	Key          string                `json:"key"`
 	Observations []traffic.Observation `json:"observations"`
-}
-
-// scatterResponseJSON reports the group's fold outcome.
-type scatterResponseJSON struct {
-	Folded    int `json:"folded"`
-	Discarded int `json:"discarded"`
-}
-
-// advanceRequestJSON drives the shard's estimator watermark.
-type advanceRequestJSON struct {
-	NowS float64 `json:"nowS"`
-}
-
-// shardTrafficJSON is one shard's versioned snapshot on the wire. Only
-// the version and the estimate map travel: the coordinator diffs its
-// own merged view to maintain delta state, so shipping the shard-local
-// change maps would be dead weight on every fan-in.
-type shardTrafficJSON struct {
-	Version   uint64                              `json:"version"`
-	Estimates map[road.SegmentID]traffic.Estimate `json:"estimates"`
-}
-
-// shardReadyJSON answers the readiness probe.
-type shardReadyJSON struct {
-	Ready bool `json:"ready"`
 }
 
 // NewShardBackend assembles the backend of one shard process: a full
@@ -121,11 +103,60 @@ func NewShardBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shardID 
 	return b, nil
 }
 
+// shardRoutes is the internal wire, stated once. Both trip routes answer
+// 200 with rows: a refusal rides its row's code, and any other status
+// means the shard itself failed.
+func shardRoutes(b *Backend) []route {
+	return []route{
+		{http.MethodPost, "/internal/v1/trip", func(w http.ResponseWriter, r *http.Request) {
+			var trip probe.Trip
+			if !decodeBody(w, r, maxUploadBytes, &trip, nil) {
+				return
+			}
+			writeJSON(w, http.StatusOK, shardTripRow(b.ProcessTrip(r.Context(), trip)))
+		}},
+		{http.MethodPost, "/internal/v1/trips", func(w http.ResponseWriter, r *http.Request) {
+			var trips []probe.Trip
+			if !decodeBody(w, r, maxBatchUploadBytes, &trips, nil) {
+				return
+			}
+			results := b.IngestBatch(r.Context(), trips)
+			rows := make([]shardTripJSON, len(results))
+			for i, res := range results {
+				rows[i] = shardTripRow(res.Trip, res.Err)
+			}
+			writeJSON(w, http.StatusOK, rows)
+		}},
+		{http.MethodPost, "/internal/v1/scatter", func(w http.ResponseWriter, r *http.Request) {
+			var req scatterRequestJSON
+			if !decodeBody(w, r, maxUploadBytes, &req, nil) {
+				return
+			}
+			out, err := b.FoldScatter(r.Context(), req.Key, req.Observations)
+			if err != nil {
+				// Durability failed before the fold; the home shard retries
+				// under the same key.
+				http.Error(w, "scatter not persisted: "+err.Error(), http.StatusInternalServerError)
+				return
+			}
+			writeJSON(w, http.StatusOK, out)
+		}},
+		{http.MethodPost, "/internal/v1/advance", func(w http.ResponseWriter, r *http.Request) {
+			var nowS float64
+			if !decodeBody(w, r, maxUploadBytes, &nowS, nil) {
+				return
+			}
+			b.Advance(nowS)
+			w.WriteHeader(http.StatusNoContent)
+		}},
+	}
+}
+
 // NewShardHandler returns the HTTP surface of one shard process: the
-// internal wire protocol above, plus the public read API for direct
-// inspection (/healthz, /metrics, /v1/traffic, ...). The public write
-// endpoints answer 421 Misdirected Request — a rider upload sent
-// straight to a shard would bypass the coordinator's
+// internal wire, plus the public API — every read for direct inspection
+// and for the coordinator tier (/healthz, /metrics, /v1/traffic, ...),
+// while every public write answers 421 Misdirected Request: a rider
+// upload sent straight to a shard would bypass the coordinator's
 // content-deterministic routing and could land a duplicate on a second
 // dedup set.
 func NewShardHandler(b *Backend, hc HandlerConfig) http.Handler {
@@ -137,99 +168,19 @@ func NewShardHandler(b *Backend, hc HandlerConfig) http.Handler {
 	for _, prefix := range []string{"/healthz", "/v1/", "/metrics", "/debug/pprof/"} {
 		mux.Handle(prefix, public)
 	}
-
 	misdirected := func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "shard process: uploads go through the coordinator tier",
 			http.StatusMisdirectedRequest)
 	}
-	mux.HandleFunc("POST /v1/trips", misdirected)
-	mux.HandleFunc("POST /v1/trips/batch", misdirected)
-
-	mux.HandleFunc("POST /internal/v1/trip", func(w http.ResponseWriter, r *http.Request) {
-		r = traceCtx(r)
-		var trip probe.Trip
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
-		if err := dec.Decode(&trip); err != nil {
-			writeJSON(w, http.StatusBadRequest, shardTripJSON{Error: "malformed JSON: " + err.Error(), Code: "error"})
-			return
+	for _, rt := range publicRoutes(b) {
+		if rt.method == http.MethodPost {
+			mux.HandleFunc(rt.method+" "+rt.path, misdirected)
 		}
-		res, err := b.ProcessTrip(r.Context(), trip)
-		if err != nil {
-			writeJSON(w, uploadStatus(err), shardTripJSON{Trip: res, Error: err.Error(), Code: uploadCode(err)})
-			return
-		}
-		writeJSON(w, http.StatusAccepted, shardTripJSON{Trip: res})
-	})
-
-	mux.HandleFunc("POST /internal/v1/trips", func(w http.ResponseWriter, r *http.Request) {
-		r = traceCtx(r)
-		var trips []probe.Trip
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchUploadBytes))
-		if err := dec.Decode(&trips); err != nil {
-			http.Error(w, "malformed JSON: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		results := b.IngestBatch(r.Context(), trips)
-		out := shardBatchJSON{Results: make([]shardTripJSON, len(results))}
-		for i, res := range results {
-			row := shardTripJSON{Trip: res.Trip}
-			if res.Err != nil {
-				row.Error = res.Err.Error()
-				row.Code = uploadCode(res.Err)
-			}
-			out.Results[i] = row
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
-
-	mux.HandleFunc("POST /internal/v1/scatter", func(w http.ResponseWriter, r *http.Request) {
-		r = traceCtx(r)
-		var req scatterRequestJSON
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
-		if err := dec.Decode(&req); err != nil {
-			http.Error(w, "malformed JSON: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		out, err := b.FoldScatter(r.Context(), req.Key, req.Observations)
-		if err != nil {
-			// Durability failed before the fold; the home shard retries
-			// under the same key.
-			http.Error(w, "scatter not persisted: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, http.StatusOK, scatterResponseJSON{Folded: out.Folded, Discarded: out.Discarded})
-	})
-
-	mux.HandleFunc("POST /internal/v1/advance", func(w http.ResponseWriter, r *http.Request) {
-		var req advanceRequestJSON
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
-		if err := dec.Decode(&req); err != nil {
-			http.Error(w, "malformed JSON: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		b.Advance(req.NowS)
-		w.WriteHeader(http.StatusNoContent)
-	})
-
-	mux.HandleFunc("GET /internal/v1/traffic", func(w http.ResponseWriter, r *http.Request) {
-		snap := b.TrafficSnapshot()
-		if trafficHeaders(w, r, snap.Version) {
-			return
-		}
-		writeJSON(w, http.StatusOK, shardTrafficJSON{Version: snap.Version, Estimates: snap.Estimates})
-	})
-
-	mux.HandleFunc("GET /internal/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, b.Stats())
-	})
-
-	mux.HandleFunc("GET /internal/v1/pipeline", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, b.StageMetrics())
-	})
-
-	mux.HandleFunc("GET /internal/v1/ready", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, shardReadyJSON{Ready: true})
-	})
-
+	}
+	for _, rt := range shardRoutes(b) {
+		mux.HandleFunc(rt.method+" "+rt.path, func(w http.ResponseWriter, r *http.Request) {
+			rt.handler(w, traceCtx(r))
+		})
+	}
 	return mux
 }

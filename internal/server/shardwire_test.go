@@ -511,10 +511,29 @@ func TestRemoteShardUnavailableClassification(t *testing.T) {
 	if _, err := rs.Scatter(context.Background(), "k", nil); !errors.Is(err, ErrShardUnavailable) {
 		t.Errorf("dead shard Scatter err = %v, want ErrShardUnavailable", err)
 	}
-	if status := uploadStatus(fmt.Errorf("wrap: %w", ErrShardUnavailable)); status != http.StatusBadGateway {
-		t.Errorf("uploadStatus(ErrShardUnavailable) = %d, want 502", status)
+	if rej := classify(fmt.Errorf("wrap: %w", ErrShardUnavailable)); rej.status != http.StatusBadGateway || rej.code != "unavailable" {
+		t.Errorf("classify(ErrShardUnavailable) = %d %q, want 502 unavailable", rej.status, rej.code)
 	}
-	if code := uploadCode(fmt.Errorf("wrap: %w", ErrShardUnavailable)); code != "unavailable" {
-		t.Errorf("uploadCode = %q, want unavailable", code)
+	// Every class survives both client paths: a single upload carries
+	// it as the HTTP status, a batch row as the code.
+	for _, rej := range rejections {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/trips" {
+				writeJSON(w, rej.status, uploadRow("x", ProcessedTrip{}, rej.err))
+				return
+			}
+			writeJSON(w, http.StatusOK, BatchUploadResponseJSON{Rejected: 1, Results: []UploadResponseJSON{uploadRow("x", ProcessedTrip{}, rej.err)}})
+		}))
+		client, err := NewClient(srv.URL, srv.Client())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Upload(context.Background(), probe.Trip{ID: "x"}); !errors.Is(err, rej.err) {
+			t.Errorf("Upload answered %d: err = %v, want %v", rej.status, err, rej.err)
+		}
+		if errs := client.UploadBatch(context.Background(), []probe.Trip{{ID: "x"}}); !errors.Is(errs[0], rej.err) {
+			t.Errorf("UploadBatch row %q: err = %v, want %v", rej.code, errs[0], rej.err)
+		}
+		srv.Close()
 	}
 }

@@ -479,9 +479,6 @@ func (c *Campaign) collectFaultStats() {
 // Injector exposes the fault-injection layer, when configured.
 func (c *Campaign) Injector() *faults.Injector { return c.injector }
 
-// Retrier exposes the upload retry layer, when configured.
-func (c *Campaign) Retrier() *phone.RetryUploader { return c.retrier }
-
 // LastUploadError returns the most recent real (non-duplicate) upload
 // failure the campaign observed, or nil.
 func (c *Campaign) LastUploadError() error { return c.lastUploadErr }

@@ -22,11 +22,9 @@ import (
 // least-loaded shard (by stop count) — deterministic for a given DB, and
 // balanced enough that one downtown cluster cannot swallow the city.
 type Partition struct {
-	shards     int
-	groups     int
-	routeShard map[RouteID]int
-	stopShard  map[StopID]int
-	segShard   map[road.SegmentID]int
+	shards    int
+	stopShard map[StopID]int
+	segShard  map[road.SegmentID]int
 
 	routesIn [][]RouteID
 	stopsIn  []int
@@ -142,14 +140,12 @@ func PartitionRoutes(db *DB, shards int, zoneM float64) (*Partition, error) {
 	})
 
 	p := &Partition{
-		shards:     shards,
-		groups:     len(order),
-		routeShard: make(map[RouteID]int, len(routes)),
-		stopShard:  make(map[StopID]int, db.NumStops()),
-		segShard:   make(map[road.SegmentID]int),
-		routesIn:   make([][]RouteID, shards),
-		stopsIn:    make([]int, shards),
-		segsIn:     make([]int, shards),
+		shards:    shards,
+		stopShard: make(map[StopID]int, db.NumStops()),
+		segShard:  make(map[road.SegmentID]int),
+		routesIn:  make([][]RouteID, shards),
+		stopsIn:   make([]int, shards),
+		segsIn:    make([]int, shards),
 	}
 	load := make([]int, shards) // assigned stop count per shard
 	for _, g := range order {
@@ -162,7 +158,6 @@ func PartitionRoutes(db *DB, shards int, zoneM float64) (*Partition, error) {
 		load[sh] += g.stops
 		for _, ri := range g.routes {
 			rt := routes[ri]
-			p.routeShard[rt.ID] = sh
 			p.routesIn[sh] = append(p.routesIn[sh], rt.ID)
 			for _, s := range rt.Stops {
 				if _, ok := p.stopShard[s]; !ok {
@@ -187,16 +182,6 @@ func PartitionRoutes(db *DB, shards int, zoneM float64) (*Partition, error) {
 
 // Shards returns the shard count the partition was built for.
 func (p *Partition) Shards() int { return p.shards }
-
-// Groups returns how many route-closed groups the network decomposed
-// into; at most this many shards are non-empty.
-func (p *Partition) Groups() int { return p.groups }
-
-// RouteShard returns the shard owning a route.
-func (p *Partition) RouteShard(id RouteID) (int, bool) {
-	sh, ok := p.routeShard[id]
-	return sh, ok
-}
 
 // StopShard returns the shard owning a stop.
 func (p *Partition) StopShard(id StopID) (int, bool) {

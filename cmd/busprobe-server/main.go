@@ -369,7 +369,7 @@ func loadOrSurvey(world *sim.World, cfg server.Config, surveyRuns int, seed uint
 		}
 		fmt.Printf("no usable DB at %s; surveying\n", path)
 	}
-	db, err := server.BuildFingerprintDB(world.Cells, world.Transit, surveyRuns, cfg, seed^0xf9)
+	db, err := server.BuildFingerprintDB(world.Cells, world.Transit, surveyRuns, cfg, server.SurveySeed(seed))
 	if err != nil {
 		return nil, err
 	}

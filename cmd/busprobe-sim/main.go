@@ -84,7 +84,7 @@ func run(days, participants int, tripsPerDay float64, seed uint64, serverURL str
 	var backend server.API
 	if serverURL == "" {
 		cfg := server.DefaultConfig()
-		fpdb, err := server.BuildFingerprintDB(world.Cells, world.Transit, 4, cfg, seed^0xf9)
+		fpdb, err := server.BuildFingerprintDB(world.Cells, world.Transit, 4, cfg, server.SurveySeed(seed))
 		if err != nil {
 			return err
 		}

@@ -30,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := server.DefaultConfig()
-	fpdb, err := server.BuildFingerprintDB(world.Cells, world.Transit, 4, cfg, 0xf9)
+	fpdb, err := server.BuildFingerprintDB(world.Cells, world.Transit, 4, cfg, server.SurveySeed(worldCfg.Seed))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,14 +40,14 @@ type Deployment struct {
 
 // NewDeployment assembles a deployment over a world configuration,
 // surveying the fingerprint database with surveyRuns passes per stop
-// (the same derivation busprobe-server uses at boot).
+// under server.SurveySeed, like busprobe-server at boot.
 func NewDeployment(worldCfg sim.WorldConfig, surveyRuns int) (*Deployment, error) {
 	w, err := sim.BuildWorld(worldCfg)
 	if err != nil {
 		return nil, err
 	}
 	cfg := server.DefaultConfig()
-	fpdb, err := server.BuildFingerprintDB(w.Cells, w.Transit, surveyRuns, cfg, worldCfg.Seed^0xf9)
+	fpdb, err := server.BuildFingerprintDB(w.Cells, w.Transit, surveyRuns, cfg, server.SurveySeed(worldCfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -78,26 +78,18 @@ func CollectTrips(ctx context.Context, d *Deployment, cfg sim.CampaignConfig) ([
 	return trips, nil
 }
 
-// ReplayTrips feeds a recorded corpus through a fresh backend.
-// workers <= 1 replays serially with ProcessTrip; larger values use
-// the concurrent batch-ingest path, whose results are identical to the
-// serial replay (the fold order is preserved).
+// ReplayTrips feeds a recorded corpus through a fresh backend as one
+// batch with the given compute parallelism (workers <= 1 computes
+// serially); the outcome is the same for every worker count, because
+// admission and fold keep the input order.
 func (d *Deployment) ReplayTrips(ctx context.Context, trips []probe.Trip, workers int) (*server.Backend, error) {
 	b, err := d.NewBackend()
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 1 {
-		for _, trip := range trips {
-			if _, err := b.ProcessTrip(ctx, trip); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
-	}
-	for i, res := range b.ProcessTrips(ctx, trips, workers) {
+	for i, res := range b.ProcessTrips(ctx, trips, max(workers, 1)) {
 		if res.Err != nil {
-			return nil, fmt.Errorf("lab: batch replay trip %d (%s): %w", i, trips[i].ID, res.Err)
+			return nil, fmt.Errorf("lab: replay trip %d (%s): %w", i, trips[i].ID, res.Err)
 		}
 	}
 	return b, nil

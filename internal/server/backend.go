@@ -10,17 +10,21 @@ package server
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
-
-	"busprobe/internal/obs"
+	"sync/atomic"
+	"time"
 
 	"busprobe/internal/cellular"
+	"busprobe/internal/clock"
 	"busprobe/internal/core/cluster"
 	"busprobe/internal/core/fingerprint"
 	"busprobe/internal/core/traffic"
 	"busprobe/internal/core/tripmap"
+	"busprobe/internal/obs"
 	"busprobe/internal/probe"
 	"busprobe/internal/road"
 	"busprobe/internal/server/stage"
@@ -151,12 +155,7 @@ type ProcessedTrip struct {
 }
 
 // VisitRecord is one resolved stop visit of a processed trip.
-type VisitRecord struct {
-	Stop       transit.StopID
-	ArriveS    float64
-	DepartS    float64
-	Confidence float64
-}
+type VisitRecord = tripmap.Visit
 
 // Backend is the traffic-monitoring server core. It implements
 // phone.Uploader (and phone.BatchUploader) for in-process deployments;
@@ -272,26 +271,32 @@ func newBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shardIdx int)
 		gate = make(chan struct{}, cfg.MaxInflightBatches)
 	}
 	b := &Backend{
-		gate:      gate,
-		admission: stage.Metrics{Stage: "admission"},
-		cfg:       cfg,
-		transit:   tdb,
-		fpdb:      fpdb,
-		est:       est,
-		pipe: stage.New(fpdb, tdb, est, stage.Config{
-			Cluster:     cfg.Cluster,
-			MinSpeedKmh: cfg.MinSpeedKmh,
-			MaxSpeedKmh: cfg.MaxSpeedKmh,
-			Hook:        cfg.StageHook,
-		}),
+		gate:           gate,
+		admission:      stage.Metrics{Stage: admissionStage},
+		cfg:            cfg,
+		transit:        tdb,
+		fpdb:           fpdb,
+		est:            est,
 		seen:           make(map[string]bool),
 		scatterSeen:    make(map[string]stage.EstimateOutput),
 		scatterPending: make(map[string]pendingScatter),
 		shardIdx:       shardIdx,
 	}
+	// The one instrumentation wiring point: with observability on, the
+	// configured hook is composed with the histogram + span emitter and
+	// the pipeline times its stages on the core's clock, so stage
+	// durations, histograms and spans are readings of one clock.
+	hook, clk := cfg.StageHook, clock.Clock(nil)
 	if cfg.Obs != nil {
-		b.registerObs(strconv.Itoa(shardIdx))
+		hook, clk = b.registerObs(strconv.Itoa(shardIdx)), cfg.Obs.Clock
 	}
+	b.pipe = stage.New(fpdb, tdb, est, stage.Config{
+		Cluster:     cfg.Cluster,
+		MinSpeedKmh: cfg.MinSpeedKmh,
+		MaxSpeedKmh: cfg.MaxSpeedKmh,
+		Hook:        hook,
+		Clock:       clk,
+	})
 	return b, nil
 }
 
@@ -304,9 +309,8 @@ func (b *Backend) Transit() *transit.DB { return b.transit }
 // FingerprintDB returns the stop fingerprint database.
 func (b *Backend) FingerprintDB() *fingerprint.DB { return b.fpdb }
 
-// Pipeline exposes the stage components (read-mostly; used by
-// evaluations and instrumentation).
-func (b *Backend) Pipeline() *stage.Pipeline { return b.pipe }
+// admissionStage names the admission gate's row in StageMetrics.
+const admissionStage = "admission"
 
 // StageMetrics snapshots the per-stage instrumentation counters in
 // pipeline order, with the batch admission gate appended as a
@@ -363,45 +367,85 @@ func (b *Backend) Upload(ctx context.Context, trip probe.Trip) error {
 	return err
 }
 
-// ProcessTrip runs one trip through the full stage pipeline and folds
-// its observations into the traffic estimator. It is a thin
-// composition over the pipeline phases: admission (validate, dedup,
-// log append), the CPU-bound stage computation, and the ordered fold
-// (estimation + counters). The context bounds admission and carries
-// the trip's trace: when observability is on, a trip arriving without
-// a trace ID gets its deterministic one (obs.TripTrace), and the whole
-// run is bracketed by a "trip" span after the per-stage spans.
+// ProcessTrip ingests one trip: a batch of one through the ingest
+// kernel, so nothing about a trip's life differs between the single
+// upload, the batch and log replay.
 func (b *Backend) ProcessTrip(ctx context.Context, trip probe.Trip) (ProcessedTrip, error) {
-	// Hold the checkpoint cut's read side across admit→fold so a
-	// checkpoint never splits this trip's log record from its estimator
-	// effect. The batch path takes the same lock once per batch and
-	// calls processTrip directly.
+	r := b.ingest(ctx, []probe.Trip{trip}, 1)[0]
+	return r.Trip, r.Err
+}
+
+// ingest is the backend's one write path; every entry point (ProcessTrip,
+// ProcessTrips, IngestBatch, recovery replay) is a shell over it. It
+// runs three phases under one checkpoint read lock, so a checkpoint cut
+// falls between ingest calls, never between a trip's log record and its
+// fold:
+//
+//  1. ordered admit — validate, dedup, log append, in input order, so
+//     duplicate IDs within the batch resolve first-occurrence-wins;
+//  2. compute — the CPU-bound stages, inline in input order when there
+//     is one worker, across a pool otherwise. workers <= 0 means
+//     GOMAXPROCS; OnlineUpdate forces one, because a later trip's
+//     matching must observe earlier trips' fingerprint refreshes;
+//  3. ordered fold — estimator updates and counters land in input order,
+//     which makes the outcome independent of workers.
+//
+// The context bounds admission and carries the trace; with observability
+// on, every admitted trip's run is bracketed by a "trip" span emitted
+// after its per-stage spans.
+func (b *Backend) ingest(ctx context.Context, trips []probe.Trip, workers int) []TripResult {
+	res := make([]TripResult, len(trips))
 	b.checkpointMu.RLock()
 	defer b.checkpointMu.RUnlock()
-	return b.processTrip(ctx, trip)
-}
 
-// processTrip is ProcessTrip without the checkpoint read lock; callers
-// must hold it.
-func (b *Backend) processTrip(ctx context.Context, trip probe.Trip) (ProcessedTrip, error) {
-	ctx = b.tripCtx(ctx, trip)
-	span := b.startSpan()
-	if err := b.admit(ctx, trip); err != nil {
-		return ProcessedTrip{}, err
+	work := make([]tripWork, len(trips))
+	for i, trip := range trips {
+		w := &work[i]
+		w.ctx, w.start = b.traceTrip(ctx, trip.ID)
+		res[i].Err = b.admit(w.ctx, trip)
 	}
-	w := b.compute(ctx, trip)
-	b.fold(ctx, &w)
-	b.endSpan(ctx, span, "trip", obs.Attr{Key: "trip", Value: trip.ID})
-	return w.out, w.err
-}
 
-// tripCtx guarantees a traced context for one trip when observability
-// is on; with it off, the context passes through untouched.
-func (b *Backend) tripCtx(ctx context.Context, trip probe.Trip) context.Context {
-	if b.cfg.Obs == nil {
-		return ctx
+	// From here to the fold, a non-nil res[i].Err marks a rejected trip.
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return obs.EnsureTrip(ctx, trip.ID)
+	if b.cfg.OnlineUpdate {
+		workers = 1
+	}
+	var next atomic.Int64
+	computeNext := func() bool {
+		i := int(next.Add(1)) - 1
+		if i >= len(trips) {
+			return false
+		}
+		if res[i].Err == nil {
+			b.compute(trips[i], &work[i])
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	for n := min(workers, len(trips)); n > 1; n-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for computeNext() {
+			}
+		}()
+	}
+	for computeNext() {
+	}
+	wg.Wait()
+
+	for i := range work {
+		if res[i].Err != nil {
+			continue
+		}
+		w := &work[i]
+		b.fold(w)
+		b.endTripSpan(w.ctx, w.start, trips[i].ID)
+		res[i] = TripResult{Trip: w.out, Err: w.err}
+	}
+	return res
 }
 
 // admit validates, deduplicates, and logs one upload. It takes
@@ -455,9 +499,13 @@ func (b *Backend) admit(ctx context.Context, trip probe.Trip) error {
 	return nil
 }
 
-// tripWork carries one admitted trip's pipeline products between the
-// (possibly concurrent) compute phase and the ordered fold phase.
+// tripWork carries one trip through the ingest kernel's phases: its
+// traced context and span start from admission, its pipeline products
+// from the (possibly concurrent) compute phase, its outcome from the
+// ordered fold.
 type tripWork struct {
+	ctx          context.Context
+	start        time.Time
 	out          ProcessedTrip
 	obs          []traffic.Observation
 	obsDiscarded int
@@ -470,113 +518,108 @@ type tripWork struct {
 // backend-wide mutable state except the fingerprint DB (internally
 // synchronized, and written only on the opt-in online-update path), so
 // any number of computes may run concurrently.
-func (b *Backend) compute(ctx context.Context, trip probe.Trip) tripWork {
-	w := tripWork{out: ProcessedTrip{TripID: trip.ID, Samples: len(trip.Samples)}}
+func (b *Backend) compute(trip probe.Trip, w *tripWork) {
+	w.out = ProcessedTrip{TripID: trip.ID, Samples: len(trip.Samples)}
 	w.delta.TripsReceived = 1
 	w.delta.SamplesReceived = len(trip.Samples)
 
 	// Stage 1: per-sample matching with the γ filter.
-	m := b.pipe.Match.Run(ctx, stage.MatchInput{Samples: trip.Samples})
-	w.out.Matched = len(m.Elements)
-	w.delta.SamplesMatched = len(m.Elements)
-	w.delta.SamplesDiscarded = m.Discarded
-	if len(m.Elements) == 0 {
-		return w
+	elems := b.pipe.Match(w.ctx, trip.Samples)
+	w.out.Matched = len(elems)
+	w.delta.SamplesMatched = len(elems)
+	w.delta.SamplesDiscarded = len(trip.Samples) - len(elems)
+	if len(elems) == 0 {
+		return
 	}
 
 	// Stage 2: per-bus-stop clustering.
-	cl, err := b.pipe.Cluster.Run(ctx, stage.ClusterInput{Elements: m.Elements})
+	clusters, err := b.pipe.Cluster(w.ctx, elems)
 	if err != nil {
 		w.err = err
-		return w
+		return
 	}
-	w.out.Clusters = len(cl.Clusters)
+	w.out.Clusters = len(clusters)
 
 	// Stage 3: per-trip ML mapping under route constraints.
-	mp, err := b.pipe.Map.Run(ctx, stage.MapInput{Clusters: cl.Clusters})
-	if err != nil {
-		w.err = err
-		return w
-	}
-	for _, v := range mp.Visits {
-		w.out.Visits = append(w.out.Visits, VisitRecord(v))
+	w.out.Visits, w.err = b.pipe.Map(w.ctx, clusters)
+	if w.err != nil {
+		return
 	}
 
 	// Fig. 4's online database path: high-confidence visits refresh
 	// their stop's fingerprint.
 	if b.cfg.OnlineUpdate {
-		b.onlineUpdate(trip, cl.Clusters, mp.Visits)
+		b.onlineUpdate(trip, clusters, w.out.Visits)
 	}
 
 	// Stage 4: leg travel times → traffic observations.
-	ex := b.pipe.Extract.Run(ctx, stage.ExtractInput{Visits: mp.Visits})
-	w.obs = ex.Observations
-	w.obsDiscarded = ex.Discarded
-	w.delta.Clusters = len(cl.Clusters)
-	w.delta.VisitsMapped = len(mp.Visits)
-	return w
+	w.obs, w.obsDiscarded = b.pipe.Extract(w.ctx, w.out.Visits)
+	w.delta.Clusters = len(clusters)
+	w.delta.VisitsMapped = len(w.out.Visits)
 }
 
 // fold applies one computed trip's effects: stage 5 (estimator
 // updates), then the whole trip's counters in a single critical
-// section. The batch path calls fold in input order, so batch results
-// are identical to serial ingestion.
-func (b *Backend) fold(ctx context.Context, w *tripWork) {
+// section.
+//
+// The trip's observations are grouped by owning shard (first-appearance
+// order) and each group folds on its owner, so every segment's report
+// multiset lives in exactly one estimator and the fan-in merge stays
+// exact. Groups owned by this backend, by no shard, or — with no
+// obsOwner installed — by definition, fold locally; the rest travel
+// through obsScatter under a deterministic key, making a retried or
+// replayed scatter fold-once.
+func (b *Backend) fold(w *tripWork) {
 	if w.err == nil {
+		type group struct {
+			owner int
+			obs   []traffic.Observation
+		}
+		var groups []group
+		for _, o := range w.obs {
+			owner := b.shardIdx
+			if b.obsOwner != nil {
+				if own, ok := b.obsOwner(o); ok {
+					owner = own
+				}
+			}
+			k := slices.IndexFunc(groups, func(g group) bool { return g.owner == owner })
+			if k < 0 {
+				k = len(groups)
+				groups = append(groups, group{owner: owner})
+			}
+			groups[k].obs = append(groups[k].obs, o)
+		}
 		var folded, discarded int
-		if b.obsOwner == nil {
-			est := b.pipe.Estimate.Run(ctx, stage.EstimateInput{Observations: w.obs})
-			folded, discarded = est.Folded, est.Discarded
-		} else {
-			// Sharded scatter: group the trip's observations by owning
-			// shard (first-appearance order) and fold each group on its
-			// owner, so every segment's report multiset lives in exactly
-			// one estimator and the fan-in merge stays exact. Groups
-			// owned by this backend (or by no shard) fold locally; the
-			// rest travel through obsScatter under a deterministic key,
-			// making a retried or replayed scatter fold-once.
-			var owners []int
-			byOwner := make(map[int][]traffic.Observation)
-			for _, o := range w.obs {
-				owner, ok := b.obsOwner(o)
-				if !ok {
-					owner = b.shardIdx
+		for _, g := range groups {
+			var est stage.EstimateOutput
+			if g.owner == b.shardIdx {
+				est = b.pipe.Estimate(w.ctx, g.obs)
+			} else {
+				key := scatterKey(w.out.TripID, g.owner)
+				var err error
+				est, err = b.obsScatter(w.ctx, g.owner, key, g.obs)
+				if err != nil {
+					// The owner is unreachable: the trip is already
+					// admitted and logged, so its remaining
+					// groups keep folding and the failure surfaces
+					// to the caller. The lost group is not gone —
+					// log replay re-scatters it under the same key,
+					// and for the day a checkpoint covers the
+					// trip's record (compaction then deletes it)
+					// the group is remembered as pending: retried
+					// before every export and carried inside the
+					// snapshot until the owner acknowledges it. The
+					// owner's idempotency record keeps folded
+					// groups from doubling either way.
+					b.notePendingScatter(key, g.owner, g.obs)
+					w.err = fmt.Errorf("server: scatter to shard %d: %w", g.owner, err)
+					continue
 				}
-				if _, seen := byOwner[owner]; !seen {
-					owners = append(owners, owner)
-				}
-				byOwner[owner] = append(byOwner[owner], o)
+				b.resolvePendingScatter(key)
 			}
-			for _, owner := range owners {
-				var est stage.EstimateOutput
-				if owner == b.shardIdx {
-					est = b.pipe.Estimate.Run(ctx, stage.EstimateInput{Observations: byOwner[owner]})
-				} else {
-					key := scatterKey(w.out.TripID, owner)
-					var err error
-					est, err = b.obsScatter(ctx, owner, key, byOwner[owner])
-					if err != nil {
-						// The owner is unreachable: the trip is already
-						// admitted and logged, so its remaining
-						// groups keep folding and the failure surfaces
-						// to the caller. The lost group is not gone —
-						// log replay re-scatters it under the same key,
-						// and for the day a checkpoint covers the
-						// trip's record (compaction then deletes it)
-						// the group is remembered as pending: retried
-						// before every export and carried inside the
-						// snapshot until the owner acknowledges it. The
-						// owner's idempotency record keeps folded
-						// groups from doubling either way.
-						b.notePendingScatter(key, owner, byOwner[owner])
-						w.err = fmt.Errorf("server: scatter to shard %d: %w", owner, err)
-						continue
-					}
-					b.resolvePendingScatter(key)
-				}
-				folded += est.Folded
-				discarded += est.Discarded
-			}
+			folded += est.Folded
+			discarded += est.Discarded
 		}
 		w.out.Observations = folded
 		w.delta.Observations = folded
@@ -698,7 +741,7 @@ func (b *Backend) foldScatter(ctx context.Context, key string, obs []traffic.Obs
 			return stage.EstimateOutput{}, err
 		}
 	}
-	out := b.pipe.Estimate.Run(ctx, stage.EstimateInput{Observations: obs})
+	out := b.pipe.Estimate(ctx, obs)
 	if key != "" {
 		b.scatterSeen[key] = out
 	}
@@ -783,7 +826,3 @@ func (b *Backend) ShardStatuses() []ShardStatus {
 		Stats:     b.Stats(),
 	}}
 }
-
-// Estimator exposes the underlying traffic estimator (read-mostly; used
-// by evaluations).
-func (b *Backend) Estimator() *traffic.Estimator { return b.est }

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"busprobe/internal/obs"
 	"busprobe/internal/probe"
+	"busprobe/internal/server/stage"
 	"busprobe/internal/sim"
 )
 
@@ -26,40 +28,85 @@ func batchCorpus(t *testing.T, w *sim.World, n int) []probe.Trip {
 	return trips
 }
 
-func TestBatchIngestMatchesSerial(t *testing.T) {
-	// The acceptance bar for the concurrent path: per-trip results,
-	// counters, and the fused traffic map must be byte-identical to a
-	// serial ProcessTrip loop over the same slice.
+// TestKernelEquivalence is the acceptance bar for the one ingest
+// kernel: whatever the worker count, and with the online database path
+// off or on (where compute degrades to one ordered worker, because
+// OnlineUpdate mutates the fingerprint DB mid-pipeline), a batch leaves
+// exactly what a serial ProcessTrip loop over the same slice leaves —
+// per-trip results, counters, /v1/pipeline rows (all but the measured
+// durations), the rendered /v1/traffic bytes and each trip's span-name
+// order.
+func TestKernelEquivalence(t *testing.T) {
 	w := testWorld(t)
 	trips := batchCorpus(t, w, 12)
-
-	serial := testBackend(t, w)
-	var serialRes []TripResult
-	for _, trip := range trips {
-		out, err := serial.ProcessTrip(context.Background(), trip)
-		serialRes = append(serialRes, TripResult{Trip: out, Err: err})
+	type outcome struct {
+		res      []TripResult
+		stats    Stats
+		pipeline []stage.Metrics
+		traffic  []byte
+		spans    [][]string
 	}
-
-	batched := testBackend(t, w)
-	batchRes := batched.ProcessTrips(context.Background(), trips, 4)
-
-	if len(batchRes) != len(serialRes) {
-		t.Fatalf("result count %d != %d", len(batchRes), len(serialRes))
-	}
-	for i := range serialRes {
-		if !reflect.DeepEqual(batchRes[i].Trip, serialRes[i].Trip) {
-			t.Errorf("trip %d diverged:\nserial %+v\nbatch  %+v",
-				i, serialRes[i].Trip, batchRes[i].Trip)
+	run := func(online bool, ingest func(*Backend) []TripResult) outcome {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.OnlineUpdate = online
+		cfg.Obs = fakeObsCore()
+		fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, cfg, 7)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if (batchRes[i].Err == nil) != (serialRes[i].Err == nil) {
-			t.Errorf("trip %d error mismatch: %v vs %v", i, serialRes[i].Err, batchRes[i].Err)
+		b, err := NewBackend(cfg, w.Transit, fpdb)
+		if err != nil {
+			t.Fatal(err)
 		}
+		o := outcome{res: ingest(b), stats: b.Stats(), pipeline: b.StageMetrics(), traffic: trafficBytes(t, b)}
+		for i := range o.pipeline {
+			o.pipeline[i].DurationNs = 0
+		}
+		for _, trip := range trips {
+			var names []string
+			for _, sp := range cfg.Obs.Tracer.Spans(obs.TripTrace(trip.ID)) {
+				names = append(names, sp.Name)
+			}
+			o.spans = append(o.spans, names)
+		}
+		return o
 	}
-	if ss, bs := serial.Stats(), batched.Stats(); ss != bs {
-		t.Errorf("stats diverged:\nserial %+v\nbatch  %+v", ss, bs)
-	}
-	if st, bt := serial.Traffic(), batched.Traffic(); !reflect.DeepEqual(st, bt) {
-		t.Errorf("traffic maps diverged: %d vs %d segments", len(st), len(bt))
+	for _, online := range []bool{false, true} {
+		want := run(online, func(b *Backend) []TripResult {
+			res := make([]TripResult, len(trips))
+			for i, trip := range trips {
+				res[i].Trip, res[i].Err = b.ProcessTrip(context.Background(), trip)
+			}
+			return res
+		})
+		if want.stats.Observations == 0 {
+			t.Fatal("serial loop folded no observations; equivalence is vacuous")
+		}
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("online-%v-workers-%d", online, workers), func(t *testing.T) {
+				got := run(online, func(b *Backend) []TripResult {
+					return b.ProcessTrips(context.Background(), trips, workers)
+				})
+				for i := range want.res {
+					if !reflect.DeepEqual(got.res[i], want.res[i]) {
+						t.Errorf("trip %d diverged:\nserial %+v\nbatch  %+v", i, want.res[i], got.res[i])
+					}
+				}
+				if got.stats != want.stats {
+					t.Errorf("stats diverged:\nserial %+v\nbatch  %+v", want.stats, got.stats)
+				}
+				if !reflect.DeepEqual(got.pipeline, want.pipeline) {
+					t.Errorf("/v1/pipeline rows diverged:\nserial %+v\nbatch  %+v", want.pipeline, got.pipeline)
+				}
+				if !bytes.Equal(got.traffic, want.traffic) {
+					t.Errorf("/v1/traffic diverged:\nserial %s\nbatch  %s", want.traffic, got.traffic)
+				}
+				if !reflect.DeepEqual(got.spans, want.spans) {
+					t.Errorf("span-name order diverged:\nserial %v\nbatch  %v", want.spans, got.spans)
+				}
+			})
+		}
 	}
 }
 
@@ -93,42 +140,6 @@ func TestBatchIngestRejections(t *testing.T) {
 	st := b.Stats()
 	if st.TripsRejected != 1 || st.DuplicateTrips != 2 {
 		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestBatchIngestOnlineUpdateFallsBackToSerial(t *testing.T) {
-	// OnlineUpdate mutates the fingerprint DB mid-pipeline, so the batch
-	// path must degrade to ordered serial processing — results must
-	// still match a plain loop.
-	w := testWorld(t)
-	cfg := DefaultConfig()
-	cfg.OnlineUpdate = true
-	mk := func() *Backend {
-		fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, cfg, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewBackend(cfg, w.Transit, fpdb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	trips := batchCorpus(t, w, 6)
-	serial := mk()
-	for _, trip := range trips {
-		if _, err := serial.ProcessTrip(context.Background(), trip); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batched := mk()
-	for i, r := range batched.ProcessTrips(context.Background(), trips, 4) {
-		if r.Err != nil {
-			t.Fatalf("trip %d: %v", i, r.Err)
-		}
-	}
-	if ss, bs := serial.Stats(), batched.Stats(); ss != bs {
-		t.Errorf("stats diverged:\nserial %+v\nbatch  %+v", ss, bs)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"busprobe/internal/core/arrival"
 	"busprobe/internal/core/reconstruct"
 	"busprobe/internal/core/region"
-	"busprobe/internal/core/tripmap"
 	"busprobe/internal/transit"
 )
 
@@ -33,20 +32,16 @@ func (b *Backend) ReconstructTrip(visits []VisitRecord) (*reconstruct.Trajectory
 	if len(visits) < 2 {
 		return nil, fmt.Errorf("server: need at least two visits")
 	}
-	mapped := make([]tripmap.Visit, len(visits))
-	for i, v := range visits {
-		mapped[i] = tripmap.Visit(v)
-	}
-	routes := b.pipe.Extract.RankRoutesByVisitSupport(mapped)
+	routes := b.pipe.RankRoutesByVisitSupport(visits)
 	if len(routes) == 0 {
 		return nil, fmt.Errorf("server: no routes in transit DB")
 	}
 	rt := routes[0]
 	// Keep the longest order-consistent subsequence on the chosen route
 	// (greedy: visits must strictly advance along it).
-	var kept []tripmap.Visit
+	var kept []VisitRecord
 	prevIdx := -1
-	for _, v := range mapped {
+	for _, v := range visits {
 		idx := rt.StopIndex(v.Stop)
 		if idx <= prevIdx {
 			continue

@@ -9,6 +9,12 @@ import (
 	"busprobe/internal/transit"
 )
 
+// SurveySeed derives the fingerprint-survey seed from a world seed.
+// Every process that surveys the same city — server, simulator, lab,
+// benchmark — must derive it here: a different seed is a different
+// fingerprint database, which silently breaks every byte-identity check.
+func SurveySeed(worldSeed uint64) uint64 { return worldSeed ^ 0xf9 }
+
 // BuildFingerprintDB performs the paper's war-free site survey (§IV-A):
 // for every logical stop it collects `runs` cellular samples at each
 // platform under varied conditions (standing and on a bus, different

@@ -13,37 +13,36 @@ import (
 // stats, per-stage instrumentation, the admission pseudo-stage — are
 // projected into the metrics registry as scrape-time collectors, so
 // /v1/stats and /v1/pipeline remain the source of truth and nothing is
-// counted twice. Stage latency histograms and trace spans ride the
-// stage hook, chained behind any user-installed hook.
+// counted twice. Stage latency histograms and trace spans ride the one
+// stage hook newBackend hands the pipeline.
 
-// startSpan marks a span start on the observability clock; the zero
-// time when observability is off.
-func (b *Backend) startSpan() time.Time {
+// traceTrip opens one trip's trace: the returned context is guaranteed
+// to carry a trace ID (a trip arriving without one gets its
+// deterministic obs.TripTrace) and the returned time is the enclosing
+// span's start on the observability clock. With observability off the
+// context passes through untouched.
+func (b *Backend) traceTrip(ctx context.Context, tripID string) (context.Context, time.Time) {
 	if b.cfg.Obs == nil {
-		return time.Time{}
+		return ctx, time.Time{}
 	}
-	return b.cfg.Obs.Clock.Now()
+	return obs.EnsureTrip(ctx, tripID), b.cfg.Obs.Clock.Now()
 }
 
-// endSpan emits one completed span for the traced request, if any.
-func (b *Backend) endSpan(ctx context.Context, start time.Time, name string, attrs ...obs.Attr) {
-	if b.cfg.Obs == nil {
-		return
+// endTripSpan emits the "trip" span enclosing one ingested trip's run.
+func (b *Backend) endTripSpan(ctx context.Context, start time.Time, tripID string) {
+	if core := b.cfg.Obs; core != nil {
+		core.Tracer.Emit(obs.TraceID(ctx), "trip", start, core.Clock.Now(),
+			obs.Attr{Key: "trip", Value: tripID}, obs.Attr{Key: "shard", Value: b.obsShard})
 	}
-	tr := obs.TraceID(ctx)
-	if tr == "" {
-		return
-	}
-	attrs = append(attrs, obs.Attr{Key: "shard", Value: b.obsShard})
-	b.cfg.Obs.Tracer.Emit(tr, name, start, b.cfg.Obs.Clock.Now(), attrs...)
 }
 
 // registerObs plugs the backend into its observability core (cfg.Obs,
 // non-nil) under the given shard label. It registers scrape-time
 // collectors for the work counters and per-stage instrumentation,
-// creates the per-stage latency histograms, and chains span emission
-// onto the stage hook. newBackend calls it once, before any ingestion.
-func (b *Backend) registerObs(shard string) {
+// creates the per-stage latency histograms, and returns the pipeline's
+// stage hook: cfg.StageHook, then the histogram, then the span.
+// newBackend calls it once, before it builds the pipeline.
+func (b *Backend) registerObs(shard string) stage.Hook {
 	core := b.cfg.Obs
 	b.obsShard = shard
 	reg := core.Registry
@@ -96,70 +95,53 @@ func (b *Backend) registerObs(shard string) {
 			return latest
 		}, sl)
 
-	const (
-		runsName    = "busprobe_stage_runs_total"
-		runsHelp    = "Completed runs per pipeline stage."
-		inName      = "busprobe_stage_items_in_total"
-		inHelp      = "Items offered to each pipeline stage."
-		outName     = "busprobe_stage_items_out_total"
-		outHelp     = "Items surviving each pipeline stage."
-		droppedName = "busprobe_stage_dropped_total"
-		droppedHelp = "Items discarded by each pipeline stage."
-		durName     = "busprobe_stage_duration_seconds"
-		durHelp     = "Per-run latency of each pipeline stage."
-	)
-	hists := make(map[string]*obs.Histogram, 8)
-	for _, st := range b.pipe.Stages() {
-		st := st
-		stl := obs.Label{Name: "stage", Value: st.Name()}
-		reg.CounterFunc(runsName, runsHelp,
-			func() float64 { return float64(st.Metrics().Runs) }, sl, stl)
-		reg.CounterFunc(inName, inHelp,
-			func() float64 { return float64(st.Metrics().ItemsIn) }, sl, stl)
-		reg.CounterFunc(outName, outHelp,
-			func() float64 { return float64(st.Metrics().ItemsOut) }, sl, stl)
-		reg.CounterFunc(droppedName, droppedHelp,
-			func() float64 { return float64(st.Metrics().Dropped) }, sl, stl)
-		hists[st.Name()] = reg.Histogram(durName, durHelp, obs.LatencyBuckets, sl, stl)
+	// One row of counters per /v1/pipeline row — the five stages, then
+	// the admission gate's pseudo-stage — each read at scrape time from
+	// the same StageMetrics snapshot /v1/pipeline serves.
+	type stageObs struct {
+		hist *obs.Histogram
+		span string
 	}
-	// The admission gate reports as the same pseudo-stage /v1/pipeline
-	// appends, read under the same lock that maintains it.
-	admSnap := func(get func(stage.Metrics) int64) func() float64 {
-		return func() float64 {
-			b.statsMu.Lock()
-			m := b.admission
-			b.statsMu.Unlock()
-			return float64(get(m))
+	byStage := make(map[string]stageObs, len(stage.Names))
+	for i, name := range append(stage.Names[:], admissionStage) {
+		stl := obs.Label{Name: "stage", Value: name}
+		ctr := func(metric, help string, get func(stage.Metrics) int64) {
+			reg.CounterFunc(metric, help, func() float64 { return float64(get(b.StageMetrics()[i])) }, sl, stl)
+		}
+		ctr("busprobe_stage_runs_total", "Completed runs per pipeline stage.",
+			func(m stage.Metrics) int64 { return m.Runs })
+		ctr("busprobe_stage_items_in_total", "Items offered to each pipeline stage.",
+			func(m stage.Metrics) int64 { return m.ItemsIn })
+		ctr("busprobe_stage_items_out_total", "Items surviving each pipeline stage.",
+			func(m stage.Metrics) int64 { return m.ItemsOut })
+		ctr("busprobe_stage_dropped_total", "Items discarded by each pipeline stage.",
+			func(m stage.Metrics) int64 { return m.Dropped })
+		if i < len(stage.Names) {
+			byStage[name] = stageObs{
+				hist: reg.Histogram("busprobe_stage_duration_seconds", "Per-run latency of each pipeline stage.",
+					obs.LatencyBuckets, sl, stl),
+				span: "stage." + name,
+			}
 		}
 	}
-	adml := obs.Label{Name: "stage", Value: "admission"}
-	reg.CounterFunc(runsName, runsHelp, admSnap(func(m stage.Metrics) int64 { return m.Runs }), sl, adml)
-	reg.CounterFunc(inName, inHelp, admSnap(func(m stage.Metrics) int64 { return m.ItemsIn }), sl, adml)
-	reg.CounterFunc(outName, outHelp, admSnap(func(m stage.Metrics) int64 { return m.ItemsOut }), sl, adml)
-	reg.CounterFunc(droppedName, droppedHelp, admSnap(func(m stage.Metrics) int64 { return m.Dropped }), sl, adml)
 
-	// Chain histogram observation and span emission behind whatever
-	// hook the configuration installed. Span boundaries are derived
-	// from the hook's measured duration on the core clock, so a trip's
-	// match→cluster→map→estimate path is reconstructable per shard.
-	for _, st := range b.pipe.Stages() {
-		prev := st.CurrentHook()
-		hist := hists[st.Name()]
-		// Hoisted out of the hook: the span name and attr slice are
-		// per-stage constants, and Emit retains (never mutates) the
-		// slice, so sharing one backing array across spans keeps the
-		// hot path free of per-run allocations.
-		spanName := "stage." + st.Name()
-		attrs := []obs.Attr{{Key: "shard", Value: shard}}
-		st.SetHook(func(ctx context.Context, name string, in, out, dropped int, d time.Duration) {
-			if prev != nil {
-				prev(ctx, name, in, out, dropped, d)
-			}
-			hist.Observe(d.Seconds())
-			if tr := obs.TraceID(ctx); tr != "" {
-				end := core.Clock.Now()
-				core.Tracer.Emit(tr, spanName, end.Add(-d), end, attrs...)
-			}
-		})
+	// The span boundaries are the hook's measured duration back from a
+	// reading of the same clock the pipeline measured it on, so a trip's
+	// match→cluster→map→estimate path is reconstructable per shard. The
+	// span names and the attr slice are built once: Emit retains (never
+	// mutates) the slice, so sharing one backing array across spans
+	// keeps the hot path free of per-run allocations.
+	prev := b.cfg.StageHook
+	attrs := []obs.Attr{{Key: "shard", Value: shard}}
+	return func(ctx context.Context, name string, in, out, dropped int, d time.Duration) {
+		if prev != nil {
+			prev(ctx, name, in, out, dropped, d)
+		}
+		st := byStage[name]
+		st.hist.Observe(d.Seconds())
+		if tr := obs.TraceID(ctx); tr != "" {
+			end := core.Clock.Now()
+			core.Tracer.Emit(tr, st.span, end.Add(-d), end, attrs...)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"busprobe/internal/clock"
 	"busprobe/internal/faults"
 	"busprobe/internal/obs"
+	"busprobe/internal/probe"
 )
 
 var obsEpoch = time.Date(2015, 6, 29, 0, 0, 0, 0, time.UTC)
@@ -76,30 +78,76 @@ func TestTrafficByteIdenticalWithObs(t *testing.T) {
 	}
 }
 
-// TestTripTraceReconstruction processes one clean trip and reconstructs
-// its path from the trace: every pipeline stage it crossed appears as a
-// span of the trip's deterministic trace, in execution order, tagged
-// with the owning shard.
+// TestTripTraceReconstruction ingests clean trips through every entry
+// point of the ingest kernel and reconstructs each trip's path from its
+// trace: every pipeline stage it crossed appears as a span of the
+// trip's deterministic trace, in execution order, tagged with the owning
+// shard, and the enclosing "trip" span closes the trace. Every row
+// ingests two trips, so the worker clamp cannot hide the pooled path.
 func TestTripTraceReconstruction(t *testing.T) {
 	w := testWorld(t)
-	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, DefaultConfig(), 7)
-	if err != nil {
-		t.Fatal(err)
+	ids := []string{"traced-1", "traced-2"}
+	var trips []probe.Trip
+	for _, id := range ids {
+		trip, _ := rideTrip(t, w, 0, 0, 5, id)
+		trips = append(trips, trip)
 	}
-	cfg := DefaultConfig()
-	core := fakeObsCore()
-	cfg.Obs = core
-	b, err := NewBackend(cfg, w.Transit, fpdb)
-	if err != nil {
-		t.Fatal(err)
+	batchErrs := func(res []TripResult) error {
+		for _, r := range res {
+			if r.Err != nil {
+				return r.Err
+			}
+		}
+		return nil
 	}
+	rows := []struct {
+		name   string
+		ingest func(b *Backend) error
+	}{
+		{"ProcessTrip", func(b *Backend) error {
+			for _, trip := range trips {
+				if _, err := b.ProcessTrip(context.Background(), trip); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"ProcessTrips-workers-1", func(b *Backend) error {
+			return batchErrs(b.ProcessTrips(context.Background(), trips, 1))
+		}},
+		{"ProcessTrips-workers-4", func(b *Backend) error {
+			return batchErrs(b.ProcessTrips(context.Background(), trips, 4))
+		}},
+		{"IngestBatch", func(b *Backend) error {
+			return batchErrs(b.IngestBatch(context.Background(), trips))
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, DefaultConfig(), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			core := fakeObsCore()
+			cfg.Obs = core
+			b, err := NewBackend(cfg, w.Transit, fpdb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := row.ingest(b); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range ids {
+				checkTripTrace(t, core.Tracer.Spans(obs.TripTrace(id)))
+			}
+		})
+	}
+}
 
-	trip, _ := rideTrip(t, w, 0, 0, 5, "traced-1")
-	if _, err := b.ProcessTrip(context.Background(), trip); err != nil {
-		t.Fatal(err)
-	}
-
-	spans := core.Tracer.Spans(obs.TripTrace("traced-1"))
+// checkTripTrace checks one trip's reconstructed trace.
+func checkTripTrace(t *testing.T, spans []obs.Span) {
+	t.Helper()
 	if len(spans) == 0 {
 		t.Fatal("no spans for the trip trace")
 	}
@@ -122,34 +170,68 @@ func TestTripTraceReconstruction(t *testing.T) {
 			t.Errorf("span %q ends before it starts", sp.Name)
 		}
 	}
-	// The full Fig. 4 path, then the enclosing trip span last.
-	for _, want := range []string{"stage.match", "stage.cluster", "stage.map", "stage.extract", "stage.estimate", "trip"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("trace lacks %q span (have %v)", want, names)
-		}
+	// The full Fig. 4 path in pipeline order, then the enclosing trip
+	// span last.
+	want := []string{"stage.match", "stage.cluster", "stage.map", "stage.extract", "stage.estimate", "trip"}
+	if !slices.Equal(names, want) {
+		t.Errorf("trace spans = %v, want %v", names, want)
 	}
-	if names[len(names)-1] != "trip" {
-		t.Errorf("last span = %q, want the enclosing \"trip\" span", names[len(names)-1])
-	}
+}
 
-	// Stage order within the trace follows the pipeline.
-	idx := func(name string) int {
-		for i, n := range names {
-			if n == name {
-				return i
+// TestObsDeterministic: the pipeline times its stages on the
+// observability core's clock — the one clock behind stage durations,
+// histograms and spans — so the same trips ingested into two fresh
+// backends on equal fake clocks leave identical span timelines and a
+// byte-identical scrape.
+func TestObsDeterministic(t *testing.T) {
+	w := testWorld(t)
+	trips := batchCorpus(t, w, 6)
+	type timeline struct {
+		Trace, Name string
+		Start, End  time.Time
+	}
+	run := func() ([]timeline, string) {
+		fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, DefaultConfig(), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		core := fakeObsCore()
+		cfg.Obs = core
+		b, err := NewBackend(cfg, w.Transit, fpdb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayInto(t, b, trips[:3])
+		for i, r := range b.ProcessTrips(context.Background(), trips[3:], 1) {
+			if r.Err != nil {
+				t.Fatalf("batch trip %d: %v", i, r.Err)
 			}
 		}
-		return -1
+		var tl []timeline
+		for _, sp := range core.Tracer.Snapshot() {
+			tl = append(tl, timeline{sp.Trace, sp.Name, sp.Start, sp.End})
+		}
+		rec := httptest.NewRecorder()
+		NewHandler(b, HandlerConfig{Obs: core}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/metrics status = %d", rec.Code)
+		}
+		return tl, rec.Body.String()
 	}
-	if !(idx("stage.match") < idx("stage.cluster") && idx("stage.cluster") < idx("stage.map")) {
-		t.Errorf("stage spans out of pipeline order: %v", names)
+	tl1, scrape1 := run()
+	tl2, scrape2 := run()
+	if len(tl1) != 6*len(trips) {
+		t.Fatalf("recorded %d spans, want %d (five stages + the trip span per trip)", len(tl1), 6*len(trips))
+	}
+	if !slices.Equal(tl1, tl2) {
+		t.Errorf("span timelines differ between identical runs:\n%v\nvs\n%v", tl1, tl2)
+	}
+	if scrape1 != scrape2 {
+		t.Errorf("/metrics differs between identical runs:\n%s\nvs\n%s", scrape1, scrape2)
+	}
+	if !strings.Contains(scrape1, "busprobe_stage_duration_seconds_sum") {
+		t.Error("scrape lacks the stage duration histograms; the comparison is vacuous")
 	}
 }
 

@@ -33,8 +33,7 @@ func TestObservationsAdjacentStops(t *testing.T) {
 		visitAt(rt.Stops[0], 100, 110),
 		visitAt(rt.Stops[1], 180, 195),
 	}
-	ex := b.pipe.Extract.Run(context.Background(), stage.ExtractInput{Visits: visits})
-	obs, discarded := ex.Observations, ex.Discarded
+	obs, discarded := b.pipe.Extract(context.Background(), visits)
 	if discarded != 0 {
 		t.Errorf("discarded = %d", discarded)
 	}
@@ -67,8 +66,7 @@ func TestObservationsMergeSkippedStop(t *testing.T) {
 		visitAt(rt.Stops[1], 100, 110),
 		visitAt(rt.Stops[3], 250, 260), // stop 2 skipped
 	}
-	ex := b.pipe.Extract.Run(context.Background(), stage.ExtractInput{Visits: visits})
-	obs, discarded := ex.Observations, ex.Discarded
+	obs, discarded := b.pipe.Extract(context.Background(), visits)
 	if discarded != 0 || len(obs) != 1 {
 		t.Fatalf("obs=%d discarded=%d", len(obs), discarded)
 	}
@@ -107,8 +105,7 @@ func TestObservationsDiscardImplausible(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		ex := b.pipe.Extract.Run(context.Background(), stage.ExtractInput{Visits: c.visits})
-		obs, discarded := ex.Observations, ex.Discarded
+		obs, discarded := b.pipe.Extract(context.Background(), c.visits)
 		if len(obs) != 0 || discarded != 1 {
 			t.Errorf("%s: obs=%d discarded=%d", c.name, len(obs), discarded)
 		}
@@ -124,8 +121,7 @@ func TestObservationsRepeatedStopSkipped(t *testing.T) {
 		visitAt(rt.Stops[0], 130, 140), // same stop resolved twice
 		visitAt(rt.Stops[1], 210, 220),
 	}
-	ex := b.pipe.Extract.Run(context.Background(), stage.ExtractInput{Visits: visits})
-	obs, discarded := ex.Observations, ex.Discarded
+	obs, discarded := b.pipe.Extract(context.Background(), visits)
 	if discarded != 0 {
 		t.Errorf("discarded = %d", discarded)
 	}
@@ -138,11 +134,11 @@ func TestObservationsEmptyAndSingle(t *testing.T) {
 	w := testWorld(t)
 	b := testBackend(t, w)
 	rt := w.Transit.Routes()[0]
-	if ex := b.pipe.Extract.Run(context.Background(), stage.ExtractInput{}); ex.Observations != nil || ex.Discarded != 0 {
+	if obs, discarded := b.pipe.Extract(context.Background(), nil); obs != nil || discarded != 0 {
 		t.Error("nil visits should be empty")
 	}
-	single := stage.ExtractInput{Visits: []tripmap.Visit{visitAt(rt.Stops[0], 1, 2)}}
-	if ex := b.pipe.Extract.Run(context.Background(), single); ex.Observations != nil || ex.Discarded != 0 {
+	single := []tripmap.Visit{visitAt(rt.Stops[0], 1, 2)}
+	if obs, discarded := b.pipe.Extract(context.Background(), single); obs != nil || discarded != 0 {
 		t.Error("single visit should be empty")
 	}
 }
@@ -156,7 +152,7 @@ func TestRankRoutesByVisitSupport(t *testing.T) {
 		visitAt(rt.Stops[1], 200, 210),
 		visitAt(rt.Stops[2], 300, 310),
 	}
-	ranked := b.pipe.Extract.RankRoutesByVisitSupport(visits)
+	ranked := b.pipe.RankRoutesByVisitSupport(visits)
 	if len(ranked) != w.Transit.NumRoutes() {
 		t.Fatalf("ranked = %d routes", len(ranked))
 	}
@@ -487,7 +483,7 @@ func TestRankRoutesSkippedStopsStillSupport(t *testing.T) {
 		visitAt(rt.Stops[0], 100, 110),
 		visitAt(rt.Stops[3], 400, 410), // skips stops 1 and 2
 	}
-	ranked := b.pipe.Extract.RankRoutesByVisitSupport(visits)
+	ranked := b.pipe.RankRoutesByVisitSupport(visits)
 	if ranked[0].ID != rt.ID {
 		t.Errorf("top route = %s, want %s (skipped-stop pair must count)", ranked[0].ID, rt.ID)
 	}
@@ -500,7 +496,7 @@ func TestRankRoutesTieBreakDeterminism(t *testing.T) {
 	b := testBackend(t, w)
 	base := w.Transit.Routes()
 	for trial := 0; trial < 3; trial++ {
-		ranked := b.pipe.Extract.RankRoutesByVisitSupport(nil)
+		ranked := b.pipe.RankRoutesByVisitSupport(nil)
 		if len(ranked) != len(base) {
 			t.Fatalf("ranked %d routes, want %d", len(ranked), len(base))
 		}
@@ -520,11 +516,11 @@ func TestLegBetweenMergesSkippedStops(t *testing.T) {
 	b := testBackend(t, w)
 	rt := w.Transit.Routes()[0]
 	net := w.Transit.Network()
-	routes := b.pipe.Extract.RankRoutesByVisitSupport([]tripmap.Visit{
+	routes := b.pipe.RankRoutesByVisitSupport([]tripmap.Visit{
 		visitAt(rt.Stops[0], 0, 1),
 		visitAt(rt.Stops[3], 2, 3),
 	})
-	leg, ok := b.pipe.Extract.LegBetween(routes, rt.Stops[0], rt.Stops[3])
+	leg, ok := b.pipe.LegBetween(routes, rt.Stops[0], rt.Stops[3])
 	if !ok {
 		t.Fatal("no leg for skipped-stop pair")
 	}
@@ -545,17 +541,17 @@ func TestLegBetweenUnservedPair(t *testing.T) {
 	w := testWorld(t)
 	b := testBackend(t, w)
 	rt := w.Transit.Routes()[0]
-	routes := b.pipe.Extract.RankRoutesByVisitSupport(nil)
+	routes := b.pipe.RankRoutesByVisitSupport(nil)
 	// A stop no route knows: unmatchable in either position.
 	ghost := transit.StopID(1 << 20)
-	if _, ok := b.pipe.Extract.LegBetween(routes, ghost, rt.Stops[1]); ok {
+	if _, ok := b.pipe.LegBetween(routes, ghost, rt.Stops[1]); ok {
 		t.Error("leg found from unknown stop")
 	}
-	if _, ok := b.pipe.Extract.LegBetween(routes, rt.Stops[1], ghost); ok {
+	if _, ok := b.pipe.LegBetween(routes, rt.Stops[1], ghost); ok {
 		t.Error("leg found to unknown stop")
 	}
 	// Same stop twice: never "in order" (ti <= fi) on any route.
-	if _, ok := b.pipe.Extract.LegBetween(routes, rt.Stops[1], rt.Stops[1]); ok {
+	if _, ok := b.pipe.LegBetween(routes, rt.Stops[1], rt.Stops[1]); ok {
 		t.Error("leg found for identical stops")
 	}
 	// A reversed pair is only served if some route runs them that way;
@@ -569,7 +565,7 @@ func TestLegBetweenUnservedPair(t *testing.T) {
 			break
 		}
 	}
-	if _, ok := b.pipe.Extract.LegBetween(routes, from, to); ok != served {
+	if _, ok := b.pipe.LegBetween(routes, from, to); ok != served {
 		t.Errorf("legBetween(reversed) = %v, route scan says %v", ok, served)
 	}
 }

@@ -15,18 +15,17 @@ import (
 )
 
 // TestFixedClockMakesDurationsDeterministic pins per-stage DurationNs
-// exactly: with a stepping Fake clock, each Run reads the clock twice
+// exactly: with a stepping Fake clock, each run reads the clock twice
 // (start, observe), so every run contributes exactly one step.
 func TestFixedClockMakesDurationsDeterministic(t *testing.T) {
 	const step = 5 * time.Millisecond
-	m := NewMatcher(emptyFingerprintDB(t), nil)
-	m.SetClock(clock.NewFake(time.Unix(1000, 0), step))
+	p := New(emptyFingerprintDB(t), nil, nil, Config{Clock: clock.NewFake(time.Unix(1000, 0), step)})
 
 	const runs = 4
 	for i := 0; i < runs; i++ {
-		m.Run(context.Background(), MatchInput{Samples: []probe.Sample{sampleAt(float64(i))}})
+		p.Match(context.Background(), []probe.Sample{sampleAt(float64(i))})
 	}
-	got := m.Metrics()
+	got := p.Metrics()[0]
 	if want := int64(runs) * int64(step); got.DurationNs != want {
 		t.Fatalf("DurationNs = %d, want %d (deterministic under Fake clock)", got.DurationNs, want)
 	}
@@ -58,15 +57,15 @@ func TestPipelineClockConfigReachesEveryStage(t *testing.T) {
 		Clock: clock.NewFake(time.Unix(0, 0), step),
 	})
 
-	p.Match.Run(context.Background(), MatchInput{})
-	if _, err := p.Cluster.Run(context.Background(), ClusterInput{}); err != nil {
+	p.Match(context.Background(), nil)
+	if _, err := p.Cluster(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Map.Run(context.Background(), MapInput{}); err != nil {
+	if _, err := p.Map(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	p.Extract.Run(context.Background(), ExtractInput{})
-	p.Estimate.Run(context.Background(), EstimateInput{})
+	p.Extract(context.Background(), nil)
+	p.Estimate(context.Background(), nil)
 
 	for _, m := range p.Metrics() {
 		if m.DurationNs != int64(step) {

@@ -27,27 +27,31 @@ func sampleAt(tS float64) probe.Sample {
 	}
 }
 
+// matchOnly builds a pipeline whose Match stage is runnable: the other
+// stages' databases stay nil, which construction and Metrics never
+// touch.
+func matchOnly(t *testing.T, hook Hook) *Pipeline {
+	t.Helper()
+	return New(emptyFingerprintDB(t), nil, nil, Config{Hook: hook})
+}
+
 func TestMatcherEmptyDBDropsEverything(t *testing.T) {
-	m := NewMatcher(emptyFingerprintDB(t), nil)
-	in := MatchInput{Samples: []probe.Sample{sampleAt(1), sampleAt(2), sampleAt(3)}}
-	out := m.Run(context.Background(), in)
-	if len(out.Elements) != 0 {
-		t.Errorf("empty DB matched %d samples", len(out.Elements))
+	p := matchOnly(t, nil)
+	elems := p.Match(context.Background(), []probe.Sample{sampleAt(1), sampleAt(2), sampleAt(3)})
+	if len(elems) != 0 {
+		t.Errorf("empty DB matched %d samples", len(elems))
 	}
-	if out.Discarded != 3 {
-		t.Errorf("discarded = %d, want 3", out.Discarded)
-	}
-	got := m.Metrics()
+	got := p.Metrics()[0]
 	if got.Stage != "match" || got.Runs != 1 || got.ItemsIn != 3 || got.ItemsOut != 0 || got.Dropped != 3 {
 		t.Errorf("metrics = %+v", got)
 	}
 }
 
 func TestInstrumentAccumulatesAcrossRuns(t *testing.T) {
-	m := NewMatcher(emptyFingerprintDB(t), nil)
-	m.Run(context.Background(), MatchInput{Samples: []probe.Sample{sampleAt(1), sampleAt(2)}})
-	m.Run(context.Background(), MatchInput{Samples: []probe.Sample{sampleAt(3)}})
-	got := m.Metrics()
+	p := matchOnly(t, nil)
+	p.Match(context.Background(), []probe.Sample{sampleAt(1), sampleAt(2)})
+	p.Match(context.Background(), []probe.Sample{sampleAt(3)})
+	got := p.Metrics()[0]
 	if got.Runs != 2 || got.ItemsIn != 3 || got.Dropped != 3 {
 		t.Errorf("metrics = %+v", got)
 	}
@@ -71,9 +75,9 @@ func TestHookObservesEveryRun(t *testing.T) {
 		defer mu.Unlock()
 		calls = append(calls, call{stage, itemsIn, itemsOut, dropped})
 	}
-	m := NewMatcher(emptyFingerprintDB(t), hook)
-	m.Run(context.Background(), MatchInput{Samples: []probe.Sample{sampleAt(1), sampleAt(2)}})
-	m.Run(context.Background(), MatchInput{})
+	p := matchOnly(t, hook)
+	p.Match(context.Background(), []probe.Sample{sampleAt(1), sampleAt(2)})
+	p.Match(context.Background(), nil)
 	if len(calls) != 2 {
 		t.Fatalf("hook fired %d times, want 2", len(calls))
 	}
@@ -89,7 +93,7 @@ func TestPipelineMetricsOrder(t *testing.T) {
 	// Construction and metrics never touch the databases, so nil
 	// dependencies are fine here.
 	p := New(nil, nil, nil, Config{})
-	want := []string{"match", "cluster", "map", "extract", "estimate"}
+	want := Names
 	ms := p.Metrics()
 	if len(ms) != len(want) {
 		t.Fatalf("metrics rows = %d, want %d", len(ms), len(want))
@@ -102,30 +106,24 @@ func TestPipelineMetricsOrder(t *testing.T) {
 			t.Errorf("fresh stage %q has counts: %+v", m.Stage, m)
 		}
 	}
-	stages := p.Stages()
-	for i, s := range stages {
-		if s.Name() != want[i] {
-			t.Errorf("Stages()[%d] = %q, want %q", i, s.Name(), want[i])
-		}
-	}
 }
 
 func TestMetricsConcurrentReads(t *testing.T) {
 	// Metrics snapshots must be safe while runs are in flight.
-	m := NewMatcher(emptyFingerprintDB(t), nil)
+	p := matchOnly(t, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				m.Run(context.Background(), MatchInput{Samples: []probe.Sample{sampleAt(float64(i))}})
-				_ = m.Metrics()
+				p.Match(context.Background(), []probe.Sample{sampleAt(float64(i))})
+				_ = p.Metrics()
 			}
 		}()
 	}
 	wg.Wait()
-	got := m.Metrics()
+	got := p.Metrics()[0]
 	if got.Runs != 200 || got.ItemsIn != 200 {
 		t.Errorf("metrics after concurrent runs = %+v", got)
 	}

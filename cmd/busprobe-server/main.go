@@ -11,7 +11,7 @@
 //	                [-pprof] [-drain-timeout SECONDS]
 //	                [-shard-id N] [-shard-addrs URL,URL,...]
 //	                [-store-dir DIR] [-snapshot-every N] [-segment-bytes N]
-//	                [-recovery-report FILE] [-journal LEGACY-FILE]
+//	                [-recovery-report FILE]
 //
 // Durability. -store-dir enables the log-structured store: every
 // accepted trip (and received cross-shard scatter group) appends to an
@@ -22,9 +22,7 @@
 // O(history). On boot each shard recovers from its newest intact
 // snapshot plus tail replay, falling back one snapshot (or to a full
 // replay) on corruption; the per-shard outcome prints and, with
-// -recovery-report, lands in a JSON artifact. -journal only names a
-// legacy journal file (<path>.shardN per shard) for a virgin store to
-// adopt as its first segment; without -store-dir it is refused.
+// -recovery-report, lands in a JSON artifact.
 //
 // Process topology. By default one process hosts everything: a
 // monolith (-shards 1) or N in-process shards behind an in-process
@@ -97,7 +95,6 @@ var (
 	worldPreset    = flag.String("world", "paper", "world preset: paper, small, or london")
 	surveyRuns     = flag.Int("survey-runs", 4, "fingerprint survey passes per stop")
 	fpdbPath       = flag.String("fpdb", "", "fingerprint DB file: loaded if present, written after a survey otherwise")
-	journal        = flag.String("journal", "", "legacy trip journal (JSONL) to migrate into a virgin -store-dir (sharded layouts: one <path>.shardN file per shard); requires -store-dir")
 	shards         = flag.Int("shards", 1, "region shards behind the coordinator (1 = monolithic)")
 	maxInflight    = flag.Int("max-inflight-batches", 0, "admission gate: concurrent batch ingests before shedding with 429 (0 = unbounded)")
 	reqTimeoutS    = flag.Float64("request-timeout", 0, "per-request handling budget in seconds (0 = none)")
@@ -123,21 +120,18 @@ func main() {
 
 // validateFlags rejects contradictory flags, all at once, before
 // anything is built or any file touched.
-func validateFlags(nShards int, legacy, dir string, id int, addrs []string) error {
+func validateFlags(nShards int, dir string, id int, addrs []string) error {
 	var errs []error
 	if nShards < 1 {
 		errs = append(errs, errors.New("-shards must be >= 1"))
-	}
-	if legacy != "" && dir == "" {
-		errs = append(errs, errors.New("-journal only names a legacy file to migrate and needs -store-dir to migrate it into (the file is left untouched)"))
 	}
 	switch {
 	case id >= 0 && len(addrs) == 0:
 		errs = append(errs, errors.New("-shard-id requires -shard-addrs"))
 	case id >= len(addrs):
 		errs = append(errs, fmt.Errorf("-shard-id %d outside the %d-entry -shard-addrs list", id, len(addrs)))
-	case id < 0 && len(addrs) > 0 && (dir != "" || legacy != ""):
-		errs = append(errs, errors.New("-store-dir and -journal belong to the shard processes, not the coordinator tier"))
+	case id < 0 && len(addrs) > 0 && dir != "":
+		errs = append(errs, errors.New("-store-dir belongs to the shard processes, not the coordinator tier"))
 	}
 	return errors.Join(errs...)
 }
@@ -146,7 +140,7 @@ func validateFlags(nShards int, legacy, dir string, id int, addrs []string) erro
 // the backends this process owns, recover them from the store, serve.
 func run() error {
 	shardAddrs := strings.FieldsFunc(*shardAddrList, func(r rune) bool { return r == ',' || r == ' ' })
-	if err := validateFlags(*shards, *journal, *storeDir, *shardID, shardAddrs); err != nil {
+	if err := validateFlags(*shards, *storeDir, *shardID, shardAddrs); err != nil {
 		return err
 	}
 	// Root context: canceled on SIGTERM/SIGINT so recovery replay and
@@ -236,12 +230,12 @@ func run() error {
 		opts := store.Options{SegmentBytes: *segmentBytes, SnapshotEvery: *snapshotEvery, Clock: clock.Wall{}}
 		if *shardID >= 0 {
 			opts.Dir = server.ShardStoreDir(*storeDir, *shardID)
-			rec, err := server.RecoverBackendStore(ctx, opts, legacyJournals(*journal, len(shardAddrs))[*shardID], local[0])
+			rec, err := server.RecoverBackendStore(ctx, opts, "", local[0])
 			if err != nil {
 				return err
 			}
 			recs = []*server.StoreRecovery{rec}
-		} else if recs, err = coord.RecoverStores(ctx, *storeDir, opts, legacyJournals(*journal, *shards)); err != nil {
+		} else if recs, err = coord.RecoverStores(ctx, *storeDir, opts); err != nil {
 			return err
 		}
 		if err := reportRecovery(*recoveryReport, recs); err != nil {
@@ -325,9 +319,6 @@ func reportRecovery(path string, recs []*server.StoreRecovery) error {
 		}
 		fmt.Printf("store shard %d: %s — %d trips replayed, %d skipped, %d scatter groups refolded (%d segments walked)\n",
 			r.Shard, r.Report.Mode, r.TripsReplayed, r.TripsSkipped, r.ScatterReplayed, r.Report.SegmentsReplayed)
-		if r.Report.Migrated {
-			fmt.Printf("store shard %d: legacy journal migrated into the store\n", r.Shard)
-		}
 		for _, n := range r.Report.Notes {
 			fmt.Printf("store shard %d: note: %s\n", r.Shard, n)
 		}
@@ -344,19 +335,6 @@ func reportRecovery(path string, recs []*server.StoreRecovery) error {
 	}
 	fmt.Printf("recovery report written to %s\n", path)
 	return nil
-}
-
-// legacyJournals names the legacy journal file each shard of a layout
-// migrates: the bare -journal path for one shard, "<path>.shardN" per
-// shard otherwise, nothing when -journal is unset.
-func legacyJournals(path string, shards int) []string {
-	out := make([]string, shards)
-	for i := range out {
-		if out[i] = path; path != "" && shards > 1 {
-			out[i] = fmt.Sprintf("%s.shard%d", path, i)
-		}
-	}
-	return out
 }
 
 // loadOrSurvey restores a persisted fingerprint database, or surveys the

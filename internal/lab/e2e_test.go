@@ -164,8 +164,7 @@ func TestE2EReadStormScenario(t *testing.T) {
 // TestE2ERestartRecovery is the regression test for the durable-store
 // contract on real processes: a store-backed monolith and a 2-shard
 // topology each SIGKILLed mid-corpus must reboot from their stores and
-// serve a map byte-identical to an uninterrupted replay, and a legacy
-// journal must migrate into the store on first -store-dir boot.
+// serve a map byte-identical to an uninterrupted replay.
 func TestE2ERestartRecovery(t *testing.T) {
 	r := runOne(t, e2eOptions(t), "restart-recovery")
 	if !r.Pass {
@@ -176,8 +175,6 @@ func TestE2ERestartRecovery(t *testing.T) {
 		"monolith: map byte-identical after kill+reboot",
 		"monolith: post-drain reboot restarts from the snapshot alone",
 		"shard-procs: merged map byte-identical after kill+reboot",
-		"legacy: journal migrated into the store",
-		"legacy: map byte-identical after migration",
 	} {
 		if c := findCheck(t, r, name); !c.Pass {
 			t.Errorf("check %q failed: %s", name, c.Detail)

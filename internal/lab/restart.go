@@ -1,7 +1,6 @@
 package lab
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -19,7 +18,7 @@ import (
 // scenarioRestart is the durability suite: kill -9 a store-backed
 // server mid-corpus, reboot it from its log-structured store, finish
 // the corpus, and require the served traffic map byte-identical to an
-// uninterrupted in-process replay. Three phases share one corpus:
+// uninterrupted in-process replay. Two phases share one corpus:
 //
 //  1. Monolith: SIGKILL mid-corpus, reboot from the store (snapshot +
 //     tail), then a graceful drain followed by a third boot that must
@@ -28,12 +27,9 @@ import (
 //     mid-corpus and rebooted from their per-shard stores, including
 //     the cross-shard scatter groups persisted in the receiving
 //     shard's log.
-//  3. Legacy migration: a single-file journal left by an older build
-//     is adopted by a -store-dir boot, replayed in full, and retired;
-//     -journal without -store-dir is refused and leaves the file alone.
 var scenarioRestart = Scenario{
 	Name:        "restart-recovery",
-	Description: "kill -9 a store-backed server mid-corpus: reboot recovers snapshot+tail, traffic byte-identical (monolith, shard procs, legacy migration)",
+	Description: "kill -9 a store-backed server mid-corpus: reboot recovers snapshot+tail, traffic byte-identical (monolith, shard procs)",
 	run: func(ctx context.Context, e *env, r *Result) error {
 		r.Topology = "monolith + shard-procs-2 (store-backed)"
 		corpus, err := e.cleanCorpus(ctx)
@@ -45,7 +41,7 @@ var scenarioRestart = Scenario{
 			return fmt.Errorf("lab: corpus of %d trips cannot be cut", len(corpus))
 		}
 
-		// One reference serves all three phases: the full corpus
+		// One reference serves both phases: the full corpus
 		// replayed serially in process, rendered as wire bytes.
 		ref, err := e.dep.ReplayTrips(ctx, corpus, 1)
 		if err != nil {
@@ -69,9 +65,6 @@ var scenarioRestart = Scenario{
 			return err
 		}
 		if err := restartShardProcs(ctx, e, r, rec, corpus, cut, refBytes, work); err != nil {
-			return err
-		}
-		if err := restartLegacyMigration(ctx, e, r, rec, corpus, cut, refBytes, work); err != nil {
 			return err
 		}
 		wall := clock.Since(e.opts.Clock, start).Seconds()
@@ -437,74 +430,5 @@ func restartShardProcs(ctx context.Context, e *env, r *Result, rec *LatencyRecor
 		fmt.Sprintf("delivered %d duplicate %d failed %d (%s)", delivered, dup, failed, wc2.failDetail()))
 	tallyWire(r, wc2)
 	checkMapIdentical(ctx, r, coord.URL, refBytes, "shard-procs: merged map byte-identical after kill+reboot")
-	return nil
-}
-
-// restartLegacyMigration runs phase 3: a legacy journal — one bare JSON
-// trip per line, as builds before the store wrote it — must be refused
-// by a boot that names no store, then adopted by a store-backed boot:
-// replayed in full, retired from disk, and invisible in the served
-// bytes.
-func restartLegacyMigration(ctx context.Context, e *env, r *Result, rec *LatencyRecorder, corpus []probe.Trip, cut int, refBytes []byte, work string) error {
-	dir := filepath.Join(work, "legacy-store")
-	journal := filepath.Join(work, "legacy.jsonl")
-	var legacy bytes.Buffer
-	enc := json.NewEncoder(&legacy)
-	for i := range corpus[:cut] {
-		if err := enc.Encode(&corpus[i]); err != nil {
-			return err
-		}
-	}
-	if err := os.WriteFile(journal, legacy.Bytes(), 0o644); err != nil {
-		return err
-	}
-
-	refused, err := StartProc("legacy-refused", e.opts.ServerBin, append(e.bootArgs("127.0.0.1:0"), "-journal", journal)...)
-	if err != nil {
-		return err
-	}
-	waitCtx, cancel := context.WithTimeout(ctx, e.opts.BootTimeout)
-	code, waitErr := refused.Wait(waitCtx)
-	cancel()
-	after, readErr := os.ReadFile(journal)
-	r.check("legacy: -journal without -store-dir is refused, file untouched",
-		waitErr == nil && code != 0 && strings.Contains(refused.Output(), "-store-dir") &&
-			readErr == nil && bytes.Equal(after, legacy.Bytes()),
-		fmt.Sprintf("exit code %d, err %v, journal read err %v, output %q", code, waitErr, readErr, tail(refused.Output(), 3)))
-
-	report := filepath.Join(work, "restart-recovery-legacy-reboot.json")
-	args := append(storeFlags(dir, report, snapshotEveryFor(cut)), "-journal", journal)
-	srv2, err := e.bootServer(ctx, "legacy-v2", args...)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		sctx, cancel := e.shutdownCtx()
-		defer cancel()
-		srv2.Shutdown(sctx)
-	}()
-	e.keepArtifact(report)
-	recs, err := readRecoveryReport(report)
-	if err != nil {
-		r.check("legacy: store boot writes a recovery report", false, err.Error())
-		return nil
-	}
-	rc := recs[0]
-	r.check("legacy: journal migrated into the store",
-		rc.Err == "" && rc.Report.Migrated && rc.TripsReplayed == cut,
-		recoverySummary(recs))
-	_, statErr := os.Stat(journal)
-	r.check("legacy: journal file retired after migration", os.IsNotExist(statErr),
-		fmt.Sprintf("stat %s: %v", journal, statErr))
-
-	wc2 := newWireCounter(srv2.Client, rec)
-	if err := driveTrips(ctx, wc2, corpus[cut:]); err != nil {
-		return err
-	}
-	_, delivered, dup, failed := wc2.snapshot()
-	r.check("legacy: post-migration trips all land", failed == 0 && dup == 0 && delivered == len(corpus)-cut,
-		fmt.Sprintf("delivered %d duplicate %d failed %d (%s)", delivered, dup, failed, wc2.failDetail()))
-	tallyWire(r, wc2)
-	checkMapIdentical(ctx, r, srv2.URL, refBytes, "legacy: map byte-identical after migration")
 	return nil
 }

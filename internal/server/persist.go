@@ -160,9 +160,9 @@ func (b *Backend) ImportState(st *PersistentState) error {
 
 // storeRecord is the store's record envelope. Kind "trip" carries one
 // accepted upload; kind "scatter" carries one cross-shard observation
-// group received for folding. A line with no kind is a legacy journal
-// record: a bare trip JSON object, as migrated single-file journals
-// contain.
+// group received for folding. Any other kind — none at all included —
+// is a kind this build does not know: skipped and counted, never
+// guessed at.
 type storeRecord struct {
 	Kind string                `json:"kind,omitempty"`
 	Trip *probe.Trip           `json:"trip,omitempty"`
@@ -175,8 +175,8 @@ const (
 	recKindScatter = "scatter"
 )
 
-// decodeStoreRecord parses one record line, handling the legacy
-// bare-trip form. ok is false for lines that are not records at all.
+// decodeStoreRecord parses one record line. ok is false for lines that
+// are not records this build can replay.
 func decodeStoreRecord(line []byte) (storeRecord, bool) {
 	var rec storeRecord
 	if err := json.Unmarshal(line, &rec); err != nil {
@@ -184,21 +184,10 @@ func decodeStoreRecord(line []byte) (storeRecord, bool) {
 	}
 	switch rec.Kind {
 	case recKindTrip:
-		if rec.Trip == nil {
-			return storeRecord{}, false
-		}
-		return rec, true
+		return rec, rec.Trip != nil
 	case recKindScatter:
 		return rec, true
-	case "":
-		// Legacy journal line: the whole object is the trip.
-		var trip probe.Trip
-		if err := json.Unmarshal(line, &trip); err != nil {
-			return storeRecord{}, false
-		}
-		return storeRecord{Kind: recKindTrip, Trip: &trip}, true
 	default:
-		// A record kind from the future: skip, never guess.
 		return storeRecord{}, false
 	}
 }
@@ -342,12 +331,11 @@ type StoreRecovery struct {
 // recovery that produced this).
 func (r *StoreRecovery) Log() *StoreLog { return r.log }
 
-// recoverTarget is one local backend to restore: where its store lives
-// and which legacy journal file (if any) to adopt into it.
+// recoverTarget is one local backend to restore and where its store
+// lives.
 type recoverTarget struct {
-	b      *Backend
-	dir    string
-	legacy string
+	b   *Backend
+	dir string
 }
 
 // recoverBackends is the one recovery routine: it restores freshly
@@ -356,18 +344,14 @@ type recoverTarget struct {
 // slice so cross-shard scatters replayed by one shard land on peers
 // that have already imported their snapshots:
 //
-//  1. Per backend: a legacy single-file journal (if any, and only into
-//     a virgin store) migrates in as the first segment; the store
-//     opens for appending; the recovery ladder picks a snapshot and
-//     its state imports (a checksum-valid snapshot whose state fails
-//     to decode falls all the way to a full replay); the scatter log
-//     attaches. Opening comes BEFORE planning because Open normalizes
-//     the directory — a fully-sealed-but-unrenamed active segment
-//     (crash between footer write and rename) is finished into its
-//     sealed name, a torn active tail is trimmed — and a plan built
-//     against the pre-normalization paths would skip the renamed
-//     segment's acked records as "unreadable" at replay time, after
-//     which compaction would delete them.
+//  1. Per backend: the store opens for appending; the recovery ladder
+//     picks a snapshot and its state imports (a checksum-valid
+//     snapshot whose state fails to decode falls all the way to a full
+//     replay); the scatter log attaches. Opening comes BEFORE planning
+//     because Open normalizes the directory — a fully-sealed-but-
+//     unrenamed active segment (crash between footer write and rename)
+//     is finished into its sealed name, a torn active tail is trimmed
+//     — so the report describes the directory the replay will walk.
 //  2. Every tail replays in slice order: trips re-process (their
 //     cross-shard groups re-scatter under the original idempotency
 //     keys; a shard's own replayed scatter records fold without
@@ -390,7 +374,7 @@ func recoverBackends(ctx context.Context, opts store.Options, targets []recoverT
 		recs[i] = &StoreRecovery{Shard: t.b.shardIdx}
 		shardOpts := opts
 		shardOpts.Dir = t.dir
-		plan, s, err := openAndPlan(shardOpts, t.legacy, t.b, recs[i])
+		plan, s, err := openAndPlan(shardOpts, t.b, recs[i])
 		if err != nil {
 			recs[i].Err = err.Error()
 			continue
@@ -427,13 +411,17 @@ func recoverBackends(ctx context.Context, opts store.Options, targets []recoverT
 }
 
 // RecoverBackendStore restores one freshly constructed backend from
-// the store directory opts.Dir (recoverBackends over a single target),
-// adopting legacyJournal into a virgin store first. Unlike the
-// coordinator's degraded boot, a store that cannot be migrated, opened
+// the store directory opts.Dir (recoverBackends over a single target).
+// Unlike the coordinator's degraded boot, a store that cannot be opened
 // or planned is an error: a lone backend has no peers to serve around
-// it.
-func RecoverBackendStore(ctx context.Context, opts store.Options, legacyJournal string, b *Backend) (*StoreRecovery, error) {
-	recs, err := recoverBackends(ctx, opts, []recoverTarget{{b: b, dir: opts.Dir, legacy: legacyJournal}})
+// it. legacy must be empty: it named a single-file journal to
+// migrate, a format no build writes any more, and stays in the
+// signature only because the benchmark compiles against it.
+func RecoverBackendStore(ctx context.Context, opts store.Options, legacy string, b *Backend) (*StoreRecovery, error) {
+	if legacy != "" {
+		return nil, fmt.Errorf("server: legacy journal %q: single-file journals are no longer migrated", legacy)
+	}
+	recs, err := recoverBackends(ctx, opts, []recoverTarget{{b: b, dir: opts.Dir}})
 	if err != nil {
 		return nil, err
 	}
@@ -444,32 +432,24 @@ func RecoverBackendStore(ctx context.Context, opts store.Options, legacyJournal 
 }
 
 // RecoverStores restores every in-process shard of a coordinator from
-// per-shard store directories under base (ShardStoreDir), adopting
-// legacyJournals[i] into shard i's virgin store. A shard whose
+// per-shard store directories under base (ShardStoreDir). A shard whose
 // recovery fails is recorded (Err) and left fresh — the remaining
 // shards still recover (degraded boot, matching the degraded-read
 // philosophy).
-func (c *Coordinator) RecoverStores(ctx context.Context, base string, opts store.Options, legacyJournals []string) ([]*StoreRecovery, error) {
+func (c *Coordinator) RecoverStores(ctx context.Context, base string, opts store.Options) ([]*StoreRecovery, error) {
 	targets := make([]recoverTarget, len(c.backends))
 	for i, b := range c.backends {
 		if b == nil {
 			return nil, fmt.Errorf("server: shard %d is remote; it recovers its own store", i)
 		}
 		targets[i] = recoverTarget{b: b, dir: ShardStoreDir(base, i)}
-		if i < len(legacyJournals) {
-			targets[i].legacy = legacyJournals[i]
-		}
 	}
 	return recoverBackends(ctx, opts, targets)
 }
 
-// openAndPlan is phase 1 for one backend: migrate, open, plan, import.
-// It returns the open store and the plan whose tail phase 2 replays.
-func openAndPlan(opts store.Options, legacy string, b *Backend, rec *StoreRecovery) (*store.Recovery, *store.Store, error) {
-	migrated, err := store.MigrateLegacy(opts.Dir, legacy)
-	if err != nil {
-		return nil, nil, err
-	}
+// openAndPlan is phase 1 for one backend: open, plan, import. It
+// returns the open store and the plan whose tail phase 2 replays.
+func openAndPlan(opts store.Options, b *Backend, rec *StoreRecovery) (*store.Recovery, *store.Store, error) {
 	s, err := store.Open(opts)
 	if err != nil {
 		return nil, nil, err
@@ -479,14 +459,13 @@ func openAndPlan(opts store.Options, legacy string, b *Backend, rec *StoreRecove
 		_ = s.Close() //lint:allow errcheckio best-effort close; the backend boots fresh without a log and the plan error is the cause worth reporting
 		return nil, nil, err
 	}
-	plan.Report.Migrated = migrated
 	rec.Report = plan.Report
 	return plan, s, nil
 }
 
 // planAndImport runs the recovery ladder over an opened store and
-// imports the chosen snapshot's state into the backend, re-planning as
-// a full replay when a checksum-valid snapshot fails to decode.
+// imports the chosen snapshot's state into the backend, dropping the
+// plan to a full replay when a checksum-valid snapshot fails to decode.
 func planAndImport(opts store.Options, b *Backend, rec *StoreRecovery) (*store.Recovery, error) {
 	plan, err := store.PlanRecovery(opts)
 	if err != nil || plan.State == nil {
@@ -501,11 +480,7 @@ func planAndImport(opts store.Options, b *Backend, rec *StoreRecovery) (*store.R
 		rec.SnapshotImported = true
 		return plan, nil
 	}
-	opts.SkipSnapshots = true
-	plan, err = store.PlanRecovery(opts)
-	if err != nil {
-		return nil, err
-	}
+	plan.FullReplay()
 	plan.Report.Notes = append(plan.Report.Notes,
 		fmt.Sprintf("snapshot state not importable (%v); fell back to full replay", ierr))
 	return plan, nil

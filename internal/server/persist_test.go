@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -260,7 +259,7 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 
 	base := t.TempDir()
 	first := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
-	recs, err := first.RecoverStores(context.Background(), base, storeTestOpts(""), nil)
+	recs, err := first.RecoverStores(context.Background(), base, storeTestOpts(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +280,7 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 	}
 
 	second := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
-	recs2, err := second.RecoverStores(context.Background(), base, storeTestOpts(""), nil)
+	recs2, err := second.RecoverStores(context.Background(), base, storeTestOpts(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,26 +302,29 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 	}
 }
 
-// legacyDamage names the shapes a crash or a bad disk left in the
-// retired single-file journals.
-type legacyDamage uint8
+// logDamage names the shapes a crash, a bad disk or another build can
+// leave in a store segment.
+type logDamage uint8
 
 const (
-	corruptMiddleLine legacyDamage = 1 << iota // a garbled line between intact records
-	oversizedLine                              // a line longer than any upload, so it can only be corruption
-	duplicateID                                // an intact record written twice
-	tornFinalLine                              // a crash mid-append
-	allLegacyDamage   = corruptMiddleLine | oversizedLine | duplicateID | tornFinalLine
+	corruptMiddleLine logDamage = 1 << iota // a garbled line between intact records
+	oversizedLine                           // a line longer than any record, so it can only be corruption
+	duplicateID                             // an intact record written twice
+	unkindedLine                            // a bare trip with no record envelope: a kind this build does not know
+	tornFinalLine                           // a crash mid-append
+	allLogDamage      = corruptMiddleLine | oversizedLine | duplicateID | unkindedLine | tornFinalLine
 )
 
-// writeLegacyJournal writes trips the way the retired journal did: one
-// bare JSON trip per line. Damage lands after the first record, the
-// torn line at the end.
-func writeLegacyJournal(t *testing.T, path string, trips []probe.Trip, dmg legacyDamage) {
+// writeDamagedSegment hand-writes dir's first active segment: one
+// {"kind":"trip",…} record per trip, as StoreLog.Append would have.
+// Damage lands after the first record, the torn line at the end. The
+// unkinded line carries a trip of its own, so a replay that guessed at
+// it would accept it and serve a different map.
+func writeDamagedSegment(t *testing.T, dir string, trips []probe.Trip, dmg logDamage) {
 	t.Helper()
 	var buf bytes.Buffer
 	for i := range trips {
-		line, err := json.Marshal(&trips[i])
+		line, err := json.Marshal(storeRecord{Kind: recKindTrip, Trip: &trips[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,32 +334,41 @@ func writeLegacyJournal(t *testing.T, path string, trips []probe.Trip, dmg legac
 			continue
 		}
 		if dmg&corruptMiddleLine != 0 {
-			buf.WriteString("{\"id\":\"garbled\",\"sam\n")
+			buf.WriteString("{\"kind\":\"trip\",\"trip\":{\"id\":\"garbled\",\"sam\n")
 		}
 		if dmg&oversizedLine != 0 {
-			buf.Write(bytes.Repeat([]byte{'x'}, maxUploadBytes+16))
+			buf.Write(bytes.Repeat([]byte{'x'}, store.DefaultMaxRecordBytes+16))
 			buf.WriteByte('\n')
 		}
 		if dmg&duplicateID != 0 {
 			buf.Write(line)
 		}
+		if dmg&unkindedLine != 0 {
+			bare := trips[i]
+			bare.ID += "-bare"
+			if err := json.NewEncoder(&buf).Encode(&bare); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if dmg&tornFinalLine != 0 {
-		buf.WriteString(`{"id":"torn","samples":[{`)
+		buf.WriteString(`{"kind":"trip","trip":{"id":"torn","samples":[{`)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.active"), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// checkLegacyMigration boots a deployment carrying legacy journals (one
-// file for a monolith, <path>.shardN per shard, each holding the trips
-// routed to that shard) onto the store: every journal must be adopted
-// as its shard's first segment and retired, damage must cost exactly
-// the damaged records, the served map must be identical to an
-// uninterrupted run, and the migrated store must checkpoint and
+// checkDamagedReplay boots a deployment whose store directories (one
+// for a monolith, ShardStoreDir(base, i) per shard, each holding the
+// trips routed to that shard) carry a damaged active segment: damage
+// must cost exactly the damaged records, the served map must be
+// identical to an uninterrupted run, and the store must checkpoint and
 // restart like any other.
-func checkLegacyMigration(t *testing.T, shards int, dmg legacyDamage) {
+func checkDamagedReplay(t *testing.T, shards int, dmg logDamage) {
 	fx := newTwinFixture(t)
 	trips := twinCorpus(t, fx.world, faults.Config{})
 	ref, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
@@ -374,58 +385,47 @@ func checkLegacyMigration(t *testing.T, shards int, dmg legacyDamage) {
 		sh := router.ShardFor(trip)
 		byShard[sh] = append(byShard[sh], trip)
 	}
-	legacy := filepath.Join(t.TempDir(), "journal.jsonl")
-	paths := []string{legacy}
-	if shards > 1 {
-		paths = paths[:0]
-		for i := 0; i < shards; i++ {
-			paths = append(paths, legacy+".shard"+strconv.Itoa(i))
-		}
-	}
-	for i, p := range paths {
+	base := t.TempDir()
+	for i := range byShard {
 		if len(byShard[i]) == 0 {
 			t.Fatalf("corpus routes nothing to shard %d", i)
 		}
-		writeLegacyJournal(t, p, byShard[i], dmg)
+		writeDamagedSegment(t, ShardStoreDir(base, i), byShard[i], dmg)
 	}
 
-	base := t.TempDir()
 	boot := func() (API, []*Backend, []*StoreRecovery) {
 		if shards == 1 {
-			b, rec := recoverFresh(t, fx, ShardStoreDir(base, 0), paths[0])
+			b, rec := recoverFresh(t, fx, ShardStoreDir(base, 0), "")
 			return b, []*Backend{b}, []*StoreRecovery{rec}
 		}
 		c := newTwinCoordinator(t, fx.world, fx.fpdb, shards)
-		recs, err := c.RecoverStores(context.Background(), base, storeTestOpts(""), paths)
+		recs, err := c.RecoverStores(context.Background(), base, storeTestOpts(""))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c, c.Shards(), recs
 	}
-	// The garbled line and the duplicate are counted by the replay, the
-	// oversized line by the store's line reader; Open trims the torn
-	// tail before the plan is built.
-	wantSkipped := bits.OnesCount8(uint8(dmg & (corruptMiddleLine | duplicateID)))
+	// The garbled line, the duplicate and the unkinded line are counted
+	// by the replay, the oversized line by the store's line reader; Open
+	// trims the torn tail before the plan is built.
+	wantSkipped := bits.OnesCount8(uint8(dmg & (corruptMiddleLine | duplicateID | unkindedLine)))
 	wantOversized := bits.OnesCount8(uint8(dmg & oversizedLine))
 	api, backends, recs := boot()
 	for i, rec := range recs {
-		if rec.Err != "" || !rec.Report.Migrated {
-			t.Fatalf("shard %d: legacy journal not migrated: %+v", i, rec)
+		if rec.Err != "" || rec.Report.Mode != "full-replay" {
+			t.Fatalf("shard %d: hand-written segment not replayed: %+v", i, rec)
 		}
 		if rec.TripsReplayed != len(byShard[i]) {
-			t.Errorf("shard %d: replayed %d trips from the migrated journal, want %d", i, rec.TripsReplayed, len(byShard[i]))
+			t.Errorf("shard %d: replayed %d trips from the segment, want %d", i, rec.TripsReplayed, len(byShard[i]))
 		}
-		if rec.TripsSkipped != wantSkipped || rec.Report.RecordsSkipped != wantOversized {
-			t.Errorf("shard %d: skipped %d trips and %d records, want %d and %d",
-				i, rec.TripsSkipped, rec.Report.RecordsSkipped, wantSkipped, wantOversized)
-		}
-		if _, err := os.Stat(paths[i]); !os.IsNotExist(err) {
-			t.Errorf("shard %d: legacy journal still present after migration", i)
+		if rec.TripsSkipped != wantSkipped || rec.Report.RecordsSkipped != wantOversized || rec.Report.TornTail {
+			t.Errorf("shard %d: skipped %d trips and %d records (torn tail %v), want %d and %d with the tail already trimmed",
+				i, rec.TripsSkipped, rec.Report.RecordsSkipped, rec.Report.TornTail, wantSkipped, wantOversized)
 		}
 	}
 	api.Advance(3 * clock.DayS)
 	if got := trafficBytes(t, api); !bytes.Equal(got, want) {
-		t.Error("migrated /v1/traffic differs from the uninterrupted run")
+		t.Error("replayed /v1/traffic differs from the uninterrupted run")
 	}
 
 	for i, b := range backends {
@@ -439,69 +439,77 @@ func checkLegacyMigration(t *testing.T, shards int, dmg legacyDamage) {
 	api, _, recs = boot()
 	for i, rec := range recs {
 		if rec.Report.Mode != "snapshot+tail" || rec.TripsReplayed != 0 {
-			t.Fatalf("shard %d: post-migration recovery %+v, want snapshot+tail replaying nothing", i, rec)
+			t.Fatalf("shard %d: post-checkpoint recovery %+v, want snapshot+tail replaying nothing", i, rec)
 		}
 	}
 	api.Advance(3 * clock.DayS)
 	if got := trafficBytes(t, api); !bytes.Equal(got, want) {
-		t.Error("post-migration checkpointed recovery differs")
+		t.Error("checkpointed recovery of the damaged store differs")
 	}
 }
 
-// TestStoreLegacyJournalMigration: see checkLegacyMigration. A journal
-// with every kind of damage at once costs exactly the damaged records
-// in both the monolith and the 2-shard <path>.shardN layout.
-func TestStoreLegacyJournalMigration(t *testing.T) {
+// TestStoreReplayDamagedSegment: see checkDamagedReplay. A segment with
+// every kind of damage at once costs exactly the damaged records in
+// both the monolith and the 2-shard layout, and a bare (unkinded) trip
+// line is skipped and counted, never guessed at.
+func TestStoreReplayDamagedSegment(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		shards int
-		dmg    legacyDamage
+		dmg    logDamage
 	}{
 		{"monolith", 1, 0},
-		{"monolith-damaged", 1, allLegacyDamage},
-		{"two-shard-damaged", 2, allLegacyDamage},
+		{"monolith-unkinded", 1, unkindedLine},
+		{"monolith-damaged", 1, allLogDamage},
+		{"two-shard-damaged", 2, allLogDamage},
 	} {
-		t.Run(tc.name, func(t *testing.T) { checkLegacyMigration(t, tc.shards, tc.dmg) })
+		t.Run(tc.name, func(t *testing.T) { checkDamagedReplay(t, tc.shards, tc.dmg) })
 	}
 }
 
-// The replay-tolerance tests the journal had, one damage kind each, now
-// over the migrated journal — the only place its format is still read.
+// The replay-tolerance tests, one damage kind each.
 
 // TestReplaySkipsCorruptMiddleLine: a corrupt line in the MIDDLE of the
 // file (a partial write that later appends happened to follow, or disk
 // damage) costs only that record; everything after it still replays.
 func TestReplaySkipsCorruptMiddleLine(t *testing.T) {
-	checkLegacyMigration(t, 1, corruptMiddleLine)
+	checkDamagedReplay(t, 1, corruptMiddleLine)
 }
 
-// TestReplaySkipsOversizedLine: a line longer than any upload the
-// server accepts costs only itself, not the rest of the replay.
+// TestReplaySkipsOversizedLine: a line longer than any record the store
+// accepts costs only itself, not the rest of the replay.
 func TestReplaySkipsOversizedLine(t *testing.T) {
-	checkLegacyMigration(t, 1, oversizedLine)
+	checkDamagedReplay(t, 1, oversizedLine)
 }
 
 // TestReplaySkipsDuplicatesAndGarbage: a record written twice replays
 // once, and a torn final line is dropped.
 func TestReplaySkipsDuplicatesAndGarbage(t *testing.T) {
-	checkLegacyMigration(t, 1, duplicateID|tornFinalLine)
+	checkDamagedReplay(t, 1, duplicateID|tornFinalLine)
 }
 
-// TestCoordinatorJournalReplay: per-shard journals rebuild the merged
+// TestCoordinatorJournalReplay: per-shard logs rebuild the merged
 // traffic map through the coordinator's recovery, surviving a corrupt
 // line mid-file.
 func TestCoordinatorJournalReplay(t *testing.T) {
-	checkLegacyMigration(t, 2, corruptMiddleLine)
+	checkDamagedReplay(t, 2, corruptMiddleLine)
 }
 
-// TestReplayMissingFile: a -journal path with no file behind it (a
-// shard that never ingested, or a journal already migrated) is not an
-// error: nothing migrates and the store boots fresh.
-func TestReplayMissingFile(t *testing.T) {
+// TestRecoverBackendStoreRefusesLegacyJournal: the argument that named
+// a single-file journal to migrate survives only for the benchmark's
+// sake; a caller that still passes one is told, not half-honoured.
+func TestRecoverBackendStoreRefusesLegacyJournal(t *testing.T) {
 	fx := newTwinFixture(t)
-	_, rec := recoverFresh(t, fx, t.TempDir(), filepath.Join(t.TempDir(), "nope.jsonl"))
-	if rec.Report.Migrated || rec.Report.Mode != "fresh" {
-		t.Fatalf("missing legacy journal recovered as %+v, want an unmigrated fresh boot", rec.Report)
+	b, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := RecoverBackendStore(context.Background(), storeTestOpts(dir), filepath.Join(dir, "journal.jsonl"), b); err == nil {
+		t.Fatal("a non-empty legacy journal argument was accepted")
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("refused recovery touched the store directory: %v (err %v)", ents, err)
 	}
 }
 
@@ -529,10 +537,9 @@ func TestAttachedJournalCapturesUploads(t *testing.T) {
 }
 
 // TestRecoverStoresContinuesPastFailedShard: one shard whose store
-// cannot be brought up (here its legacy journal path is a directory,
-// which migrates but cannot open as a segment) lands its failure on
-// its own report and boots fresh with no log; the other shards still
-// recover.
+// cannot be brought up (here its store directory is a regular file)
+// lands its failure on its own report and boots fresh with no log; the
+// other shards still recover.
 func TestRecoverStoresContinuesPastFailedShard(t *testing.T) {
 	fx := newTwinFixture(t)
 	trips := twinCorpus(t, fx.world, faults.Config{})
@@ -543,13 +550,12 @@ func TestRecoverStoresContinuesPastFailedShard(t *testing.T) {
 			shard0 = append(shard0, trip)
 		}
 	}
-	legacy := filepath.Join(t.TempDir(), "journal.jsonl")
-	writeLegacyJournal(t, legacy+".shard0", shard0, 0)
-	if err := os.Mkdir(legacy+".shard1", 0o755); err != nil {
+	base := t.TempDir()
+	writeDamagedSegment(t, ShardStoreDir(base, 0), shard0, 0)
+	if err := os.WriteFile(ShardStoreDir(base, 1), []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := c.RecoverStores(context.Background(), t.TempDir(), storeTestOpts(""),
-		[]string{legacy + ".shard0", legacy + ".shard1"})
+	recs, err := c.RecoverStores(context.Background(), base, storeTestOpts(""))
 	if err != nil {
 		t.Fatalf("one failed shard aborted the recovery: %v", err)
 	}
@@ -691,7 +697,7 @@ func TestRecoverStoresSurvivesPendingSeal(t *testing.T) {
 
 	base := t.TempDir()
 	first := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
-	recs, err := first.RecoverStores(context.Background(), base, storeTestOpts(""), nil)
+	recs, err := first.RecoverStores(context.Background(), base, storeTestOpts(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,7 +757,7 @@ func TestRecoverStoresSurvivesPendingSeal(t *testing.T) {
 	}
 
 	second := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
-	recs2, err := second.RecoverStores(context.Background(), base, storeTestOpts(""), nil)
+	recs2, err := second.RecoverStores(context.Background(), base, storeTestOpts(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -830,7 +836,7 @@ func TestPendingScatterDurableAcrossCompaction(t *testing.T) {
 
 	base := t.TempDir()
 	first := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
-	recs, err := first.RecoverStores(context.Background(), base, storeTestOpts(""), nil)
+	recs, err := first.RecoverStores(context.Background(), base, storeTestOpts(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -888,7 +894,7 @@ func TestPendingScatterDurableAcrossCompaction(t *testing.T) {
 
 	// Reboot with scatter healthy: recovery retries the pending groups.
 	second := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
-	recs2, err := second.RecoverStores(context.Background(), base, storeTestOpts(""), nil)
+	recs2, err := second.RecoverStores(context.Background(), base, storeTestOpts(""))
 	if err != nil {
 		t.Fatal(err)
 	}

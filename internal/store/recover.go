@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 )
 
 // Report is one store directory's recovery outcome, shaped for the
@@ -40,9 +38,6 @@ type Report struct {
 	// TornTail reports a half-written final record (normal after a
 	// crash mid-append).
 	TornTail bool `json:"tornTail,omitempty"`
-	// Migrated reports that a legacy single-file journal was adopted
-	// into this store before recovery.
-	Migrated bool `json:"migrated,omitempty"`
 	// Notes carries human-readable detail for every degraded decision.
 	Notes []string `json:"notes,omitempty"`
 }
@@ -58,7 +53,12 @@ type Recovery struct {
 	Report Report
 
 	opts Options
-	tail []segFile
+	// all is every segment sequence present, ascending; tail is the
+	// suffix of it Replay walks. Segments are named by sequence, not by
+	// path: Open may finish a pending seal, or a writer roll the active
+	// segment, between planning and replay, and the rename keeps every
+	// record line.
+	all, tail []uint64
 }
 
 // PlanRecovery inspects a store directory and picks the cheapest safe
@@ -84,8 +84,13 @@ func PlanRecovery(opts Options) (*Recovery, error) {
 	r := &Recovery{opts: opts}
 	r.Report.Dir = opts.Dir
 	r.Report.SealedSegments = len(ls.sealed)
-	segs := allSegments(ls)
-	if len(segs) == 0 && len(ls.snaps) == 0 {
+	for _, sf := range ls.sealed {
+		r.all = append(r.all, sf.seq)
+	}
+	if ls.active != nil {
+		r.all = append(r.all, ls.active.seq)
+	}
+	if len(r.all) == 0 && len(ls.snaps) == 0 {
 		r.Report.Mode = "fresh"
 		return r, nil
 	}
@@ -93,18 +98,11 @@ func PlanRecovery(opts Options) (*Recovery, error) {
 	// virgin store that has merely been opened: Open creates the active
 	// file eagerly, and recovery paths open the store before planning
 	// so the plan matches the normalized directory.
-	if len(ls.sealed) == 0 && len(ls.snaps) == 0 && len(segs) == 1 && ls.active != nil {
+	if len(ls.sealed) == 0 && len(ls.snaps) == 0 && ls.active != nil {
 		if fi, err := os.Stat(ls.active.path); err == nil && fi.Size() == 0 {
 			r.Report.Mode = "fresh"
 			return r, nil
 		}
-	}
-	if opts.SkipSnapshots {
-		r.note("snapshots ignored by request; planning a full replay")
-		r.tail = segs
-		r.Report.Mode = "full-replay"
-		noteGaps(r, segs)
-		return r, nil
 	}
 	for i := len(ls.snaps) - 1; i >= 0; i-- {
 		sf := ls.snaps[i]
@@ -114,7 +112,7 @@ func PlanRecovery(opts Options) (*Recovery, error) {
 			r.note("snapshot %08d rejected: %v", sf.upTo, err)
 			continue
 		}
-		tail, gap := tailAfter(segs, hdr.UpTo)
+		tail, gap := tailAfter(r.all, hdr.UpTo)
 		if gap != "" {
 			r.Report.SnapshotsSkipped++
 			r.note("snapshot %08d unusable: %s", sf.upTo, gap)
@@ -126,160 +124,113 @@ func PlanRecovery(opts Options) (*Recovery, error) {
 		r.Report.SnapshotSeq = hdr.UpTo
 		return r, nil
 	}
-	r.tail = segs
-	r.Report.Mode = "full-replay"
-	noteGaps(r, segs)
+	r.FullReplay()
 	return r, nil
 }
 
-// allSegments merges sealed and active segments ascending by sequence.
-func allSegments(ls dirListing) []segFile {
-	segs := append([]segFile(nil), ls.sealed...)
-	if ls.active != nil {
-		segs = append(segs, *ls.active)
-	}
-	// listDir keeps sealed ascending and the active has the highest
-	// sequence the writer ever assigned, but a hand-edited directory
-	// could violate that; re-sorting is cheap insurance.
-	for i := 1; i < len(segs); i++ {
-		for j := i; j > 0 && segs[j].seq < segs[j-1].seq; j-- {
-			segs[j], segs[j-1] = segs[j-1], segs[j]
+// FullReplay re-plans as the bottom rung of the ladder: no snapshot,
+// every segment present replayed. A caller reaches for it when the
+// checksum-valid snapshot the plan chose carries state it cannot decode
+// (a schema change, a cross-version downgrade); PlanRecovery lands here
+// itself when no snapshot is usable. Holes in the sequence are noted —
+// their records are gone; the replay covers what survives.
+func (r *Recovery) FullReplay() {
+	r.State, r.tail = nil, r.all
+	r.Report.Mode, r.Report.SnapshotSeq = "full-replay", 0
+	for i := 1; i < len(r.all); i++ {
+		if r.all[i] != r.all[i-1]+1 {
+			r.note("missing segment(s) %08d..%08d; replaying what exists", r.all[i-1]+1, r.all[i]-1)
 		}
 	}
-	return segs
 }
 
-// tailAfter selects the segments with sequence above upTo and checks
-// contiguity: every sequence in (upTo, maxSeq] must be present, else
-// replay would silently drop the records in the hole. A non-empty gap
-// description means the snapshot at upTo cannot be used.
-func tailAfter(segs []segFile, upTo uint64) ([]segFile, string) {
-	var tail []segFile
-	for _, sf := range segs {
-		if sf.seq > upTo {
-			tail = append(tail, sf)
-		}
+// tailAfter selects the sequences above upTo and checks contiguity:
+// every sequence in (upTo, maxSeq] must be present, else replay would
+// silently drop the records in the hole. A non-empty gap description
+// means the snapshot at upTo cannot be used.
+func tailAfter(seqs []uint64, upTo uint64) ([]uint64, string) {
+	for len(seqs) > 0 && seqs[0] <= upTo {
+		seqs = seqs[1:]
 	}
 	want := upTo + 1
-	for _, sf := range tail {
-		if sf.seq != want {
-			return nil, fmt.Sprintf("missing tail segment(s) %08d..%08d", want, sf.seq-1)
+	for _, seq := range seqs {
+		if seq != want {
+			return nil, fmt.Sprintf("missing tail segment(s) %08d..%08d", want, seq-1)
 		}
-		want = sf.seq + 1
+		want = seq + 1
 	}
-	return tail, ""
-}
-
-// noteGaps records holes in a full-replay segment list — records in
-// the holes are gone; the replay covers what survives.
-func noteGaps(r *Recovery, segs []segFile) {
-	for i := 1; i < len(segs); i++ {
-		if segs[i].seq != segs[i-1].seq+1 {
-			r.note("missing segment(s) %08d..%08d; replaying what exists", segs[i-1].seq+1, segs[i].seq-1)
-		}
-	}
+	return seqs, ""
 }
 
 func (r *Recovery) note(format string, args ...any) {
 	r.Report.Notes = append(r.Report.Notes, fmt.Sprintf(format, args...))
 }
 
-// resolveSegmentPath finds a planned segment's current file. Between
-// planning and replay the segment may have been renamed by Open —
-// which finishes a fully-sealed-but-unrenamed active into its sealed
-// name — or by a concurrent writer rolling the active segment (the
-// coordinator's phased recovery opens every shard's store before the
-// replay phase). The rename preserves every record line, so replaying
-// the renamed file is exact; without the fallback the whole segment's
-// acked records would be skipped as "unreadable" and the next
-// compaction would delete them.
-func (r *Recovery) resolveSegmentPath(sf segFile) string {
-	if _, err := os.Stat(sf.path); err == nil || !os.IsNotExist(err) {
-		return sf.path
-	}
-	var alt string
-	switch {
-	case strings.HasSuffix(sf.path, ".active"):
-		alt = sealedPath(r.opts.Dir, sf.seq)
-	case strings.HasSuffix(sf.path, ".seal"):
-		alt = activePath(r.opts.Dir, sf.seq)
-	default:
-		return sf.path
-	}
-	if _, err := os.Stat(alt); err != nil {
-		return sf.path
-	}
-	r.note("segment %08d renamed to %s since planning; replaying the renamed file", sf.seq, filepath.Base(alt))
-	return alt
-}
-
 // Replay walks the planned segments in order, delivering every record
-// line to fn. Sealed segments are checksum-verified first; a mismatch
-// is counted and noted but the segment's parseable lines still replay
-// (half a segment beats none). Oversized lines are skipped and
-// counted. An error from fn aborts the walk — reserve it for
-// cancellation; per-record rejections belong inside fn.
+// line to fn. A sealed segment's checksum is verified in the same pass
+// that delivers its lines; a mismatch is counted and noted but the
+// lines still replay (half a segment beats none). Oversized lines are
+// skipped and counted. An error from fn aborts the walk — reserve it
+// for cancellation; per-record rejections belong inside fn.
 func (r *Recovery) Replay(ctx context.Context, fn func(rec []byte) error) error {
-	for _, sf := range r.tail {
+	for _, seq := range r.tail {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("store: replay canceled: %w", err)
 		}
-		if err := r.replaySegment(sf, fn); err != nil {
+		if err := r.replaySegment(seq, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// replaySegment replays one segment file. Unreadable files are noted
-// and skipped (degraded boot); only an fn error propagates.
-func (r *Recovery) replaySegment(sf segFile, fn func(rec []byte) error) error {
-	path := r.resolveSegmentPath(sf)
-	sealed := strings.HasSuffix(path, ".seal")
-	if sealed {
-		st, err := scanSegment(path, r.opts.MaxRecordBytes)
-		switch {
-		case err != nil:
-			r.Report.CorruptSegments++
-			r.note("segment %08d unreadable: %v", sf.seq, err)
-			return nil
-		case !st.sealed:
-			r.Report.CorruptSegments++
-			r.note("sealed segment %08d missing its footer; replaying its lines anyway", sf.seq)
-		case st.footer.CRC32 != st.crc || st.footer.Bytes != st.goodBytes:
-			r.Report.CorruptSegments++
-			r.note("sealed segment %08d checksum mismatch (got %08x want %08x); replaying parseable lines", sf.seq, st.crc, st.footer.CRC32)
-		}
+// replaySegment replays one segment: its sealed file, else its active
+// one. Unreadable files are noted and skipped (degraded boot); only an
+// fn error propagates.
+func (r *Recovery) replaySegment(seq uint64, fn func(rec []byte) error) error {
+	f, err := os.Open(sealedPath(r.opts.Dir, seq))
+	sealed := err == nil
+	if os.IsNotExist(err) {
+		f, err = os.Open(activePath(r.opts.Dir, seq))
 	}
-	f, err := os.Open(path)
 	if err != nil {
 		r.Report.CorruptSegments++
-		r.note("segment %08d unreadable: %v", sf.seq, err)
+		r.note("segment %08d unreadable: %v", seq, err)
 		return nil
 	}
 	defer f.Close()
 	r.Report.SegmentsReplayed++
-	torn, oversized, err := ForEachLine(f, r.opts.MaxRecordBytes, func(line []byte) error {
-		if _, ok := parseFooter(line); ok {
-			return nil
+	var fnErr error
+	st, err := readSegment(f, r.opts.MaxRecordBytes, func(line []byte) error {
+		if len(line) > 0 {
+			r.Report.RecordsReplayed++
+			fnErr = fn(line)
 		}
-		if len(line) == 0 {
-			return nil
-		}
-		r.Report.RecordsReplayed++
-		return fn(line)
+		return fnErr
 	})
-	if err != nil {
-		return err
+	r.Report.RecordsSkipped += st.oversized
+	switch {
+	case fnErr != nil:
+		return fnErr
+	case err != nil:
+		r.Report.CorruptSegments++
+		r.note("segment %08d unreadable past byte %d: %v", seq, st.goodBytes, err)
+		return nil
+	case !sealed:
+	case !st.sealed:
+		r.Report.CorruptSegments++
+		r.note("sealed segment %08d missing its footer; replaying its lines anyway", seq)
+	case st.footer.CRC32 != st.crc || st.footer.Bytes != st.goodBytes:
+		r.Report.CorruptSegments++
+		r.note("sealed segment %08d checksum mismatch (got %08x want %08x); replaying parseable lines", seq, st.crc, st.footer.CRC32)
 	}
-	r.Report.RecordsSkipped += oversized
-	if torn {
+	if st.tornBytes > 0 {
 		r.Report.RecordsSkipped++
 		r.Report.TornTail = true
 		if sealed {
-			r.note("sealed segment %08d has a torn tail", sf.seq)
+			r.note("sealed segment %08d has a torn tail", seq)
 		} else {
-			r.note("active segment %08d has a torn tail (crash mid-append); last record dropped", sf.seq)
+			r.note("active segment %08d has a torn tail (crash mid-append); last record dropped", seq)
 		}
 	}
 	return nil

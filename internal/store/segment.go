@@ -167,16 +167,19 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return n, true
 }
 
-// segScan is what scanSegment learned about a segment file.
+// segScan is what readSegment learned about a segment file.
 type segScan struct {
-	// sealed reports a complete seal footer as the file's last line.
+	// sealed reports a complete seal footer as the file's final line.
 	sealed bool
 	footer sealFooter
-	// goodBytes is the byte length of the complete record lines
-	// (newlines included, footer excluded).
+	// goodBytes is the byte length of the complete lines (newlines
+	// included, footer excluded).
 	goodBytes int64
-	// records counts complete record lines.
+	// records counts complete lines, oversized ones included.
 	records int
+	// oversized counts complete lines longer than the bound, which were
+	// checksummed but never buffered or delivered.
+	oversized int
 	// crc is the IEEE CRC-32 over the first goodBytes bytes.
 	crc uint32
 	// tornBytes counts trailing bytes after the last newline — a
@@ -184,100 +187,78 @@ type segScan struct {
 	tornBytes int64
 }
 
-// scanSegment reads a segment file byte-exactly: every complete line
-// counts as a record (content is not parsed — replay does that), the
-// last complete line is checked for a seal footer, and anything after
-// the final newline is the torn tail. Open uses this to adopt a
-// pre-existing active segment with an accurate running checksum.
-func scanSegment(path string, maxLine int) (segScan, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return segScan{}, fmt.Errorf("store: scan segment: %w", err)
-	}
-	defer f.Close()
+// readSegment is the one reader of the segment line format. It walks r
+// byte-exactly, keeping a running checksum and length of the complete
+// lines, and feeds each of them, newline stripped, to fn (nil: scan
+// only — Open adopts an active segment that way). One line is held
+// back, so only the file's final line can be the seal footer; a
+// footer-shaped line with anything after it is a record. Lines longer
+// than maxLine are counted instead of delivered (the writer refuses
+// them, so a huge line means corruption, and buffering it would let a
+// corrupt file exhaust memory). Anything after the last newline is the
+// torn tail. The line handed to fn is only valid until fn returns; an
+// error from fn stops the walk and is returned as is.
+func readSegment(r io.Reader, maxLine int, fn func(line []byte) error) (segScan, error) {
 	var st segScan
-	var last []byte // most recent complete line, not yet folded in
-	haveLast := false
-	fold := func() {
-		st.crc = crc32.Update(st.crc, crc32.IEEETable, last)
-		st.crc = crc32.Update(st.crc, crc32.IEEETable, []byte{'\n'})
-		st.goodBytes += int64(len(last)) + 1
-		st.records++
-	}
-	br := bufio.NewReader(f)
-	var partial []byte
-	for {
-		chunk, rerr := br.ReadSlice('\n')
-		partial = append(partial, chunk...)
-		if rerr == bufio.ErrBufferFull {
-			continue
-		}
-		if rerr != nil && rerr != io.EOF {
-			return segScan{}, fmt.Errorf("store: scan segment: %w", rerr)
-		}
-		if n := len(partial); n > 0 && partial[n-1] == '\n' {
-			if haveLast {
-				fold()
-			}
-			last = append(last[:0], partial[:n-1]...)
-			haveLast = true
-			partial = partial[:0]
-		}
-		if rerr == io.EOF {
-			break
-		}
-	}
-	st.tornBytes = int64(len(partial))
-	if haveLast {
-		if sf, ok := parseFooter(last); ok && st.tornBytes == 0 {
-			st.sealed = true
-			st.footer = sf
-		} else {
-			fold()
-		}
-	}
-	return st, nil
-}
-
-// ForEachLine feeds every complete line of r to fn, newline stripped.
-// Lines longer than maxLine are skipped and counted (they cannot be
-// valid records — the writer refuses them — so a huge line means
-// corruption, and buffering it fully would let a corrupt file exhaust
-// memory). Trailing bytes with no newline are the torn tail. An error
-// from fn stops the walk. Exported because it is the line-log reading
-// discipline: the legacy journal replay shares it.
-func ForEachLine(r io.Reader, maxLine int, fn func(line []byte) error) (torn bool, oversized int, err error) {
-	br := bufio.NewReader(r)
-	var buf []byte
+	var held, cur []byte // the last complete line with its newline (empty: none), not yet known to be non-final; the line being read
+	var overCRC uint32   // st.crc run on through an oversized line, committed at its newline
 	over := false
+	release := func() error {
+		line := held
+		held = held[:0]
+		st.crc = crc32.Update(st.crc, crc32.IEEETable, line)
+		st.goodBytes += int64(len(line))
+		st.records++
+		if fn == nil {
+			return nil
+		}
+		return fn(line[:len(line)-1])
+	}
+	br := bufio.NewReader(r)
 	for {
 		// ReadSlice contract: nil error means the chunk ends at the
 		// newline (line complete); ErrBufferFull means more of the same
 		// line follows; io.EOF means trailing bytes with no newline.
 		chunk, rerr := br.ReadSlice('\n')
-		if len(chunk) > 0 && !over {
-			if len(buf)+len(chunk) > maxLine+1 {
+		if len(chunk) > 0 {
+			if len(held) > 0 {
+				if err := release(); err != nil {
+					return st, err
+				}
+			}
+			st.tornBytes += int64(len(chunk))
+			switch {
+			case over:
+				overCRC = crc32.Update(overCRC, crc32.IEEETable, chunk)
+			case len(cur)+len(chunk) > maxLine+1:
 				over = true
-				buf = buf[:0]
-			} else {
-				buf = append(buf, chunk...)
+				overCRC = crc32.Update(crc32.Update(st.crc, crc32.IEEETable, cur), crc32.IEEETable, chunk)
+				cur = cur[:0]
+			default:
+				cur = append(cur, chunk...)
 			}
 		}
 		switch rerr {
 		case bufio.ErrBufferFull:
-			continue
 		case nil:
 			if over {
-				oversized++
-				over = false
-			} else if ferr := fn(buf[:len(buf)-1]); ferr != nil {
-				return false, oversized, ferr
+				st.crc, over = overCRC, false
+				st.goodBytes += st.tornBytes
+				st.records++
+				st.oversized++
+			} else {
+				held, cur = cur, held
 			}
-			buf = buf[:0]
+			st.tornBytes = 0
 		case io.EOF:
-			return over || len(buf) > 0, oversized, nil
+			if len(held) > 0 {
+				if st.footer, st.sealed = parseFooter(held[:len(held)-1]); !st.sealed {
+					return st, release()
+				}
+			}
+			return st, nil
 		default:
-			return false, oversized, fmt.Errorf("store: read segment: %w", rerr)
+			return st, fmt.Errorf("store: read segment: %w", rerr)
 		}
 	}
 }

@@ -100,8 +100,14 @@ func readSnapshotFile(path string) (snapHeader, []byte, error) {
 	if hdr.Snap != snapMagic {
 		return snapHeader{}, nil, fmt.Errorf("store: snapshot header: bad magic %d", hdr.Snap)
 	}
-	if hdr.StateBytes < 0 {
-		return snapHeader{}, nil, fmt.Errorf("store: snapshot header: negative state size")
+	// The header line carries no checksum of its own: bound the size it
+	// claims by the bytes actually behind it before allocating.
+	fi, err := f.Stat()
+	if err != nil {
+		return snapHeader{}, nil, fmt.Errorf("store: snapshot header: %w", err)
+	}
+	if rest := fi.Size() - int64(len(line)); hdr.StateBytes < 0 || hdr.StateBytes > rest {
+		return snapHeader{}, nil, fmt.Errorf("store: snapshot header: state size %d, file holds %d", hdr.StateBytes, rest)
 	}
 	state := make([]byte, hdr.StateBytes)
 	if _, err := io.ReadFull(br, state); err != nil {

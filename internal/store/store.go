@@ -23,7 +23,7 @@
 // snapshot (the newest two snapshots are kept), so a corrupt newest
 // snapshot can still fall back one snapshot and find its tail intact.
 //
-// Recovery (Plan + Plan.Replay) climbs a ladder: newest intact snapshot
+// Recovery (PlanRecovery + Replay) climbs a ladder: newest intact snapshot
 // plus its contiguous tail; else the previous snapshot; else a full
 // replay of every segment that still exists. Torn active tails and
 // individually corrupt lines are skipped and counted, never fatal.
@@ -62,11 +62,6 @@ type Options struct {
 	SnapshotEvery int
 	// Clock stamps snapshot metadata (nil = clock.Wall).
 	Clock clock.Clock
-	// SkipSnapshots makes PlanRecovery ignore every snapshot and plan a
-	// full replay — the bottom rung of the ladder, reached explicitly
-	// when a caller finds a checksum-valid snapshot whose state it
-	// cannot decode (a schema change, a cross-version downgrade).
-	SkipSnapshots bool
 }
 
 // withDefaults fills the zero values in.
@@ -152,20 +147,24 @@ func Open(opts Options) (*Store, error) {
 // when it stays active (false when it turned out to be fully sealed and
 // was finished into a sealed file).
 func (s *Store) adoptActive(sf segFile) (bool, error) {
-	st, err := scanSegment(sf.path, s.opts.MaxRecordBytes)
+	f, err := os.OpenFile(sf.path, os.O_RDWR, 0o644)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("store: reopen active: %w", err)
+	}
+	st, err := readSegment(f, s.opts.MaxRecordBytes, nil)
+	if err != nil {
+		cerr := f.Close()
+		return false, fmt.Errorf("%w (close: %v)", err, cerr)
 	}
 	if st.sealed {
 		// The footer is already on disk; only the rename was lost.
+		if err := f.Close(); err != nil {
+			return false, fmt.Errorf("store: finish seal: %w", err)
+		}
 		if err := os.Rename(sf.path, sealedPath(s.opts.Dir, sf.seq)); err != nil {
 			return false, fmt.Errorf("store: finish seal: %w", err)
 		}
 		return false, nil
-	}
-	f, err := os.OpenFile(sf.path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return false, fmt.Errorf("store: reopen active: %w", err)
 	}
 	if st.tornBytes > 0 {
 		if err := f.Truncate(st.goodBytes); err != nil {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"hash/crc32"
@@ -366,9 +367,170 @@ func TestOversizedLineSkipped(t *testing.T) {
 	if err := s.Append(context.Background(), []byte(strings.Repeat("y", 100))); err == nil {
 		t.Fatal("oversized append accepted")
 	}
+	// Open adopted the segment through the same bounded reader: the
+	// over-bound line was checksummed without being buffered, so the
+	// running CRC and length cover every byte on disk and the footer
+	// the next Seal writes verifies.
+	appendRecords(t, s, 3, 1)
+	if _, err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	r2, err := PlanRecovery(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	if err := r2.Replay(context.Background(), func([]byte) error { replayed++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if replayed != 3 || r2.Report.RecordsSkipped != 1 || r2.Report.CorruptSegments != 0 || r2.Report.SealedSegments != 1 {
+		t.Fatalf("sealed after adopting an oversized line: replayed %d, report %+v", replayed, r2.Report)
+	}
+}
+
+// TestReadSegment pins the one reader of the segment line format.
+func TestReadSegment(t *testing.T) {
+	const maxLine = 96 // above a footer line, far below a bufio chunk
+	footer := func(body string) string {
+		return string(sealFooter{Seal: sealMagic, Records: strings.Count(body, "\n"), Bytes: int64(len(body)), CRC32: crc32.ChecksumIEEE([]byte(body))}.encode()) + "\n"
+	}
+	a, b := string(rec(1))+"\n", string(rec(2))+"\n"
+	exact := strings.Repeat("e", maxLine) + "\n"
+	over := strings.Repeat("o", maxLine+1) + "\n"
+	giant := strings.Repeat("g", 3*4096+17) + "\n" // spans several bufio chunks
+	strip := func(lines ...string) []string {
+		for i := range lines {
+			lines[i] = strings.TrimSuffix(lines[i], "\n")
+		}
+		return lines
+	}
+	cases := []struct {
+		name      string
+		in        string
+		lines     []string // delivered, in order
+		good      string   // the prefix crc / goodBytes must cover
+		records   int
+		oversized int
+		torn      int64
+		sealed    bool
+	}{
+		{name: "empty file"},
+		{name: "records only", in: a + b, lines: strip(a, b), good: a + b, records: 2},
+		{name: "records + footer", in: a + b + footer(a+b), lines: strip(a, b), good: a + b, records: 2, sealed: true},
+		{name: "footer alone", in: footer(""), sealed: true},
+		{name: "footer-shaped line mid-file is a record", in: a + footer(a) + b,
+			lines: strip(a, footer(a), b), good: a + footer(a) + b, records: 3},
+		{name: "footer then torn bytes is a record", in: a + footer(a) + "{", lines: strip(a, footer(a)),
+			good: a + footer(a), records: 2, torn: 1},
+		{name: "torn tail", in: a + b + `{"rec":9`, lines: strip(a, b), good: a + b, records: 2, torn: 8},
+		{name: "only a torn tail", in: `{"rec"`, torn: 6},
+		{name: "line of exactly maxLine", in: a + exact + b, lines: strip(a, exact, b), good: a + exact + b, records: 3},
+		{name: "line of maxLine+1", in: a + over + b, lines: strip(a, b), good: a + over + b, records: 3, oversized: 1},
+		{name: "oversized line across chunks", in: a + giant + b, lines: strip(a, b), good: a + giant + b, records: 3, oversized: 1},
+		{name: "oversized final line before footer", in: a + giant + footer(a+giant), lines: strip(a),
+			good: a + giant, records: 2, oversized: 1, sealed: true},
+		{name: "oversized torn tail", in: a + b + strings.TrimSuffix(giant, "\n"), lines: strip(a, b),
+			good: a + b, records: 2, torn: int64(len(giant) - 1)},
+		{name: "empty lines are lines", in: a + "\n" + b, lines: strip(a, "\n", b), good: a + "\n" + b, records: 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []string
+			st, err := readSegment(strings.NewReader(tc.in), maxLine, func(line []byte) error {
+				got = append(got, string(line))
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.lines) {
+				t.Errorf("delivered %q, want %q", got, tc.lines)
+			}
+			if st.crc != crc32.ChecksumIEEE([]byte(tc.good)) || st.goodBytes != int64(len(tc.good)) {
+				t.Errorf("crc %08x over %d bytes, want %08x over %d", st.crc, st.goodBytes, crc32.ChecksumIEEE([]byte(tc.good)), len(tc.good))
+			}
+			if st.records != tc.records || st.oversized != tc.oversized || st.tornBytes != tc.torn || st.sealed != tc.sealed {
+				t.Errorf("records %d oversized %d torn %d sealed %v, want %d %d %d %v",
+					st.records, st.oversized, st.tornBytes, st.sealed, tc.records, tc.oversized, tc.torn, tc.sealed)
+			}
+			if tc.sealed && (st.footer.CRC32 != st.crc || st.footer.Bytes != st.goodBytes) {
+				t.Errorf("footer %+v does not verify against crc %08x / %d bytes", st.footer, st.crc, st.goodBytes)
+			}
+			// Scanning with no callback (the adopt path) learns the same.
+			if bare, err := readSegment(strings.NewReader(tc.in), maxLine, nil); err != nil || bare != st {
+				t.Errorf("scan-only pass = %+v (err %v), want %+v", bare, err, st)
+			}
+		})
+	}
+	// An error from the callback stops the walk and comes back as is.
+	stop := fmt.Errorf("stop")
+	calls := 0
+	if _, err := readSegment(strings.NewReader(a+b+a), maxLine, func([]byte) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("callback error: got %v after %d calls, want %v after 1", err, calls, stop)
+	}
+}
+
+// TestCorruptSnapshotHeaderFallsDownLadder: the header line carries no
+// checksum, so a damaged stateBytes must read as "this snapshot does
+// not exist" — never as an allocation of whatever number the damage
+// left there.
+func TestCorruptSnapshotHeaderFallsDownLadder(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(testOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bounds []uint64
+	for snap := 0; snap < 2; snap++ {
+		appendRecords(t, s, snap*30, 30)
+		upTo, err := s.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteSnapshot(upTo, []byte(fmt.Sprintf(`{"snap":%d}`, snap+1))); err != nil {
+			t.Fatal(err)
+		}
+		bounds = append(bounds, upTo)
+	}
+	appendRecords(t, s, 60, 10)
+	inflate := func(upTo uint64) {
+		t.Helper()
+		b, err := os.ReadFile(snapshotPath(dir, upTo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = bytes.Replace(b, []byte(`"stateBytes":10`), []byte(`"stateBytes":7000000000000000`), 1)
+		if err := os.WriteFile(snapshotPath(dir, upTo), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inflate(bounds[1])
+	// Compact must not count the damaged snapshot toward the retained
+	// pair: with one valid snapshot left it removes nothing.
+	if removed, err := s.Compact(); err != nil || removed != 0 {
+		t.Fatalf("compact over a corrupt-header snapshot removed %d segments (err %v), want 0", removed, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, lines := recoverAll(t, dir)
+	if r.Report.Mode != "snapshot+tail" || string(r.State) != `{"snap":1}` || r.Report.SnapshotsSkipped != 1 {
+		t.Fatalf("mode=%q state=%q skipped=%d notes=%v, want the previous snapshot", r.Report.Mode, r.State, r.Report.SnapshotsSkipped, r.Report.Notes)
+	}
+	if len(r.Report.Notes) == 0 || !strings.Contains(r.Report.Notes[0], "rejected") {
+		t.Fatalf("rejection not noted: %v", r.Report.Notes)
+	}
+	wantLines(t, lines, 30, 40)
+	// Both snapshots damaged: the bottom rung, every record replayed.
+	inflate(bounds[0])
+	r, lines = recoverAll(t, dir)
+	if r.Report.Mode != "full-replay" || r.State != nil || r.Report.SnapshotsSkipped != 2 {
+		t.Fatalf("mode=%q skipped=%d, want full-replay past 2 rejected snapshots", r.Report.Mode, r.Report.SnapshotsSkipped)
+	}
+	wantLines(t, lines, 0, 70)
 }
 
 func TestAdoptFinishesInterruptedSeal(t *testing.T) {
@@ -568,57 +730,6 @@ func TestRecoveryOfFreshAndMissingDir(t *testing.T) {
 	if r.Report.Mode != "fresh" || len(lines) != 0 {
 		t.Fatalf("mode=%q lines=%d, want fresh/0", r.Report.Mode, len(lines))
 	}
-}
-
-func TestMigrateLegacyJournal(t *testing.T) {
-	base := t.TempDir()
-	legacy := filepath.Join(base, "journal.jsonl")
-	dir := filepath.Join(base, "store")
-	content := string(rec(0)) + "\n" + string(rec(1)) + "\n" + `{"rec":99` // torn tail
-	if err := os.WriteFile(legacy, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	migrated, err := MigrateLegacy(dir, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !migrated {
-		t.Fatal("migration did not happen")
-	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("legacy journal still present: %v", err)
-	}
-	r, lines := recoverAll(t, dir)
-	wantLines(t, lines, 0, 2)
-	if !r.Report.TornTail {
-		t.Fatalf("legacy torn tail not reported: %+v", r.Report)
-	}
-	// A non-virgin store refuses to migrate (and leaves the file alone).
-	legacy2 := filepath.Join(base, "journal2.jsonl")
-	if err := os.WriteFile(legacy2, []byte(string(rec(5))+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	migrated, err = MigrateLegacy(dir, legacy2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if migrated {
-		t.Fatal("non-virgin store migrated")
-	}
-	if _, err := os.Stat(legacy2); err != nil {
-		t.Fatalf("second legacy journal was consumed: %v", err)
-	}
-	// Migration then Open then append: the legacy lines stay first.
-	s, err := Open(testOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendRecords(t, s, 2, 3)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, lines = recoverAll(t, dir)
-	wantLines(t, lines, 0, 5)
 }
 
 // corruptFile flips one byte. Offset -1 means "last byte".

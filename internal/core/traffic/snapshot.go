@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"sort"
+	"sync"
 
 	"busprobe/internal/road"
 )
@@ -18,6 +19,12 @@ import (
 // maps ChangedAt/RemovedAt record the version at which each segment
 // last changed or disappeared, which is what lets DeltaSince answer
 // "what moved since version V" without retaining any snapshot history.
+//
+// The one write a published snapshot accepts is Rendered's memo: the
+// serving tier's byte form of this version, built by its first reader.
+// It lives and dies with the snapshot, so there is nothing to evict or
+// invalidate. The sync.Once also makes go vet's copylocks refuse a
+// Snapshot copied by value, which would fork the memo.
 type Snapshot struct {
 	// Version is the publication sequence number (0 = empty initial map).
 	Version uint64
@@ -31,6 +38,9 @@ type Snapshot struct {
 	// they disappeared (a merged view loses a shard's segments when the
 	// shard dies; a single estimator never removes any). Read-only.
 	RemovedAt map[road.SegmentID]uint64
+
+	renderOnce sync.Once
+	rendered   []byte
 }
 
 // EmptySnapshot returns the version-0 empty map every publisher seeds
@@ -97,6 +107,18 @@ func NextSnapshot(prev *Snapshot, estimates map[road.SegmentID]Estimate) *Snapsh
 func (s *Snapshot) Get(sid road.SegmentID) (Estimate, bool) {
 	est, ok := s.Estimates[sid]
 	return est, ok
+}
+
+// Rendered returns the snapshot's serialised form, calling render for
+// it at most once per snapshot however many readers arrive together;
+// later callers get the first call's bytes and their render is never
+// run. The bytes are opaque here — a process hands every snapshot the
+// same pure function of the snapshot's maps — and shared: callers must
+// not write to them. Nothing on the publish path calls this, so a
+// version nobody reads is never rendered.
+func (s *Snapshot) Rendered(render func(*Snapshot) []byte) []byte {
+	s.renderOnce.Do(func() { s.rendered = render(s) })
+	return s.rendered
 }
 
 // CloneEstimates returns a mutable copy of the estimate map.

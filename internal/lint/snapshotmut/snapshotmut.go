@@ -7,6 +7,13 @@
 // and NextSnapshot in busprobe/internal/core/traffic, the only
 // functions that may touch a snapshot's maps before publication).
 //
+// One write after publication is sanctioned: the Rendered method's
+// build-once memo of the snapshot's served bytes, which no reader can
+// observe half-done (it sits behind a sync.Once) and which changes
+// nothing a version means. The exemption is that method by name, in
+// the defining package only — the memo field written from any other
+// function is a finding like every other field.
+//
 // Reachability is tracked through the type checker plus a local taint
 // walk, in source order within each function:
 //
@@ -46,11 +53,13 @@ var Analyzer = &analysis.Analyzer{
 // trafficPath is the defining package of Snapshot.
 const trafficPath = "busprobe/internal/core/traffic"
 
-// constructors are the only functions allowed to write a snapshot's
-// maps, and only inside the defining package.
-var constructors = map[string]bool{
+// writers are the only functions allowed to write a snapshot's fields,
+// and only inside the defining package: the two constructors, before
+// publication, and the Rendered memo method after it.
+var writers = map[string]bool{
 	"EmptySnapshot": true,
 	"NextSnapshot":  true,
+	"Rendered":      true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -60,7 +69,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			if pass.Path == trafficPath && constructors[fn.Name.Name] {
+			if pass.Path == trafficPath && writers[fn.Name.Name] {
 				continue
 			}
 			checkFunc(pass, fn.Body)

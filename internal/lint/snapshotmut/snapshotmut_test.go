@@ -14,3 +14,11 @@ import (
 func TestSnapshotMutFixture(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), snapshotmut.Analyzer, "snapshotmut_a")
 }
+
+// TestSnapshotMutMemoExemption checks the one sanctioned write after
+// publication from inside the defining package: the Rendered memo
+// method is clean, and the memo field written (or written through)
+// from any other function there is still a finding.
+func TestSnapshotMutMemoExemption(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), snapshotmut.Analyzer, "busprobe/internal/core/traffic")
+}

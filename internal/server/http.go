@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,13 +42,16 @@ func trafficETag(version uint64) string {
 }
 
 // etagMatch reports whether an If-None-Match header value names the
-// entity tag (exactly, or in a comma-separated list, or as "*").
+// entity tag (alone, or in a comma-separated list, or as "*"). The
+// comparison is weak, as RFC 9110 §13.1.2 requires for If-None-Match:
+// W/"v12" — what a compressing proxy makes of our strong tag — still
+// names version 12.
 func etagMatch(header, etag string) bool {
 	if header == "" {
 		return false
 	}
 	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
+		part = strings.TrimPrefix(strings.TrimSpace(part), "W/")
 		if part == etag || part == "*" {
 			return true
 		}
@@ -244,7 +248,16 @@ type route struct {
 // writes, and a shard's read side IS these reads (RemoteShard fetches
 // /v1/stats, /v1/pipeline and /v1/traffic). A new derived read is one
 // function of (Transit, TrafficSnapshot) plus one row here.
-func publicRoutes(b API) []route {
+func publicRoutes(b API, core *obs.Core) []route {
+	render := renderTraffic
+	if core != nil {
+		renders := core.Registry.Counter("busprobe_traffic_renders_total",
+			"Full-map /v1/traffic bodies rendered: one per snapshot version that was read.")
+		render = func(snap *traffic.Snapshot) []byte {
+			renders.Inc()
+			return renderTraffic(snap)
+		}
+	}
 	return []route{
 		// Liveness.
 		{http.MethodGet, "/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -305,18 +318,21 @@ func publicRoutes(b API) []route {
 			writeJSON(w, http.StatusOK, b.StageMetrics())
 		}},
 		// Full traffic-map snapshot, versioned: ETag +
-		// X-Busprobe-Traffic-Version, If-None-Match → 304.
+		// X-Busprobe-Traffic-Version, If-None-Match → 304. The body is
+		// the snapshot's memoised bytes — rendered by the version's first
+		// reader, written as-is to every later one (HEAD, which a GET
+		// pattern also routes, gets the same headers and no body).
 		{http.MethodGet, "/v1/traffic", func(w http.ResponseWriter, r *http.Request) {
 			snap := b.TrafficSnapshot()
 			if trafficHeaders(w, r, snap.Version) {
 				return
 			}
-			rows := make([]SegmentEstimateJSON, 0, len(snap.Estimates))
-			for sid, est := range snap.Estimates {
-				rows = append(rows, estimateJSON(sid, est))
+			body := snap.Rendered(render)
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			if r.Method != http.MethodHead {
+				_, _ = w.Write(body) //lint:allow errcheckio the status line is already on the wire; a failure here is a mid-body disconnect with no channel left to report it on
 			}
-			sortRows(rows)
-			writeJSON(w, http.StatusOK, rows)
 		}},
 		// ?since=V&waitS=S: long-poll for the delta past version V (since
 		// omitted/0 → full map).
@@ -444,7 +460,7 @@ func publicRoutes(b API) []route {
 func apiMux(b API, core *obs.Core) http.Handler {
 	mux := http.NewServeMux()
 	paths := make(map[string]bool)
-	for _, rt := range publicRoutes(b) {
+	for _, rt := range publicRoutes(b, core) {
 		mux.HandleFunc(rt.method+" "+rt.path, rt.handler)
 		paths[rt.path] = true
 	}
@@ -571,6 +587,21 @@ func estimateJSON(sid road.SegmentID, est traffic.Estimate) SegmentEstimateJSON 
 		UpdatedS: est.UpdatedS,
 		Level:    traffic.LevelOf(est.SpeedKmh).String(),
 	}
+}
+
+// renderTraffic builds the /v1/traffic body of one snapshot: every
+// estimate as a row, ascending by segment, compact JSON plus a newline.
+// Its only caller is the snapshot's Rendered memo, so it runs once per
+// version that is read and never on a write path.
+func renderTraffic(snap *traffic.Snapshot) []byte {
+	rows := make([]SegmentEstimateJSON, 0, len(snap.Estimates))
+	for sid, est := range snap.Estimates {
+		rows = append(rows, estimateJSON(sid, est))
+	}
+	sortRows(rows)
+	var buf bytes.Buffer
+	_ = json.NewEncoder(&buf).Encode(rows) //lint:allow errcheckio a buffer write cannot fail; Encode refuses only a non-finite estimate, and that leaves an empty body
+	return buf.Bytes()
 }
 
 func sortRows(rows []SegmentEstimateJSON) {

@@ -212,8 +212,12 @@ func TestObsDeterministic(t *testing.T) {
 		for _, sp := range core.Tracer.Snapshot() {
 			tl = append(tl, timeline{sp.Trace, sp.Name, sp.Start, sp.End})
 		}
+		h := NewHandler(b, HandlerConfig{Obs: core})
+		for i := 0; i < 2; i++ { // two reads of one version: one render
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/traffic", nil))
+		}
 		rec := httptest.NewRecorder()
-		NewHandler(b, HandlerConfig{Obs: core}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("/metrics status = %d", rec.Code)
 		}
@@ -232,6 +236,9 @@ func TestObsDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(scrape1, "busprobe_stage_duration_seconds_sum") {
 		t.Error("scrape lacks the stage duration histograms; the comparison is vacuous")
+	}
+	if want := "busprobe_traffic_renders_total 1\n"; !strings.Contains(scrape1, want) {
+		t.Errorf("scrape lacks %q after two reads of one version", want)
 	}
 }
 
@@ -320,6 +327,8 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		`busprobe_stage_runs_total{shard="0",stage="admission"}`,
 		`busprobe_http_requests_total{path="/v1/trips"} 1`,
 		"# TYPE busprobe_stage_duration_seconds histogram",
+		"# TYPE busprobe_traffic_renders_total counter",
+		"busprobe_traffic_renders_total 0\n", // nothing has read the map yet
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("scrape lacks %q", want)
@@ -360,8 +369,15 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("coordinator /v1/traffic status = %d", rec.Code)
 	}
-	if want := `busprobe_http_requests_total{path="/v1/traffic"} 1`; !strings.Contains(scrape(), want) {
-		t.Errorf("shard scrape after a coordinator read lacks %q", want)
+	// ... and that read is what rendered the shard's version, once.
+	after := scrape()
+	for _, want := range []string{
+		`busprobe_http_requests_total{path="/v1/traffic"} 1`,
+		"busprobe_traffic_renders_total 1\n",
+	} {
+		if !strings.Contains(after, want) {
+			t.Errorf("shard scrape after a coordinator read lacks %q", want)
+		}
 	}
 }
 

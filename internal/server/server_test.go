@@ -325,8 +325,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		h      http.Handler
 		routes []route
 	}{
-		{Handler(b), publicRoutes(b)},
-		{shard, publicRoutes(b)},
+		{Handler(b), publicRoutes(b, nil)},
+		{shard, publicRoutes(b, nil)},
 		{shard, shardRoutes(b)},
 	} {
 		for _, rt := range c.routes {

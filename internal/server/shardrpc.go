@@ -172,7 +172,7 @@ func NewShardHandler(b *Backend, hc HandlerConfig) http.Handler {
 		http.Error(w, "shard process: uploads go through the coordinator tier",
 			http.StatusMisdirectedRequest)
 	}
-	for _, rt := range publicRoutes(b) {
+	for _, rt := range publicRoutes(b, nil) {
 		if rt.method == http.MethodPost {
 			mux.HandleFunc(rt.method+" "+rt.path, misdirected)
 		}

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -91,6 +93,31 @@ func TestTrafficConditionalGet(t *testing.T) {
 	if want := trafficETag(ver); etag != want {
 		t.Fatalf("ETag %q does not encode version %d (want %q)", etag, ver, want)
 	}
+	// The body is served whole, framed by its length.
+	clen := strconv.Itoa(rec.Body.Len())
+	if got := rec.Header().Get("Content-Length"); got != clen || rec.Body.Len() == 0 {
+		t.Fatalf("Content-Length = %q over a %d-byte body", got, rec.Body.Len())
+	}
+
+	// HEAD answers what the GET did, minus the body — revalidated too.
+	for _, tc := range []struct {
+		inm  string
+		code int
+		clen string
+	}{{"", http.StatusOK, clen}, {etag, http.StatusNotModified, ""}} {
+		head := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodHead, "/v1/traffic", nil)
+		if tc.inm != "" {
+			req.Header.Set("If-None-Match", tc.inm)
+		}
+		h.ServeHTTP(head, req)
+		if head.Code != tc.code || head.Body.Len() != 0 {
+			t.Errorf("HEAD (If-None-Match %q): status %d with %d body bytes, want %d and none", tc.inm, head.Code, head.Body.Len(), tc.code)
+		}
+		if e, v, l := head.Header().Get("ETag"), head.Header().Get(TrafficVersionHeader), head.Header().Get("Content-Length"); e != etag || v != verHdr || l != tc.clen {
+			t.Errorf("HEAD (If-None-Match %q): ETag %q, version %q, Content-Length %q; want %q, %q, %q", tc.inm, e, v, l, etag, verHdr, tc.clen)
+		}
+	}
 
 	// Unchanged snapshot: the conditional GET moves no body.
 	rec = httptest.NewRecorder()
@@ -107,8 +134,9 @@ func TestTrafficConditionalGet(t *testing.T) {
 		t.Fatalf("304 ETag = %q, want %q", got, etag)
 	}
 
-	// Wildcard and list forms must match too.
-	for _, hdr := range []string{"*", `"v999", ` + etag} {
+	// Wildcard, list and weak forms must match too: If-None-Match
+	// compares weakly, and a compressing proxy weakens our strong tag.
+	for _, hdr := range []string{"*", `"v999", ` + etag, "W/" + etag, `"v999", W/` + etag} {
 		rec = httptest.NewRecorder()
 		req = httptest.NewRequest(http.MethodGet, "/v1/traffic", nil)
 		req.Header.Set("If-None-Match", hdr)
@@ -256,6 +284,116 @@ func TestTrafficWatchLongPollWakesOnPublish(t *testing.T) {
 	}
 }
 
+// snapshotRows renders a snapshot's /v1/traffic body independently of
+// the handler's memo, through renderRows.
+func snapshotRows(t *testing.T, snap *traffic.Snapshot) []byte {
+	t.Helper()
+	m := make(map[int]SegmentEstimateJSON, len(snap.Estimates))
+	for sid, est := range snap.Estimates {
+		m[int(sid)] = estimateJSON(sid, est)
+	}
+	return renderRows(t, m)
+}
+
+// TestTrafficRenderedOncePerVersion pins the memo's contract on both
+// serving tiers: however many readers arrive together, one version is
+// rendered exactly once, every reader gets the bytes a fresh render
+// would produce, and a new fold gets a new tag and new bytes.
+func TestTrafficRenderedOncePerVersion(t *testing.T) {
+	w, fpdb := twinWorld(t)
+	trips := twinCorpus(t, w, faults.Config{})
+	tiers := []struct {
+		name string
+		make func(cfg Config) (API, error)
+	}{
+		{"backend", func(cfg Config) (API, error) { return NewBackend(cfg, w.Transit, fpdb) }},
+		{"coordinator", func(cfg Config) (API, error) { return NewCoordinator(cfg, w.Transit, fpdb, 2) }},
+	}
+	for _, tier := range tiers {
+		t.Run(tier.name, func(t *testing.T) {
+			core := fakeObsCore()
+			cfg := DefaultConfig()
+			cfg.Obs = core
+			api, err := tier.make(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := NewHandler(api, HandlerConfig{Obs: core})
+			renders := core.Registry.Counter("busprobe_traffic_renders_total", "")
+			get := func() (string, []byte) {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traffic", nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("/v1/traffic status = %d", rec.Code)
+				}
+				return rec.Header().Get("ETag"), rec.Body.Bytes()
+			}
+
+			replayInto(t, api, trips[:len(trips)/2])
+			api.Advance(12 * 3600)
+			// Loading the snapshot first also settles the coordinator's
+			// merge, so every reader below is handed the same version.
+			snap := api.TrafficSnapshot()
+			if len(snap.Estimates) == 0 {
+				t.Fatal("no estimates; the check is vacuous")
+			}
+			want := snapshotRows(t, snap)
+			if n := renders.Value(); n != 0 {
+				t.Fatalf("%d renders before any read: something on the write path rendered", n)
+			}
+
+			const readers = 32
+			tags, bodies := make([]string, readers), make([][]byte, readers)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < readers; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					tags[i], bodies[i] = get()
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if n := renders.Value(); n != 1 {
+				t.Errorf("%d concurrent readers of one version cost %d renders, want 1", readers, n)
+			}
+			for i := range bodies {
+				if tags[i] != trafficETag(snap.Version) || !bytes.Equal(bodies[i], want) {
+					t.Fatalf("reader %d: tag %s, %d bytes; want %s and the %d bytes of a fresh render", i, tags[i], len(bodies[i]), trafficETag(snap.Version), len(want))
+				}
+			}
+
+			// The memo is shared by every reader: what one of them does to
+			// its copy must not reach the next.
+			for i := range bodies[0] {
+				bodies[0][i] = 'x'
+			}
+			if _, again := get(); !bytes.Equal(again, want) {
+				t.Error("scribbling on a served body changed the next read")
+			}
+
+			replayInto(t, api, trips[len(trips)/2:])
+			api.Advance(13 * 3600)
+			next := api.TrafficSnapshot()
+			if next.Version == snap.Version {
+				t.Fatal("second half of the corpus folded nothing; the new-version check is vacuous")
+			}
+			tag, body := get()
+			if tag != trafficETag(next.Version) || tag == tags[0] {
+				t.Errorf("after a new fold: tag %s, want %s", tag, trafficETag(next.Version))
+			}
+			if bytes.Equal(body, want) || !bytes.Equal(body, snapshotRows(t, next)) {
+				t.Error("after a new fold: body is not a fresh render of the new version")
+			}
+			if n := renders.Value(); n != 2 {
+				t.Errorf("two versions read cost %d renders, want 2", n)
+			}
+		})
+	}
+}
+
 func TestTrafficDefensiveCopies(t *testing.T) {
 	w := testWorld(t)
 	b := testBackend(t, w)
@@ -384,6 +522,49 @@ func TestReadHammerUnderIngest(t *testing.T) {
 				return
 			}
 			last = out.Version
+		}
+	}()
+
+	// A full-map reader, checking what the benchmark's closed-loop reader
+	// checks — here under -race, against the memo's first-reader build.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last uint64
+		crcs := make(map[uint64]uint32)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traffic", nil))
+			ver, err := strconv.ParseUint(rec.Header().Get(TrafficVersionHeader), 10, 64)
+			if rec.Code != http.StatusOK || err != nil {
+				t.Errorf("/v1/traffic status %d, version header %q", rec.Code, rec.Header().Get(TrafficVersionHeader))
+				return
+			}
+			if ver < last {
+				t.Errorf("/v1/traffic version regressed %d -> %d", last, ver)
+				return
+			}
+			last = ver
+			crc := crc32.ChecksumIEEE(rec.Body.Bytes())
+			if seen, ok := crcs[ver]; ok && seen != crc {
+				t.Errorf("/v1/traffic version %d served two different bodies", ver)
+				return
+			}
+			crcs[ver] = crc
+			var rows []SegmentEstimateJSON
+			if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
+				t.Errorf("/v1/traffic version %d body is not valid JSON: %v", ver, err)
+				return
+			}
+			if !sort.SliceIsSorted(rows, func(i, j int) bool { return rows[i].Segment < rows[j].Segment }) {
+				t.Errorf("/v1/traffic version %d rows are not ascending by segment", ver)
+				return
+			}
 		}
 	}()
 

@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,26 +46,55 @@ type Observation struct {
 	TimeS float64
 }
 
+// window is one update window of one segment: its speed reports and
+// what the fold chain remembers about it.
+type window struct {
+	idx int64
+	// speeds are the window's reports, kept sorted so the fold is a
+	// pure function of the report multiset — delivery order never
+	// changes an estimate.
+	speeds []float64
+	// mean / varV are the summary the fold consumes (Eq. 4's v and σ²),
+	// recomputed over the sorted reports whenever the window gains one.
+	mean, varV float64
+	// after is the belief the chain held right after folding this
+	// window. Meaningful only inside the folded prefix.
+	after Estimate
+}
+
+// summarise recomputes the window's (mean, var) from its sorted
+// reports: one Welford pass in ascending order, so the summary is the
+// same bits whenever the multiset is the same.
+func (w *window) summarise() {
+	var acc stats.Accumulator
+	for _, v := range w.speeds {
+		acc.Add(v)
+	}
+	w.mean, w.varV = acc.Mean(), acc.Var()
+	if acc.N() < 2 || w.varV <= 0 {
+		w.varV = DefaultSingleReportVar
+	}
+}
+
 // segState is the per-segment estimator state: the fused historic belief
-// plus the retained per-window report sets it was folded from.
+// plus the retained update windows it was folded from.
+//
+// Invariant: the folded prefix is exactly the windows with
+// idx < foldedIdx. Each of them remembers the belief the chain held
+// right after it (base for the link before the first), and hist is the
+// last one's — so hist is always the fold of base through every
+// retained window below foldedIdx, in ascending order.
 type segState struct {
 	hist Estimate
 	// base / baseIdx checkpoint the belief at the last Compact: windows
-	// below baseIdx have been discarded, so the fold chain replays from
-	// base instead of from scratch.
+	// below baseIdx have been discarded, so the chain starts at base.
 	base    Estimate
 	baseIdx int64
 	// foldedIdx is the exclusive upper window index already folded into
 	// hist. Always >= baseIdx.
 	foldedIdx int64
-	// dirty marks that a report landed in an already-folded window (an
-	// out-of-order delivery); the fold chain is replayed from base on
-	// the next settle.
-	dirty bool
-	// windows holds each update window's speed reports, kept sorted so
-	// the fold is a pure function of the report multiset — delivery
-	// order never changes an estimate.
-	windows map[int64][]float64
+	// wins holds the retained windows, ascending by idx.
+	wins []window
 }
 
 // Estimator maintains the per-segment traffic estimates: observations
@@ -74,18 +104,21 @@ type segState struct {
 // Folding is deterministic in the *set* of observations, not their
 // arrival order: reports are bucketed by their own timestamps, each
 // window's reports are kept sorted, and a report arriving for an
-// already-folded window replays the segment's fold chain. Two runs that
-// deliver the same observations — in any order, with any interleaving
-// of Advance calls — therefore produce byte-identical estimates, which
-// is what lets the chaos harness assert that duplicated and reordered
-// uploads cannot corrupt the traffic map. Safe for concurrent use.
+// already-folded window refolds the segment's chain from that window
+// on (refoldLocked) to exactly what a fold from scratch yields. Two
+// runs that deliver the same observations — in any order, with any
+// interleaving of Advance calls — therefore produce byte-identical
+// estimates, which is what lets the chaos harness assert that
+// duplicated and reordered uploads cannot corrupt the traffic map.
+// Safe for concurrent use.
 //
 // Reads never take the mutex: every mutator settles the fold eagerly
-// and, when any belief changed, publishes a fresh immutable Snapshot
-// through an atomic pointer. Because the fold is a pure function of
-// the report multiset and the watermark — and only mutators move
-// either — settling eagerly at mutation time yields exactly the
-// estimates the previous read-time settle produced.
+// and hands the beliefs it moved to publishLocked, which, when any of
+// them differs from the published one, swaps in a fresh immutable
+// Snapshot through an atomic pointer. Because the fold is a pure
+// function of the report multiset and the watermark — and only
+// mutators move either — settling eagerly at mutation time yields
+// exactly the estimates the previous read-time settle produced.
 type Estimator struct {
 	mu        sync.Mutex
 	model     Model
@@ -95,8 +128,8 @@ type Estimator struct {
 	// watermarkIdx is the exclusive upper window index due for folding:
 	// windows below it are complete. It advances with observation and
 	// Advance timestamps and never retreats.
-	watermarkIdx int64 //lint:guardedby mu
-	lateDropped  int   //lint:guardedby mu
+	watermarkIdx int64  //lint:guardedby mu
+	counts       Counts //lint:guardedby mu
 	// snap is the published copy-on-write state; Get/Snapshot/View load
 	// it without locking. Mutators swap it under mu, so versions are
 	// monotone.
@@ -150,49 +183,49 @@ func (e *Estimator) AddObservation(obs Observation) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	idx := e.windowOf(obs.TimeS)
-	advanced := false
-	if idx > e.watermarkIdx {
+	advanced := idx > e.watermarkIdx
+	if advanced {
 		e.watermarkIdx = idx
-		advanced = true
 	}
-	touched := make([]*segState, 0, len(obs.Segments))
+	moved := make(map[road.SegmentID]Estimate, len(obs.Segments))
 	for _, sid := range obs.Segments {
 		st := e.segs[sid]
 		if st == nil {
-			st = &segState{windows: make(map[int64][]float64)}
+			st = &segState{}
 			e.segs[sid] = st
 		}
 		if idx < st.baseIdx {
 			// The window was compacted away; the report arrived too
 			// late to be honored.
-			e.lateDropped++
+			e.counts.LateDropped++
 			continue
 		}
-		lst := st.windows[idx]
-		at := sort.SearchFloat64s(lst, speed)
-		lst = append(lst, 0)
-		copy(lst[at+1:], lst[at:])
-		lst[at] = speed
-		st.windows[idx] = lst
-		if idx < st.foldedIdx {
-			st.dirty = true
+		at := e.insertLocked(st, idx, speed)
+		changed := idx < st.foldedIdx && e.refoldLocked(st, at)
+		if e.settleLocked(st) || changed {
+			moved[sid] = st.hist
 		}
-		touched = append(touched, st)
 	}
-	folded := false
 	if advanced {
-		folded = e.settleAllLocked()
-	} else {
-		for _, st := range touched {
-			if e.settleLocked(st) {
-				folded = true
-			}
-		}
+		e.settleAllLocked(moved)
 	}
-	if folded {
-		e.publishLocked()
-	}
+	e.publishLocked(moved)
 	return nil
+}
+
+// insertLocked adds one report to st's window idx, opening the window
+// when this is its first report, and returns the window's position in
+// st.wins.
+func (e *Estimator) insertLocked(st *segState, idx int64, speed float64) int {
+	at := sort.Search(len(st.wins), func(i int) bool { return st.wins[i].idx >= idx })
+	if at == len(st.wins) || st.wins[at].idx != idx {
+		st.wins = slices.Insert(st.wins, at, window{idx: idx})
+		e.counts.Windows++
+	}
+	w := &st.wins[at]
+	w.speeds = slices.Insert(w.speeds, sort.SearchFloat64s(w.speeds, speed), speed)
+	w.summarise()
+	return at
 }
 
 // Advance moves the fold watermark to the given time and folds completed
@@ -203,115 +236,132 @@ func (e *Estimator) Advance(nowS float64) {
 	if idx := e.windowOf(nowS); idx > e.watermarkIdx {
 		e.watermarkIdx = idx
 	}
-	if e.settleAllLocked() {
-		e.publishLocked()
-	}
+	moved := make(map[road.SegmentID]Estimate)
+	e.settleAllLocked(moved)
+	e.publishLocked(moved)
 }
 
-// settleAllLocked folds every segment up to the watermark, reporting
-// whether any belief may have changed.
-func (e *Estimator) settleAllLocked() bool {
-	folded := false
-	for _, st := range e.segs {
-		if e.settleLocked(st) {
-			folded = true
-		}
+// foldWindow is one link of the chain: the belief prev, aged to the
+// window's end boundary, fused with the window's summary (Eq. 4). A
+// window folds at its own end regardless of when the fold runs, so a
+// link is a pure function of (prev, the window's report multiset).
+func (e *Estimator) foldWindow(prev Estimate, w *window) Estimate {
+	endS := float64(w.idx+1) * e.periodS
+	return fuseAt(Inflate(prev, endS, e.driftPerS), w.mean, w.varV, endS)
+}
+
+// refoldLocked repairs the folded prefix after the window at position
+// at — inside it — gained a report: the chain is refolded from that
+// window forward, seeded by the belief remembered just before it, and
+// stops the moment a recomputed belief equals the remembered one. Every
+// later link is a pure function of that value and of windows that did
+// not change, so the rest of the chain, and hist, already hold what a
+// fold from base would produce. A report that opened the window never
+// stops early — it shifts Reports on every later link — and refolds to
+// the end. Reports whether hist changed.
+func (e *Estimator) refoldLocked(st *segState, at int) bool {
+	belief := st.base
+	if at > 0 {
+		belief = st.wins[at-1].after
 	}
+	for i := at; i < len(st.wins) && st.wins[i].idx < st.foldedIdx; i++ {
+		w := &st.wins[i]
+		belief = e.foldWindow(belief, w)
+		e.counts.WindowFolds++
+		if belief == w.after {
+			return false
+		}
+		w.after = belief
+	}
+	st.hist = belief
+	return true
+}
+
+// settleLocked extends the folded prefix to the watermark: every
+// complete unfolded window is folded in ascending order, each
+// remembering the belief it produced. The result depends only on the
+// report multiset and the watermark. Reports whether hist changed.
+func (e *Estimator) settleLocked(st *segState) bool {
+	if st.foldedIdx >= e.watermarkIdx {
+		return false
+	}
+	i := len(st.wins)
+	for i > 0 && st.wins[i-1].idx >= st.foldedIdx {
+		i--
+	}
+	folded := false
+	for ; i < len(st.wins) && st.wins[i].idx < e.watermarkIdx; i++ {
+		st.hist = e.foldWindow(st.hist, &st.wins[i])
+		st.wins[i].after = st.hist
+		e.counts.WindowFolds++
+		folded = true
+	}
+	st.foldedIdx = e.watermarkIdx
 	return folded
 }
 
-// settleLocked brings one segment's belief up to the watermark: a dirty
-// segment (late report) replays its fold chain from the checkpoint,
-// then every complete unfolded window is folded in ascending order.
-// Each window folds at its own end boundary regardless of when settle
-// runs, so the result depends only on the report multiset and the
-// watermark. The return reports whether any fold ran — i.e. whether
-// the belief may differ from the published snapshot.
-func (e *Estimator) settleLocked(st *segState) bool {
-	replayed := false
-	if st.dirty {
-		st.hist = st.base
-		st.foldedIdx = st.baseIdx
-		st.dirty = false
-		replayed = true
-	}
-	if st.foldedIdx >= e.watermarkIdx {
-		return replayed
-	}
-	var due []int64
-	for idx := range st.windows {
-		if idx >= st.foldedIdx && idx < e.watermarkIdx {
-			due = append(due, idx)
+// settleAllLocked settles every segment, recording in moved the belief
+// of each one that changed. moved is a set keyed by segment, so the map
+// iteration order here reaches nothing.
+func (e *Estimator) settleAllLocked(moved map[road.SegmentID]Estimate) {
+	for sid, st := range e.segs {
+		if e.settleLocked(st) {
+			moved[sid] = st.hist
 		}
 	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
-	for _, idx := range due {
-		var acc stats.Accumulator
-		for _, v := range st.windows[idx] {
-			acc.Add(v)
-		}
-		v := acc.Mean()
-		varV := acc.Var()
-		if acc.N() < 2 || varV <= 0 {
-			varV = DefaultSingleReportVar
-		}
-		endS := float64(idx+1) * e.periodS
-		st.hist = fuseAt(Inflate(st.hist, endS, e.driftPerS), v, varV, endS)
-	}
-	st.foldedIdx = e.watermarkIdx
-	return replayed || len(due) > 0
 }
 
-// publishLocked swaps in a fresh immutable snapshot of every settled
-// belief. NextSnapshot diffs against the published state, so a settle
-// that refolded to identical values publishes nothing and the version
-// only moves on a value-visible change.
-func (e *Estimator) publishLocked() {
+// publishLocked is the one publish point: every mutator ends here with
+// the beliefs it moved. patchSnapshot compares them with the published
+// ones, so a refold that landed on identical values publishes nothing
+// and the version moves exactly once per mutation that changes a
+// published value.
+func (e *Estimator) publishLocked(moved map[road.SegmentID]Estimate) {
 	prev := e.snap.Load()
-	m := make(map[road.SegmentID]Estimate, len(e.segs))
-	for sid, st := range e.segs {
-		if st.hist.Reports > 0 {
-			m[sid] = st.hist
-		}
-	}
-	if next := NextSnapshot(prev, m); next != prev {
+	if next := patchSnapshot(prev, moved); next != prev {
 		e.snap.Store(next)
 	}
 }
 
 // Compact checkpoints every segment's belief and discards the folded
-// window reports behind it, bounding the estimator's memory on long
+// windows behind it, bounding the estimator's memory on long
 // deployments. Reports arriving for a compacted window afterwards are
-// dropped and counted by LateDropped — compaction trades unbounded
-// reorder tolerance for bounded state, so run it no more often than the
+// dropped and counted in Counts — compaction trades unbounded reorder
+// tolerance for bounded state, so run it no more often than the
 // staleness the upload path can produce.
 func (e *Estimator) Compact() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	folded := false
+	moved := make(map[road.SegmentID]Estimate)
+	e.settleAllLocked(moved)
 	for _, st := range e.segs {
-		if e.settleLocked(st) {
-			folded = true
-		}
-		st.base = st.hist
-		st.baseIdx = st.foldedIdx
-		for idx := range st.windows {
-			if idx < st.baseIdx {
-				delete(st.windows, idx)
-			}
-		}
+		st.base, st.baseIdx = st.hist, st.foldedIdx
+		keep := sort.Search(len(st.wins), func(i int) bool { return st.wins[i].idx >= st.baseIdx })
+		e.counts.Windows -= keep
+		// A fresh slice, so the discarded windows' memory is released.
+		st.wins = slices.Clone(st.wins[keep:])
 	}
-	if folded {
-		e.publishLocked()
-	}
+	e.publishLocked(moved)
 }
 
-// LateDropped counts reports that arrived after their window was
-// compacted away and could not be folded.
-func (e *Estimator) LateDropped() int {
+// Counts are the estimator's size and work counters.
+type Counts struct {
+	// Windows is the number of update windows retained across all
+	// segments: what grows until Compact runs.
+	Windows int
+	// WindowFolds counts single-window folds (one Eq. 4 fusion each)
+	// run since construction, by any mutator or by ImportState.
+	WindowFolds int
+	// LateDropped counts reports that arrived after their window was
+	// compacted away and could not be folded.
+	LateDropped int
+}
+
+// Counts returns the current counters.
+func (e *Estimator) Counts() Counts {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.lateDropped
+	return e.counts
 }
 
 // fuseAt is Fuse plus the update timestamp.

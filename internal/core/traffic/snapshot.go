@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"maps"
 	"sort"
 	"sync"
 
@@ -99,6 +100,37 @@ func NextSnapshot(prev *Snapshot, estimates map[road.SegmentID]Estimate) *Snapsh
 		return prev
 	}
 	return &Snapshot{Version: ver, Estimates: estimates, ChangedAt: ca, RemovedAt: ra}
+}
+
+// patchSnapshot builds the successor of prev in which the segments of
+// moved hold the given estimates and every other entry — estimate and
+// change version alike — is carried forward from a clone of prev's
+// maps: the cost is one map copy plus the entries that moved, not a
+// rebuild and a diff of the whole map. Entries of moved equal to prev's
+// are not changes; when none differs it returns prev itself, no version
+// bump, like NextSnapshot. prev.RemovedAt is shared as is: the caller
+// is a single estimator, which never removes a segment.
+func patchSnapshot(prev *Snapshot, moved map[road.SegmentID]Estimate) *Snapshot {
+	var next *Snapshot
+	for sid, est := range moved {
+		if old, ok := prev.Estimates[sid]; ok && old == est {
+			continue
+		}
+		if next == nil {
+			next = &Snapshot{
+				Version:   prev.Version + 1,
+				Estimates: maps.Clone(prev.Estimates),
+				ChangedAt: maps.Clone(prev.ChangedAt),
+				RemovedAt: prev.RemovedAt,
+			}
+		}
+		next.Estimates[sid] = est
+		next.ChangedAt[sid] = next.Version
+	}
+	if next == nil {
+		return prev
+	}
+	return next
 }
 
 // Get returns one segment's estimate, if the snapshot holds one. It

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"maps"
 	"reflect"
 	"sync"
 	"testing"
@@ -223,5 +224,93 @@ func TestEstimatorConcurrentReadersSeeMonotoneVersions(t *testing.T) {
 	wg.Wait()
 	if e.View().Version == 0 {
 		t.Fatal("campaign published nothing; concurrency check was vacuous")
+	}
+}
+
+// TestPublishCarriesForward pins the clone-and-patch publish: a
+// snapshot a reader still holds shares no map with its successors,
+// segments a fold did not touch keep their estimate and their change
+// version, and concurrent readers only ever see versions move forward.
+func TestPublishCarriesForward(t *testing.T) {
+	e, err := NewEstimator(DefaultModel(), DefaultPeriodS, DefaultDriftVarPerS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := func(sid road.SegmentID, btt, atS float64) {
+		t.Helper()
+		o := Observation{Segments: []road.SegmentID{sid}, LengthM: 500, FreeKmh: 50, BTTSeconds: btt, TimeS: atS}
+		if err := e.AddObservation(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for sid := road.SegmentID(0); sid < 10; sid++ {
+		for w := 0; w < 20; w++ {
+			report(sid, 60+float64(w), float64(w)*DefaultPeriodS+10)
+		}
+	}
+	e.Advance(20 * DefaultPeriodS)
+
+	held := e.View()
+	if len(held.Estimates) != 10 {
+		t.Fatalf("held snapshot covers %d segments, want 10", len(held.Estimates))
+	}
+	copyOf := &Snapshot{
+		Version:   held.Version,
+		Estimates: held.CloneEstimates(),
+		ChangedAt: maps.Clone(held.ChangedAt),
+		RemovedAt: maps.Clone(held.RemovedAt),
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := e.View()
+				if snap.Version < last {
+					t.Errorf("version regressed %d -> %d", last, snap.Version)
+					return
+				}
+				last = snap.Version
+				if len(snap.Estimates) != len(snap.ChangedAt) {
+					t.Errorf("version %d: %d estimates but %d change marks", snap.Version, len(snap.Estimates), len(snap.ChangedAt))
+					return
+				}
+			}
+		}()
+	}
+	// 1 000 further folds, late and fresh, on segments 0–4 only.
+	for i := 0; i < 1000; i++ {
+		report(road.SegmentID(i%5), 50+float64(i%90), float64(i%25)*DefaultPeriodS+float64(i%200))
+	}
+	e.Advance(26 * DefaultPeriodS)
+	close(stop)
+	wg.Wait()
+
+	now := e.View()
+	if now.Version <= held.Version {
+		t.Fatalf("1000 folds published nothing (version %d); the test is vacuous", now.Version)
+	}
+	if held.Version != copyOf.Version || !reflect.DeepEqual(held.Estimates, copyOf.Estimates) ||
+		!reflect.DeepEqual(held.ChangedAt, copyOf.ChangedAt) || !reflect.DeepEqual(held.RemovedAt, copyOf.RemovedAt) {
+		t.Fatal("a held snapshot changed under later publishes: a successor aliases its maps")
+	}
+	for sid := road.SegmentID(0); sid < 10; sid++ {
+		touched := sid < 5
+		if moved := now.Estimates[sid] != held.Estimates[sid]; moved != touched {
+			t.Errorf("segment %d: estimate moved = %v, want %v", sid, moved, touched)
+		}
+		if bumped := now.ChangedAt[sid] > held.Version; bumped != touched {
+			t.Errorf("segment %d: ChangedAt %d (held version %d), bumped = %v, want %v",
+				sid, now.ChangedAt[sid], held.Version, bumped, touched)
+		}
 	}
 }

@@ -65,20 +65,23 @@ type VersionMark struct {
 	Version uint64         `json:"version"`
 }
 
-// ExportState settles every pending fold and returns the estimator's
-// durable state. The export is a deep copy — the estimator keeps
-// running and the caller owns the result.
+// ExportState returns the estimator's durable state. The export is a
+// deep copy — the estimator keeps running and the caller owns the
+// result. What a segment remembers beyond its reports (each window's
+// summary and the belief after it) is derived and deliberately not
+// exported: ImportState recomputes it, so State is the same schema
+// whichever build wrote it.
 func (e *Estimator) ExportState() *State {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Settle first so the export never carries a dirty flag: the state
-	// is then a pure function of the report multiset and watermark.
-	if e.settleAllLocked() {
-		e.publishLocked()
-	}
+	// Every mutator leaves the fold settled; only a state imported with
+	// complete windows still unfolded has anything to do here.
+	moved := make(map[road.SegmentID]Estimate)
+	e.settleAllLocked(moved)
+	e.publishLocked(moved)
 	st := &State{
 		WatermarkIdx: e.watermarkIdx,
-		LateDropped:  e.lateDropped,
+		LateDropped:  e.counts.LateDropped,
 		Segments:     make([]SegmentState, 0, len(e.segs)),
 	}
 	for sid, seg := range e.segs {
@@ -88,12 +91,11 @@ func (e *Estimator) ExportState() *State {
 			Base:      seg.base,
 			BaseIdx:   seg.baseIdx,
 			FoldedIdx: seg.foldedIdx,
-			Windows:   make([]WindowState, 0, len(seg.windows)),
+			Windows:   make([]WindowState, len(seg.wins)),
 		}
-		for idx, speeds := range seg.windows {
-			ss.Windows = append(ss.Windows, WindowState{Idx: idx, Speeds: append([]float64(nil), speeds...)})
+		for i, w := range seg.wins {
+			ss.Windows[i] = WindowState{Idx: w.idx, Speeds: append([]float64(nil), w.speeds...)}
 		}
-		sort.Slice(ss.Windows, func(i, j int) bool { return ss.Windows[i].Idx < ss.Windows[j].Idx })
 		st.Segments = append(st.Segments, ss)
 	}
 	sort.Slice(st.Segments, func(i, j int) bool { return st.Segments[i].Segment < st.Segments[j].Segment })
@@ -109,11 +111,18 @@ func (e *Estimator) ExportState() *State {
 // version, so readers (and watch clients holding a since-version)
 // observe exactly the pre-export map. Import into a freshly
 // constructed estimator — importing over live state discards it.
+//
+// Import rebuilds what each segment remembers by folding Base through
+// every window below FoldedIdx, and refuses a state whose Hist is not
+// exactly where that fold lands: such a belief disagrees with the
+// reports it claims to summarise, and would be served as is until some
+// late report happened to refold the segment and the map jumped.
 func (e *Estimator) ImportState(st *State) error {
 	if st == nil {
 		return fmt.Errorf("traffic: import nil state")
 	}
 	segs := make(map[road.SegmentID]*segState, len(st.Segments))
+	windows, folds := 0, 0
 	for _, ss := range st.Segments {
 		if _, dup := segs[ss.Segment]; dup {
 			return fmt.Errorf("traffic: import: duplicate segment %d", ss.Segment)
@@ -126,17 +135,32 @@ func (e *Estimator) ImportState(st *State) error {
 			base:      ss.Base,
 			baseIdx:   ss.BaseIdx,
 			foldedIdx: ss.FoldedIdx,
-			windows:   make(map[int64][]float64, len(ss.Windows)),
+			wins:      make([]window, len(ss.Windows)),
 		}
-		for _, w := range ss.Windows {
-			if _, dup := seg.windows[w.Idx]; dup {
-				return fmt.Errorf("traffic: import: segment %d window %d duplicated", ss.Segment, w.Idx)
+		belief := ss.Base
+		for i, ws := range ss.Windows {
+			if ws.Idx < ss.BaseIdx {
+				return fmt.Errorf("traffic: import: segment %d window %d below its base", ss.Segment, ws.Idx)
 			}
-			if !sort.Float64sAreSorted(w.Speeds) {
-				return fmt.Errorf("traffic: import: segment %d window %d speeds unsorted", ss.Segment, w.Idx)
+			if i > 0 && ws.Idx <= ss.Windows[i-1].Idx {
+				return fmt.Errorf("traffic: import: segment %d window %d duplicated or out of order", ss.Segment, ws.Idx)
 			}
-			seg.windows[w.Idx] = append([]float64(nil), w.Speeds...)
+			if !sort.Float64sAreSorted(ws.Speeds) {
+				return fmt.Errorf("traffic: import: segment %d window %d speeds unsorted", ss.Segment, ws.Idx)
+			}
+			w := &seg.wins[i]
+			w.idx, w.speeds = ws.Idx, append([]float64(nil), ws.Speeds...)
+			w.summarise()
+			if w.idx < seg.foldedIdx {
+				belief = e.foldWindow(belief, w)
+				w.after = belief
+				folds++
+			}
 		}
+		if belief != ss.Hist {
+			return fmt.Errorf("traffic: import: segment %d belief %+v is not the fold of its windows (%+v)", ss.Segment, ss.Hist, belief)
+		}
+		windows += len(seg.wins)
 		segs[ss.Segment] = seg
 	}
 	estimates := make(map[road.SegmentID]Estimate, len(segs))
@@ -155,7 +179,9 @@ func (e *Estimator) ImportState(st *State) error {
 	defer e.mu.Unlock()
 	e.segs = segs
 	e.watermarkIdx = st.WatermarkIdx
-	e.lateDropped = st.LateDropped
+	e.counts.Windows = windows
+	e.counts.WindowFolds += folds
+	e.counts.LateDropped = st.LateDropped
 	e.snap.Store(snap)
 	return nil
 }

@@ -3,6 +3,7 @@ package traffic
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -148,5 +149,36 @@ func TestStateImportRejectsMalformed(t *testing.T) {
 	dupw := &State{Segments: []SegmentState{{Segment: 1, Windows: []WindowState{{Idx: 0}, {Idx: 0}}}}}
 	if err := e.ImportState(dupw); err == nil {
 		t.Fatal("duplicate window accepted")
+	}
+	unordered := &State{Segments: []SegmentState{{Segment: 1, Windows: []WindowState{{Idx: 3}, {Idx: 1}}}}}
+	if err := e.ImportState(unordered); err == nil {
+		t.Fatal("descending windows accepted")
+	}
+	stale := &State{Segments: []SegmentState{{Segment: 1, BaseIdx: 4, FoldedIdx: 4, Windows: []WindowState{{Idx: 2}}}}}
+	if err := e.ImportState(stale); err == nil {
+		t.Fatal("window below the compaction base accepted")
+	}
+
+	// A belief that is not the fold of the windows it claims to
+	// summarise: off by one ulp is enough, and a refused import leaves
+	// the estimator as it was.
+	src, err := NewEstimator(DefaultModel(), DefaultPeriodS, DefaultDriftVarPerS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, src, stateObs(300, 3))
+	good := src.ExportState()
+	if err := e.ImportState(good); err != nil {
+		t.Fatalf("untampered state refused: %v", err)
+	}
+	before := e.View()
+	tampered := src.ExportState()
+	h := &tampered.Segments[2].Hist
+	h.SpeedKmh = math.Nextafter(h.SpeedKmh, math.Inf(1))
+	if err := e.ImportState(tampered); err == nil {
+		t.Fatal("hist disagreeing with its windows accepted")
+	}
+	if e.View() != before {
+		t.Fatal("refused import replaced the published snapshot")
 	}
 }

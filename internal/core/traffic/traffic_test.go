@@ -1,8 +1,11 @@
 package traffic
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -377,7 +380,7 @@ func TestEstimatorCompactBoundsStateAndCountsLate(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Advance(2 * DefaultPeriodS)
-	if got := e.LateDropped(); got != 1 {
+	if got := e.Counts().LateDropped; got != 1 {
 		t.Errorf("LateDropped = %d, want 1", got)
 	}
 	after, _ := e.Get(1)
@@ -416,4 +419,382 @@ func TestEstimatorCompactionIdempotentWhenTimely(t *testing.T) {
 	if got, want := build(true), build(false); !reflect.DeepEqual(got, want) {
 		t.Errorf("compaction changed timely estimates:\n%v\n%v", got, want)
 	}
+}
+
+// refEstimator is the estimator as it was before the fold and the
+// publish became incremental, kept as the oracle: every belief is
+// folded from scratch over the segment's whole retained window set,
+// and every mutation rebuilds the full map through NextSnapshot.
+type refEstimator struct {
+	cfg         *Estimator // configuration only: model, period, drift
+	watermark   int64
+	lateDropped int
+	segs        map[road.SegmentID]*refSeg
+	snap        *Snapshot
+}
+
+type refSeg struct {
+	base    Estimate
+	baseIdx int64
+	windows map[int64][]float64
+}
+
+func newRefEstimator(cfg *Estimator) *refEstimator {
+	return &refEstimator{cfg: cfg, segs: map[road.SegmentID]*refSeg{}, snap: EmptySnapshot()}
+}
+
+// foldFromScratch is the from-scratch fold: base, then every complete
+// retained window in ascending order, each summarised by one Welford
+// pass over its sorted reports and fused at its own end boundary.
+func (r *refEstimator) foldFromScratch(s *refSeg) Estimate {
+	var due []int64
+	for idx := range s.windows {
+		if idx >= s.baseIdx && idx < r.watermark {
+			due = append(due, idx)
+		}
+	}
+	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
+	hist := s.base
+	for _, idx := range due {
+		var acc stats.Accumulator
+		for _, v := range s.windows[idx] {
+			acc.Add(v)
+		}
+		v, varV := acc.Mean(), acc.Var()
+		if acc.N() < 2 || varV <= 0 {
+			varV = DefaultSingleReportVar
+		}
+		endS := float64(idx+1) * r.cfg.periodS
+		hist = fuseAt(Inflate(hist, endS, r.cfg.driftPerS), v, varV, endS)
+	}
+	return hist
+}
+
+func (r *refEstimator) publish() {
+	m := make(map[road.SegmentID]Estimate, len(r.segs))
+	for sid, s := range r.segs {
+		if hist := r.foldFromScratch(s); hist.Reports > 0 {
+			m[sid] = hist
+		}
+	}
+	r.snap = NextSnapshot(r.snap, m)
+}
+
+func (r *refEstimator) add(o Observation) {
+	speed, err := r.cfg.model.SpeedKmh(o.LengthM, o.FreeKmh, o.BTTSeconds)
+	if err != nil {
+		panic(err)
+	}
+	idx := r.cfg.windowOf(o.TimeS)
+	r.watermark = max(r.watermark, idx)
+	for _, sid := range o.Segments {
+		s := r.segs[sid]
+		if s == nil {
+			s = &refSeg{windows: map[int64][]float64{}}
+			r.segs[sid] = s
+		}
+		if idx < s.baseIdx {
+			r.lateDropped++
+			continue
+		}
+		s.windows[idx] = append(s.windows[idx], speed)
+		sort.Float64s(s.windows[idx])
+	}
+	r.publish()
+}
+
+func (r *refEstimator) advance(nowS float64) {
+	r.watermark = max(r.watermark, r.cfg.windowOf(nowS))
+	r.publish()
+}
+
+func (r *refEstimator) compact() {
+	r.publish()
+	for _, s := range r.segs {
+		s.base, s.baseIdx = r.foldFromScratch(s), r.watermark
+		for idx := range s.windows {
+			if idx < s.baseIdx {
+				delete(s.windows, idx)
+			}
+		}
+	}
+}
+
+// state is what ExportState must return for the same history.
+func (r *refEstimator) state() *State {
+	st := &State{
+		WatermarkIdx: r.watermark,
+		LateDropped:  r.lateDropped,
+		Segments:     []SegmentState{},
+		SnapVersion:  r.snap.Version,
+		ChangedAt:    marksOf(r.snap.ChangedAt),
+		RemovedAt:    marksOf(r.snap.RemovedAt),
+	}
+	for sid, s := range r.segs {
+		ss := SegmentState{Segment: sid, Hist: r.foldFromScratch(s), Base: s.base, BaseIdx: s.baseIdx, FoldedIdx: r.watermark}
+		for idx, speeds := range s.windows {
+			ss.Windows = append(ss.Windows, WindowState{Idx: idx, Speeds: speeds})
+		}
+		sort.Slice(ss.Windows, func(i, j int) bool { return ss.Windows[i].Idx < ss.Windows[j].Idx })
+		st.Segments = append(st.Segments, ss)
+	}
+	sort.Slice(st.Segments, func(i, j int) bool { return st.Segments[i].Segment < st.Segments[j].Segment })
+	return st
+}
+
+// oraclePair drives an Estimator and the reference through the same
+// history and, after every step, holds the estimator to the reference
+// bit for bit and to its own chain invariant.
+type oraclePair struct {
+	t   *testing.T
+	e   *Estimator
+	ref *refEstimator
+}
+
+func newOraclePair(t *testing.T) *oraclePair {
+	e := newEstimator(t)
+	return &oraclePair{t: t, e: e, ref: newRefEstimator(e)}
+}
+
+func (p *oraclePair) add(o Observation) {
+	p.t.Helper()
+	if err := p.e.AddObservation(o); err != nil {
+		p.t.Fatal(err)
+	}
+	p.ref.add(o)
+	p.check("AddObservation")
+}
+
+func (p *oraclePair) advance(nowS float64) {
+	p.t.Helper()
+	p.e.Advance(nowS)
+	p.ref.advance(nowS)
+	p.check("Advance")
+}
+
+func (p *oraclePair) compact() {
+	p.t.Helper()
+	p.e.Compact()
+	p.ref.compact()
+	p.check("Compact")
+}
+
+// reimport replaces the estimator by a fresh one booted from its own
+// exported JSON: the derived chain must be rebuilt to the same state.
+func (p *oraclePair) reimport() {
+	p.t.Helper()
+	blob, err := json.Marshal(p.e.ExportState())
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	var st State
+	if err := json.Unmarshal(blob, &st); err != nil {
+		p.t.Fatal(err)
+	}
+	p.e = newEstimator(p.t)
+	if err := p.e.ImportState(&st); err != nil {
+		p.t.Fatal(err)
+	}
+	p.check("ExportState → ImportState")
+}
+
+func (p *oraclePair) check(step string) {
+	p.t.Helper()
+	got, want := p.e.View(), p.ref.snap
+	if got.Version != want.Version {
+		p.t.Fatalf("after %s: version %d, reference %d", step, got.Version, want.Version)
+	}
+	if !reflect.DeepEqual(got.Estimates, want.Estimates) {
+		p.t.Fatalf("after %s: estimates diverge from the from-scratch fold:\n%v\n%v", step, got.Estimates, want.Estimates)
+	}
+	if !reflect.DeepEqual(got.ChangedAt, want.ChangedAt) {
+		p.t.Fatalf("after %s: ChangedAt %v, reference %v", step, got.ChangedAt, want.ChangedAt)
+	}
+	gotJSON, err := json.Marshal(p.e.ExportState())
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(p.ref.state())
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		p.t.Fatalf("after %s: exported state differs from the reference:\n%s\n%s", step, gotJSON, wantJSON)
+	}
+	p.checkChain(step)
+}
+
+// checkChain asserts the invariant the incremental fold rests on: the
+// folded prefix is exactly the windows with idx < foldedIdx, each
+// remembering the belief a fold from base reaches right after it, and
+// hist is the last of those.
+func (p *oraclePair) checkChain(step string) {
+	p.t.Helper()
+	e := p.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	windows := 0
+	for sid, st := range e.segs {
+		belief := st.base
+		for i := range st.wins {
+			w := st.wins[i]
+			if i > 0 && w.idx <= st.wins[i-1].idx {
+				p.t.Fatalf("after %s: segment %d windows not ascending at %d", step, sid, w.idx)
+			}
+			if w.idx < st.baseIdx {
+				p.t.Fatalf("after %s: segment %d retains window %d below base %d", step, sid, w.idx, st.baseIdx)
+			}
+			fresh := window{idx: w.idx, speeds: w.speeds}
+			fresh.summarise()
+			if fresh.mean != w.mean || fresh.varV != w.varV {
+				p.t.Fatalf("after %s: segment %d window %d summary stale", step, sid, w.idx)
+			}
+			if w.idx >= st.foldedIdx {
+				continue
+			}
+			if belief = e.foldWindow(belief, &fresh); belief != w.after {
+				p.t.Fatalf("after %s: segment %d window %d remembers %+v, chain holds %+v", step, sid, w.idx, w.after, belief)
+			}
+		}
+		if st.hist != belief {
+			p.t.Fatalf("after %s: segment %d hist %+v, chain ends at %+v", step, sid, st.hist, belief)
+		}
+		windows += len(st.wins)
+	}
+	if e.counts.Windows != windows {
+		p.t.Fatalf("after %s: Counts().Windows = %d, retained %d", step, e.counts.Windows, windows)
+	}
+}
+
+// TestEstimatorMatchesFromScratchFold holds the incremental fold and
+// the clone-and-patch publish to the from-scratch reference across
+// seeded random schedules — shuffled (so mostly late) reports, watermark
+// advances, compactions and export/import reboots — and on the named
+// cases the early-stop rule has to get right.
+func TestEstimatorMatchesFromScratchFold(t *testing.T) {
+	at := func(window float64) float64 { return window * DefaultPeriodS }
+	one := []road.SegmentID{1}
+
+	t.Run("random schedules", func(t *testing.T) {
+		for seed := uint64(1); seed <= 12; seed++ {
+			rng := stats.NewRNG(seed)
+			p := newOraclePair(t)
+			for step := 0; step < 250; step++ {
+				switch k := rng.Intn(20); {
+				case k < 15:
+					segs := []road.SegmentID{road.SegmentID(rng.Intn(4))}
+					for rng.Intn(3) == 0 {
+						segs = append(segs, road.SegmentID(rng.Intn(6))) // may repeat a segment
+					}
+					p.add(obs(segs, rng.Range(40, 400), rng.Range(0, at(30))))
+				case k < 17:
+					p.advance(rng.Range(0, at(32)))
+				case k < 18:
+					p.compact()
+				default:
+					p.reimport()
+				}
+			}
+		}
+	})
+
+	// 500 folded windows of two reports each on one segment.
+	deep := func(t *testing.T, stride int) *oraclePair {
+		p := newOraclePair(t)
+		for w := 0; w < 500; w++ {
+			for _, btt := range []float64{70, 90 + float64(w%7)} {
+				if err := p.e.AddObservation(obs(one, btt, at(float64(w*stride))+10)); err != nil {
+					t.Fatal(err)
+				}
+				p.ref.add(obs(one, btt, at(float64(w*stride))+10))
+			}
+		}
+		p.advance(at(float64(500 * stride)))
+		return p
+	}
+
+	t.Run("late report into an existing window rejoins", func(t *testing.T) {
+		p := deep(t, 1)
+		before, view := p.e.Counts(), p.e.View()
+		p.add(obs(one, 200, at(3)+20))
+		folds := p.e.Counts().WindowFolds - before.WindowFolds
+		if folds < 1 || folds > 150 {
+			t.Errorf("late report into window 3 of 500 ran %d window folds, want a short refold", folds)
+		}
+		if p.e.View() != view {
+			t.Errorf("tail rejoined its chain yet a snapshot was published (version %d -> %d)", view.Version, p.e.View().Version)
+		}
+		if got := p.e.Counts().Windows; got != before.Windows {
+			t.Errorf("report into an existing window moved Windows %d -> %d", before.Windows, got)
+		}
+	})
+
+	t.Run("late report opening a new window refolds to the end", func(t *testing.T) {
+		p := deep(t, 2) // windows 0, 2, …, 998
+		before, view := p.e.Counts(), p.e.View()
+		p.add(obs(one, 200, at(3)+20))
+		after := p.e.Counts()
+		// The new window 3 plus the 498 retained ones above it.
+		if folds := after.WindowFolds - before.WindowFolds; folds != 499 {
+			t.Errorf("new window 3 ran %d window folds, want 499", folds)
+		}
+		if after.Windows != before.Windows+1 {
+			t.Errorf("Windows %d -> %d, want one more", before.Windows, after.Windows)
+		}
+		if got := p.e.View(); got.Version != view.Version+1 || got.Estimates[1].Reports != 501 {
+			t.Errorf("new window published version %d with %d reports, want %d with 501",
+				got.Version, got.Estimates[1].Reports, view.Version+1)
+		}
+	})
+
+	t.Run("new window beyond the last folded one but below the watermark", func(t *testing.T) {
+		p := newOraclePair(t)
+		p.add(obs(one, 80, at(2)+10))
+		p.advance(at(10))
+		p.add(obs(one, 120, at(5)+10)) // joins the folded prefix at once
+		if got, _ := p.e.Get(1); got.Reports != 2 {
+			t.Errorf("window 5 not folded on arrival: %+v", got)
+		}
+		p.add(obs(one, 300, at(5)+20)) // and is refolded as part of it
+		p.add(obs(one, 90, at(2)+20))
+		p.add(obs(one, 60, at(12)+1)) // advances the watermark past everything
+	})
+
+	t.Run("duplicate segment inside one observation", func(t *testing.T) {
+		p := newOraclePair(t)
+		p.add(obs([]road.SegmentID{1, 1, 2}, 80, at(1)+10))
+		p.advance(at(4))
+		p.add(obs([]road.SegmentID{2, 1, 2}, 150, at(1)+20)) // late, twice into segment 2
+		p.add(obs([]road.SegmentID{1, 1}, 110, at(2)+5))     // late, opens one window with two reports
+	})
+}
+
+// BenchmarkEstimatorLateReport measures what a phone that uploads when
+// it finds connectivity costs the fold: one segment set with 200 folded
+// windows, every report landing in a random existing window. Reported,
+// never gated.
+func BenchmarkEstimatorLateReport(b *testing.B) {
+	e, err := NewEstimator(DefaultModel(), DefaultPeriodS, DefaultDriftVarPerS)
+	if err != nil {
+		b.Fatal(err)
+	}
+	segs := []road.SegmentID{1, 2, 3, 4}
+	rng := stats.NewRNG(7)
+	for w := 0; w < 200; w++ {
+		for r := 0; r < 3; r++ {
+			if err := e.AddObservation(obs(segs, rng.Range(40, 400), float64(w)*DefaultPeriodS+rng.Range(0, DefaultPeriodS))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	e.Advance(200 * DefaultPeriodS)
+	before := e.Counts().WindowFolds
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.AddObservation(obs(segs, rng.Range(40, 400), rng.Range(0, 200*DefaultPeriodS))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(e.Counts().WindowFolds-before)/float64(b.N), "windowfolds/op")
 }

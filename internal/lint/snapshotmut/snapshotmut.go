@@ -3,9 +3,10 @@
 // its maps are shared by every reader holding the atomic pointer, and
 // a single write tears the version history for all of them. The
 // analyzer forbids writes to maps and slices reachable from a
-// Snapshot anywhere outside the type's constructors (EmptySnapshot
-// and NextSnapshot in busprobe/internal/core/traffic, the only
-// functions that may touch a snapshot's maps before publication).
+// Snapshot anywhere outside the type's constructors (EmptySnapshot,
+// NextSnapshot and patchSnapshot in busprobe/internal/core/traffic,
+// the only functions that may touch a snapshot's maps before
+// publication).
 //
 // One write after publication is sanctioned: the Rendered method's
 // build-once memo of the snapshot's served bytes, which no reader can
@@ -54,11 +55,12 @@ var Analyzer = &analysis.Analyzer{
 const trafficPath = "busprobe/internal/core/traffic"
 
 // writers are the only functions allowed to write a snapshot's fields,
-// and only inside the defining package: the two constructors, before
-// publication, and the Rendered memo method after it.
+// and only inside the defining package: the three constructors,
+// before publication, and the Rendered memo method after it.
 var writers = map[string]bool{
 	"EmptySnapshot": true,
 	"NextSnapshot":  true,
+	"patchSnapshot": true,
 	"Rendered":      true,
 }
 

@@ -15,10 +15,11 @@ func TestSnapshotMutFixture(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), snapshotmut.Analyzer, "snapshotmut_a")
 }
 
-// TestSnapshotMutMemoExemption checks the one sanctioned write after
-// publication from inside the defining package: the Rendered memo
-// method is clean, and the memo field written (or written through)
-// from any other function there is still a finding.
+// TestSnapshotMutMemoExemption checks the writes sanctioned inside the
+// defining package: the Rendered memo method and the patchSnapshot
+// constructor are clean, and the memo field written (or written
+// through), or the same clone-and-patch, from any other function there
+// is still a finding.
 func TestSnapshotMutMemoExemption(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), snapshotmut.Analyzer, "busprobe/internal/core/traffic")
 }

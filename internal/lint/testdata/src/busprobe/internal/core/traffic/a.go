@@ -1,16 +1,22 @@
-// Package traffic is the snapshotmut fixture for the one sanctioned
-// post-publication write. It is type-checked under the defining
-// package's own import path, so its Snapshot is the type the analyzer
-// guards and its functions are judged as that package's are: the
-// Rendered memo method is clean, the same field written from any other
-// function is a finding.
+// Package traffic is the snapshotmut fixture for the writes the
+// defining package is allowed. It is type-checked under that package's
+// own import path, so its Snapshot is the type the analyzer guards and
+// its functions are judged as that package's are: the Rendered memo
+// method and the patchSnapshot constructor are clean, the same writes
+// from any other function are findings.
 package traffic
 
-import "sync"
+import (
+	"maps"
+	"sync"
+)
 
-// Snapshot mirrors the memo-carrying part of the real type.
+// Snapshot mirrors the patched and the memo-carrying parts of the real
+// type.
 type Snapshot struct {
-	Version uint64
+	Version   uint64
+	Estimates map[int]float64
+	ChangedAt map[int]uint64
 
 	renderOnce sync.Once
 	rendered   []byte
@@ -35,4 +41,35 @@ func prime(s *Snapshot, body []byte) {
 // scribble writes into the shared bytes every reader was handed.
 func scribble(s *Snapshot) {
 	s.rendered[0] = ' ' // want `map owned by a traffic\.Snapshot assigned through \(s\.rendered\) outside its constructor`
+}
+
+// patchSnapshot is the exempt constructor: it clones prev's maps and
+// writes the moved entries through the successor before anyone else
+// holds it.
+func patchSnapshot(prev *Snapshot, moved map[int]float64) *Snapshot {
+	next := &Snapshot{
+		Version:   prev.Version + 1,
+		Estimates: maps.Clone(prev.Estimates),
+		ChangedAt: maps.Clone(prev.ChangedAt),
+	}
+	for sid, est := range moved {
+		next.Estimates[sid] = est
+		next.ChangedAt[sid] = next.Version
+	}
+	return next
+}
+
+// patchElsewhere is the same clone-and-patch outside the constructor
+// table: nothing tells the analyzer this snapshot is still private.
+func patchElsewhere(prev *Snapshot, moved map[int]float64) *Snapshot {
+	next := &Snapshot{
+		Version:   prev.Version + 1,
+		Estimates: maps.Clone(prev.Estimates),
+		ChangedAt: maps.Clone(prev.ChangedAt),
+	}
+	for sid, est := range moved {
+		next.Estimates[sid] = est          // want `map owned by a traffic\.Snapshot assigned through \(next\.Estimates\) outside its constructor`
+		next.ChangedAt[sid] = next.Version // want `map owned by a traffic\.Snapshot assigned through \(next\.ChangedAt\) outside its constructor`
+	}
+	return next
 }

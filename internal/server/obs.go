@@ -95,6 +95,19 @@ func (b *Backend) registerObs(shard string) stage.Hook {
 			return latest
 		}, sl)
 
+	// The estimator's own size and work: retained windows are what
+	// grows until a retention horizon compacts them, window folds are
+	// the fold chain's unit of work (one Eq. 4 fusion each).
+	reg.GaugeFunc("busprobe_estimator_windows",
+		"Update windows retained by the traffic estimator across all segments.",
+		func() float64 { return float64(b.est.Counts().Windows) }, sl)
+	reg.CounterFunc("busprobe_estimator_window_folds_total",
+		"Single-window folds run by the traffic estimator.",
+		func() float64 { return float64(b.est.Counts().WindowFolds) }, sl)
+	reg.CounterFunc("busprobe_estimator_late_dropped_total",
+		"Reports that arrived after their window was compacted away.",
+		func() float64 { return float64(b.est.Counts().LateDropped) }, sl)
+
 	// One row of counters per /v1/pipeline row — the five stages, then
 	// the admission gate's pseudo-stage — each read at scrape time from
 	// the same StageMetrics snapshot /v1/pipeline serves.

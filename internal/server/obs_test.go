@@ -329,6 +329,9 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		"# TYPE busprobe_stage_duration_seconds histogram",
 		"# TYPE busprobe_traffic_renders_total counter",
 		"busprobe_traffic_renders_total 0\n", // nothing has read the map yet
+		"# TYPE busprobe_estimator_windows gauge",
+		"# TYPE busprobe_estimator_window_folds_total counter",
+		`busprobe_estimator_late_dropped_total{shard="0"} 0`,
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("scrape lacks %q", want)

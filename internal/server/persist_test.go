@@ -155,27 +155,14 @@ func TestStoreFullReplayWithoutSnapshot(t *testing.T) {
 }
 
 // TestStoreSnapshotSchemaFallback: a snapshot whose blob passes its
-// checksum but does not decode as PersistentState (a schema from
-// another build) must drop recovery to a full replay, not fail boot.
+// checksum but cannot be imported — it does not decode as
+// PersistentState (a schema from another build), or its estimator
+// state carries a belief that is not the fold of the reports beside
+// it — must drop recovery to a full replay, not fail boot and not be
+// served.
 func TestStoreSnapshotSchemaFallback(t *testing.T) {
 	fx := newTwinFixture(t)
 	trips := twinCorpus(t, fx.world, faults.Config{})
-
-	dir := t.TempDir()
-	first, rec := recoverFresh(t, fx, dir, "")
-	replayInto(t, first, trips)
-	// Seal and snapshot by hand with a foreign blob.
-	s := rec.Log().Store()
-	upTo, err := s.Seal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteSnapshot(upTo, []byte(`{"schema":"busprobe-state/999"}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	ref, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
 	if err != nil {
@@ -185,16 +172,62 @@ func TestStoreSnapshotSchemaFallback(t *testing.T) {
 	ref.Advance(3 * clock.DayS)
 	want := trafficBytes(t, ref)
 
-	second, rec2 := recoverFresh(t, fx, dir, "")
-	if rec2.Report.Mode != "full-replay" {
-		t.Fatalf("recovered in mode %q, want full-replay (report: %+v)", rec2.Report.Mode, rec2.Report)
-	}
-	if rec2.SnapshotImported {
-		t.Fatal("foreign snapshot state reported as imported")
-	}
-	second.Advance(3 * clock.DayS)
-	if got := trafficBytes(t, second); !bytes.Equal(got, want) {
-		t.Error("fallback /v1/traffic differs from the uninterrupted run")
+	for _, tc := range []struct {
+		name string
+		blob func(t *testing.T, b *Backend) []byte
+	}{
+		{"foreign schema", func(*testing.T, *Backend) []byte {
+			return []byte(`{"schema":"busprobe-state/999"}`)
+		}},
+		{"hist disagrees with its windows", func(t *testing.T, b *Backend) []byte {
+			st := b.ExportState()
+			tampered := false
+			for i := range st.Estimator.Segments {
+				if h := &st.Estimator.Segments[i].Hist; h.Reports > 0 {
+					h.SpeedKmh += 7
+					tampered = true
+					break
+				}
+			}
+			if !tampered {
+				t.Fatal("no folded segment to tamper with; the case is vacuous")
+			}
+			blob, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return blob
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			first, rec := recoverFresh(t, fx, dir, "")
+			replayInto(t, first, trips)
+			// Seal and snapshot by hand with the unimportable blob.
+			s := rec.Log().Store()
+			upTo, err := s.Seal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.WriteSnapshot(upTo, tc.blob(t, first)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			second, rec2 := recoverFresh(t, fx, dir, "")
+			if rec2.Report.Mode != "full-replay" {
+				t.Fatalf("recovered in mode %q, want full-replay (report: %+v)", rec2.Report.Mode, rec2.Report)
+			}
+			if rec2.SnapshotImported {
+				t.Fatal("unimportable snapshot state reported as imported")
+			}
+			second.Advance(3 * clock.DayS)
+			if got := trafficBytes(t, second); !bytes.Equal(got, want) {
+				t.Error("fallback /v1/traffic differs from the uninterrupted run")
+			}
+		})
 	}
 }
 

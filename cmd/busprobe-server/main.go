@@ -14,15 +14,21 @@
 //	                [-recovery-report FILE]
 //
 // Durability. -store-dir enables the log-structured store: every
-// accepted trip (and received cross-shard scatter group) appends to an
-// active segment under <dir>/shardN/ (a monolith is shard 0), segments
-// seal at -segment-bytes, and every -snapshot-every records a
+// accepted trip (and received cross-shard scatter group) appends one
+// self-checking line (CRC-32 prefix + JSON) to a segment under
+// <dir>/shardN/ (a monolith is shard 0); a segment seals (fsync +
+// close, immutable from then on) at -segment-bytes, and each boot
+// starts a new one on its first append. Every -snapshot-every records a
 // checkpoint captures the full pipeline state at a segment boundary
 // and compacts the log behind it — so restart cost is O(tail), not
 // O(history). On boot each shard recovers from its newest intact
 // snapshot plus tail replay, falling back one snapshot (or to a full
-// replay) on corruption; the per-shard outcome prints and, with
-// -recovery-report, lands in a JSON artifact.
+// replay) on corruption; a line that fails its checksum or a torn
+// final line is skipped and reported. The per-shard outcome prints
+// and, with -recovery-report, lands in a JSON artifact. A store
+// directory in the previous layout (seg-*.seal, seg-*.active) is
+// refused by name and left untouched: a shard process exits 1, an
+// in-process shard reports RECOVERY FAILED and starts fresh.
 //
 // Process topology. By default one process hosts everything: a
 // monolith (-shards 1) or N in-process shards behind an in-process

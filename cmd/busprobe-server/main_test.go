@@ -1,9 +1,15 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestValidateFlags: contradictory flags are refused up front, every
@@ -58,5 +64,56 @@ func TestFlagSurface(t *testing.T) {
 	})
 	if n != 16 || flag.Lookup("journal") != nil {
 		t.Errorf("%d flags (journal defined: %v), want 16 without -journal", n, flag.Lookup("journal") != nil)
+	}
+}
+
+// TestBootRefusesPreviousStoreLayout: a shard process booted on a store
+// directory in the previous segment layout exits non-zero, names the
+// files it refuses, and leaves them byte-identical (there is no
+// migration). The in-process topologies meet the same refusal through
+// their degraded boot: the shard reports RECOVERY FAILED and starts
+// fresh with no log.
+func TestBootRefusesPreviousStoreLayout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and boots the binary")
+	}
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "busprobe-server")
+	if out, err := exec.Command("go", "build", "-o", bin, "busprobe/cmd/busprobe-server").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	base := filepath.Join(tmp, "store")
+	dir := filepath.Join(base, "shard0")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{
+		"seg-00000001.seal":   "{\"kind\":\"trip\"}\n{\"busprobeSeal\":1}\n",
+		"seg-00000002.active": "{\"kind\":\"trip\"}\n",
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", "-world", "small", "-survey-runs", "1",
+		"-shard-id", "0", "-shard-addrs", "http://127.0.0.1:1", "-store-dir", base).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 || ctx.Err() != nil {
+		t.Fatalf("boot on a previous-layout store: %v, want a non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "seg-00000001.seal") {
+		t.Errorf("refusal does not name the .seal file:\n%s", out)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != len(files) {
+		t.Fatalf("store directory now holds %v (err %v), want exactly the %d previous-layout files", ents, err, len(files))
+	}
+	for name, body := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != body {
+			t.Errorf("%s changed (err %v)", name, err)
+		}
 	}
 }

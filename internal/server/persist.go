@@ -344,14 +344,11 @@ type recoverTarget struct {
 // slice so cross-shard scatters replayed by one shard land on peers
 // that have already imported their snapshots:
 //
-//  1. Per backend: the store opens for appending; the recovery ladder
-//     picks a snapshot and its state imports (a checksum-valid
-//     snapshot whose state fails to decode falls all the way to a full
-//     replay); the scatter log attaches. Opening comes BEFORE planning
-//     because Open normalizes the directory — a fully-sealed-but-
-//     unrenamed active segment (crash between footer write and rename)
-//     is finished into its sealed name, a torn active tail is trimmed
-//     — so the report describes the directory the replay will walk.
+//  1. Per backend: the store opens for appending (Open touches no
+//     segment: the next append starts a new one, outside the plan); the
+//     recovery ladder picks a snapshot and its state imports (a
+//     checksum-valid snapshot whose state fails to decode falls all the
+//     way to a full replay); the scatter log attaches.
 //  2. Every tail replays in slice order: trips re-process (their
 //     cross-shard groups re-scatter under the original idempotency
 //     keys; a shard's own replayed scatter records fold without
@@ -447,7 +444,8 @@ func (c *Coordinator) RecoverStores(ctx context.Context, base string, opts store
 	return recoverBackends(ctx, opts, targets)
 }
 
-// openAndPlan is phase 1 for one backend: open, plan, import. It
+// openAndPlan is phase 1 for one backend: open, plan, import — opening
+// first so a store that cannot open leaves the backend fresh. It
 // returns the open store and the plan whose tail phase 2 replays.
 func openAndPlan(opts store.Options, b *Backend, rec *StoreRecovery) (*store.Recovery, *store.Store, error) {
 	s, err := store.Open(opts)
@@ -463,7 +461,7 @@ func openAndPlan(opts store.Options, b *Backend, rec *StoreRecovery) (*store.Rec
 	return plan, s, nil
 }
 
-// planAndImport runs the recovery ladder over an opened store and
+// planAndImport runs the recovery ladder over a store directory and
 // imports the chosen snapshot's state into the backend, dropping the
 // plan to a full replay when a checksum-valid snapshot fails to decode.
 func planAndImport(opts store.Options, b *Backend, rec *StoreRecovery) (*store.Recovery, error) {

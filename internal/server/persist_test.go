@@ -340,78 +340,155 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 type logDamage uint8
 
 const (
-	corruptMiddleLine logDamage = 1 << iota // a garbled line between intact records
+	corruptMiddleLine logDamage = 1 << iota // garbled JSON between intact records, framed with a valid checksum
 	oversizedLine                           // a line longer than any record, so it can only be corruption
 	duplicateID                             // an intact record written twice
 	unkindedLine                            // a bare trip with no record envelope: a kind this build does not know
+	bitflipLine                             // one sample digit changed on disk: still valid JSON, stale checksum
 	tornFinalLine                           // a crash mid-append
-	allLogDamage      = corruptMiddleLine | oversizedLine | duplicateID | unkindedLine | tornFinalLine
+	inOlderSegment                          // not damage: the damage lands in the older segment, not the newest
+	allLogDamage      = corruptMiddleLine | oversizedLine | duplicateID | unkindedLine | bitflipLine | tornFinalLine
 )
 
-// writeDamagedSegment hand-writes dir's first active segment: one
-// {"kind":"trip",…} record per trip, as StoreLog.Append would have.
-// Damage lands after the first record, the torn line at the end. The
-// unkinded line carries a trip of its own, so a replay that guessed at
-// it would accept it and serve a different map.
-func writeDamagedSegment(t *testing.T, dir string, trips []probe.Trip, dmg logDamage) {
+// writeDamagedSegment writes dir's log through the store's own writer:
+// one {"kind":"trip",…} record per trip, as StoreLog.Append would, the
+// first half in an older segment and the rest in the newest one.
+// Damage lands after the first record of the target segment (the newest
+// unless inOlderSegment), the bit flip on that segment's last record
+// and the torn line at the end of the newest. The unkinded line carries
+// a trip of its own, so a replay that guessed at it would accept it and
+// serve a different map. It returns the ID of the bit-flipped trip
+// ("" without bitflipLine).
+func writeDamagedSegment(t *testing.T, dir string, trips []probe.Trip, dmg logDamage) string {
 	t.Helper()
-	var buf bytes.Buffer
+	if len(trips) < 2 {
+		t.Fatalf("%d trips cannot fill two segments", len(trips))
+	}
+	opts := storeTestOpts(dir)
+	opts.SegmentBytes = 1 << 30
+	opts.MaxRecordBytes = 2 * store.DefaultMaxRecordBytes // lets the oversized line through
+	s, err := store.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendLine := func(line []byte) {
+		if err := s.Append(context.Background(), line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	half := len(trips) / 2
+	first, flipped := half, len(trips)-1
+	if dmg&inOlderSegment != 0 {
+		first, flipped = 0, half-1
+	}
+	var flippedLine []byte
 	for i := range trips {
+		if i == half {
+			if _, err := s.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		line, err := json.Marshal(storeRecord{Kind: recKindTrip, Trip: &trips[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		line = append(line, '\n')
-		buf.Write(line)
-		if i > 0 {
+		appendLine(line)
+		if i == flipped {
+			flippedLine = line
+		}
+		if i != first {
 			continue
 		}
 		if dmg&corruptMiddleLine != 0 {
-			buf.WriteString("{\"kind\":\"trip\",\"trip\":{\"id\":\"garbled\",\"sam\n")
+			appendLine([]byte(`{"kind":"trip","trip":{"id":"garbled","sam`))
 		}
 		if dmg&oversizedLine != 0 {
-			buf.Write(bytes.Repeat([]byte{'x'}, store.DefaultMaxRecordBytes+16))
-			buf.WriteByte('\n')
+			appendLine(bytes.Repeat([]byte{'x'}, store.DefaultMaxRecordBytes+16))
 		}
 		if dmg&duplicateID != 0 {
-			buf.Write(line)
+			appendLine(line)
 		}
 		if dmg&unkindedLine != 0 {
 			bare := trips[i]
 			bare.ID += "-bare"
-			if err := json.NewEncoder(&buf).Encode(&bare); err != nil {
+			b, err := json.Marshal(&bare)
+			if err != nil {
 				t.Fatal(err)
 			}
+			appendLine(b)
 		}
 	}
-	if dmg&tornFinalLine != 0 {
-		buf.WriteString(`{"kind":"trip","trip":{"id":"torn","samples":[{`)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.active"), buf.Bytes(), 0o644); err != nil {
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("want two segments, got %v (err %v)", segs, err)
+	}
+	older, newest := segs[0], segs[1]
+	if dmg&bitflipLine != 0 {
+		target := newest
+		if dmg&inOlderSegment != 0 {
+			target = older
+		}
+		editFile(t, target, func(b []byte) []byte {
+			return bytes.Replace(b, flippedLine, flipSampleDigit(t, flippedLine), 1)
+		})
+	}
+	if dmg&tornFinalLine != 0 {
+		editFile(t, newest, func(b []byte) []byte {
+			return append(b, `0badf00d {"kind":"trip","trip":{"id":"torn","samples":[{`...)
+		})
+	}
+	if dmg&bitflipLine == 0 {
+		return ""
+	}
+	return trips[flipped].ID
+}
+
+// flipSampleDigit changes the last digit of the record's first sample
+// time: the line stays valid JSON and still decodes as the same trip.
+func flipSampleDigit(t *testing.T, line []byte) []byte {
+	t.Helper()
+	i := bytes.Index(line, []byte(`"t":`))
+	if i < 0 {
+		t.Fatalf("no sample time in %.80s", line)
+	}
+	end := i + len(`"t":`)
+	for end < len(line) && strings.IndexByte("0123456789.eE+-", line[end]) >= 0 {
+		end++
+	}
+	out := append([]byte(nil), line...)
+	d := out[end-1]
+	if d < '0' || d > '9' {
+		t.Fatalf("sample time ends in %q", d)
+	}
+	out[end-1] = '0' + (d-'0'+1)%10
+	return out
+}
+
+// editFile rewrites a file through fn.
+func editFile(t *testing.T, path string, fn func([]byte) []byte) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, fn(b), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // checkDamagedReplay boots a deployment whose store directories (one
 // for a monolith, ShardStoreDir(base, i) per shard, each holding the
-// trips routed to that shard) carry a damaged active segment: damage
-// must cost exactly the damaged records, the served map must be
-// identical to an uninterrupted run, and the store must checkpoint and
-// restart like any other.
+// trips routed to that shard) carry a damaged log: damage must cost
+// exactly the damaged records and show in the report, the served map
+// must be identical to an uninterrupted run over every trip the damage
+// did not alter, and the store must checkpoint and restart like any
+// other.
 func checkDamagedReplay(t *testing.T, shards int, dmg logDamage) {
 	fx := newTwinFixture(t)
 	trips := twinCorpus(t, fx.world, faults.Config{})
-	ref, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayInto(t, ref, trips)
-	ref.Advance(3 * clock.DayS)
-	want := trafficBytes(t, ref)
-
 	router := newTwinCoordinator(t, fx.world, fx.fpdb, shards)
 	byShard := make([][]probe.Trip, shards)
 	for _, trip := range trips {
@@ -419,12 +496,28 @@ func checkDamagedReplay(t *testing.T, shards int, dmg logDamage) {
 		byShard[sh] = append(byShard[sh], trip)
 	}
 	base := t.TempDir()
+	altered := map[string]bool{}
 	for i := range byShard {
 		if len(byShard[i]) == 0 {
 			t.Fatalf("corpus routes nothing to shard %d", i)
 		}
-		writeDamagedSegment(t, ShardStoreDir(base, i), byShard[i], dmg)
+		if id := writeDamagedSegment(t, ShardStoreDir(base, i), byShard[i], dmg); id != "" {
+			altered[id] = true
+		}
 	}
+	ref, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []probe.Trip
+	for _, trip := range trips {
+		if !altered[trip.ID] {
+			kept = append(kept, trip)
+		}
+	}
+	replayInto(t, ref, kept)
+	ref.Advance(3 * clock.DayS)
+	want := trafficBytes(t, ref)
 
 	boot := func() (API, []*Backend, []*StoreRecovery) {
 		if shards == 1 {
@@ -438,27 +531,38 @@ func checkDamagedReplay(t *testing.T, shards int, dmg logDamage) {
 		}
 		return c, c.Shards(), recs
 	}
-	// The garbled line, the duplicate and the unkinded line are counted
-	// by the replay, the oversized line by the store's line reader; Open
-	// trims the torn tail before the plan is built.
+	// The garbled line, the duplicate and the unkinded line verify and
+	// are counted by the replay; the oversized line, the bit flip and the
+	// torn tail are counted by the store's line reader. Open leaves the
+	// torn line in its segment, so the report shows it.
 	wantSkipped := bits.OnesCount8(uint8(dmg & (corruptMiddleLine | duplicateID | unkindedLine)))
-	wantOversized := bits.OnesCount8(uint8(dmg & oversizedLine))
+	wantStoreSkipped := bits.OnesCount8(uint8(dmg & (oversizedLine | bitflipLine | tornFinalLine)))
+	wantCorrupt := 0
+	if dmg&(oversizedLine|bitflipLine) != 0 {
+		wantCorrupt = 1
+	}
+	wantTorn := dmg&tornFinalLine != 0
 	api, backends, recs := boot()
 	for i, rec := range recs {
 		if rec.Err != "" || rec.Report.Mode != "full-replay" {
 			t.Fatalf("shard %d: hand-written segment not replayed: %+v", i, rec)
 		}
-		if rec.TripsReplayed != len(byShard[i]) {
-			t.Errorf("shard %d: replayed %d trips from the segment, want %d", i, rec.TripsReplayed, len(byShard[i]))
+		if want := len(byShard[i]) - bits.OnesCount8(uint8(dmg&bitflipLine)); rec.TripsReplayed != want {
+			t.Errorf("shard %d: replayed %d trips from the log, want %d", i, rec.TripsReplayed, want)
 		}
-		if rec.TripsSkipped != wantSkipped || rec.Report.RecordsSkipped != wantOversized || rec.Report.TornTail {
-			t.Errorf("shard %d: skipped %d trips and %d records (torn tail %v), want %d and %d with the tail already trimmed",
-				i, rec.TripsSkipped, rec.Report.RecordsSkipped, rec.Report.TornTail, wantSkipped, wantOversized)
+		if rec.TripsSkipped != wantSkipped || rec.Report.RecordsSkipped != wantStoreSkipped ||
+			rec.Report.CorruptSegments != wantCorrupt || rec.Report.TornTail != wantTorn {
+			t.Errorf("shard %d: skipped %d trips and %d records (%d corrupt segments, torn tail %v), want %d and %d (%d, %v)",
+				i, rec.TripsSkipped, rec.Report.RecordsSkipped, rec.Report.CorruptSegments, rec.Report.TornTail,
+				wantSkipped, wantStoreSkipped, wantCorrupt, wantTorn)
+		}
+		if wantStoreSkipped > 0 && len(rec.Report.Notes) == 0 {
+			t.Errorf("shard %d: store-level skips with no note", i)
 		}
 	}
 	api.Advance(3 * clock.DayS)
 	if got := trafficBytes(t, api); !bytes.Equal(got, want) {
-		t.Error("replayed /v1/traffic differs from the uninterrupted run")
+		t.Error("replayed /v1/traffic differs from the uninterrupted run over the unaltered trips")
 	}
 
 	for i, b := range backends {
@@ -481,10 +585,12 @@ func checkDamagedReplay(t *testing.T, shards int, dmg logDamage) {
 	}
 }
 
-// TestStoreReplayDamagedSegment: see checkDamagedReplay. A segment with
+// TestStoreReplayDamagedSegment: see checkDamagedReplay. A log with
 // every kind of damage at once costs exactly the damaged records in
-// both the monolith and the 2-shard layout, and a bare (unkinded) trip
-// line is skipped and counted, never guessed at.
+// both the monolith and the 2-shard layout, a bare (unkinded) trip
+// line is skipped and counted, never guessed at, and a trip altered on
+// disk is skipped, never replayed as a different trip, whether it sits
+// in the newest segment or an older one.
 func TestStoreReplayDamagedSegment(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -493,7 +599,10 @@ func TestStoreReplayDamagedSegment(t *testing.T) {
 	}{
 		{"monolith", 1, 0},
 		{"monolith-unkinded", 1, unkindedLine},
+		{"monolith-bitflip-newest", 1, bitflipLine},
+		{"monolith-bitflip-older", 1, bitflipLine | inOlderSegment},
 		{"monolith-damaged", 1, allLogDamage},
+		{"monolith-damaged-older", 1, allLogDamage | inOlderSegment},
 		{"two-shard-damaged", 2, allLogDamage},
 	} {
 		t.Run(tc.name, func(t *testing.T) { checkDamagedReplay(t, tc.shards, tc.dmg) })
@@ -710,109 +819,6 @@ func TestConcurrentCheckpointsLeaveValidSnapshot(t *testing.T) {
 	}
 }
 
-// TestPersistentStateExportDeterministic: two exports from the same
-// quiesced backend must be byte-identical (sorted slices, no map
-// ordering leaks) — the property snapshot round-trips rest on.
-// TestRecoverStoresSurvivesPendingSeal: a crash between a segment's
-// footer write and its rename leaves a fully-sealed file under its
-// .active name. Recovery opens the store first (finishing the rename)
-// and only then plans, so the plan never references the vanished
-// .active path — under the old order the whole segment was skipped as
-// unreadable and its acked trips silently lost.
-func TestRecoverStoresSurvivesPendingSeal(t *testing.T) {
-	fx := newTwinFixture(t)
-	trips := twinCorpus(t, fx.world, faults.Config{})
-
-	ref := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
-	replayInto(t, ref, trips)
-	ref.Advance(3 * clock.DayS)
-	want := trafficBytes(t, ref)
-
-	base := t.TempDir()
-	first := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
-	recs, err := first.RecoverStores(context.Background(), base, storeTestOpts(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayInto(t, first, trips)
-	for _, r := range recs {
-		if err := r.Log().Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Crash-shape each shard directory: seal the active segment but put
-	// it back under its .active name — the on-disk state after a crash
-	// between footer write and rename.
-	crafted := 0
-	for i := range recs {
-		dir := ShardStoreDir(base, i)
-		sealsBefore, err := filepath.Glob(filepath.Join(dir, "*.seal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := store.Open(storeTestOpts(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Seal(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		seals, err := filepath.Glob(filepath.Join(dir, "*.seal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seals) == len(sealsBefore) {
-			continue // this shard's active segment held no records
-		}
-		unrenamed := strings.TrimSuffix(seals[len(seals)-1], ".seal") + ".active"
-		if err := os.Rename(seals[len(seals)-1], unrenamed); err != nil {
-			t.Fatal(err)
-		}
-		actives, err := filepath.Glob(filepath.Join(dir, "*.active"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range actives {
-			if a != unrenamed { // the empty segment Seal rolled to
-				if err := os.Remove(a); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		crafted++
-	}
-	if crafted == 0 {
-		t.Fatal("no shard had a sealable active segment; the test is vacuous")
-	}
-
-	second := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
-	recs2, err := second.RecoverStores(context.Background(), base, storeTestOpts(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := 0
-	for _, r := range recs2 {
-		if r.Err != "" {
-			t.Fatalf("shard %d recovery: %s", r.Shard, r.Err)
-		}
-		if r.Report.CorruptSegments != 0 {
-			t.Fatalf("shard %d reported %d corrupt segments: %+v", r.Shard, r.Report.CorruptSegments, r.Report)
-		}
-		replayed += r.TripsReplayed
-	}
-	if replayed != len(trips) {
-		t.Fatalf("replayed %d trips of %d — the pending-seal segment was skipped", replayed, len(trips))
-	}
-	second.Advance(3 * clock.DayS)
-	if got := trafficBytes(t, second); !bytes.Equal(got, want) {
-		t.Error("recovered /v1/traffic differs from the uninterrupted run")
-	}
-}
-
 // flakyTripLog fails Append on demand, standing in for a full disk.
 type flakyTripLog struct{ fail bool }
 
@@ -947,6 +953,9 @@ func TestPendingScatterDurableAcrossCompaction(t *testing.T) {
 	}
 }
 
+// TestPersistentStateExportDeterministic: two exports from the same
+// quiesced backend must be byte-identical (sorted slices, no map
+// ordering leaks) — the property snapshot round-trips rest on.
 func TestPersistentStateExportDeterministic(t *testing.T) {
 	fx := newTwinFixture(t)
 	trips := twinCorpus(t, fx.world, faults.Config{})

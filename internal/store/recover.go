@@ -22,21 +22,24 @@ type Report struct {
 	// SnapshotsSkipped counts snapshots rejected on the way down the
 	// ladder (checksum mismatch, missing tail segment).
 	SnapshotsSkipped int `json:"snapshotsSkipped,omitempty"`
-	// SealedSegments counts sealed segment files present.
+	// SealedSegments counts segment files present (once its writer
+	// stops, every segment is sealed).
 	SealedSegments int `json:"sealedSegments"`
 	// SegmentsReplayed counts segment files walked during replay.
 	SegmentsReplayed int `json:"segmentsReplayed"`
 	// RecordsReplayed counts record lines delivered to the replay
 	// callback. The caller layers its own accept/reject counts on top.
 	RecordsReplayed int `json:"recordsReplayed"`
-	// RecordsSkipped counts store-level skips: oversized lines and
-	// lines lost to a torn tail.
+	// RecordsSkipped counts store-level skips: lines whose checksum
+	// prefix does not verify, oversized lines, and torn tails.
 	RecordsSkipped int `json:"recordsSkipped"`
-	// CorruptSegments counts sealed segments whose checksum or footer
-	// failed verification (their parseable lines replay anyway).
+	// CorruptSegments counts segments holding a complete line that
+	// failed its checksum or length bound, or that could not be read
+	// (their verified lines replay anyway).
 	CorruptSegments int `json:"corruptSegments,omitempty"`
-	// TornTail reports a half-written final record (normal after a
-	// crash mid-append).
+	// TornTail reports a segment ending in a half-written record
+	// (normal after a crash mid-append; reported on every recovery
+	// until compaction removes that segment).
 	TornTail bool `json:"tornTail,omitempty"`
 	// Notes carries human-readable detail for every degraded decision.
 	Notes []string `json:"notes,omitempty"`
@@ -54,10 +57,7 @@ type Recovery struct {
 
 	opts Options
 	// all is every segment sequence present, ascending; tail is the
-	// suffix of it Replay walks. Segments are named by sequence, not by
-	// path: Open may finish a pending seal, or a writer roll the active
-	// segment, between planning and replay, and the rename keeps every
-	// record line.
+	// suffix of it Replay walks.
 	all, tail []uint64
 }
 
@@ -83,26 +83,13 @@ func PlanRecovery(opts Options) (*Recovery, error) {
 	}
 	r := &Recovery{opts: opts}
 	r.Report.Dir = opts.Dir
-	r.Report.SealedSegments = len(ls.sealed)
-	for _, sf := range ls.sealed {
+	r.Report.SealedSegments = len(ls.segs)
+	for _, sf := range ls.segs {
 		r.all = append(r.all, sf.seq)
-	}
-	if ls.active != nil {
-		r.all = append(r.all, ls.active.seq)
 	}
 	if len(r.all) == 0 && len(ls.snaps) == 0 {
 		r.Report.Mode = "fresh"
 		return r, nil
-	}
-	// A directory holding nothing but one empty active segment is a
-	// virgin store that has merely been opened: Open creates the active
-	// file eagerly, and recovery paths open the store before planning
-	// so the plan matches the normalized directory.
-	if len(ls.sealed) == 0 && len(ls.snaps) == 0 && ls.active != nil {
-		if fi, err := os.Stat(ls.active.path); err == nil && fi.Size() == 0 {
-			r.Report.Mode = "fresh"
-			return r, nil
-		}
 	}
 	for i := len(ls.snaps) - 1; i >= 0; i-- {
 		sf := ls.snaps[i]
@@ -167,11 +154,11 @@ func (r *Recovery) note(format string, args ...any) {
 }
 
 // Replay walks the planned segments in order, delivering every record
-// line to fn. A sealed segment's checksum is verified in the same pass
-// that delivers its lines; a mismatch is counted and noted but the
-// lines still replay (half a segment beats none). Oversized lines are
-// skipped and counted. An error from fn aborts the walk — reserve it
-// for cancellation; per-record rejections belong inside fn.
+// line whose checksum verifies to fn. Any other line — a bad checksum
+// or prefix, an oversized line, a torn tail — is skipped, counted and
+// noted, and the rest of its segment still replays. An error from fn
+// aborts the walk — reserve it for cancellation; per-record rejections
+// belong inside fn.
 func (r *Recovery) Replay(ctx context.Context, fn func(rec []byte) error) error {
 	for _, seq := range r.tail {
 		if err := ctx.Err(); err != nil {
@@ -184,15 +171,10 @@ func (r *Recovery) Replay(ctx context.Context, fn func(rec []byte) error) error 
 	return nil
 }
 
-// replaySegment replays one segment: its sealed file, else its active
-// one. Unreadable files are noted and skipped (degraded boot); only an
-// fn error propagates.
+// replaySegment replays one segment. An unreadable file is noted and
+// skipped (degraded boot); only an fn error propagates.
 func (r *Recovery) replaySegment(seq uint64, fn func(rec []byte) error) error {
-	f, err := os.Open(sealedPath(r.opts.Dir, seq))
-	sealed := err == nil
-	if os.IsNotExist(err) {
-		f, err = os.Open(activePath(r.opts.Dir, seq))
-	}
+	f, err := os.Open(segmentPath(r.opts.Dir, seq))
 	if err != nil {
 		r.Report.CorruptSegments++
 		r.note("segment %08d unreadable: %v", seq, err)
@@ -208,30 +190,23 @@ func (r *Recovery) replaySegment(seq uint64, fn func(rec []byte) error) error {
 		}
 		return fnErr
 	})
-	r.Report.RecordsSkipped += st.oversized
-	switch {
-	case fnErr != nil:
+	if fnErr != nil {
 		return fnErr
-	case err != nil:
+	}
+	r.Report.RecordsSkipped += st.bad
+	if st.bad > 0 || err != nil {
 		r.Report.CorruptSegments++
-		r.note("segment %08d unreadable past byte %d: %v", seq, st.goodBytes, err)
-		return nil
-	case !sealed:
-	case !st.sealed:
-		r.Report.CorruptSegments++
-		r.note("sealed segment %08d missing its footer; replaying its lines anyway", seq)
-	case st.footer.CRC32 != st.crc || st.footer.Bytes != st.goodBytes:
-		r.Report.CorruptSegments++
-		r.note("sealed segment %08d checksum mismatch (got %08x want %08x); replaying parseable lines", seq, st.crc, st.footer.CRC32)
+	}
+	if st.bad > 0 {
+		r.note("segment %08d: %d line(s) failed their checksum or length bound; skipped", seq, st.bad)
+	}
+	if err != nil {
+		r.note("segment %08d unreadable after %d records: %v", seq, st.records, err)
 	}
 	if st.tornBytes > 0 {
 		r.Report.RecordsSkipped++
 		r.Report.TornTail = true
-		if sealed {
-			r.note("sealed segment %08d has a torn tail", seq)
-		} else {
-			r.note("active segment %08d has a torn tail (crash mid-append); last record dropped", seq)
-		}
+		r.note("segment %08d ends in a torn line of %d bytes (crash mid-append); that record was never acked", seq, st.tornBytes)
 	}
 	return nil
 }

@@ -3,7 +3,8 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -14,67 +15,31 @@ import (
 	"strings"
 )
 
-// sealMagic identifies a segment's footer line. A record line never
-// starts with this key, so the footer is unambiguous.
-const sealMagic = 1
+// prefixLen is the length of a record line's checksum prefix: 8
+// lowercase hex digits of CRC-32/IEEE over the payload, then a space.
+const prefixLen = 9
 
-// sealFooter is the final line of a sealed segment. CRC32 (IEEE)
-// covers the first Bytes bytes of the file — every record line
-// including its newline, and nothing of the footer itself.
-type sealFooter struct {
-	Seal    int    `json:"busprobeSeal"`
-	Records int    `json:"records"`
-	Bytes   int64  `json:"bytes"`
-	CRC32   uint32 `json:"crc32"`
+// putPrefix renders payload's checksum prefix into p. It is the one
+// framing function: Append writes with it and verify checks with it.
+func putPrefix(p *[prefixLen]byte, payload []byte) {
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
+	hex.Encode(p[:8], sum[:])
+	p[8] = ' '
 }
 
-// encode renders the footer as its on-disk line (sans newline).
-func (sf sealFooter) encode() []byte {
-	b, err := json.Marshal(sf)
-	if err != nil {
-		// A struct of ints cannot fail to marshal.
-		panic(fmt.Sprintf("store: encode seal footer: %v", err))
+// verify checks one complete line (newline included) and returns its
+// payload, reporting false when the prefix is not exactly the payload's
+// checksum prefix.
+func verify(line []byte) ([]byte, bool) {
+	if len(line) < prefixLen+1 {
+		return nil, false
 	}
-	return b
+	payload := line[prefixLen : len(line)-1]
+	var want [prefixLen]byte
+	putPrefix(&want, payload)
+	return payload, bytes.Equal(line[:prefixLen], want[:])
 }
-
-// parseFooter reports whether line is a seal footer.
-func parseFooter(line []byte) (sealFooter, bool) {
-	if !bytes.Contains(line, []byte(`"busprobeSeal"`)) {
-		return sealFooter{}, false
-	}
-	var sf sealFooter
-	if err := json.Unmarshal(line, &sf); err != nil || sf.Seal != sealMagic {
-		return sealFooter{}, false
-	}
-	return sf, true
-}
-
-// lineWriter buffers line appends to a file.
-type lineWriter struct {
-	bw *bufio.Writer
-}
-
-func newLineWriter(w io.Writer) *lineWriter {
-	return &lineWriter{bw: bufio.NewWriter(w)}
-}
-
-// writeLine appends one record plus newline and flushes, reporting the
-// bytes written. A short write surfaces as an error.
-func (lw *lineWriter) writeLine(rec []byte) (int, error) {
-	if _, err := lw.bw.Write(rec); err != nil {
-		return 0, err
-	}
-	if err := lw.bw.WriteByte('\n'); err != nil {
-		return 0, err
-	}
-	if err := lw.bw.Flush(); err != nil {
-		return 0, err
-	}
-	return len(rec) + 1, nil
-}
-
-func (lw *lineWriter) Flush() error { return lw.bw.Flush() }
 
 // segFile is one segment file found in a store directory.
 type segFile struct {
@@ -90,31 +55,28 @@ type snapFile struct {
 
 // dirListing is a store directory's contents, each class ascending.
 type dirListing struct {
-	sealed []segFile
-	active *segFile
-	snaps  []snapFile
+	segs  []segFile
+	snaps []snapFile
 }
 
-func (ls dirListing) maxSealed() uint64 {
-	if len(ls.sealed) == 0 {
-		return 0
-	}
-	return ls.sealed[len(ls.sealed)-1].seq
-}
-
+// maxSeq is the highest segment sequence or snapshot boundary present:
+// the next segment must be numbered above it, or a snapshot would
+// claim to cover records it never saw.
 func (ls dirListing) maxSeq() uint64 {
-	m := ls.maxSealed()
-	if ls.active != nil && ls.active.seq > m {
-		m = ls.active.seq
+	var m uint64
+	if len(ls.segs) > 0 {
+		m = ls.segs[len(ls.segs)-1].seq
+	}
+	if len(ls.snaps) > 0 && ls.snaps[len(ls.snaps)-1].upTo > m {
+		m = ls.snaps[len(ls.snaps)-1].upTo
 	}
 	return m
 }
 
 // listDir scans a store directory. Unrecognized files are ignored (a
-// crashed snapshot temp file, an editor backup). Multiple .active
-// files — impossible from this writer, conceivable from a botched
-// copy — keep only the newest active; older ones are treated as sealed
-// segments missing their footer (replay tolerates that).
+// crashed snapshot temp file, an editor backup). A directory holding
+// segments in the previous layout (seg-*.seal, seg-*.active) is
+// refused, naming them: this build neither reads nor migrates them.
 func listDir(dir string) (dirListing, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -124,138 +86,90 @@ func listDir(dir string) (dirListing, error) {
 		return dirListing{}, fmt.Errorf("store: read dir: %w", err)
 	}
 	var ls dirListing
-	var actives []segFile
+	var previous []string
 	for _, ent := range ents {
 		if ent.IsDir() {
 			continue
 		}
 		name := ent.Name()
 		path := filepath.Join(dir, name)
-		switch {
-		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".seal"):
-			if seq, ok := parseSeq(name, "seg-", ".seal"); ok {
-				ls.sealed = append(ls.sealed, segFile{seq: seq, path: path})
-			}
-		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".active"):
-			if seq, ok := parseSeq(name, "seg-", ".active"); ok {
-				actives = append(actives, segFile{seq: seq, path: path})
-			}
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-			if upTo, ok := parseSeq(name, "snap-", ".snap"); ok {
-				ls.snaps = append(ls.snaps, snapFile{upTo: upTo, path: path})
-			}
+		if seq, ok := parseSeq(name, "seg-", ".log"); ok {
+			ls.segs = append(ls.segs, segFile{seq: seq, path: path})
+		} else if upTo, ok := parseSeq(name, "snap-", ".snap"); ok {
+			ls.snaps = append(ls.snaps, snapFile{upTo: upTo, path: path})
+		} else if strings.HasPrefix(name, "seg-") && (strings.HasSuffix(name, ".seal") || strings.HasSuffix(name, ".active")) {
+			previous = append(previous, name)
 		}
 	}
-	sort.Slice(ls.sealed, func(i, j int) bool { return ls.sealed[i].seq < ls.sealed[j].seq })
-	sort.Slice(ls.snaps, func(i, j int) bool { return ls.snaps[i].upTo < ls.snaps[j].upTo })
-	sort.Slice(actives, func(i, j int) bool { return actives[i].seq < actives[j].seq })
-	if len(actives) > 0 {
-		a := actives[len(actives)-1]
-		ls.active = &a
-		ls.sealed = append(ls.sealed, actives[:len(actives)-1]...)
-		sort.Slice(ls.sealed, func(i, j int) bool { return ls.sealed[i].seq < ls.sealed[j].seq })
+	if len(previous) > 0 {
+		return dirListing{}, fmt.Errorf("store: %s holds segments in a previous layout this build does not read or migrate: %s",
+			dir, strings.Join(previous, ", "))
 	}
+	sort.Slice(ls.segs, func(i, j int) bool { return ls.segs[i].seq < ls.segs[j].seq })
+	sort.Slice(ls.snaps, func(i, j int) bool { return ls.snaps[i].upTo < ls.snaps[j].upTo })
 	return ls, nil
 }
 
+// parseSeq reads the number in a prefix-NNNNNNNN-suffix file name.
 func parseSeq(name, prefix, suffix string) (uint64, bool) {
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix)
-	n, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil {
+	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 		return 0, false
 	}
-	return n, true
+	n, err := strconv.ParseUint(name[len(prefix):len(name)-len(suffix)], 10, 64)
+	return n, err == nil
 }
 
 // segScan is what readSegment learned about a segment file.
 type segScan struct {
-	// sealed reports a complete seal footer as the file's final line.
-	sealed bool
-	footer sealFooter
-	// goodBytes is the byte length of the complete lines (newlines
-	// included, footer excluded).
-	goodBytes int64
-	// records counts complete lines, oversized ones included.
+	// records counts lines whose checksum verified (all delivered).
 	records int
-	// oversized counts complete lines longer than the bound, which were
-	// checksummed but never buffered or delivered.
-	oversized int
-	// crc is the IEEE CRC-32 over the first goodBytes bytes.
-	crc uint32
+	// bad counts complete lines skipped: a checksum or prefix that does
+	// not verify, or a payload longer than the bound.
+	bad int
 	// tornBytes counts trailing bytes after the last newline — a
 	// half-written record from a crash.
 	tornBytes int64
 }
 
-// readSegment is the one reader of the segment line format. It walks r
-// byte-exactly, keeping a running checksum and length of the complete
-// lines, and feeds each of them, newline stripped, to fn (nil: scan
-// only — Open adopts an active segment that way). One line is held
-// back, so only the file's final line can be the seal footer; a
-// footer-shaped line with anything after it is a record. Lines longer
-// than maxLine are counted instead of delivered (the writer refuses
-// them, so a huge line means corruption, and buffering it would let a
-// corrupt file exhaust memory). Anything after the last newline is the
-// torn tail. The line handed to fn is only valid until fn returns; an
-// error from fn stops the walk and is returned as is.
-func readSegment(r io.Reader, maxLine int, fn func(line []byte) error) (segScan, error) {
+// readSegment is the one reader of the record line format. It feeds
+// fn the payload of each complete line whose checksum prefix verifies
+// and counts every other line. Payloads longer than maxLine are
+// counted without being buffered (the writer refuses them, so a huge
+// line means corruption, and buffering it would let a corrupt file
+// exhaust memory). Anything after the last newline is the torn tail.
+// The payload handed to fn is only valid until fn returns; an error
+// from fn stops the walk and is returned as is.
+func readSegment(r io.Reader, maxLine int, fn func(payload []byte) error) (segScan, error) {
 	var st segScan
-	var held, cur []byte // the last complete line with its newline (empty: none), not yet known to be non-final; the line being read
-	var overCRC uint32   // st.crc run on through an oversized line, committed at its newline
+	var cur []byte // the line being read, dropped once it outgrows the bound
 	over := false
-	release := func() error {
-		line := held
-		held = held[:0]
-		st.crc = crc32.Update(st.crc, crc32.IEEETable, line)
-		st.goodBytes += int64(len(line))
-		st.records++
-		if fn == nil {
-			return nil
-		}
-		return fn(line[:len(line)-1])
-	}
 	br := bufio.NewReader(r)
 	for {
 		// ReadSlice contract: nil error means the chunk ends at the
 		// newline (line complete); ErrBufferFull means more of the same
 		// line follows; io.EOF means trailing bytes with no newline.
 		chunk, rerr := br.ReadSlice('\n')
-		if len(chunk) > 0 {
-			if len(held) > 0 {
-				if err := release(); err != nil {
-					return st, err
-				}
-			}
-			st.tornBytes += int64(len(chunk))
-			switch {
-			case over:
-				overCRC = crc32.Update(overCRC, crc32.IEEETable, chunk)
-			case len(cur)+len(chunk) > maxLine+1:
-				over = true
-				overCRC = crc32.Update(crc32.Update(st.crc, crc32.IEEETable, cur), crc32.IEEETable, chunk)
-				cur = cur[:0]
-			default:
-				cur = append(cur, chunk...)
-			}
+		st.tornBytes += int64(len(chunk))
+		switch {
+		case over:
+		case len(cur)+len(chunk) > prefixLen+maxLine+1:
+			over, cur = true, cur[:0]
+		default:
+			cur = append(cur, chunk...)
 		}
 		switch rerr {
 		case bufio.ErrBufferFull:
 		case nil:
-			if over {
-				st.crc, over = overCRC, false
-				st.goodBytes += st.tornBytes
+			if payload, ok := verify(cur); ok {
 				st.records++
-				st.oversized++
-			} else {
-				held, cur = cur, held
-			}
-			st.tornBytes = 0
-		case io.EOF:
-			if len(held) > 0 {
-				if st.footer, st.sealed = parseFooter(held[:len(held)-1]); !st.sealed {
-					return st, release()
+				if err := fn(payload); err != nil {
+					return st, err
 				}
+			} else {
+				st.bad++
 			}
+			cur, over, st.tornBytes = cur[:0], false, 0
+		case io.EOF:
 			return st, nil
 		default:
 			return st, fmt.Errorf("store: read segment: %w", rerr)

@@ -1,12 +1,10 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 
 	"busprobe/internal/clock"
@@ -50,17 +48,10 @@ func writeSnapshotFile(dir string, upTo uint64, state []byte, clk clock.Clock) e
 		return fmt.Errorf("store: write snapshot: %w", err)
 	}
 	werr := func() error {
-		bw := bufio.NewWriter(f)
-		if _, err := bw.Write(hb); err != nil {
+		if _, err := f.Write(append(hb, '\n')); err != nil {
 			return err
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-		if _, err := bw.Write(state); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
+		if _, err := f.Write(state); err != nil {
 			return err
 		}
 		return f.Sync()
@@ -83,36 +74,27 @@ func writeSnapshotFile(dir string, upTo uint64, state []byte, clk clock.Clock) e
 // header, short state, checksum mismatch — is an error, which the
 // recovery ladder treats as "this snapshot does not exist".
 func readSnapshotFile(path string) (snapHeader, []byte, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return snapHeader{}, nil, fmt.Errorf("store: open snapshot: %w", err)
+		return snapHeader{}, nil, fmt.Errorf("store: read snapshot: %w", err)
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		return snapHeader{}, nil, fmt.Errorf("store: snapshot header: %w", err)
+	line, state, ok := bytes.Cut(b, []byte{'\n'})
+	if !ok {
+		return snapHeader{}, nil, fmt.Errorf("store: snapshot header: no newline in %d bytes", len(b))
 	}
 	var hdr snapHeader
-	if err := json.Unmarshal(bytes.TrimSuffix(line, []byte("\n")), &hdr); err != nil {
+	if err := json.Unmarshal(line, &hdr); err != nil {
 		return snapHeader{}, nil, fmt.Errorf("store: snapshot header: %w", err)
 	}
 	if hdr.Snap != snapMagic {
 		return snapHeader{}, nil, fmt.Errorf("store: snapshot header: bad magic %d", hdr.Snap)
 	}
 	// The header line carries no checksum of its own: bound the size it
-	// claims by the bytes actually behind it before allocating.
-	fi, err := f.Stat()
-	if err != nil {
-		return snapHeader{}, nil, fmt.Errorf("store: snapshot header: %w", err)
+	// claims by the bytes actually behind it.
+	if hdr.StateBytes < 0 || hdr.StateBytes > int64(len(state)) {
+		return snapHeader{}, nil, fmt.Errorf("store: snapshot header: state size %d, file holds %d", hdr.StateBytes, len(state))
 	}
-	if rest := fi.Size() - int64(len(line)); hdr.StateBytes < 0 || hdr.StateBytes > rest {
-		return snapHeader{}, nil, fmt.Errorf("store: snapshot header: state size %d, file holds %d", hdr.StateBytes, rest)
-	}
-	state := make([]byte, hdr.StateBytes)
-	if _, err := io.ReadFull(br, state); err != nil {
-		return snapHeader{}, nil, fmt.Errorf("store: snapshot state: %w", err)
-	}
+	state = state[:hdr.StateBytes]
 	if got := crc32.ChecksumIEEE(state); got != hdr.StateCRC32 {
 		return snapHeader{}, nil, fmt.Errorf("store: snapshot checksum mismatch: got %08x want %08x", got, hdr.StateCRC32)
 	}

@@ -2,37 +2,40 @@
 // the server's persistence: an append-only record log whose restart
 // cost is bounded by recent activity instead of lifetime ingest.
 //
-// On disk, a store directory holds three kinds of files:
+// On disk, a store directory holds two kinds of files:
 //
-//   - seg-NNNNNNNN.active — the one active segment, a JSON-lines record
-//     log being appended. At most one exists; a crash can tear its last
-//     line, which recovery skips.
-//   - seg-NNNNNNNN.seal — sealed segments: the same record lines plus a
-//     final footer line carrying a CRC-32 over every byte before it.
-//     Sealed segments are immutable; recovery verifies the checksum.
+//   - seg-NNNNNNNN.log — segments of record lines. Every line checks
+//     itself: 8 lowercase hex digits of CRC-32/IEEE over the payload, a
+//     space, the payload and a newline. A segment is immutable once its
+//     writer stops: sealing is fsync + close, and the first append after
+//     Open or after a seal creates the next segment, numbered above every
+//     segment and snapshot boundary on disk. A crash can tear a
+//     segment's final line; recovery skips and reports it for as long as
+//     the segment exists.
 //   - snap-NNNNNNNN.snap — snapshots: an opaque state blob (the
 //     server's exported pipeline state) covering every record in
 //     segments with sequence <= NNNNNNNN, checksummed and written
 //     atomically (temp file + rename).
 //
-// The active segment rolls into a sealed one when it crosses the size
-// threshold. A snapshot is only ever taken at a segment boundary — the
-// writer seals the active segment first — so "snapshot upTo K" and
-// "replay segments > K" partition the record stream exactly.
-// Compaction deletes segments fully covered by the *previous* retained
-// snapshot (the newest two snapshots are kept), so a corrupt newest
-// snapshot can still fall back one snapshot and find its tail intact.
+// Open creates the directory and nothing else: it never opens, reads,
+// truncates or creates a segment. A segment seals when it crosses the
+// size threshold. A snapshot is only ever taken at a segment boundary
+// — the writer seals first — so "snapshot upTo K" and "replay segments
+// > K" partition the record stream exactly. Compaction deletes segments
+// fully covered by the *previous* retained snapshot (the newest two
+// are kept), so a corrupt newest snapshot can still fall back one
+// snapshot and find its tail intact. A directory in the previous
+// segment layout is refused by name (listDir), not migrated.
 //
 // Recovery (PlanRecovery + Replay) climbs a ladder: newest intact snapshot
 // plus its contiguous tail; else the previous snapshot; else a full
-// replay of every segment that still exists. Torn active tails and
-// individually corrupt lines are skipped and counted, never fatal.
+// replay of every segment that still exists. Torn tails and lines that
+// fail their checksum are skipped and counted, never fatal.
 package store
 
 import (
 	"context"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -40,7 +43,8 @@ import (
 	"busprobe/internal/clock"
 )
 
-// DefaultSegmentBytes is the roll threshold for the active segment.
+// DefaultSegmentBytes is the seal threshold for the segment being
+// written.
 const DefaultSegmentBytes = 4 << 20
 
 // DefaultMaxRecordBytes bounds one record line; longer lines are
@@ -52,7 +56,7 @@ const DefaultMaxRecordBytes = 4 << 20
 type Options struct {
 	// Dir is the store directory, created if needed.
 	Dir string
-	// SegmentBytes is the active-segment roll threshold
+	// SegmentBytes is the seal threshold for the segment being written
 	// (0 = DefaultSegmentBytes).
 	SegmentBytes int64
 	// MaxRecordBytes bounds one record line (0 = DefaultMaxRecordBytes).
@@ -82,28 +86,27 @@ func (o Options) withDefaults() Options {
 type Store struct {
 	opts Options
 
-	mu           sync.Mutex
-	f            *os.File    //lint:guardedby mu
-	w            *lineWriter //lint:guardedby mu
-	activeSeq    uint64      //lint:guardedby mu
-	activeBytes  int64       //lint:guardedby mu
-	activeRecs   int         //lint:guardedby mu
-	activeCRC    uint32      //lint:guardedby mu
-	lastSealed   uint64      //lint:guardedby mu
-	sinceSnap    int         //lint:guardedby mu
-	lastSnapUpTo uint64      //lint:guardedby mu
-	closed       bool        //lint:guardedby mu
+	mu sync.Mutex
+	// f is the segment being written, nil until the first append after
+	// Open or a seal. seq is its sequence — with f nil, the highest
+	// sequence sealed or found on disk, the boundary Seal reports. line
+	// is the buffer each append frames its record into, so the whole
+	// line reaches the OS in one write.
+	f         *os.File //lint:guardedby mu
+	seq       uint64   //lint:guardedby mu
+	segBytes  int64    //lint:guardedby mu
+	line      []byte   //lint:guardedby mu
+	sinceSnap int      //lint:guardedby mu
+	closed    bool     //lint:guardedby mu
 
 	// snapDue is the snapshot signal (buffered 1): armed by Options.
 	// SnapshotEvery, fired under mu, drained by the snapshotter.
 	snapDue chan struct{}
 }
 
-// Open opens (creating if needed) a store directory for appending.
-// A pre-existing active segment is adopted: its torn final line, if
-// any, is truncated away (the record was never durable — recovery has
-// already skipped it), and a fully sealed-but-unrenamed active (crash
-// between footer and rename) is finished into a sealed segment.
+// Open opens a store directory for appending, creating the directory
+// if needed. It reads only the directory listing, to number the next
+// segment; no file is created until the first Append.
 func Open(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -116,99 +119,14 @@ func Open(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{opts: opts, snapDue: make(chan struct{}, 1)}
-	s.lastSealed = ls.maxSealed()
-	if len(ls.snaps) > 0 {
-		s.lastSnapUpTo = ls.snaps[len(ls.snaps)-1].upTo
-	}
-	nextSeq := ls.maxSeq() + 1
-	if ls.active != nil {
-		adopted, err := s.adoptActive(*ls.active)
-		if err != nil {
-			return nil, err
-		}
-		if adopted {
-			return s, nil
-		}
-		// The active was already sealed (crash mid-seal, now finished);
-		// fall through and start the next one.
-		nextSeq = ls.active.seq + 1
-		if ls.active.seq > s.lastSealed {
-			s.lastSealed = ls.active.seq
-		}
-	}
-	if err := s.openActiveLocked(nextSeq); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &Store{opts: opts, seq: ls.maxSeq(), snapDue: make(chan struct{}, 1)}, nil
 }
 
-// adoptActive takes over a pre-existing active segment, reporting true
-// when it stays active (false when it turned out to be fully sealed and
-// was finished into a sealed file).
-func (s *Store) adoptActive(sf segFile) (bool, error) {
-	f, err := os.OpenFile(sf.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return false, fmt.Errorf("store: reopen active: %w", err)
-	}
-	st, err := readSegment(f, s.opts.MaxRecordBytes, nil)
-	if err != nil {
-		cerr := f.Close()
-		return false, fmt.Errorf("%w (close: %v)", err, cerr)
-	}
-	if st.sealed {
-		// The footer is already on disk; only the rename was lost.
-		if err := f.Close(); err != nil {
-			return false, fmt.Errorf("store: finish seal: %w", err)
-		}
-		if err := os.Rename(sf.path, sealedPath(s.opts.Dir, sf.seq)); err != nil {
-			return false, fmt.Errorf("store: finish seal: %w", err)
-		}
-		return false, nil
-	}
-	if st.tornBytes > 0 {
-		if err := f.Truncate(st.goodBytes); err != nil {
-			cerr := f.Close()
-			return false, fmt.Errorf("store: trim torn tail: %w (close: %v)", err, cerr)
-		}
-	}
-	if _, err := f.Seek(st.goodBytes, 0); err != nil {
-		cerr := f.Close()
-		return false, fmt.Errorf("store: seek active: %w (close: %v)", err, cerr)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.f = f
-	s.w = newLineWriter(f)
-	s.activeSeq = sf.seq
-	s.activeBytes = st.goodBytes
-	s.activeRecs = st.records
-	s.activeCRC = st.crc
-	return true, nil
-}
-
-// openActiveLocked creates the active segment file for seq. Callers
-// hold mu or have exclusive access (Open).
-func (s *Store) openActiveLocked(seq uint64) error {
-	path := activePath(s.opts.Dir, seq)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: open segment: %w", err)
-	}
-	s.f = f
-	s.w = newLineWriter(f)
-	s.activeSeq = seq
-	s.activeBytes = 0
-	s.activeRecs = 0
-	s.activeCRC = 0
-	return nil
-}
-
-// Append writes one record line durably (flushed to the OS before
-// returning) and rolls the active segment when it crosses the size
-// threshold. The record must be a single line (no newlines) and fit
-// MaxRecordBytes. A canceled context fails the append before anything
-// reaches the file.
+// Append writes one record line durably (one write to the OS before
+// returning), creating the next segment first when none is open, and
+// seals the segment when it crosses the size threshold. The record must
+// be a single line (no newlines) and fit MaxRecordBytes. A canceled
+// context fails the append before anything reaches the file.
 func (s *Store) Append(ctx context.Context, rec []byte) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("store: append: %w", err)
@@ -226,23 +144,29 @@ func (s *Store) Append(ctx context.Context, rec []byte) error {
 	if s.closed {
 		return fmt.Errorf("store: append to closed store")
 	}
-	n, err := s.w.writeLine(rec)
-	if err != nil {
-		return fmt.Errorf("store: append: %w", err)
+	if s.f == nil {
+		f, err := os.OpenFile(segmentPath(s.opts.Dir, s.seq+1), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if err != nil {
+			return fmt.Errorf("store: create segment: %w", err)
+		}
+		s.f, s.seq, s.segBytes = f, s.seq+1, 0
 	}
-	// Hand the line to the OS before acking: an acked record must
-	// survive SIGKILL (the journal this store replaces flushed per
-	// append too). Power-cut durability is the snapshot's job — those
-	// are fsynced before rename.
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("store: append: %w", err)
+	var prefix [prefixLen]byte
+	putPrefix(&prefix, rec)
+	s.line = append(append(append(s.line[:0], prefix[:]...), rec...), '\n')
+	// Hand the whole line to the OS before acking: an acked record must
+	// survive SIGKILL. Power-cut durability is the seal's and the
+	// snapshot's job — both fsync.
+	if _, err := s.f.Write(s.line); err != nil {
+		// A short write leaves a torn line behind, as a crash would:
+		// abandon the segment so the next record starts clean in a new one.
+		cerr := s.f.Close()
+		s.f = nil
+		return fmt.Errorf("store: append: %w (close: %v)", err, cerr)
 	}
-	s.activeCRC = crc32.Update(s.activeCRC, crc32.IEEETable, rec)
-	s.activeCRC = crc32.Update(s.activeCRC, crc32.IEEETable, []byte{'\n'})
-	s.activeBytes += int64(n)
-	s.activeRecs++
+	s.segBytes += int64(len(s.line))
 	s.sinceSnap++
-	if s.activeBytes >= s.opts.SegmentBytes {
+	if s.segBytes >= s.opts.SegmentBytes {
 		if err := s.sealLocked(); err != nil {
 			return err
 		}
@@ -261,54 +185,37 @@ func (s *Store) Append(ctx context.Context, rec []byte) error {
 // drain one token, take a snapshot, repeat.
 func (s *Store) SnapshotDue() <-chan struct{} { return s.snapDue }
 
-// AppendsSinceSnapshot reports records appended since the last
-// WriteSnapshot.
-func (s *Store) AppendsSinceSnapshot() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sinceSnap
-}
-
-// Seal closes the active segment into a sealed, checksummed one (a
-// no-op when the active segment holds no records) and reports the
-// highest sealed sequence — the boundary a snapshot taken now covers.
+// Seal makes the segment being written immutable (a no-op when none is
+// open) and reports the highest sealed sequence — the boundary a
+// snapshot taken now covers.
 func (s *Store) Seal() (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, fmt.Errorf("store: seal on closed store")
 	}
-	if s.activeRecs == 0 {
-		return s.lastSealed, nil
-	}
 	if err := s.sealLocked(); err != nil {
 		return 0, err
 	}
-	return s.lastSealed, nil
+	return s.seq, nil
 }
 
-// sealLocked writes the footer, syncs, renames the active segment to
-// its sealed name, and opens the next active segment.
+// sealLocked fsyncs and closes the segment being written; the next
+// append creates its successor.
 func (s *Store) sealLocked() error {
-	seq := s.activeSeq
-	footer := sealFooter{Seal: sealMagic, Records: s.activeRecs, Bytes: s.activeBytes, CRC32: s.activeCRC}
-	if _, err := s.w.writeLine(footer.encode()); err != nil {
-		return fmt.Errorf("store: seal segment %d: %w", seq, err)
+	f := s.f
+	if f == nil {
+		return nil
 	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("store: seal segment %d: %w", seq, err)
+	s.f = nil
+	if err := f.Sync(); err != nil {
+		cerr := f.Close()
+		return fmt.Errorf("store: sync segment %d: %w (close: %v)", s.seq, err, cerr)
 	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("store: sync segment %d: %w", seq, err)
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("store: close segment %d: %w", s.seq, err)
 	}
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("store: close segment %d: %w", seq, err)
-	}
-	if err := os.Rename(activePath(s.opts.Dir, seq), sealedPath(s.opts.Dir, seq)); err != nil {
-		return fmt.Errorf("store: seal segment %d: %w", seq, err)
-	}
-	s.lastSealed = seq
-	return s.openActiveLocked(seq + 1)
+	return nil
 }
 
 // WriteSnapshot persists one opaque state blob covering every record in
@@ -329,15 +236,12 @@ func (s *Store) WriteSnapshot(upTo uint64, state []byte) error {
 	}
 	s.mu.Lock()
 	s.sinceSnap = 0
-	if upTo > s.lastSnapUpTo {
-		s.lastSnapUpTo = upTo
-	}
 	s.mu.Unlock()
 	return nil
 }
 
-// Compact deletes sealed segments fully covered by the previous
-// retained snapshot and snapshots older than it — including corrupt
+// Compact deletes segments fully covered by the previous retained
+// snapshot and snapshots older than it — including corrupt
 // snapshot files behind that boundary, which no recovery will ever
 // use and which would otherwise accumulate forever. The newest two
 // valid snapshots are kept so recovery can fall back one snapshot and
@@ -369,7 +273,7 @@ func (s *Store) Compact() (int, error) {
 	}
 	keepFrom := valid[len(valid)-2] // previous retained snapshot
 	removed := 0
-	for _, sf := range ls.sealed {
+	for _, sf := range ls.segs {
 		if sf.seq <= keepFrom.upTo {
 			if err := removeTolerant(sf.path); err != nil {
 				return removed, err
@@ -406,36 +310,22 @@ func removeTolerant(path string) error {
 	return nil
 }
 
-// LastSealed reports the highest sealed segment sequence.
-func (s *Store) LastSealed() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastSealed
-}
-
-// Close flushes and closes the active segment. The store cannot be
-// used afterwards.
+// Close closes the segment being written (every append already reached
+// the OS). The store cannot be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	f := s.f
+	s.f, s.closed = nil, true
+	if f == nil {
 		return nil
 	}
-	s.closed = true
-	if err := s.w.Flush(); err != nil {
-		cerr := s.f.Close()
-		return fmt.Errorf("store: close: %w (close: %v)", err, cerr)
-	}
-	return s.f.Close()
+	return f.Close()
 }
 
-// activePath / sealedPath / snapshotPath name the store's files.
-func activePath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("seg-%08d.active", seq))
-}
-
-func sealedPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("seg-%08d.seal", seq))
+// segmentPath / snapshotPath name the store's files.
+func segmentPath(dir string, seq uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("seg-%08d.log", seq))
 }
 
 func snapshotPath(dir string, upTo uint64) string {

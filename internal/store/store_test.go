@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -39,11 +39,16 @@ func appendRecords(t *testing.T, s *Store, from, n int) {
 	}
 }
 
-// recover replays the directory, returning the plan and the replayed
-// lines in order.
+// recoverAll replays the directory, returning the plan and the
+// replayed lines in order.
 func recoverAll(t *testing.T, dir string) (*Recovery, []string) {
 	t.Helper()
-	r, err := PlanRecovery(testOpts(dir))
+	return recoverWith(t, testOpts(dir))
+}
+
+func recoverWith(t *testing.T, opts Options) (*Recovery, []string) {
+	t.Helper()
+	r, err := PlanRecovery(opts)
 	if err != nil {
 		t.Fatalf("plan recovery: %v", err)
 	}
@@ -75,12 +80,16 @@ func TestAppendRollRecoverFullReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendRecords(t, s, 0, 100) // 15-byte lines, 256-byte segments → many rolls
+	appendRecords(t, s, 0, 100) // 24-byte lines, 256-byte segments → many seals
+	upTo, err := s.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.LastSealed() == 0 {
-		t.Fatal("expected at least one sealed segment")
+	if upTo < 2 {
+		t.Fatalf("highest sealed segment %d, want several", upTo)
 	}
 	r, lines := recoverAll(t, dir)
 	if r.Report.Mode != "full-replay" {
@@ -127,7 +136,12 @@ func TestSnapshotTailRecovery(t *testing.T) {
 	wantLines(t, lines, 50, 20)
 }
 
-func TestTornTailSkippedAndTruncatedOnReopen(t *testing.T) {
+// TestTornTailSkippedAndKeptOnReopen: a crash mid-append leaves a torn
+// final line. Recovery skips and reports it; a reopened store leaves
+// that segment byte-identical and appends to the next sequence, so
+// every later recovery reports the same torn line until compaction
+// removes its segment.
+func TestTornTailSkippedAndKeptOnReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(testOpts(dir))
 	if err != nil {
@@ -138,26 +152,17 @@ func TestTornTailSkippedAndTruncatedOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: half a record, no newline.
-	active := findActive(t, dir)
-	f, err := os.OpenFile(active, os.O_WRONLY|os.O_APPEND, 0o644)
+	torn := lastSegment(t, dir)
+	appendBytes(t, torn.path, frame(string(rec(9999)))[:14])
+	r, lines := recoverAll(t, dir)
+	wantLines(t, lines, 0, 10)
+	if !r.Report.TornTail || r.Report.RecordsSkipped != 1 {
+		t.Fatalf("torn tail not reported: %+v", r.Report)
+	}
+	before, err := os.ReadFile(torn.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"rec":9999`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, lines := recoverAll(t, dir)
-	wantLines(t, lines, 0, 10)
-	if !r.Report.TornTail {
-		t.Fatalf("torn tail not reported: %+v", r.Report)
-	}
-	if r.Report.RecordsSkipped != 1 {
-		t.Fatalf("skipped = %d, want 1", r.Report.RecordsSkipped)
-	}
-	// Reopen: the torn bytes are truncated and appends continue cleanly.
 	s2, err := Open(testOpts(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -166,10 +171,16 @@ func TestTornTailSkippedAndTruncatedOnReopen(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if after, err := os.ReadFile(torn.path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("reopen rewrote the torn segment (err %v)", err)
+	}
+	if _, err := os.Stat(segmentPath(dir, torn.seq+1)); err != nil {
+		t.Fatalf("appends after reopen did not land in segment %08d: %v", torn.seq+1, err)
+	}
 	r2, lines2 := recoverAll(t, dir)
 	wantLines(t, lines2, 0, 15)
-	if r2.Report.TornTail || r2.Report.RecordsSkipped != 0 {
-		t.Fatalf("reopen did not truncate the torn tail: %+v", r2.Report)
+	if !r2.Report.TornTail || r2.Report.RecordsSkipped != 1 {
+		t.Fatalf("the kept torn line is no longer reported: %+v", r2.Report)
 	}
 }
 
@@ -239,7 +250,7 @@ func TestMissingMiddleSegmentFallsBackToFullReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var victim segFile
-	for _, sf := range ls.sealed {
+	for _, sf := range ls.segs {
 		if sf.seq > upTo {
 			victim = sf
 			break
@@ -311,7 +322,7 @@ func TestCompactKeepsTwoSnapshotsAndTheirTails(t *testing.T) {
 	if len(ls.snaps) != 2 {
 		t.Fatalf("snapshots after compact = %d, want 2", len(ls.snaps))
 	}
-	for _, sf := range ls.sealed {
+	for _, sf := range ls.segs {
 		if sf.seq <= bounds[1] {
 			t.Fatalf("segment %08d should have been compacted (<= %08d)", sf.seq, bounds[1])
 		}
@@ -338,26 +349,16 @@ func TestOversizedLineSkipped(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	content := string(rec(1)) + "\n" + strings.Repeat("x", 200) + "\n" + string(rec(2)) + "\n"
-	if err := os.WriteFile(activePath(dir, 1), []byte(content), 0o644); err != nil {
+	content := frame(string(rec(1))) + frame(strings.Repeat("x", 200)) + frame(string(rec(2)))
+	if err := os.WriteFile(segmentPath(dir, 1), []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := PlanRecovery(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	if err := r.Replay(context.Background(), func(line []byte) error {
-		lines = append(lines, string(line))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	r, lines := recoverWith(t, opts)
 	if len(lines) != 2 {
 		t.Fatalf("replayed %d, want 2 (oversized line skipped)", len(lines))
 	}
-	if r.Report.RecordsSkipped != 1 {
-		t.Fatalf("skipped = %d, want 1", r.Report.RecordsSkipped)
+	if r.Report.RecordsSkipped != 1 || r.Report.CorruptSegments != 1 {
+		t.Fatalf("skipped = %d, corrupt = %d, want 1 and 1", r.Report.RecordsSkipped, r.Report.CorruptSegments)
 	}
 	// The writer refuses records it could not replay.
 	s, err := Open(opts)
@@ -367,74 +368,64 @@ func TestOversizedLineSkipped(t *testing.T) {
 	if err := s.Append(context.Background(), []byte(strings.Repeat("y", 100))); err == nil {
 		t.Fatal("oversized append accepted")
 	}
-	// Open adopted the segment through the same bounded reader: the
-	// over-bound line was checksummed without being buffered, so the
-	// running CRC and length cover every byte on disk and the footer
-	// the next Seal writes verifies.
 	appendRecords(t, s, 3, 1)
-	if _, err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := PlanRecovery(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := 0
-	if err := r2.Replay(context.Background(), func([]byte) error { replayed++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if replayed != 3 || r2.Report.RecordsSkipped != 1 || r2.Report.CorruptSegments != 0 || r2.Report.SealedSegments != 1 {
-		t.Fatalf("sealed after adopting an oversized line: replayed %d, report %+v", replayed, r2.Report)
+	r2, lines := recoverWith(t, opts)
+	if len(lines) != 3 || r2.Report.RecordsSkipped != 1 || r2.Report.CorruptSegments != 1 || r2.Report.SealedSegments != 2 {
+		t.Fatalf("after one more append: replayed %d, report %+v", len(lines), r2.Report)
 	}
 }
 
-// TestReadSegment pins the one reader of the segment line format.
+// TestReadSegment pins the one reader of the record line format.
 func TestReadSegment(t *testing.T) {
-	const maxLine = 96 // above a footer line, far below a bufio chunk
-	footer := func(body string) string {
-		return string(sealFooter{Seal: sealMagic, Records: strings.Count(body, "\n"), Bytes: int64(len(body)), CRC32: crc32.ChecksumIEEE([]byte(body))}.encode()) + "\n"
-	}
-	a, b := string(rec(1))+"\n", string(rec(2))+"\n"
-	exact := strings.Repeat("e", maxLine) + "\n"
-	over := strings.Repeat("o", maxLine+1) + "\n"
-	giant := strings.Repeat("g", 3*4096+17) + "\n" // spans several bufio chunks
-	strip := func(lines ...string) []string {
+	const maxLine = 96 // far below a bufio chunk
+	a, b := frame(string(rec(1))), frame(string(rec(2)))
+	flipped := strings.Replace(b, "1000002", "1000012", 1) // valid JSON, stale checksum
+	exact := frame(strings.Repeat("e", maxLine))
+	over := frame(strings.Repeat("o", maxLine+1))
+	giant := frame(strings.Repeat("g", 3*4096+17)) // spans several bufio chunks
+	torn := b[:12]
+	// The previous layout ended a sealed segment with an unframed footer
+	// line. The reader has no footer rule: that line is a bad line, and
+	// a framed footer-shaped payload is a record like any other.
+	footer := `{"busprobeSeal":1,"records":2,"bytes":48,"crc32":305419896}` + "\n"
+	framedFooter := frame(strings.TrimSuffix(footer, "\n"))
+	payloads := func(lines ...string) []string {
 		for i := range lines {
-			lines[i] = strings.TrimSuffix(lines[i], "\n")
+			lines[i] = lines[i][prefixLen : len(lines[i])-1]
 		}
 		return lines
 	}
 	cases := []struct {
-		name      string
-		in        string
-		lines     []string // delivered, in order
-		good      string   // the prefix crc / goodBytes must cover
-		records   int
-		oversized int
-		torn      int64
-		sealed    bool
+		name  string
+		in    string
+		lines []string // payloads delivered, in order
+		bad   int
+		torn  int64
 	}{
 		{name: "empty file"},
-		{name: "records only", in: a + b, lines: strip(a, b), good: a + b, records: 2},
-		{name: "records + footer", in: a + b + footer(a+b), lines: strip(a, b), good: a + b, records: 2, sealed: true},
-		{name: "footer alone", in: footer(""), sealed: true},
-		{name: "footer-shaped line mid-file is a record", in: a + footer(a) + b,
-			lines: strip(a, footer(a), b), good: a + footer(a) + b, records: 3},
-		{name: "footer then torn bytes is a record", in: a + footer(a) + "{", lines: strip(a, footer(a)),
-			good: a + footer(a), records: 2, torn: 1},
-		{name: "torn tail", in: a + b + `{"rec":9`, lines: strip(a, b), good: a + b, records: 2, torn: 8},
-		{name: "only a torn tail", in: `{"rec"`, torn: 6},
-		{name: "line of exactly maxLine", in: a + exact + b, lines: strip(a, exact, b), good: a + exact + b, records: 3},
-		{name: "line of maxLine+1", in: a + over + b, lines: strip(a, b), good: a + over + b, records: 3, oversized: 1},
-		{name: "oversized line across chunks", in: a + giant + b, lines: strip(a, b), good: a + giant + b, records: 3, oversized: 1},
-		{name: "oversized final line before footer", in: a + giant + footer(a+giant), lines: strip(a),
-			good: a + giant, records: 2, oversized: 1, sealed: true},
-		{name: "oversized torn tail", in: a + b + strings.TrimSuffix(giant, "\n"), lines: strip(a, b),
-			good: a + b, records: 2, torn: int64(len(giant) - 1)},
-		{name: "empty lines are lines", in: a + "\n" + b, lines: strip(a, "\n", b), good: a + "\n" + b, records: 3},
+		{name: "records only", in: a + b, lines: payloads(a, b)},
+		{name: "torn tail", in: a + b + torn, lines: payloads(a, b), torn: int64(len(torn))},
+		{name: "only a torn tail", in: torn, torn: int64(len(torn))},
+		{name: "bad CRC mid-file", in: a + flipped + b, lines: payloads(a, b), bad: 1},
+		{name: "bad CRC on the final complete line", in: a + flipped, lines: payloads(a), bad: 1},
+		{name: "bad CRC then torn tail", in: a + flipped + torn, lines: payloads(a), bad: 1, torn: int64(len(torn))},
+		{name: "unparseable prefix", lines: payloads(a, b), bad: 4,
+			// unframed, a non-hex digit, no space after the digits, nothing at all
+			in: a + string(rec(3)) + "\n" + "z" + a[1:] + a[:8] + "_" + a[9:] + "\n" + b},
+		{name: "line of exactly maxLine", in: a + exact + b, lines: payloads(a, exact, b)},
+		{name: "line of maxLine+1", in: a + over + b, lines: payloads(a, b), bad: 1},
+		{name: "oversized line across chunks", in: a + giant + b, lines: payloads(a, b), bad: 1},
+		{name: "oversized torn tail", in: a + b + strings.TrimSuffix(giant, "\n"), lines: payloads(a, b),
+			torn: int64(len(giant) - 1)},
+		{name: "empty lines are lines", in: a + frame("") + b, lines: payloads(a, frame(""), b)},
+		{name: "records + footer", in: a + b + footer, lines: payloads(a, b), bad: 1},
+		{name: "footer alone", in: footer, bad: 1},
+		{name: "footer-shaped line mid-file is a record", in: a + framedFooter + b, lines: payloads(a, framedFooter, b)},
+		{name: "footer then torn bytes is a record", in: a + framedFooter + "{", lines: payloads(a, framedFooter), torn: 1},
+		{name: "oversized final line before footer", in: a + giant + footer, lines: payloads(a), bad: 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -449,19 +440,9 @@ func TestReadSegment(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(tc.lines) {
 				t.Errorf("delivered %q, want %q", got, tc.lines)
 			}
-			if st.crc != crc32.ChecksumIEEE([]byte(tc.good)) || st.goodBytes != int64(len(tc.good)) {
-				t.Errorf("crc %08x over %d bytes, want %08x over %d", st.crc, st.goodBytes, crc32.ChecksumIEEE([]byte(tc.good)), len(tc.good))
-			}
-			if st.records != tc.records || st.oversized != tc.oversized || st.tornBytes != tc.torn || st.sealed != tc.sealed {
-				t.Errorf("records %d oversized %d torn %d sealed %v, want %d %d %d %v",
-					st.records, st.oversized, st.tornBytes, st.sealed, tc.records, tc.oversized, tc.torn, tc.sealed)
-			}
-			if tc.sealed && (st.footer.CRC32 != st.crc || st.footer.Bytes != st.goodBytes) {
-				t.Errorf("footer %+v does not verify against crc %08x / %d bytes", st.footer, st.crc, st.goodBytes)
-			}
-			// Scanning with no callback (the adopt path) learns the same.
-			if bare, err := readSegment(strings.NewReader(tc.in), maxLine, nil); err != nil || bare != st {
-				t.Errorf("scan-only pass = %+v (err %v), want %+v", bare, err, st)
+			if st.records != len(tc.lines) || st.bad != tc.bad || st.tornBytes != tc.torn {
+				t.Errorf("records %d bad %d torn %d, want %d %d %d",
+					st.records, st.bad, st.tornBytes, len(tc.lines), tc.bad, tc.torn)
 			}
 		})
 	}
@@ -531,111 +512,6 @@ func TestCorruptSnapshotHeaderFallsDownLadder(t *testing.T) {
 		t.Fatalf("mode=%q skipped=%d, want full-replay past 2 rejected snapshots", r.Report.Mode, r.Report.SnapshotsSkipped)
 	}
 	wantLines(t, lines, 0, 70)
-}
-
-func TestAdoptFinishesInterruptedSeal(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// A crash between footer write and rename leaves a .active file that
-	// is internally sealed. Build one by hand.
-	var body []byte
-	for i := 0; i < 5; i++ {
-		body = append(body, rec(i)...)
-		body = append(body, '\n')
-	}
-	footer := sealFooter{Seal: sealMagic, Records: 5, Bytes: int64(len(body)), CRC32: crc32.ChecksumIEEE(body)}
-	content := append(body, footer.encode()...)
-	content = append(content, '\n')
-	if err := os.WriteFile(activePath(dir, 3), content, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(testOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendRecords(t, s, 5, 3)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(sealedPath(dir, 3)); err != nil {
-		t.Fatalf("interrupted seal not finished: %v", err)
-	}
-	r, lines := recoverAll(t, dir)
-	wantLines(t, lines, 0, 8)
-	if r.Report.CorruptSegments != 0 {
-		t.Fatalf("finished seal reads as corrupt: %+v", r.Report)
-	}
-}
-
-// TestReplaySurvivesOpenFinishingPendingSeal: a plan built before Open
-// normalizes the directory must still replay a fully-sealed-but-
-// unrenamed active segment after Open finishes the seal (renaming
-// .active → .seal out from under the plan). Losing that segment would
-// silently drop acked records, and the next compaction would make the
-// loss permanent.
-func TestReplaySurvivesOpenFinishingPendingSeal(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var body []byte
-	for i := 0; i < 5; i++ {
-		body = append(body, rec(i)...)
-		body = append(body, '\n')
-	}
-	footer := sealFooter{Seal: sealMagic, Records: 5, Bytes: int64(len(body)), CRC32: crc32.ChecksumIEEE(body)}
-	content := append(body, footer.encode()...)
-	content = append(content, '\n')
-	if err := os.WriteFile(activePath(dir, 3), content, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Plan first — the plan's tail references seg-3.active.
-	r, err := PlanRecovery(testOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Open finishes the pending seal: seg-3.active becomes seg-3.seal.
-	s, err := Open(testOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(sealedPath(dir, 3)); err != nil {
-		t.Fatalf("open did not finish the pending seal: %v", err)
-	}
-	var lines []string
-	if err := r.Replay(context.Background(), func(line []byte) error {
-		lines = append(lines, string(line))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	wantLines(t, lines, 0, 5)
-	if r.Report.CorruptSegments != 0 {
-		t.Fatalf("renamed segment reported corrupt: %+v", r.Report)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestOpenedVirginDirPlansFresh: recovery paths open the store before
-// planning, so a virgin directory holds one empty active segment by
-// plan time — that is still a fresh store, not a full replay.
-func TestOpenedVirginDirPlansFresh(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(testOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, lines := recoverAll(t, dir)
-	if r.Report.Mode != "fresh" || len(lines) != 0 {
-		t.Fatalf("mode=%q lines=%d, want fresh/0", r.Report.Mode, len(lines))
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestCompactRemovesStaleCorruptSnapshots: a corrupt snapshot behind
@@ -719,16 +595,148 @@ func TestSnapshotDueSignal(t *testing.T) {
 	if err := s.WriteSnapshot(upTo, []byte("{}")); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.AppendsSinceSnapshot(); got != 0 {
-		t.Fatalf("appends since snapshot = %d, want 0", got)
+	// The snapshot reset the count: the signal needs 3 fresh appends.
+	appendRecords(t, s, 3, 2)
+	select {
+	case <-s.SnapshotDue():
+		t.Fatal("snapshot due 2 appends after a snapshot")
+	default:
+	}
+	appendRecords(t, s, 5, 1)
+	select {
+	case <-s.SnapshotDue():
+	default:
+		t.Fatal("snapshot not due 3 appends after a snapshot")
 	}
 }
 
+// TestRecoveryOfFreshAndMissingDir: the directory states a boot can
+// meet before any record exists, and the previous layout, which is
+// refused by name and left untouched.
 func TestRecoveryOfFreshAndMissingDir(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "never-created")
-	r, lines := recoverAll(t, dir)
-	if r.Report.Mode != "fresh" || len(lines) != 0 {
-		t.Fatalf("mode=%q lines=%d, want fresh/0", r.Report.Mode, len(lines))
+	for _, tc := range []struct {
+		name    string
+		prepare func(t *testing.T, dir string)
+		refused string // a name the refusal must carry; "" = plans fresh
+	}{
+		{name: "never created"},
+		{name: "opened but never appended", prepare: func(t *testing.T, dir string) {
+			s, err := Open(testOpts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "previous layout", refused: "seg-00000001.seal", prepare: func(t *testing.T, dir string) {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"seg-00000001.seal", "seg-00000002.active"} {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(string(rec(1))+"\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			if tc.prepare != nil {
+				tc.prepare(t, dir)
+			}
+			before := readDirFiles(t, dir)
+			if tc.refused == "" {
+				if len(before) != 0 {
+					t.Fatalf("a store with no records left files behind: %v", keys(before))
+				}
+				r, lines := recoverAll(t, dir)
+				if r.Report.Mode != "fresh" || len(lines) != 0 {
+					t.Fatalf("mode=%q lines=%d, want fresh/0", r.Report.Mode, len(lines))
+				}
+			} else {
+				_, perr := PlanRecovery(testOpts(dir))
+				_, oerr := Open(testOpts(dir))
+				for _, err := range []error{perr, oerr} {
+					if err == nil || !strings.Contains(err.Error(), tc.refused) {
+						t.Fatalf("previous layout not refused by name: %v", err)
+					}
+				}
+			}
+			if after := readDirFiles(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Fatalf("directory changed: %v, was %v", after, before)
+			}
+		})
+	}
+}
+
+// TestOpenNeverWritesExistingSegments: Open reads a directory listing
+// and nothing else. Every file present before it stays byte-identical
+// through Open, an append and Close, and the new records land in a
+// segment numbered above every segment and snapshot boundary on disk.
+func TestOpenNeverWritesExistingSegments(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		prepare  func(t *testing.T, dir string)
+		wantNext uint64
+		wantFrom int // first record the recovery replays
+	}{
+		{name: "sealed segments and a torn tail", wantNext: 4, wantFrom: 0, prepare: func(t *testing.T, dir string) {
+			s, err := Open(testOpts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendRecords(t, s, 0, 30)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			appendBytes(t, lastSegment(t, dir).path, frame(string(rec(9999)))[:14])
+		}},
+		{name: "compaction left snapshots but no segment", wantNext: 10, wantFrom: 30, prepare: func(t *testing.T, dir string) {
+			for _, upTo := range []uint64{7, 9} {
+				if err := writeSnapshotFile(dir, upTo, []byte("{}"), testClock()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.prepare(t, dir)
+			before := readDirFiles(t, dir)
+			ls, err := listDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(testOpts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := readDirFiles(t, dir); fmt.Sprint(got) != fmt.Sprint(before) {
+				t.Fatal("Open changed the directory")
+			}
+			appendRecords(t, s, 30, 3)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			after := readDirFiles(t, dir)
+			for name, b := range before {
+				if after[name] != b {
+					t.Errorf("%s changed across Open, append and Close", name)
+				}
+			}
+			if next := ls.maxSeq() + 1; next != tc.wantNext {
+				t.Fatalf("directory's highest sequence is %d, want %d", next-1, tc.wantNext-1)
+			}
+			if _, ok := after[filepath.Base(segmentPath(dir, tc.wantNext))]; !ok || len(after) != len(before)+1 {
+				t.Fatalf("new records did not land in exactly segment %08d: %v", tc.wantNext, keys(after))
+			}
+			_, lines := recoverAll(t, dir)
+			wantLines(t, lines, tc.wantFrom, 33-tc.wantFrom)
+		})
 	}
 }
 
@@ -748,14 +756,68 @@ func corruptFile(t *testing.T, path string, offset int64) {
 	}
 }
 
-func findActive(t *testing.T, dir string) string {
+// frame renders one record line through the writer's own framing.
+func frame(payload string) string {
+	var p [prefixLen]byte
+	putPrefix(&p, []byte(payload))
+	return string(p[:]) + payload + "\n"
+}
+
+// appendBytes appends raw bytes to a file, as a crash mid-write would
+// leave them.
+func appendBytes(t *testing.T, path, b string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func lastSegment(t *testing.T, dir string) segFile {
 	t.Helper()
 	ls, err := listDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ls.active == nil {
-		t.Fatal("no active segment")
+	if len(ls.segs) == 0 {
+		t.Fatal("no segment")
 	}
-	return ls.active.path
+	return ls.segs[len(ls.segs)-1]
+}
+
+// readDirFiles maps every file name in dir to its contents (empty for a
+// directory that does not exist).
+func readDirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return map[string]string{}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(ents))
+	for _, ent := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[ent.Name()] = string(b)
+	}
+	return files
+}
+
+func keys(m map[string]string) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -78,6 +78,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"net/http"
 	"os"
@@ -344,14 +345,20 @@ func reportRecovery(path string, recs []*server.StoreRecovery) error {
 }
 
 // loadOrSurvey restores a persisted fingerprint database, or surveys the
-// stops and persists the result when a path is given.
+// stops and persists the result when a path is given. Only a missing
+// file means "survey": a file that exists but does not load is the
+// operator's, so boot fails naming it and leaves it as it is.
 func loadOrSurvey(world *sim.World, cfg server.Config, surveyRuns int, seed uint64, path string) (*fingerprint.DB, error) {
 	if path != "" {
-		if db, err := fingerprint.LoadFile(path); err == nil {
+		db, err := fingerprint.LoadFile(path)
+		if err == nil {
 			fmt.Printf("loaded fingerprint DB from %s (%d stops)\n", path, db.Len())
 			return db, nil
 		}
-		fmt.Printf("no usable DB at %s; surveying\n", path)
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("-fpdb %s: %w (file left untouched; move it aside to survey afresh)", path, err)
+		}
+		fmt.Printf("no DB at %s; surveying\n", path)
 	}
 	db, err := server.BuildFingerprintDB(world.Cells, world.Transit, surveyRuns, cfg, server.SurveySeed(seed))
 	if err != nil {

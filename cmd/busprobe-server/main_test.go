@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -10,6 +11,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"busprobe/internal/core/fingerprint"
+	"busprobe/internal/server"
+	"busprobe/internal/sim"
 )
 
 // TestValidateFlags: contradictory flags are refused up front, every
@@ -115,5 +120,68 @@ func TestBootRefusesPreviousStoreLayout(t *testing.T) {
 		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != body {
 			t.Errorf("%s changed (err %v)", name, err)
 		}
+	}
+}
+
+// TestLoadOrSurvey pins -fpdb's contract, "loaded if present, written
+// after a survey otherwise", on the small world: a missing file is
+// surveyed and written; a present file that does not load fails boot
+// naming the file and leaves it byte-identical; a written file reloads
+// to the identical database.
+func TestLoadOrSurvey(t *testing.T) {
+	wc, err := sim.PresetWorldConfig("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc.Seed = 1
+	world, err := sim.BuildWorld(wc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := server.DefaultConfig()
+	dbBytes := func(db *fingerprint.DB) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := db.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	dir := t.TempDir()
+
+	// Missing → surveyed and written.
+	path := filepath.Join(dir, "stops.fpdb")
+	surveyed, err := loadOrSurvey(world, cfg, 1, 1, path)
+	if err != nil {
+		t.Fatalf("missing file: %v", err)
+	}
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("survey not written: %v", err)
+	}
+	if want := dbBytes(surveyed); !bytes.Equal(written, want) {
+		t.Error("written file differs from the surveyed database")
+	}
+
+	// Written then reloaded → identical WriteTo bytes.
+	reloaded, err := loadOrSurvey(world, cfg, 1, 1, path)
+	if err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	if !bytes.Equal(dbBytes(reloaded), written) {
+		t.Error("reloaded database serializes differently")
+	}
+
+	// Garbage → error naming the file, file untouched.
+	garbage := filepath.Join(dir, "garbage.fpdb")
+	body := []byte("{not a fingerprint database")
+	if err := os.WriteFile(garbage, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadOrSurvey(world, cfg, 1, 1, garbage); err == nil || !strings.Contains(err.Error(), garbage) {
+		t.Errorf("garbage file: err %v, want an error naming %s", err, garbage)
+	}
+	if got, err := os.ReadFile(garbage); err != nil || !bytes.Equal(got, body) {
+		t.Errorf("garbage file changed to %q (err %v)", got, err)
 	}
 }

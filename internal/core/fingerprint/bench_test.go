@@ -14,21 +14,17 @@ import (
 // don't) plus a query sample from the middle of town.
 func benchDB(b *testing.B, n int) (*DB, cellular.Fingerprint) {
 	b.Helper()
-	db, err := NewDB(DefaultScoring(), DefaultGamma)
-	if err != nil {
-		b.Fatal(err)
-	}
 	rng := stats.NewRNG(uint64(n) ^ 0xbe)
+	entries := make(map[transit.StopID]cellular.Fingerprint, n)
 	for s := 0; s < n; s++ {
 		base := (s / 4) * 3
 		entry := make(cellular.Fingerprint, 6)
 		for i := range entry {
 			entry[i] = cellular.CellID(base + rng.Intn(10))
 		}
-		if err := db.Put(transit.StopID(s), entry); err != nil {
-			b.Fatal(err)
-		}
+		entries[transit.StopID(s)] = entry
 	}
+	db := newTestDB(b, entries)
 	mid := (n / 8) * 3
 	return db, fp(mid, mid+1, mid+4, mid+7, mid+9)
 }

@@ -1,9 +1,10 @@
 package fingerprint
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"busprobe/internal/cellular"
 	"busprobe/internal/transit"
@@ -23,35 +24,49 @@ type Match struct {
 }
 
 // DB is the bus-stop fingerprint database (§III-B "Bus stop database").
-// It stores one representative fingerprint per logical stop and serves
-// per-sample matching. It is safe for concurrent use: matching takes a
-// read lock, updates a write lock, supporting the paper's online/offline
-// database update model.
+// It holds one representative fingerprint per logical stop and serves
+// per-sample matching. NewDB builds it once — from the survey or a
+// persisted file — and nothing changes it afterwards, so any number of
+// goroutines may match against one DB without synchronization.
 type DB struct {
-	mu      sync.RWMutex
-	entries map[transit.StopID]cellular.Fingerprint //lint:guardedby mu
+	entries map[transit.StopID]cellular.Fingerprint
 	// index maps cell ID -> stops whose fingerprint contains it; see
 	// index.go.
-	index   map[cellular.CellID][]transit.StopID //lint:guardedby mu
+	index   map[cellular.CellID][]transit.StopID
 	scoring Scoring
 	gamma   float64
 }
 
-// NewDB returns an empty database with the given scoring and γ
-// threshold.
-func NewDB(scoring Scoring, gamma float64) (*DB, error) {
+// NewDB validates the scoring, γ and every entry, copies the entries,
+// and builds the database with its inverted index. An empty fingerprint
+// is an error; nil entries give an empty database.
+func NewDB(scoring Scoring, gamma float64, entries map[transit.StopID]cellular.Fingerprint) (*DB, error) {
 	if err := scoring.Validate(); err != nil {
 		return nil, err
 	}
 	if gamma < 0 {
 		return nil, fmt.Errorf("fingerprint: negative gamma %v", gamma)
 	}
-	return &DB{
-		entries: make(map[transit.StopID]cellular.Fingerprint),
+	stops := make([]transit.StopID, 0, len(entries))
+	for stop := range entries {
+		stops = append(stops, stop)
+	}
+	slices.Sort(stops)
+	db := &DB{
+		entries: make(map[transit.StopID]cellular.Fingerprint, len(entries)),
 		index:   make(map[cellular.CellID][]transit.StopID),
 		scoring: scoring,
 		gamma:   gamma,
-	}, nil
+	}
+	for _, stop := range stops {
+		fp := entries[stop]
+		if len(fp) == 0 {
+			return nil, fmt.Errorf("fingerprint: empty fingerprint for stop %d", stop)
+		}
+		db.entries[stop] = slices.Clone(fp)
+		db.indexAdd(stop, fp)
+	}
+	return db, nil
 }
 
 // Scoring returns the alignment weights in use.
@@ -61,77 +76,16 @@ func (db *DB) Scoring() Scoring { return db.scoring }
 func (db *DB) Gamma() float64 { return db.gamma }
 
 // Len returns the number of fingerprinted stops.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.entries)
-}
+func (db *DB) Len() int { return len(db.entries) }
 
-// Put stores (or replaces) the fingerprint of a stop. The fingerprint is
-// copied.
-func (db *DB) Put(stop transit.StopID, fp cellular.Fingerprint) error {
-	if len(fp) == 0 {
-		return fmt.Errorf("fingerprint: empty fingerprint for stop %d", stop)
-	}
-	cp := make(cellular.Fingerprint, len(fp))
-	copy(cp, fp)
-	db.mu.Lock()
-	if old, ok := db.entries[stop]; ok {
-		db.indexRemoveLocked(stop, old)
-	}
-	db.entries[stop] = cp
-	db.indexAddLocked(stop, cp)
-	db.mu.Unlock()
-	return nil
-}
-
-// Delete removes a stop's fingerprint (e.g. a decommissioned stop). It
-// reports whether an entry existed.
-func (db *DB) Delete(stop transit.StopID) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	fp, ok := db.entries[stop]
-	if !ok {
-		return false
-	}
-	db.indexRemoveLocked(stop, fp)
-	delete(db.entries, stop)
-	return true
-}
-
-// Get returns the stored fingerprint for a stop, if any.
-func (db *DB) Get(stop transit.StopID) (cellular.Fingerprint, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	fp, ok := db.entries[stop]
-	if !ok {
-		return nil, false
-	}
-	cp := make(cellular.Fingerprint, len(fp))
-	copy(cp, fp)
-	return cp, true
-}
-
-// Stops returns the fingerprinted stop IDs in ascending order.
-func (db *DB) Stops() []transit.StopID {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]transit.StopID, 0, len(db.entries))
-	for id := range db.entries {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// PutFromSamples selects a representative fingerprint from several
-// collection runs and stores it: the sample with the highest total
-// similarity to the other samples wins (§IV-A: "the sample with the
+// Representative selects a stop's fingerprint from several collection
+// runs: the sample with the highest total similarity to the other
+// samples wins, the first one on a tie (§IV-A: "the sample with the
 // highest similarity with the rest samples is chosen as the
-// fingerprint").
-func (db *DB) PutFromSamples(stop transit.StopID, samples []cellular.Fingerprint) error {
+// fingerprint"). The result aliases the winning sample.
+func Representative(samples []cellular.Fingerprint, scoring Scoring) (cellular.Fingerprint, error) {
 	if len(samples) == 0 {
-		return fmt.Errorf("fingerprint: no samples for stop %d", stop)
+		return nil, errors.New("fingerprint: no samples")
 	}
 	bestIdx, bestTotal := 0, -1.0
 	for i, s := range samples {
@@ -140,13 +94,13 @@ func (db *DB) PutFromSamples(stop transit.StopID, samples []cellular.Fingerprint
 			if i == j {
 				continue
 			}
-			total += Similarity(s, o, db.scoring)
+			total += Similarity(s, o, scoring)
 		}
 		if total > bestTotal {
 			bestIdx, bestTotal = i, total
 		}
 	}
-	return db.Put(stop, samples[bestIdx])
+	return samples[bestIdx], nil
 }
 
 // MatchAll scores a sample against the stored stops and returns the
@@ -159,20 +113,18 @@ func (db *DB) MatchAll(sample cellular.Fingerprint) []Match {
 	if len(sample) == 0 {
 		return nil
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	if db.gamma > 0 {
-		return db.matchIndexedLocked(sample)
+		return db.matchIndexed(sample)
 	}
-	return db.matchScanLocked(sample)
+	return db.matchScan(sample)
 }
 
-// matchIndexedLocked aligns the sample against the index candidates
-// only. Caller holds a read lock and guarantees γ > 0, so skipping
-// zero-overlap stops (which score exactly 0) cannot change the result.
-func (db *DB) matchIndexedLocked(sample cellular.Fingerprint) []Match {
+// matchIndexed aligns the sample against the index candidates only.
+// Caller guarantees γ > 0, so skipping zero-overlap stops (which score
+// exactly 0) cannot change the result.
+func (db *DB) matchIndexed(sample cellular.Fingerprint) []Match {
 	var out []Match
-	for _, stop := range db.candidateStopsLocked(sample) {
+	for _, stop := range db.candidateStops(sample) {
 		fp := db.entries[stop]
 		score := Similarity(sample, fp, db.scoring)
 		if score >= db.gamma {
@@ -183,9 +135,8 @@ func (db *DB) matchIndexedLocked(sample cellular.Fingerprint) []Match {
 	return out
 }
 
-// matchScanLocked aligns the sample against every stored stop. Caller
-// holds a read lock.
-func (db *DB) matchScanLocked(sample cellular.Fingerprint) []Match {
+// matchScan aligns the sample against every stored stop.
+func (db *DB) matchScan(sample cellular.Fingerprint) []Match {
 	var out []Match
 	for stop, fp := range db.entries {
 		score := Similarity(sample, fp, db.scoring)
@@ -204,9 +155,7 @@ func (db *DB) matchAllScan(sample cellular.Fingerprint) []Match {
 	if len(sample) == 0 {
 		return nil
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.matchScanLocked(sample)
+	return db.matchScan(sample)
 }
 
 // sortMatches orders candidates best-first with deterministic ties.

@@ -15,39 +15,20 @@ import (
 // stops around the sample instead of the whole city (the paper's region
 // already has >100 stops; a city has thousands).
 //
-// The index is maintained incrementally by Put and used automatically
-// when γ > 0; results are identical to the full scan, which the tests
-// assert.
+// NewDB builds the index once, with the entries, and MatchAll uses it
+// whenever γ > 0; results are identical to the full scan, which the
+// tests assert.
 
-// indexAddLocked registers a fingerprint's cells. Caller holds the write lock.
-func (db *DB) indexAddLocked(stop transit.StopID, fp cellular.Fingerprint) {
+// indexAdd registers a fingerprint's cells.
+func (db *DB) indexAdd(stop transit.StopID, fp cellular.Fingerprint) {
 	for _, c := range fp {
 		db.index[c] = append(db.index[c], stop)
 	}
 }
 
-// indexRemoveLocked unregisters a fingerprint's cells. Caller holds the write
-// lock.
-func (db *DB) indexRemoveLocked(stop transit.StopID, fp cellular.Fingerprint) {
-	for _, c := range fp {
-		list := db.index[c]
-		out := list[:0]
-		for _, s := range list {
-			if s != stop {
-				out = append(out, s)
-			}
-		}
-		if len(out) == 0 {
-			delete(db.index, c)
-		} else {
-			db.index[c] = out
-		}
-	}
-}
-
-// candidateStopsLocked returns the stops sharing at least one cell ID with the
-// sample, deduplicated and sorted. Caller holds a read lock.
-func (db *DB) candidateStopsLocked(sample cellular.Fingerprint) []transit.StopID {
+// candidateStops returns the stops sharing at least one cell ID with the
+// sample, deduplicated and sorted.
+func (db *DB) candidateStops(sample cellular.Fingerprint) []transit.StopID {
 	seen := make(map[transit.StopID]bool)
 	var out []transit.StopID
 	for _, c := range sample {

@@ -37,7 +37,6 @@ type dbFileRow struct {
 // collected it manually over 8 routes); persisting it lets deployments
 // restart without re-surveying.
 func (db *DB) WriteTo(w io.Writer) (int64, error) {
-	db.mu.RLock()
 	out := dbFile{
 		Format: fileFormat,
 		Match:  db.scoring.Match,
@@ -52,7 +51,6 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 		}
 		out.Entries = append(out.Entries, row)
 	}
-	db.mu.RUnlock()
 	// Deterministic output: sort rows by stop.
 	sort.Slice(out.Entries, func(i, j int) bool {
 		return out.Entries[i].Stop < out.Entries[j].Stop
@@ -65,7 +63,8 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadFrom deserializes a database previously written with WriteTo.
+// ReadFrom deserializes a database previously written with WriteTo. A
+// repeated stop row or an empty fingerprint is an error.
 func ReadFrom(r io.Reader) (*DB, error) {
 	var in dbFile
 	dec := json.NewDecoder(r)
@@ -75,39 +74,53 @@ func ReadFrom(r io.Reader) (*DB, error) {
 	if in.Format != fileFormat {
 		return nil, fmt.Errorf("fingerprint: unsupported format %d (want %d)", in.Format, fileFormat)
 	}
-	db, err := NewDB(Scoring{Match: in.Match, Mismatch: in.Mis, Gap: in.Gap}, in.Gamma)
-	if err != nil {
-		return nil, err
-	}
+	entries := make(map[transit.StopID]cellular.Fingerprint, len(in.Entries))
 	for _, row := range in.Entries {
+		stop := transit.StopID(row.Stop)
+		if _, dup := entries[stop]; dup {
+			return nil, fmt.Errorf("fingerprint: stop %d listed twice", row.Stop)
+		}
 		fp := make(cellular.Fingerprint, len(row.Cells))
 		for i, c := range row.Cells {
 			fp[i] = cellular.CellID(c)
 		}
-		if err := db.Put(transit.StopID(row.Stop), fp); err != nil {
-			return nil, fmt.Errorf("fingerprint: stop %d: %w", row.Stop, err)
-		}
+		entries[stop] = fp
 	}
-	return db, nil
+	return NewDB(Scoring{Match: in.Match, Mismatch: in.Mis, Gap: in.Gap}, in.Gamma, entries)
 }
 
-// SaveFile writes the database to a file path.
+// SaveFile writes the database to a file path without ever exposing a
+// partial file there: the bytes go to path+".tmp", are fsynced, and the
+// tmp file is renamed over path. A crash mid-save leaves the previous
+// file (or none), never a torn one that LoadFile would refuse.
 func (db *DB) SaveFile(path string) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("fingerprint: %w", err)
 	}
 	bw := bufio.NewWriter(f)
-	if _, err := db.WriteTo(bw); err != nil {
-		return errors.Join(err, f.Close())
+	_, err = db.WriteTo(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		return errors.Join(fmt.Errorf("fingerprint: %w", err), f.Close())
+	if err == nil {
+		err = f.Sync()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		return errors.Join(fmt.Errorf("fingerprint: save %s: %w", path, err), os.Remove(tmp))
+	}
+	return nil
 }
 
-// LoadFile reads a database from a file path.
+// LoadFile reads a database from a file path. A missing file's error
+// satisfies errors.Is(err, fs.ErrNotExist).
 func LoadFile(path string) (*DB, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -46,13 +46,10 @@ func AblationMismatchPenalty(l *Lab, samplesPerStop int, seed uint64) (Report, e
 	var bestPen, bestAcc float64
 	for pen := 0.1; pen <= 0.91; pen += 0.1 {
 		sc := fingerprint.Scoring{Match: 1, Mismatch: pen, Gap: pen}
-		db, err := fingerprint.NewDB(sc, l.Cfg.Gamma)
-		if err != nil {
-			return Report{}, err
-		}
 		// Rebuild the DB under this scoring (medoid selection depends
 		// on the scoring too).
 		surveyRNG := stats.NewRNG(seed ^ 0xdb).Fork("ablation-survey")
+		entries := make(map[transit.StopID]cellular.Fingerprint, tdb.NumStops())
 		for _, st := range tdb.Stops() {
 			var samples []cellular.Fingerprint
 			for r := 0; r < 4; r++ {
@@ -64,9 +61,15 @@ func AblationMismatchPenalty(l *Lab, samplesPerStop int, seed uint64) (Report, e
 					}
 				}
 			}
-			if err := db.PutFromSamples(st.ID, samples); err != nil {
-				return Report{}, err
+			fp, err := fingerprint.Representative(samples, sc)
+			if err != nil {
+				return Report{}, fmt.Errorf("eval: stop %d: %w", st.ID, err)
 			}
+			entries[st.ID] = fp
+		}
+		db, err := fingerprint.NewDB(sc, l.Cfg.Gamma, entries)
+		if err != nil {
+			return Report{}, err
 		}
 		correct := 0
 		for _, ev := range evalSet {

@@ -10,7 +10,7 @@
 //
 // Outside the defining packages, writing a numeric literal where one
 // of these parameters is expected — cluster.Params{S0: 7, …},
-// traffic.Model{B: 0.5}, fingerprint.NewDB(sc, 2),
+// traffic.Model{B: 0.5}, fingerprint.NewDB(sc, 2, …),
 // traffic.NewEstimator(m, 300, …) — re-states tuning that must happen
 // in one place, and is flagged. Reference the named default instead.
 // Test files are exempt (they sweep off-canon values deliberately), as

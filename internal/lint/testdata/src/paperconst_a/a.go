@@ -32,7 +32,7 @@ func model() traffic.Model {
 }
 
 func db() (*fingerprint.DB, error) {
-	return fingerprint.NewDB(fingerprint.DefaultScoring(), 2) // want `paper constant passed as a literal; use fingerprint\.DefaultGamma`
+	return fingerprint.NewDB(fingerprint.DefaultScoring(), 2, nil) // want `paper constant passed as a literal; use fingerprint\.DefaultGamma`
 }
 
 func estimator(m traffic.Model) (*traffic.Estimator, error) {

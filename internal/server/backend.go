@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"busprobe/internal/cellular"
 	"busprobe/internal/clock"
 	"busprobe/internal/core/cluster"
 	"busprobe/internal/core/fingerprint"
@@ -79,16 +78,6 @@ type Config struct {
 	// StageHook, when non-nil, observes every pipeline stage run
 	// (counters + duration). It must be safe for concurrent use.
 	StageHook stage.Hook
-	// OnlineUpdate enables Fig. 4's online database path: confidently
-	// mapped stop visits refresh that stop's fingerprint, letting the
-	// database track radio-environment drift without re-surveying.
-	OnlineUpdate bool
-	// OnlineUpdateMinConf is the visit confidence required before its
-	// samples may touch the database.
-	OnlineUpdateMinConf float64
-	// OnlineUpdateMinSamples is the minimum sample count of the visit's
-	// cluster before an update is considered.
-	OnlineUpdateMinSamples int
 }
 
 // DefaultConfig returns the paper's settings.
@@ -102,10 +91,6 @@ func DefaultConfig() Config {
 		DriftVarPerS: traffic.DefaultDriftVarPerS,
 		MinSpeedKmh:  2,
 		MaxSpeedKmh:  90,
-
-		OnlineUpdate:           false, // opt in; offline survey is authoritative by default
-		OnlineUpdateMinConf:    0.9,
-		OnlineUpdateMinSamples: 3,
 	}
 }
 
@@ -170,8 +155,8 @@ type Backend struct {
 	// The backend's mutable state is split across independent locks so
 	// ingestion never serializes against query traffic: dedupMu guards
 	// the duplicate-suppression set and the trip log handle, statsMu
-	// guards the work counters, and the estimator and fingerprint DB
-	// carry their own internal synchronization.
+	// guards the work counters, the estimator carries its own internal
+	// synchronization, and the fingerprint DB is immutable.
 	dedupMu sync.Mutex
 	seen    map[string]bool //lint:guardedby dedupMu
 	tripLog TripLog         //lint:guardedby dedupMu
@@ -306,9 +291,6 @@ func (b *Backend) Config() Config { return b.cfg }
 // Transit returns the transit database.
 func (b *Backend) Transit() *transit.DB { return b.transit }
 
-// FingerprintDB returns the stop fingerprint database.
-func (b *Backend) FingerprintDB() *fingerprint.DB { return b.fpdb }
-
 // admissionStage names the admission gate's row in StageMetrics.
 const admissionStage = "admission"
 
@@ -385,8 +367,7 @@ func (b *Backend) ProcessTrip(ctx context.Context, trip probe.Trip) (ProcessedTr
 //     duplicate IDs within the batch resolve first-occurrence-wins;
 //  2. compute — the CPU-bound stages, inline in input order when there
 //     is one worker, across a pool otherwise. workers <= 0 means
-//     GOMAXPROCS; OnlineUpdate forces one, because a later trip's
-//     matching must observe earlier trips' fingerprint refreshes;
+//     GOMAXPROCS;
 //  3. ordered fold — estimator updates and counters land in input order,
 //     which makes the outcome independent of workers.
 //
@@ -408,9 +389,6 @@ func (b *Backend) ingest(ctx context.Context, trips []probe.Trip, workers int) [
 	// From here to the fold, a non-nil res[i].Err marks a rejected trip.
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if b.cfg.OnlineUpdate {
-		workers = 1
 	}
 	var next atomic.Int64
 	computeNext := func() bool {
@@ -514,10 +492,10 @@ type tripWork struct {
 }
 
 // compute runs the CPU-bound stages — matching, clustering, mapping,
-// observation extraction — for one admitted trip. It touches no
-// backend-wide mutable state except the fingerprint DB (internally
-// synchronized, and written only on the opt-in online-update path), so
-// any number of computes may run concurrently.
+// observation extraction — for one admitted trip. It reads only the two
+// immutable databases (fingerprint and transit) and writes only w and
+// the stages' atomic counters, so any number of computes may run
+// concurrently.
 func (b *Backend) compute(trip probe.Trip, w *tripWork) {
 	w.out = ProcessedTrip{TripID: trip.ID, Samples: len(trip.Samples)}
 	w.delta.TripsReceived = 1
@@ -544,12 +522,6 @@ func (b *Backend) compute(trip probe.Trip, w *tripWork) {
 	w.out.Visits, w.err = b.pipe.Map(w.ctx, clusters)
 	if w.err != nil {
 		return
-	}
-
-	// Fig. 4's online database path: high-confidence visits refresh
-	// their stop's fingerprint.
-	if b.cfg.OnlineUpdate {
-		b.onlineUpdate(trip, clusters, w.out.Visits)
 	}
 
 	// Stage 4: leg travel times → traffic observations.
@@ -746,51 +718,6 @@ func (b *Backend) foldScatter(ctx context.Context, key string, obs []traffic.Obs
 		b.scatterSeen[key] = out
 	}
 	return out, nil
-}
-
-// onlineUpdate refreshes stop fingerprints from confidently mapped
-// visits: the visit's raw samples plus the stored fingerprint form a
-// pool and the medoid wins, so a drifting radio environment (tower swap,
-// re-planned cells) gradually replaces the survey without losing it to
-// one noisy trip.
-func (b *Backend) onlineUpdate(trip probe.Trip, clusters []cluster.Cluster, mapped []tripmap.Visit) {
-	// Fingerprints by sample timestamp (duplicate timestamps queue).
-	byTime := make(map[float64][]cellular.Fingerprint, len(trip.Samples))
-	for _, s := range trip.Samples {
-		byTime[s.TimeS] = append(byTime[s.TimeS], s.Fingerprint())
-	}
-	take := func(t float64) (cellular.Fingerprint, bool) {
-		q := byTime[t]
-		if len(q) == 0 {
-			return nil, false
-		}
-		fp := q[0]
-		byTime[t] = q[1:]
-		return fp, true
-	}
-	for i, v := range mapped {
-		if i >= len(clusters) {
-			break
-		}
-		c := clusters[i]
-		if v.Confidence < b.cfg.OnlineUpdateMinConf || len(c.Elements) < b.cfg.OnlineUpdateMinSamples {
-			continue
-		}
-		var pool []cellular.Fingerprint
-		for _, e := range c.Elements {
-			if fp, ok := take(e.TimeS); ok {
-				pool = append(pool, fp)
-			}
-		}
-		if len(pool) < b.cfg.OnlineUpdateMinSamples {
-			continue
-		}
-		if cur, ok := b.fpdb.Get(v.Stop); ok {
-			pool = append(pool, cur)
-		}
-		// Best-effort: a failed update never fails the trip.
-		_ = b.fpdb.PutFromSamples(v.Stop, pool)
-	}
 }
 
 // Advance drives the estimator's periodic refresh from the caller's

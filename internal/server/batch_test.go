@@ -29,10 +29,8 @@ func batchCorpus(t *testing.T, w *sim.World, n int) []probe.Trip {
 }
 
 // TestKernelEquivalence is the acceptance bar for the one ingest
-// kernel: whatever the worker count, and with the online database path
-// off or on (where compute degrades to one ordered worker, because
-// OnlineUpdate mutates the fingerprint DB mid-pipeline), a batch leaves
-// exactly what a serial ProcessTrip loop over the same slice leaves —
+// kernel: whatever the worker count, a batch leaves exactly what a
+// serial ProcessTrip loop over the same slice leaves —
 // per-trip results, counters, /v1/pipeline rows (all but the measured
 // durations), the rendered /v1/traffic bytes and each trip's span-name
 // order.
@@ -46,15 +44,14 @@ func TestKernelEquivalence(t *testing.T) {
 		traffic  []byte
 		spans    [][]string
 	}
-	run := func(online bool, ingest func(*Backend) []TripResult) outcome {
+	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, DefaultConfig(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(ingest func(*Backend) []TripResult) outcome {
 		t.Helper()
 		cfg := DefaultConfig()
-		cfg.OnlineUpdate = online
 		cfg.Obs = fakeObsCore()
-		fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, cfg, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
 		b, err := NewBackend(cfg, w.Transit, fpdb)
 		if err != nil {
 			t.Fatal(err)
@@ -72,41 +69,39 @@ func TestKernelEquivalence(t *testing.T) {
 		}
 		return o
 	}
-	for _, online := range []bool{false, true} {
-		want := run(online, func(b *Backend) []TripResult {
-			res := make([]TripResult, len(trips))
-			for i, trip := range trips {
-				res[i].Trip, res[i].Err = b.ProcessTrip(context.Background(), trip)
-			}
-			return res
-		})
-		if want.stats.Observations == 0 {
-			t.Fatal("serial loop folded no observations; equivalence is vacuous")
+	want := run(func(b *Backend) []TripResult {
+		res := make([]TripResult, len(trips))
+		for i, trip := range trips {
+			res[i].Trip, res[i].Err = b.ProcessTrip(context.Background(), trip)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("online-%v-workers-%d", online, workers), func(t *testing.T) {
-				got := run(online, func(b *Backend) []TripResult {
-					return b.ProcessTrips(context.Background(), trips, workers)
-				})
-				for i := range want.res {
-					if !reflect.DeepEqual(got.res[i], want.res[i]) {
-						t.Errorf("trip %d diverged:\nserial %+v\nbatch  %+v", i, want.res[i], got.res[i])
-					}
-				}
-				if got.stats != want.stats {
-					t.Errorf("stats diverged:\nserial %+v\nbatch  %+v", want.stats, got.stats)
-				}
-				if !reflect.DeepEqual(got.pipeline, want.pipeline) {
-					t.Errorf("/v1/pipeline rows diverged:\nserial %+v\nbatch  %+v", want.pipeline, got.pipeline)
-				}
-				if !bytes.Equal(got.traffic, want.traffic) {
-					t.Errorf("/v1/traffic diverged:\nserial %s\nbatch  %s", want.traffic, got.traffic)
-				}
-				if !reflect.DeepEqual(got.spans, want.spans) {
-					t.Errorf("span-name order diverged:\nserial %v\nbatch  %v", want.spans, got.spans)
-				}
+		return res
+	})
+	if want.stats.Observations == 0 {
+		t.Fatal("serial loop folded no observations; equivalence is vacuous")
+	}
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			got := run(func(b *Backend) []TripResult {
+				return b.ProcessTrips(context.Background(), trips, workers)
 			})
-		}
+			for i := range want.res {
+				if !reflect.DeepEqual(got.res[i], want.res[i]) {
+					t.Errorf("trip %d diverged:\nserial %+v\nbatch  %+v", i, want.res[i], got.res[i])
+				}
+			}
+			if got.stats != want.stats {
+				t.Errorf("stats diverged:\nserial %+v\nbatch  %+v", want.stats, got.stats)
+			}
+			if !reflect.DeepEqual(got.pipeline, want.pipeline) {
+				t.Errorf("/v1/pipeline rows diverged:\nserial %+v\nbatch  %+v", want.pipeline, got.pipeline)
+			}
+			if !bytes.Equal(got.traffic, want.traffic) {
+				t.Errorf("/v1/traffic diverged:\nserial %s\nbatch  %s", want.traffic, got.traffic)
+			}
+			if !reflect.DeepEqual(got.spans, want.spans) {
+				t.Errorf("span-name order diverged:\nserial %v\nbatch  %v", want.spans, got.spans)
+			}
+		})
 	}
 }
 

@@ -28,11 +28,8 @@ func BuildFingerprintDB(cells *cellular.Deployment, tdb *transit.DB, runs int, c
 	if runs <= 0 {
 		return nil, fmt.Errorf("server: need at least one survey run, got %d", runs)
 	}
-	db, err := fingerprint.NewDB(cfg.Scoring, cfg.Gamma)
-	if err != nil {
-		return nil, err
-	}
 	rng := stats.NewRNG(seed).Fork("fp-survey")
+	entries := make(map[transit.StopID]cellular.Fingerprint, tdb.NumStops())
 	for _, st := range tdb.Stops() {
 		var samples []cellular.Fingerprint
 		for r := 0; r < runs; r++ {
@@ -51,9 +48,11 @@ func BuildFingerprintDB(cells *cellular.Deployment, tdb *transit.DB, runs int, c
 		if len(samples) == 0 {
 			return nil, fmt.Errorf("server: stop %d has no cellular coverage", st.ID)
 		}
-		if err := db.PutFromSamples(st.ID, samples); err != nil {
+		fp, err := fingerprint.Representative(samples, cfg.Scoring)
+		if err != nil {
 			return nil, err
 		}
+		entries[st.ID] = fp
 	}
-	return db, nil
+	return fingerprint.NewDB(cfg.Scoring, cfg.Gamma, entries)
 }

@@ -9,12 +9,9 @@ import (
 	"sync"
 	"testing"
 
-	"busprobe/internal/cellular"
-	"busprobe/internal/core/cluster"
 	"busprobe/internal/core/fingerprint"
 	"busprobe/internal/core/tripmap"
 	"busprobe/internal/geo"
-	"busprobe/internal/probe"
 	"busprobe/internal/server/stage"
 	"busprobe/internal/transit"
 )
@@ -184,7 +181,7 @@ func TestBackendWithEmptyFingerprintDB(t *testing.T) {
 	// Failure injection: a backend whose DB was never surveyed drops
 	// every sample but never crashes.
 	w := testWorld(t)
-	empty, err := fingerprint.NewDB(fingerprint.DefaultScoring(), fingerprint.DefaultGamma)
+	empty, err := fingerprint.NewDB(fingerprint.DefaultScoring(), fingerprint.DefaultGamma, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,82 +292,6 @@ func TestStatsStringableFields(t *testing.T) {
 
 var _ = clock.DayS // virtual-time helpers now live in internal/clock
 
-func TestOnlineDatabaseUpdate(t *testing.T) {
-	// Fig. 4's online path: with OnlineUpdate enabled, confidently
-	// mapped visits refresh the stop fingerprints toward the current
-	// radio environment.
-	w := testWorld(t)
-	cfg := DefaultConfig()
-	cfg.OnlineUpdate = true
-	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBackend(cfg, w.Transit, fpdb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := w.Transit.Routes()[0]
-	stop := rt.Stops[2]
-	before, _ := fpdb.Get(stop)
-
-	// Several clean trips through the stop; at least one should refresh
-	// the entry (the medoid of fresh samples usually differs from the
-	// 4-run survey pick).
-	changed := false
-	for k := 0; k < 6; k++ {
-		trip, _ := rideTrip(t, w, 0, 0, rt.NumStops()-1, fmt.Sprintf("online-%d", k))
-		if _, err := b.ProcessTrip(context.Background(), trip); err != nil {
-			t.Fatal(err)
-		}
-		after, _ := fpdb.Get(stop)
-		if !after.Equal(before) {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		t.Log("fingerprint unchanged (medoid stable); verifying matching still works")
-	}
-	// Whatever happened, the DB must still identify the stop.
-	trip, truth := rideTrip(t, w, 0, 0, rt.NumStops()-1, "online-verify")
-	res, err := b.ProcessTrip(context.Background(), trip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for i, v := range res.Visits {
-		if i < len(truth) && v.Stop == truth[i] {
-			correct++
-		}
-	}
-	if correct < len(res.Visits)*7/10 {
-		t.Errorf("accuracy degraded after online updates: %d/%d", correct, len(res.Visits))
-	}
-}
-
-func TestOnlineUpdateDisabledLeavesDBUntouched(t *testing.T) {
-	w := testWorld(t)
-	b := testBackend(t, w) // OnlineUpdate off by default
-	fpdb := b.FingerprintDB()
-	rt := w.Transit.Routes()[0]
-	var before []cellular.Fingerprint
-	for _, s := range rt.Stops {
-		fp, _ := fpdb.Get(s)
-		before = append(before, fp)
-	}
-	trip, _ := rideTrip(t, w, 0, 0, rt.NumStops()-1, "no-update")
-	if _, err := b.ProcessTrip(context.Background(), trip); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range rt.Stops {
-		fp, _ := fpdb.Get(s)
-		if !fp.Equal(before[i]) {
-			t.Fatalf("stop %d fingerprint changed with updates disabled", s)
-		}
-	}
-}
-
 func TestReconstructTrip(t *testing.T) {
 	w := testWorld(t)
 	b := testBackend(t, w)
@@ -409,67 +330,6 @@ func TestReconstructTrip(t *testing.T) {
 func distM(a, b geo.XY) float64 {
 	dx, dy := a.X-b.X, a.Y-b.Y
 	return math.Sqrt(dx*dx + dy*dy)
-}
-
-func TestOnlineUpdateGating(t *testing.T) {
-	// White-box: low-confidence visits and too-small clusters never
-	// touch the database; confident, well-sampled ones do.
-	w := testWorld(t)
-	cfg := DefaultConfig()
-	cfg.OnlineUpdate = true
-	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBackend(cfg, w.Transit, fpdb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := w.Transit.Routes()[0]
-	stop := rt.Stops[1]
-	before, _ := fpdb.Get(stop)
-
-	mk := func(times []float64) (probe.Trip, []cluster.Cluster, []tripmap.Visit) {
-		trip := probe.Trip{ID: "gate", DeviceID: "d"}
-		var elems []cluster.Element
-		for _, ts := range times {
-			trip.Samples = append(trip.Samples, probe.Sample{
-				TimeS:    ts,
-				Readings: []cellular.Reading{{Cell: 1, RSS: -60}, {Cell: 2, RSS: -70}},
-			})
-			elems = append(elems, cluster.Element{TimeS: ts, Stop: stop, Score: 5})
-		}
-		cl := []cluster.Cluster{{Elements: elems, ArriveS: times[0], DepartS: times[len(times)-1]}}
-		return trip, cl, []tripmap.Visit{{Stop: stop, ArriveS: times[0], DepartS: times[len(times)-1], Confidence: 1}}
-	}
-
-	// Too few samples: gate holds.
-	trip, cl, vs := mk([]float64{10, 12})
-	b.onlineUpdate(trip, cl, vs)
-	after, _ := fpdb.Get(stop)
-	if !after.Equal(before) {
-		t.Fatal("two-sample cluster updated the DB")
-	}
-	// Low confidence: gate holds.
-	trip, cl, vs = mk([]float64{10, 12, 14, 16})
-	vs[0].Confidence = 0.5
-	b.onlineUpdate(trip, cl, vs)
-	after, _ = fpdb.Get(stop)
-	if !after.Equal(before) {
-		t.Fatal("low-confidence visit updated the DB")
-	}
-	// Confident and well-sampled: the pool {1,2}-style samples replace
-	// the entry (they are mutually identical, so the medoid is one of
-	// them, differing from the surveyed fingerprint).
-	trip, cl, vs = mk([]float64{10, 12, 14, 16})
-	b.onlineUpdate(trip, cl, vs)
-	after, _ = fpdb.Get(stop)
-	if after.Equal(before) {
-		t.Fatal("confident cluster did not update the DB")
-	}
-	if !after.Equal(cellular.Fingerprint{1, 2}) {
-		t.Errorf("updated fingerprint = %v", after)
-	}
 }
 
 func TestRankRoutesSkippedStopsStillSupport(t *testing.T) {

@@ -97,7 +97,7 @@ func TestBuildFingerprintDBCoversAllStops(t *testing.T) {
 
 func TestBackendValidation(t *testing.T) {
 	w := testWorld(t)
-	fpdb, err := fingerprint.NewDB(fingerprint.DefaultScoring(), fingerprint.DefaultGamma)
+	fpdb, err := fingerprint.NewDB(fingerprint.DefaultScoring(), fingerprint.DefaultGamma, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,9 +113,9 @@ type Config struct {
 
 // Pipeline is the five Fig. 4 stages over one fingerprint database, one
 // transit database and one traffic estimator. Match, Cluster, Map and
-// Extract only read the databases (the fingerprint DB is internally
-// synchronized), so any number may run concurrently; Estimate writes
-// the internally synchronized estimator.
+// Extract only read the two databases, which are immutable, so any
+// number may run concurrently; Estimate writes the internally
+// synchronized estimator.
 type Pipeline struct {
 	fpdb    *fingerprint.DB
 	transit *transit.DB

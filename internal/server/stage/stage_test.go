@@ -13,7 +13,7 @@ import (
 
 func emptyFingerprintDB(t *testing.T) *fingerprint.DB {
 	t.Helper()
-	db, err := fingerprint.NewDB(fingerprint.DefaultScoring(), fingerprint.DefaultGamma)
+	db, err := fingerprint.NewDB(fingerprint.DefaultScoring(), fingerprint.DefaultGamma, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

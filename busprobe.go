@@ -38,8 +38,9 @@ type Options struct {
 	// World configures the simulated city (extent, routes, radio,
 	// ground-truth traffic).
 	World sim.WorldConfig
-	// Backend configures the matching, clustering, mapping and
-	// estimation stages.
+	// Backend holds the backend's operational settings (admission,
+	// request timeout, observability); the matching, clustering, mapping
+	// and estimation stages always run the paper's constants.
 	Backend server.Config
 	// SurveyRuns is the number of fingerprint-survey passes per stop
 	// platform used to bootstrap the stop database.
@@ -52,7 +53,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		World:      sim.DefaultWorldConfig(),
-		Backend:    server.DefaultConfig(),
 		SurveyRuns: 4,
 	}
 }

@@ -167,11 +167,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cfg := server.DefaultConfig()
-	cfg.MaxInflightBatches = *maxInflight
-	cfg.RequestTimeoutS = *reqTimeoutS
-	cfg.Obs = core
-	fpdb, err := loadOrSurvey(world, cfg, *surveyRuns, *seed, *fpdbPath)
+	cfg := server.Config{MaxInflightBatches: *maxInflight, RequestTimeoutS: *reqTimeoutS, Obs: core}
+	fpdb, err := loadOrSurvey(world, *surveyRuns, *seed, *fpdbPath)
 	if err != nil {
 		return err
 	}
@@ -348,7 +345,7 @@ func reportRecovery(path string, recs []*server.StoreRecovery) error {
 // stops and persists the result when a path is given. Only a missing
 // file means "survey": a file that exists but does not load is the
 // operator's, so boot fails naming it and leaves it as it is.
-func loadOrSurvey(world *sim.World, cfg server.Config, surveyRuns int, seed uint64, path string) (*fingerprint.DB, error) {
+func loadOrSurvey(world *sim.World, surveyRuns int, seed uint64, path string) (*fingerprint.DB, error) {
 	if path != "" {
 		db, err := fingerprint.LoadFile(path)
 		if err == nil {
@@ -360,7 +357,7 @@ func loadOrSurvey(world *sim.World, cfg server.Config, surveyRuns int, seed uint
 		}
 		fmt.Printf("no DB at %s; surveying\n", path)
 	}
-	db, err := server.BuildFingerprintDB(world.Cells, world.Transit, surveyRuns, cfg, server.SurveySeed(seed))
+	db, err := server.BuildFingerprintDB(world.Cells, world.Transit, surveyRuns, seed)
 	if err != nil {
 		return nil, err
 	}

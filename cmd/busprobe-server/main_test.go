@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"busprobe/internal/core/fingerprint"
-	"busprobe/internal/server"
 	"busprobe/internal/sim"
 )
 
@@ -138,7 +137,6 @@ func TestLoadOrSurvey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := server.DefaultConfig()
 	dbBytes := func(db *fingerprint.DB) []byte {
 		t.Helper()
 		var buf bytes.Buffer
@@ -151,7 +149,7 @@ func TestLoadOrSurvey(t *testing.T) {
 
 	// Missing → surveyed and written.
 	path := filepath.Join(dir, "stops.fpdb")
-	surveyed, err := loadOrSurvey(world, cfg, 1, 1, path)
+	surveyed, err := loadOrSurvey(world, 1, 1, path)
 	if err != nil {
 		t.Fatalf("missing file: %v", err)
 	}
@@ -164,7 +162,7 @@ func TestLoadOrSurvey(t *testing.T) {
 	}
 
 	// Written then reloaded → identical WriteTo bytes.
-	reloaded, err := loadOrSurvey(world, cfg, 1, 1, path)
+	reloaded, err := loadOrSurvey(world, 1, 1, path)
 	if err != nil {
 		t.Fatalf("reload: %v", err)
 	}
@@ -178,7 +176,7 @@ func TestLoadOrSurvey(t *testing.T) {
 	if err := os.WriteFile(garbage, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadOrSurvey(world, cfg, 1, 1, garbage); err == nil || !strings.Contains(err.Error(), garbage) {
+	if _, err := loadOrSurvey(world, 1, 1, garbage); err == nil || !strings.Contains(err.Error(), garbage) {
 		t.Errorf("garbage file: err %v, want an error naming %s", err, garbage)
 	}
 	if got, err := os.ReadFile(garbage); err != nil || !bytes.Equal(got, body) {

@@ -83,12 +83,11 @@ func run(days, participants int, tripsPerDay float64, seed uint64, serverURL str
 	var uploader phone.Uploader
 	var backend server.API
 	if serverURL == "" {
-		cfg := server.DefaultConfig()
-		fpdb, err := server.BuildFingerprintDB(world.Cells, world.Transit, 4, cfg, server.SurveySeed(seed))
+		fpdb, err := server.BuildFingerprintDB(world.Cells, world.Transit, 4, seed)
 		if err != nil {
 			return err
 		}
-		coord, err := server.NewCoordinator(cfg, world.Transit, fpdb, shards)
+		coord, err := server.NewCoordinator(server.Config{}, world.Transit, fpdb, shards)
 		if err != nil {
 			return err
 		}

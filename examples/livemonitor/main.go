@@ -29,12 +29,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := server.DefaultConfig()
-	fpdb, err := server.BuildFingerprintDB(world.Cells, world.Transit, 4, cfg, server.SurveySeed(worldCfg.Seed))
+	fpdb, err := server.BuildFingerprintDB(world.Cells, world.Transit, 4, worldCfg.Seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	backend, err := server.NewBackend(cfg, world.Transit, fpdb)
+	backend, err := server.NewBackend(server.Config{}, world.Transit, fpdb)
 	if err != nil {
 		log.Fatal(err)
 	}

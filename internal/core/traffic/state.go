@@ -13,9 +13,12 @@ import (
 // segment's belief and retained window reports, and the published
 // snapshot's version bookkeeping (so watch clients see a monotone
 // version across the restart). Configuration — the transit model, the
-// update period, the drift rate — is deliberately NOT state: it comes
-// from the deployment, and importing state into a differently
-// configured estimator is the operator's decision.
+// update period, the drift rate — is not state: the server always runs
+// the paper's constants (DefaultModel, DefaultPeriodS,
+// DefaultDriftVarPerS), so a served snapshot always imports into an
+// estimator configured like the one that wrote it. Importing into a
+// differently configured estimator is possible only in offline code
+// that builds one by hand.
 //
 // All slices are sorted (segments by ID, windows by index, speeds
 // ascending as the estimator keeps them), so exporting twice from the

@@ -67,7 +67,7 @@ func AblationMismatchPenalty(l *Lab, samplesPerStop int, seed uint64) (Report, e
 			}
 			entries[st.ID] = fp
 		}
-		db, err := fingerprint.NewDB(sc, l.Cfg.Gamma, entries)
+		db, err := fingerprint.NewDB(sc, fingerprint.DefaultGamma, entries)
 		if err != nil {
 			return Report{}, err
 		}

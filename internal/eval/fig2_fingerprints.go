@@ -51,7 +51,7 @@ func Fig2bSelfSimilarity(l *Lab, routes []transit.RouteID, runs int, seed uint64
 	if err != nil {
 		return Report{}, err
 	}
-	sc := l.Cfg.Scoring
+	sc := fingerprint.DefaultScoring()
 	overall := &stats.ECDF{}
 	perRoute := make(map[transit.RouteID]*stats.ECDF)
 	for _, rid := range routes {
@@ -110,7 +110,7 @@ func Fig2cCrossSimilarity(l *Lab, routes []transit.RouteID, runs int, seed uint6
 	if err != nil {
 		return Report{}, err
 	}
-	sc := l.Cfg.Scoring
+	sc := fingerprint.DefaultScoring()
 	tdb := l.World.Transit
 
 	// Representative fingerprint per platform: first run.

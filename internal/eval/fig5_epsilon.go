@@ -45,7 +45,7 @@ func Fig5EpsilonSweep(l *Lab, routeID transit.RouteID, rides int, seed uint64) (
 		return Report{}, fmt.Errorf("eval: no usable rides")
 	}
 
-	params := l.Cfg.Cluster
+	params := cluster.DefaultParams()
 	tbl := newTable("epsilon", "accuracy")
 	metrics := make(map[string]float64)
 	var bestEps, bestAcc float64

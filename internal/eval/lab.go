@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 
+	"busprobe/internal/core/traffic"
 	harness "busprobe/internal/lab"
 	"busprobe/internal/phone"
 	"busprobe/internal/sim"
@@ -46,7 +47,7 @@ func SmallLab() (*Lab, error) {
 // ~IdleTimeout old on arrival; allow two refresh periods of genuine
 // staleness on top of that unavoidable delivery lag.
 func (l *Lab) freshHorizonS() float64 {
-	return 2*l.Cfg.PeriodS + phone.DefaultIdleTimeoutS
+	return 2*traffic.DefaultPeriodS + phone.DefaultIdleTimeoutS
 }
 
 // routeOrDie fetches a route that must exist in the lab's plan.

@@ -61,7 +61,7 @@ func TableIIStopIdentification(l *Lab, runs int, seed uint64) (Report, error) {
 			if len(elems) == 0 {
 				continue
 			}
-			clusters, err := cluster.Sequence(elems, l.Cfg.Cluster)
+			clusters, err := cluster.Sequence(elems, cluster.DefaultParams())
 			if err != nil {
 				return Report{}, err
 			}

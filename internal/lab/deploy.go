@@ -40,18 +40,17 @@ type Deployment struct {
 
 // NewDeployment assembles a deployment over a world configuration,
 // surveying the fingerprint database with surveyRuns passes per stop
-// under server.SurveySeed, like busprobe-server at boot.
+// from the world's seed, like busprobe-server at boot.
 func NewDeployment(worldCfg sim.WorldConfig, surveyRuns int) (*Deployment, error) {
 	w, err := sim.BuildWorld(worldCfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg := server.DefaultConfig()
-	fpdb, err := server.BuildFingerprintDB(w.Cells, w.Transit, surveyRuns, cfg, server.SurveySeed(worldCfg.Seed))
+	fpdb, err := server.BuildFingerprintDB(w.Cells, w.Transit, surveyRuns, worldCfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return &Deployment{World: w, Cfg: cfg, FPDB: fpdb}, nil
+	return &Deployment{World: w, Cfg: server.Config{}, FPDB: fpdb}, nil
 }
 
 // NewBackend creates a fresh monolithic backend over the deployment's

@@ -9,6 +9,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -19,7 +20,6 @@ import (
 	"time"
 
 	"busprobe/internal/clock"
-	"busprobe/internal/core/cluster"
 	"busprobe/internal/core/fingerprint"
 	"busprobe/internal/core/traffic"
 	"busprobe/internal/core/tripmap"
@@ -44,24 +44,14 @@ var (
 	ErrOverloaded = fmt.Errorf("server: %w", probe.ErrOverloaded)
 )
 
-// Config bundles the backend's tunables, defaulting to the paper's
-// deployed values.
+// Config is what a deployment sets; the zero value is the default. The
+// algorithm runs the paper's constants (fingerprint.DefaultScoring and
+// DefaultGamma, cluster.DefaultParams, traffic.DefaultModel,
+// DefaultPeriodS and DefaultDriftVarPerS, the stage package's speed
+// bounds), so every process serving a city computes the same map from
+// the same trips and a snapshot always imports into an estimator
+// configured like the one that wrote it.
 type Config struct {
-	// Scoring are the Smith–Waterman weights.
-	Scoring fingerprint.Scoring
-	// Gamma is the per-sample acceptance threshold.
-	Gamma float64
-	// Cluster are the Eq. 1 co-clustering constants.
-	Cluster cluster.Params
-	// Model is the Eq. 3 transit traffic model.
-	Model traffic.Model
-	// PeriodS is the traffic-map refresh period (T = 5 min).
-	PeriodS float64
-	// DriftVarPerS is the estimator's process-noise rate.
-	DriftVarPerS float64
-	// MinSpeedKmh / MaxSpeedKmh bound plausible leg observations;
-	// out-of-range travel times are discarded as noise.
-	MinSpeedKmh, MaxSpeedKmh float64
 	// MaxInflightBatches bounds concurrently admitted batch ingests;
 	// beyond it the admission gate sheds the batch (HTTP 429 with
 	// Retry-After). 0 disables shedding.
@@ -78,20 +68,6 @@ type Config struct {
 	// StageHook, when non-nil, observes every pipeline stage run
 	// (counters + duration). It must be safe for concurrent use.
 	StageHook stage.Hook
-}
-
-// DefaultConfig returns the paper's settings.
-func DefaultConfig() Config {
-	return Config{
-		Scoring:      fingerprint.DefaultScoring(),
-		Gamma:        fingerprint.DefaultGamma,
-		Cluster:      cluster.DefaultParams(),
-		Model:        traffic.DefaultModel(),
-		PeriodS:      traffic.DefaultPeriodS,
-		DriftVarPerS: traffic.DefaultDriftVarPerS,
-		MinSpeedKmh:  2,
-		MaxSpeedKmh:  90,
-	}
 }
 
 // Stats counts the backend's work.
@@ -235,19 +211,13 @@ func newBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shardIdx int)
 	if tdb == nil || fpdb == nil {
 		return nil, fmt.Errorf("server: nil transit or fingerprint DB")
 	}
-	if err := cfg.Cluster.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.MinSpeedKmh <= 0 || cfg.MaxSpeedKmh <= cfg.MinSpeedKmh {
-		return nil, fmt.Errorf("server: bad speed bounds [%v, %v]", cfg.MinSpeedKmh, cfg.MaxSpeedKmh)
-	}
 	if cfg.MaxInflightBatches < 0 {
 		return nil, fmt.Errorf("server: negative max inflight batches %d", cfg.MaxInflightBatches)
 	}
 	if cfg.RequestTimeoutS < 0 {
 		return nil, fmt.Errorf("server: negative request timeout %v", cfg.RequestTimeoutS)
 	}
-	est, err := traffic.NewEstimator(cfg.Model, cfg.PeriodS, cfg.DriftVarPerS)
+	est, err := traffic.NewEstimator(traffic.DefaultModel(), traffic.DefaultPeriodS, traffic.DefaultDriftVarPerS)
 	if err != nil {
 		return nil, err
 	}
@@ -275,13 +245,7 @@ func newBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shardIdx int)
 	if cfg.Obs != nil {
 		hook, clk = b.registerObs(strconv.Itoa(shardIdx)), cfg.Obs.Clock
 	}
-	b.pipe = stage.New(fpdb, tdb, est, stage.Config{
-		Cluster:     cfg.Cluster,
-		MinSpeedKmh: cfg.MinSpeedKmh,
-		MaxSpeedKmh: cfg.MaxSpeedKmh,
-		Hook:        hook,
-		Clock:       clk,
-	})
+	b.pipe = stage.New(fpdb, tdb, est, stage.Config{Hook: hook, Clock: clk})
 	return b, nil
 }
 
@@ -437,10 +401,7 @@ func (b *Backend) admit(ctx context.Context, trip probe.Trip) error {
 		return err
 	}
 	if err := trip.Validate(); err != nil {
-		b.statsMu.Lock()
-		b.stats.TripsReceived++
-		b.stats.TripsRejected++
-		b.statsMu.Unlock()
+		b.countRejected()
 		return fmt.Errorf("%w: %v", ErrInvalidTrip, err)
 	}
 	b.dedupMu.Lock()
@@ -471,10 +432,21 @@ func (b *Backend) admit(ctx context.Context, trip probe.Trip) error {
 			b.dedupMu.Lock()
 			delete(b.seen, trip.ID)
 			b.dedupMu.Unlock()
+			if errors.Is(err, ErrInvalidTrip) {
+				b.countRejected()
+			}
 			return err
 		}
 	}
 	return nil
+}
+
+// countRejected counts one upload refused as invalid.
+func (b *Backend) countRejected() {
+	b.statsMu.Lock()
+	b.stats.TripsReceived++
+	b.stats.TripsRejected++
+	b.statsMu.Unlock()
 }
 
 // tripWork carries one trip through the ingest kernel's phases: its

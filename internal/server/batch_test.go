@@ -44,14 +44,13 @@ func TestKernelEquivalence(t *testing.T) {
 		traffic  []byte
 		spans    [][]string
 	}
-	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, DefaultConfig(), 7)
+	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, testWorldSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(ingest func(*Backend) []TripResult) outcome {
 		t.Helper()
-		cfg := DefaultConfig()
-		cfg.Obs = fakeObsCore()
+		cfg := Config{Obs: fakeObsCore()}
 		b, err := NewBackend(cfg, w.Transit, fpdb)
 		if err != nil {
 			t.Fatal(err)

@@ -154,9 +154,8 @@ func TestBatchSheddingUnderLoad(t *testing.T) {
 	// 429 + Retry-After, counts the shed trips, and surfaces them in
 	// the admission pseudo-stage; releasing the slot lets the retry in.
 	w := testWorld(t)
-	cfg := DefaultConfig()
-	cfg.MaxInflightBatches = 1
-	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, cfg, 7)
+	cfg := Config{MaxInflightBatches: 1}
+	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, testWorldSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,9 +210,8 @@ func TestBatchSheddingConcurrent(t *testing.T) {
 	// posts against capacity 1 must neither panic nor lose accounting —
 	// every batch either ingests fully or is shed fully.
 	w := testWorld(t)
-	cfg := DefaultConfig()
-	cfg.MaxInflightBatches = 1
-	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, cfg, 7)
+	cfg := Config{MaxInflightBatches: 1}
+	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, testWorldSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,14 +318,13 @@ func TestRequestTimeoutHandler(t *testing.T) {
 	// With RequestTimeoutS set, a handler stuck past the budget answers
 	// 503 instead of pinning the connection.
 	w := testWorld(t)
-	cfg := DefaultConfig()
-	cfg.RequestTimeoutS = 0.05
+	cfg := Config{RequestTimeoutS: 0.05}
 	cfg.StageHook = func(_ context.Context, stage string, in, out, dropped int, d time.Duration) {
 		if stage == "match" {
 			time.Sleep(300 * time.Millisecond)
 		}
 	}
-	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, cfg, 7)
+	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, testWorldSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

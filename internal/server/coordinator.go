@@ -4,14 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"busprobe/internal/obs"
 
 	"busprobe/internal/core/fingerprint"
-	"busprobe/internal/core/region"
 	"busprobe/internal/core/traffic"
 	"busprobe/internal/phone"
 	"busprobe/internal/probe"
@@ -65,43 +64,21 @@ type Coordinator struct {
 	healthMu sync.Mutex
 	health   []shardHealth //lint:guardedby healthMu
 
-	// merged caches the fan-in traffic merge keyed by the shard version
-	// vector that built it: a read whose fetched vector matches serves
-	// the cached snapshot untouched, and only a moved shard version (or
-	// a health transition) triggers a re-merge. mergeMu serializes the
-	// re-merge itself — readers that lose the TryLock race serve the
-	// current cache instead of queueing, so reads never pile up behind
-	// one another.
+	// merged caches the fan-in traffic merge keyed by the shard
+	// snapshots it was built from (nil for a shard that did not answer):
+	// a read whose fetched parts are the cached ones serves the cached
+	// snapshot untouched. Every read fetches and compares under mergeMu,
+	// so no read serves a merge older than parts it fetched, and no merge
+	// of older parts lands over a newer one.
 	mergeMu sync.Mutex
-	merged  atomic.Pointer[mergedTraffic]
+	merged  mergedTraffic //lint:guardedby mergeMu
 }
 
 // mergedTraffic is one cached fan-in merge: the coordinator-versioned
-// snapshot plus the shard version vector it was built from.
+// snapshot plus the shard snapshots it was built from.
 type mergedTraffic struct {
-	snap *traffic.Snapshot
-	vec  []shardVersion
-}
-
-// shardVersion is one entry of the merge's version vector: whether the
-// shard answered, and at which published version.
-type shardVersion struct {
-	ok      bool
-	version uint64
-}
-
-// vecEqual reports whether two version vectors describe the same shard
-// states.
-func vecEqual(a, b []shardVersion) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	snap  *traffic.Snapshot
+	parts []*traffic.Snapshot
 }
 
 // shardHealth is the coordinator's view of one shard's liveness.
@@ -172,11 +149,11 @@ func newCoordinator(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shards in
 	if shards < 1 {
 		return nil, fmt.Errorf("server: coordinator needs at least one shard")
 	}
-	part, err := transit.PartitionRoutes(tdb, shards, region.DefaultConfig().ZoneM)
+	part, err := transit.PartitionRoutes(tdb, shards)
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{cfg: cfg, tdb: tdb, fpdb: fpdb, part: part}
+	c := &Coordinator{cfg: cfg, tdb: tdb, fpdb: fpdb, part: part, merged: mergedTraffic{snap: traffic.EmptySnapshot()}}
 	c.health = make([]shardHealth, shards)
 	for i := range c.health {
 		c.health[i] = shardHealth{healthy: true, lastProbe: "unprobed"}
@@ -378,58 +355,42 @@ func (c *Coordinator) StageMetrics() []stage.Metrics {
 // merge order cannot matter; an unreachable shard's segments drop out of
 // the merged view until it returns (degraded-but-alive reads). The
 // fan-out itself is cheap — a pointer load per in-process shard, a
-// conditional GET (usually 304) per remote one — and the merge only
-// re-runs when the fetched shard version vector differs from the cached
-// one, so the derived reads and watch pollers reuse one merge instead
-// of re-merging per read. The coordinator keeps its own version sequence
-// over the merged map (shard versions are local sequences and cannot be
-// combined into one), maintained by traffic.NextSnapshot so deltas
-// account for segments a dead shard dropped out of the view.
+// conditional GET (usually 304, answered with the shard's cached
+// snapshot) per remote one — and the merge only re-runs when a fetched
+// part differs from the cached ones, so the derived reads and watch
+// pollers reuse one merge instead of re-merging per read. Fetch, compare
+// and merge all hold mergeMu: a read that queues behind a merge still
+// fetches after it, so it sees the reader's own acknowledged writes, and
+// the cache only ever moves forward. The coordinator keeps its own
+// version sequence over the merged map (shard versions are local
+// sequences and cannot be combined into one), maintained by
+// traffic.NextSnapshot so deltas account for segments a dead shard
+// dropped out of the view.
 func (c *Coordinator) TrafficSnapshot() *traffic.Snapshot {
 	parts := make([]*traffic.Snapshot, len(c.shards))
-	vec := make([]shardVersion, len(c.shards))
+	errs := make([]error, len(c.shards))
+	c.mergeMu.Lock()
 	for i, sh := range c.shards {
-		snap, err := sh.Traffic(context.Background()) //lint:allow ctxpropagate reads stay ctx-free: shard read RPCs carry their own transport timeout
+		parts[i], errs[i] = sh.Traffic(context.Background()) //lint:allow ctxpropagate reads stay ctx-free: shard read RPCs carry their own transport timeout
+	}
+	if !slices.Equal(c.merged.parts, parts) {
+		m := make(map[road.SegmentID]traffic.Estimate)
+		for _, p := range parts {
+			if p == nil {
+				continue
+			}
+			for sid, est := range p.Estimates {
+				m[sid] = est
+			}
+		}
+		c.merged = mergedTraffic{snap: traffic.NextSnapshot(c.merged.snap, m), parts: parts}
+	}
+	snap := c.merged.snap
+	c.mergeMu.Unlock()
+	for i, err := range errs {
 		c.noteShard(i, err)
-		if err != nil {
-			continue
-		}
-		parts[i] = snap
-		vec[i] = shardVersion{ok: true, version: snap.Version}
 	}
-	cached := c.merged.Load()
-	if cached != nil && vecEqual(cached.vec, vec) {
-		return cached.snap
-	}
-	if cached != nil {
-		if !c.mergeMu.TryLock() {
-			// Another reader is already re-merging this state change;
-			// serve the current map instead of queueing behind it.
-			return cached.snap
-		}
-	} else {
-		c.mergeMu.Lock()
-	}
-	defer c.mergeMu.Unlock()
-	if cached = c.merged.Load(); cached != nil && vecEqual(cached.vec, vec) {
-		return cached.snap
-	}
-	m := make(map[road.SegmentID]traffic.Estimate)
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		for sid, est := range p.Estimates {
-			m[sid] = est
-		}
-	}
-	prev := traffic.EmptySnapshot()
-	if cached != nil {
-		prev = cached.snap
-	}
-	next := traffic.NextSnapshot(prev, m)
-	c.merged.Store(&mergedTraffic{snap: next, vec: vec})
-	return next
+	return snap
 }
 
 // Advance drives every shard's estimator clock, keeping the shard

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"busprobe/internal/clock"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -11,8 +10,11 @@ import (
 	"net/url"
 	"strconv"
 	"testing"
+	"time"
 
+	"busprobe/internal/clock"
 	"busprobe/internal/core/fingerprint"
+	"busprobe/internal/core/traffic"
 	"busprobe/internal/faults"
 	"busprobe/internal/probe"
 	"busprobe/internal/road"
@@ -29,7 +31,7 @@ func twinWorld(t *testing.T) (*sim.World, *fingerprint.DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, DefaultConfig(), 7)
+	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, testWorldSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func checkDerivedReads(t *testing.T, w *sim.World, part *transit.Partition, name
 
 func newTwinCoordinator(t *testing.T, w *sim.World, fpdb *fingerprint.DB, shards int) *Coordinator {
 	t.Helper()
-	c, err := NewCoordinator(DefaultConfig(), w.Transit, fpdb, shards)
+	c, err := NewCoordinator(Config{}, w.Transit, fpdb, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestShardEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			trips := twinCorpus(t, w, tc.fcfg)
 
-			mono, err := NewBackend(DefaultConfig(), w.Transit, fpdb)
+			mono, err := NewBackend(Config{}, w.Transit, fpdb)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,8 +260,7 @@ func TestPerShardShedding(t *testing.T) {
 	// ingesting, and the aggregate counters must reflect the shed
 	// without double counting.
 	w, fpdb := twinWorld(t)
-	cfg := DefaultConfig()
-	cfg.MaxInflightBatches = 1
+	cfg := Config{MaxInflightBatches: 1}
 	coord, err := NewCoordinator(cfg, w.Transit, fpdb, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -362,5 +363,46 @@ func TestPerShardShedding(t *testing.T) {
 	res = coord.IngestBatch(context.Background(), []probe.Trip{byShard[0][3]})
 	if res[0].Err != nil {
 		t.Errorf("post-release ingest failed: %v", res[0].Err)
+	}
+}
+
+// TestCoordinatorReadYourWritesDuringMerge: a read that arrives while
+// another merge holds the lock waits for it and then merges what it
+// fetched, so it serves every acknowledged write instead of the cache
+// the in-flight merge is about to replace.
+func TestCoordinatorReadYourWritesDuringMerge(t *testing.T) {
+	w, fpdb := twinWorld(t)
+	c := newTwinCoordinator(t, w, fpdb, 2)
+	if snap := c.TrafficSnapshot(); len(snap.Estimates) != 0 {
+		t.Fatalf("fresh coordinator serves %d estimates", len(snap.Estimates))
+	}
+
+	c.mergeMu.Lock() // an in-flight merge
+	replayInto(t, c, twinCorpus(t, w, faults.Config{}))
+	c.Advance(12 * 3600)
+	done := make(chan *traffic.Snapshot, 1)
+	go func() { done <- c.TrafficSnapshot() }()
+	// Queuing on a mutex is not observable, so give the reader time to
+	// reach the lock: a reader that does not wait for the in-flight
+	// merge has answered by now, with the stale cache.
+	time.Sleep(100 * time.Millisecond)
+	c.mergeMu.Unlock()
+	got := <-done
+
+	acked := 0
+	for i, sh := range c.shards {
+		part, err := sh.Traffic(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sid := range part.Estimates {
+			acked++
+			if _, ok := got.Estimates[sid]; !ok {
+				t.Fatalf("read served without shard %d's segment %v", i, sid)
+			}
+		}
+	}
+	if acked == 0 {
+		t.Fatal("the corpus folded nothing; the test exercises no write")
 	}
 }

@@ -9,26 +9,27 @@ import (
 	"busprobe/internal/transit"
 )
 
-// SurveySeed derives the fingerprint-survey seed from a world seed.
-// Every process that surveys the same city — server, simulator, lab,
-// benchmark — must derive it here: a different seed is a different
-// fingerprint database, which silently breaks every byte-identity check.
-func SurveySeed(worldSeed uint64) uint64 { return worldSeed ^ 0xf9 }
+// surveySeed derives the fingerprint-survey seed from a world seed.
+// BuildFingerprintDB is its one caller, so every process that surveys
+// the same city derives the same fingerprint database.
+func surveySeed(worldSeed uint64) uint64 { return worldSeed ^ 0xf9 }
 
 // BuildFingerprintDB performs the paper's war-free site survey (§IV-A):
 // for every logical stop it collects `runs` cellular samples at each
 // platform under varied conditions (standing and on a bus, different
 // weather) and stores the sample most similar to the rest as the stop's
 // fingerprint. Opposite-side platforms contribute to the same logical
-// stop, implementing the §III-A aggregation.
-func BuildFingerprintDB(cells *cellular.Deployment, tdb *transit.DB, runs int, cfg Config, seed uint64) (*fingerprint.DB, error) {
+// stop, implementing the §III-A aggregation. The survey's randomness
+// derives from the world's seed, and the DB scores with the paper's
+// Smith–Waterman weights and γ.
+func BuildFingerprintDB(cells *cellular.Deployment, tdb *transit.DB, runs int, worldSeed uint64) (*fingerprint.DB, error) {
 	if cells == nil || tdb == nil {
 		return nil, fmt.Errorf("server: nil deployment or transit DB")
 	}
 	if runs <= 0 {
 		return nil, fmt.Errorf("server: need at least one survey run, got %d", runs)
 	}
-	rng := stats.NewRNG(seed).Fork("fp-survey")
+	rng := stats.NewRNG(surveySeed(worldSeed)).Fork("fp-survey")
 	entries := make(map[transit.StopID]cellular.Fingerprint, tdb.NumStops())
 	for _, st := range tdb.Stops() {
 		var samples []cellular.Fingerprint
@@ -48,11 +49,11 @@ func BuildFingerprintDB(cells *cellular.Deployment, tdb *transit.DB, runs int, c
 		if len(samples) == 0 {
 			return nil, fmt.Errorf("server: stop %d has no cellular coverage", st.ID)
 		}
-		fp, err := fingerprint.Representative(samples, cfg.Scoring)
+		fp, err := fingerprint.Representative(samples, fingerprint.DefaultScoring())
 		if err != nil {
 			return nil, err
 		}
 		entries[st.ID] = fp
 	}
-	return fingerprint.NewDB(cfg.Scoring, cfg.Gamma, entries)
+	return fingerprint.NewDB(fingerprint.DefaultScoring(), fingerprint.DefaultGamma, entries)
 }

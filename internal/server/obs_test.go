@@ -31,11 +31,11 @@ func TestTrafficByteIdenticalWithObs(t *testing.T) {
 	w, fpdb := twinWorld(t)
 	trips := twinCorpus(t, w, faults.Config{})
 
-	bare, err := NewBackend(DefaultConfig(), w.Transit, fpdb)
+	bare, err := NewBackend(Config{}, w.Transit, fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obsCfg := DefaultConfig()
+	obsCfg := Config{}
 	obsCfg.Obs = fakeObsCore()
 	instrumented, err := NewBackend(obsCfg, w.Transit, fpdb)
 	if err != nil {
@@ -43,7 +43,7 @@ func TestTrafficByteIdenticalWithObs(t *testing.T) {
 	}
 
 	fourBare := newTwinCoordinator(t, w, fpdb, 4)
-	fourObsCfg := DefaultConfig()
+	fourObsCfg := Config{}
 	fourObsCfg.Obs = fakeObsCore()
 	fourObs, err := NewCoordinator(fourObsCfg, w.Transit, fpdb, 4)
 	if err != nil {
@@ -124,13 +124,12 @@ func TestTripTraceReconstruction(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, DefaultConfig(), 7)
+			fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, testWorldSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := DefaultConfig()
 			core := fakeObsCore()
-			cfg.Obs = core
+			cfg := Config{Obs: core}
 			b, err := NewBackend(cfg, w.Transit, fpdb)
 			if err != nil {
 				t.Fatal(err)
@@ -191,13 +190,12 @@ func TestObsDeterministic(t *testing.T) {
 		Start, End  time.Time
 	}
 	run := func() ([]timeline, string) {
-		fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, DefaultConfig(), 7)
+		fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, testWorldSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := DefaultConfig()
 		core := fakeObsCore()
-		cfg.Obs = core
+		cfg := Config{Obs: core}
 		b, err := NewBackend(cfg, w.Transit, fpdb)
 		if err != nil {
 			t.Fatal(err)
@@ -247,13 +245,12 @@ func TestObsDeterministic(t *testing.T) {
 // trace ID instead of the trip-derived one.
 func TestHTTPTraceHeaderJoinsSpans(t *testing.T) {
 	w := testWorld(t)
-	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, DefaultConfig(), 7)
+	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, testWorldSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
 	core := fakeObsCore()
-	cfg.Obs = core
+	cfg := Config{Obs: core}
 	b, err := NewBackend(cfg, w.Transit, fpdb)
 	if err != nil {
 		t.Fatal(err)
@@ -287,13 +284,12 @@ func TestHTTPTraceHeaderJoinsSpans(t *testing.T) {
 // backend are byte-stable under the fake clock.
 func TestMetricsEndpointExposition(t *testing.T) {
 	w := testWorld(t)
-	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, DefaultConfig(), 7)
+	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, testWorldSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
 	core := fakeObsCore()
-	cfg.Obs = core
+	cfg := Config{Obs: core}
 	b, err := NewBackend(cfg, w.Transit, fpdb)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +359,7 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	}
 	srv := httptest.NewServer(NewShardHandler(b, HandlerConfig{Obs: core}))
 	defer srv.Close()
-	coord, err := NewRemoteCoordinator(DefaultConfig(), w.Transit, fpdb, []string{srv.URL})
+	coord, err := NewRemoteCoordinator(Config{}, w.Transit, fpdb, []string{srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,11 @@ import (
 )
 
 // TripLog is the backend's durable trip sink: admit() appends every
-// accepted upload before processing it. *StoreLog is the one serving
-// implementation; the interface remains so a test can substitute a
-// failing log and the benchmark ledger a timing one.
+// accepted upload before processing it; an error wrapping
+// ErrInvalidTrip refuses the trip for good, any other is transient.
+// *StoreLog is the one serving implementation; the interface remains so
+// a test can substitute a failing log and the benchmark ledger a timing
+// one.
 type TripLog interface {
 	Append(ctx context.Context, trip probe.Trip) error
 }
@@ -211,7 +213,13 @@ func (l *StoreLog) Append(ctx context.Context, trip probe.Trip) error {
 	if err != nil {
 		return fmt.Errorf("server: encode trip record: %w", err)
 	}
-	return l.s.Append(ctx, line)
+	err = l.s.Append(ctx, line)
+	if errors.Is(err, store.ErrRecordTooLarge) {
+		// The record can never fit, so the trip is refused like a
+		// malformed one rather than retried.
+		return fmt.Errorf("%w: %v", ErrInvalidTrip, err)
+	}
+	return err
 }
 
 // AppendScatter persists one received cross-shard observation group

@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/bits"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +21,7 @@ import (
 	"busprobe/internal/core/fingerprint"
 	"busprobe/internal/core/traffic"
 	"busprobe/internal/faults"
+	"busprobe/internal/phone"
 	"busprobe/internal/probe"
 	"busprobe/internal/road"
 	"busprobe/internal/server/stage"
@@ -50,7 +55,7 @@ func newTwinFixture(t *testing.T) *twinFixture {
 // from dir, returning the backend and its recovery.
 func recoverFresh(t *testing.T, fx *twinFixture, dir string, legacy string) (*Backend, *StoreRecovery) {
 	t.Helper()
-	b, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	b, err := NewBackend(Config{}, fx.world.Transit, fx.fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +79,7 @@ func TestStoreRestartByteIdentical(t *testing.T) {
 	cut := len(trips) / 2
 
 	// Reference: uninterrupted, no persistence.
-	ref, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	ref, err := NewBackend(Config{}, fx.world.Transit, fx.fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +135,7 @@ func TestStoreFullReplayWithoutSnapshot(t *testing.T) {
 	fx := newTwinFixture(t)
 	trips := twinCorpus(t, fx.world, faults.Config{})
 
-	ref, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	ref, err := NewBackend(Config{}, fx.world.Transit, fx.fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +169,7 @@ func TestStoreSnapshotSchemaFallback(t *testing.T) {
 	fx := newTwinFixture(t)
 	trips := twinCorpus(t, fx.world, faults.Config{})
 
-	ref, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	ref, err := NewBackend(Config{}, fx.world.Transit, fx.fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +357,8 @@ const (
 
 // writeDamagedSegment writes dir's log through the store's own writer:
 // one {"kind":"trip",…} record per trip, as StoreLog.Append would, the
-// first half in an older segment and the rest in the newest one.
+// first half in an older segment and the rest in the newest one (the
+// oversized line, which the writer refuses, is spliced in afterwards).
 // Damage lands after the first record of the target segment (the newest
 // unless inOlderSegment), the bit flip on that segment's last record
 // and the torn line at the end of the newest. The unkinded line carries
@@ -366,7 +372,6 @@ func writeDamagedSegment(t *testing.T, dir string, trips []probe.Trip, dmg logDa
 	}
 	opts := storeTestOpts(dir)
 	opts.SegmentBytes = 1 << 30
-	opts.MaxRecordBytes = 2 * store.DefaultMaxRecordBytes // lets the oversized line through
 	s, err := store.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -381,7 +386,7 @@ func writeDamagedSegment(t *testing.T, dir string, trips []probe.Trip, dmg logDa
 	if dmg&inOlderSegment != 0 {
 		first, flipped = 0, half-1
 	}
-	var flippedLine []byte
+	var firstLine, flippedLine []byte
 	for i := range trips {
 		if i == half {
 			if _, err := s.Seal(); err != nil {
@@ -399,11 +404,9 @@ func writeDamagedSegment(t *testing.T, dir string, trips []probe.Trip, dmg logDa
 		if i != first {
 			continue
 		}
+		firstLine = line
 		if dmg&corruptMiddleLine != 0 {
 			appendLine([]byte(`{"kind":"trip","trip":{"id":"garbled","sam`))
-		}
-		if dmg&oversizedLine != 0 {
-			appendLine(bytes.Repeat([]byte{'x'}, store.DefaultMaxRecordBytes+16))
 		}
 		if dmg&duplicateID != 0 {
 			appendLine(line)
@@ -426,12 +429,22 @@ func writeDamagedSegment(t *testing.T, dir string, trips []probe.Trip, dmg logDa
 		t.Fatalf("want two segments, got %v (err %v)", segs, err)
 	}
 	older, newest := segs[0], segs[1]
+	damaged := newest
+	if dmg&inOlderSegment != 0 {
+		damaged = older
+	}
+	if dmg&oversizedLine != 0 {
+		// The store refuses a line this long, so it is written directly,
+		// framed with a valid checksum, right after the first record.
+		payload := bytes.Repeat([]byte{'x'}, store.MaxRecordBytes+16)
+		oversized := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload)
+		editFile(t, damaged, func(b []byte) []byte {
+			at := bytes.Index(b, firstLine) + len(firstLine) + 1
+			return slices.Concat(b[:at], []byte(oversized), b[at:])
+		})
+	}
 	if dmg&bitflipLine != 0 {
-		target := newest
-		if dmg&inOlderSegment != 0 {
-			target = older
-		}
-		editFile(t, target, func(b []byte) []byte {
+		editFile(t, damaged, func(b []byte) []byte {
 			return bytes.Replace(b, flippedLine, flipSampleDigit(t, flippedLine), 1)
 		})
 	}
@@ -505,7 +518,7 @@ func checkDamagedReplay(t *testing.T, shards int, dmg logDamage) {
 			altered[id] = true
 		}
 	}
-	ref, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	ref, err := NewBackend(Config{}, fx.world.Transit, fx.fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,7 +655,7 @@ func TestCoordinatorJournalReplay(t *testing.T) {
 // sake; a caller that still passes one is told, not half-honoured.
 func TestRecoverBackendStoreRefusesLegacyJournal(t *testing.T) {
 	fx := newTwinFixture(t)
-	b, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	b, err := NewBackend(Config{}, fx.world.Transit, fx.fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,7 +729,7 @@ func TestRecoverStoresContinuesPastFailedShard(t *testing.T) {
 // cannot checkpoint.
 func TestCheckpointRequiresStore(t *testing.T) {
 	fx := newTwinFixture(t)
-	b, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	b, err := NewBackend(Config{}, fx.world.Transit, fx.fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -732,7 +745,7 @@ func TestCheckpointUnderConcurrentIngest(t *testing.T) {
 	fx := newTwinFixture(t)
 	trips := twinCorpus(t, fx.world, faults.Config{})
 
-	ref, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	ref, err := NewBackend(Config{}, fx.world.Transit, fx.fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -836,7 +849,7 @@ func (l *flakyTripLog) Append(ctx context.Context, trip probe.Trip) error {
 func TestAdmitUnmarksSeenOnJournalFailure(t *testing.T) {
 	fx := newTwinFixture(t)
 	trips := twinCorpus(t, fx.world, faults.Config{})
-	b, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	b, err := NewBackend(Config{}, fx.world.Transit, fx.fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -959,7 +972,7 @@ func TestPendingScatterDurableAcrossCompaction(t *testing.T) {
 func TestPersistentStateExportDeterministic(t *testing.T) {
 	fx := newTwinFixture(t)
 	trips := twinCorpus(t, fx.world, faults.Config{})
-	b, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	b, err := NewBackend(Config{}, fx.world.Transit, fx.fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -985,7 +998,7 @@ func TestPersistentStateExportDeterministic(t *testing.T) {
 	}
 	// Export → import → export round-trips byte-identically, pending
 	// groups included.
-	b2, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	b2, err := NewBackend(Config{}, fx.world.Transit, fx.fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -998,5 +1011,61 @@ func TestPersistentStateExportDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a1, a3) {
 		t.Fatal("export→import→export is not identical")
+	}
+}
+
+// TestOversizedTripRefusedAsInvalid: a trip inside the upload body bound
+// whose store record reaches store.MaxRecordBytes can never become
+// durable, so every route refuses it as invalid (counted like a
+// Validate failure) and the phone's retry layer drops it instead of
+// retrying and spooling it forever.
+func TestOversizedTripRefusedAsInvalid(t *testing.T) {
+	w := testWorld(t)
+	b := testBackend(t, w)
+	if _, err := RecoverBackendStore(context.Background(), storeTestOpts(t.TempDir()), "", b); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(b))
+	defer srv.Close()
+	client, err := NewClient(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pad the device token until the trip's JSON sits just under the
+	// body bound; the record envelope then pushes it past the store's.
+	big, _ := rideTrip(t, w, 0, 0, 3, "oversized")
+	body, err := json.Marshal(&big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big.DeviceID += strings.Repeat("d", store.MaxRecordBytes-8-len(body))
+
+	if err := client.Upload(context.Background(), big); !errors.Is(err, ErrInvalidTrip) {
+		t.Fatalf("single upload: err %v, want ErrInvalidTrip", err)
+	}
+	out, err := client.UploadTrips(context.Background(), []probe.Trip{big})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 1 || out.Results[0].Code != "invalid" {
+		t.Fatalf("batch row = %+v, want code invalid", out.Results)
+	}
+	retry, err := phone.NewRetryUploader(phone.DefaultRetryConfig(1), client, func(context.Context, float64) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := retry.Upload(context.Background(), big); !errors.Is(err, probe.ErrInvalidTrip) {
+		t.Fatalf("retry upload: err %v, want ErrInvalidTrip", err)
+	}
+	if st := retry.Stats(); retry.SpoolLen() != 0 || st.Attempts != 1 || st.PermanentFailures != 1 {
+		t.Errorf("retry layer: spool %d, stats %+v; want one attempt, a permanent failure, nothing spooled", retry.SpoolLen(), st)
+	}
+	if st := b.Stats(); st.TripsReceived != 3 || st.TripsRejected != 3 {
+		t.Errorf("stats = %+v, want 3 received and 3 rejected", st)
+	}
+	// A trip that fits is still admitted: the refusal left no trace.
+	small, _ := rideTrip(t, w, 0, 0, 3, "fits")
+	if err := b.Upload(context.Background(), small); err != nil {
+		t.Fatalf("ingest after refusals: %v", err)
 	}
 }

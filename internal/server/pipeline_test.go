@@ -185,7 +185,7 @@ func TestBackendWithEmptyFingerprintDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBackend(DefaultConfig(), w.Transit, empty)
+	b, err := NewBackend(Config{}, w.Transit, empty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,8 +432,15 @@ func TestLegBetweenUnservedPair(t *testing.T) {
 
 func TestBackendAccessors(t *testing.T) {
 	w := testWorld(t)
-	b := testBackend(t, w)
-	if b.Config().Gamma != DefaultConfig().Gamma {
+	fpdb, err := fingerprint.NewDB(fingerprint.DefaultScoring(), fingerprint.DefaultGamma, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBackend(Config{RequestTimeoutS: 3}, w.Transit, fpdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Config().RequestTimeoutS != 3 {
 		t.Error("Config accessor wrong")
 	}
 	if b.Transit() != w.Transit {

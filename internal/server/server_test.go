@@ -1,26 +1,36 @@
 package server
 
 import (
-	"busprobe/internal/clock"
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"busprobe/internal/cellular"
+	"busprobe/internal/clock"
 	"busprobe/internal/core/fingerprint"
 	"busprobe/internal/core/traffic"
 	"busprobe/internal/probe"
+	"busprobe/internal/server/stage"
 	"busprobe/internal/sim"
 	"busprobe/internal/stats"
+	"busprobe/internal/store"
 	"busprobe/internal/transit"
 )
+
+// testWorldSeed is the world seed whose derived survey seed is 7, the
+// seed the server tests' fingerprint DBs have always been surveyed under.
+const testWorldSeed = 7 ^ 0xf9
 
 // testWorld builds a compact world shared by the server tests.
 func testWorld(t *testing.T) *sim.World {
@@ -40,11 +50,11 @@ func testWorld(t *testing.T) *sim.World {
 
 func testBackend(t *testing.T, w *sim.World) *Backend {
 	t.Helper()
-	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, DefaultConfig(), 7)
+	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, testWorldSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBackend(DefaultConfig(), w.Transit, fpdb)
+	b, err := NewBackend(Config{}, w.Transit, fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +90,17 @@ func rideTrip(t *testing.T, w *sim.World, routeIdx, from, to int, id string) (pr
 
 func TestBuildFingerprintDBCoversAllStops(t *testing.T) {
 	w := testWorld(t)
-	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, DefaultConfig(), 7)
+	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, testWorldSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fpdb.Len() != w.Transit.NumStops() {
 		t.Errorf("fingerprinted %d of %d stops", fpdb.Len(), w.Transit.NumStops())
 	}
-	if _, err := BuildFingerprintDB(w.Cells, w.Transit, 0, DefaultConfig(), 7); err == nil {
+	if _, err := BuildFingerprintDB(w.Cells, w.Transit, 0, testWorldSeed); err == nil {
 		t.Error("want error for zero runs")
 	}
-	if _, err := BuildFingerprintDB(nil, w.Transit, 2, DefaultConfig(), 7); err == nil {
+	if _, err := BuildFingerprintDB(nil, w.Transit, 2, testWorldSeed); err == nil {
 		t.Error("want error for nil deployment")
 	}
 }
@@ -101,13 +111,14 @@ func TestBackendValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewBackend(DefaultConfig(), nil, fpdb); err == nil {
+	if _, err := NewBackend(Config{}, nil, fpdb); err == nil {
 		t.Error("want error for nil transit DB")
 	}
-	bad := DefaultConfig()
-	bad.MinSpeedKmh = 0
-	if _, err := NewBackend(bad, w.Transit, fpdb); err == nil {
-		t.Error("want error for bad speed bounds")
+	if _, err := NewBackend(Config{MaxInflightBatches: -1}, w.Transit, fpdb); err == nil {
+		t.Error("want error for negative max inflight batches")
+	}
+	if _, err := NewBackend(Config{RequestTimeoutS: -1}, w.Transit, fpdb); err == nil {
+		t.Error("want error for negative request timeout")
 	}
 }
 
@@ -625,5 +636,131 @@ func TestServingSurface(t *testing.T) {
 	}
 	if n := reflect.TypeOf((*Shard)(nil)).Elem().NumMethod(); n > 8 {
 		t.Errorf("Shard declares %d methods, want at most 8", n)
+	}
+	// The configuration surface carries only what deployments set: the
+	// algorithm runs the paper's constants, so no option can make two
+	// processes compute different maps from the same trips.
+	for _, c := range []struct {
+		typ reflect.Type
+		max int
+	}{
+		{reflect.TypeOf(Config{}), 4},
+		{reflect.TypeOf(stage.Config{}), 2},
+		{reflect.TypeOf(store.Options{}), 4},
+	} {
+		if n := c.typ.NumField(); n > c.max {
+			t.Errorf("%v has %d fields, want at most %d", c.typ, n, c.max)
+		}
+	}
+}
+
+// TestBuildFingerprintDBDerivesSurveySeed pins the one derivation every
+// process surveying a city shares: BuildFingerprintDB under a world seed
+// writes the same bytes as a survey under worldSeed ^ 0xf9 with the
+// paper's scoring and γ.
+func TestBuildFingerprintDBDerivesSurveySeed(t *testing.T) {
+	w := testWorld(t)
+	const worldSeed = 5
+	got, err := BuildFingerprintDB(w.Cells, w.Transit, 2, worldSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(worldSeed ^ 0xf9).Fork("fp-survey")
+	entries := make(map[transit.StopID]cellular.Fingerprint, w.Transit.NumStops())
+	for _, st := range w.Transit.Stops() {
+		var samples []cellular.Fingerprint
+		for run := 0; run < 2; run++ {
+			cond := cellular.Condition{OnBus: run%2 == 1, Weather: rng.Range(-1, 1)}
+			for _, pid := range st.Platforms {
+				if fp := w.Cells.ScanFingerprint(w.Transit.Platform(pid).Pos, cond, rng); len(fp) > 0 {
+					samples = append(samples, fp)
+				}
+			}
+		}
+		fp, err := fingerprint.Representative(samples, fingerprint.DefaultScoring())
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries[st.ID] = fp
+	}
+	want, err := fingerprint.NewDB(fingerprint.DefaultScoring(), fingerprint.DefaultGamma, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotBuf, wantBuf bytes.Buffer
+	if _, err := got.WriteTo(&gotBuf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := want.WriteTo(&wantBuf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
+		t.Error("BuildFingerprintDB does not survey under worldSeed ^ 0xf9 with the paper's scoring")
+	}
+}
+
+// TestDocsNameRealSurface holds the prose to the code: every /v1 path
+// and busprobe_* metric the docs name is served (a route) or exposed (a
+// scrape of an instrumented coordinator), and every route is in
+// busprobe-server's endpoint list. A name ending in / or _ is a prefix.
+func TestDocsNameRealSurface(t *testing.T) {
+	w, fpdb := twinWorld(t)
+	core := fakeObsCore()
+	c, err := NewCoordinator(Config{Obs: core}, w.Transit, fpdb, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(c, HandlerConfig{Obs: core})
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/traffic", nil))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var metrics, paths []string
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(rec.Body.String(), -1) {
+		metrics = append(metrics, m[1])
+	}
+	for _, rt := range publicRoutes(c, nil) {
+		paths = append(paths, rt.path)
+	}
+	known := func(name string, real []string) bool {
+		prefix := strings.HasSuffix(name, "/") || strings.HasSuffix(name, "_")
+		for _, r := range real {
+			if r == name || prefix && strings.HasPrefix(r, name) {
+				return true
+			}
+		}
+		return false
+	}
+
+	pathRE := regexp.MustCompile(`(?:^|[^\w/])(/v1/[\w/]*)`)
+	metricRE := regexp.MustCompile(`busprobe_\w*`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range pathRE.FindAllStringSubmatch(string(text), -1) {
+			if !known(m[1], paths) {
+				t.Errorf("%s names %s, which no public route serves", doc, m[1])
+			}
+		}
+		for _, name := range metricRE.FindAllString(string(text), -1) {
+			if !known(name, metrics) {
+				t.Errorf("%s names metric %s, which an instrumented coordinator does not expose", doc, name)
+			}
+		}
+	}
+
+	src, err := os.ReadFile(filepath.Join("..", "..", "cmd", "busprobe-server", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`(?m)^//\s+(GET|POST)\s+([^\s?]+)`).FindAllStringSubmatch(string(src), -1) {
+		listed[m[1]+" "+m[2]] = true
+	}
+	for _, rt := range publicRoutes(c, nil) {
+		if !listed[rt.method+" "+rt.path] {
+			t.Errorf("route %s %s is missing from busprobe-server's endpoint list", rt.method, rt.path)
+		}
 	}
 }

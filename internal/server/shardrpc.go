@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"busprobe/internal/core/fingerprint"
-	"busprobe/internal/core/region"
 	"busprobe/internal/core/traffic"
 	"busprobe/internal/probe"
 	"busprobe/internal/server/stage"
@@ -81,7 +80,7 @@ func NewShardBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shardID 
 	if shardID < 0 || shardID >= len(addrs) {
 		return nil, fmt.Errorf("server: shard id %d outside %d shard addrs", shardID, len(addrs))
 	}
-	part, err := transit.PartitionRoutes(tdb, len(addrs), region.DefaultConfig().ZoneM)
+	part, err := transit.PartitionRoutes(tdb, len(addrs))
 	if err != nil {
 		return nil, err
 	}

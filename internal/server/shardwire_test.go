@@ -103,12 +103,12 @@ func TestShardProcsEquivalenceOverSockets(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			trips := twinCorpus(t, w, tc.fcfg)
 
-			mono, err := NewBackend(DefaultConfig(), w.Transit, fpdb)
+			mono, err := NewBackend(Config{}, w.Transit, fpdb)
 			if err != nil {
 				t.Fatal(err)
 			}
 			inproc := newTwinCoordinator(t, w, fpdb, 2)
-			tier := startShardTier(t, w, fpdb, 2, DefaultConfig(), nil)
+			tier := startShardTier(t, w, fpdb, 2, Config{}, nil)
 
 			// The coordinator tier is itself served over a real socket;
 			// uploads travel client → coordinator → shard process.
@@ -182,7 +182,7 @@ func TestScatterIdempotentAcrossRetry(t *testing.T) {
 	// dies on the wire. The home shard's retry must get the RECORDED
 	// outcome back, not fold the group twice.
 	w, fpdb := twinWorld(t)
-	b, err := NewBackend(DefaultConfig(), w.Transit, fpdb)
+	b, err := NewBackend(Config{}, w.Transit, fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func estimateRuns(t *testing.T, b *Backend) int64 {
 func TestFoldScatterKeyedOnce(t *testing.T) {
 	// The in-process half of the idempotency contract.
 	w, fpdb := twinWorld(t)
-	b, err := NewBackend(DefaultConfig(), w.Transit, fpdb)
+	b, err := NewBackend(Config{}, w.Transit, fpdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestShardPublicWritesMisdirected(t *testing.T) {
 	// 421: it would bypass the coordinator's content-deterministic
 	// routing. Reads keep working.
 	w, fpdb := twinWorld(t)
-	tier := startShardTier(t, w, fpdb, 2, DefaultConfig(), nil)
+	tier := startShardTier(t, w, fpdb, 2, Config{}, nil)
 	for _, path := range []string{"/v1/trips", "/v1/trips/batch"} {
 		resp, err := http.Post(tier.addrs[0]+path, "application/json", strings.NewReader("{}"))
 		if err != nil {
@@ -332,8 +332,7 @@ func TestRemoteShardBackpressure(t *testing.T) {
 	// survive the two hops (shard → coordinator → public client) and
 	// surface as the 429s the phone retry machinery feeds on.
 	w, fpdb := twinWorld(t)
-	cfg := DefaultConfig()
-	cfg.MaxInflightBatches = 1
+	cfg := Config{MaxInflightBatches: 1}
 	tier := startShardTier(t, w, fpdb, 2, cfg, nil)
 	trips := twinCorpus(t, w, faults.Config{})
 	byShard := make(map[int][]probe.Trip)
@@ -390,7 +389,7 @@ func TestTracePropagatesAcrossShardHop(t *testing.T) {
 	// trip's stage spans on the shard join the upload's trace.
 	w, fpdb := twinWorld(t)
 	var got atomic.Value
-	tier := startShardTier(t, w, fpdb, 2, DefaultConfig(), func(i int, h http.Handler) http.Handler {
+	tier := startShardTier(t, w, fpdb, 2, Config{}, func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if strings.HasPrefix(r.URL.Path, "/internal/v1/") {
 				if tr := r.Header.Get(obs.TraceHeader); tr != "" {
@@ -416,7 +415,7 @@ func TestDegradedReadsAfterShardDeath(t *testing.T) {
 	// reports it unhealthy with the probe error, and the survivor's
 	// data stays.
 	w, fpdb := twinWorld(t)
-	tier := startShardTier(t, w, fpdb, 2, DefaultConfig(), nil)
+	tier := startShardTier(t, w, fpdb, 2, Config{}, nil)
 	trips := twinCorpus(t, w, faults.Config{})
 	replayInto(t, tier.coord, trips)
 	tier.coord.Advance(3 * clock.DayS)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"busprobe/internal/clock"
-	"busprobe/internal/core/cluster"
 	"busprobe/internal/core/traffic"
 	"busprobe/internal/probe"
 	"busprobe/internal/road"
@@ -46,9 +45,6 @@ func TestPipelineClockConfigReachesEveryStage(t *testing.T) {
 	var mu sync.Mutex
 	var hookDs []time.Duration
 	p := New(emptyFingerprintDB(t), tdb, est, Config{
-		Cluster:     cluster.DefaultParams(),
-		MinSpeedKmh: 1,
-		MaxSpeedKmh: 100,
 		Hook: func(_ context.Context, _ string, _, _, _ int, d time.Duration) {
 			mu.Lock()
 			hookDs = append(hookDs, d)

@@ -2,8 +2,8 @@
 // instrumented steps over the algorithm packages' own types:
 // per-sample matching, per-bus-stop co-clustering, per-trip ML
 // mapping, observation extraction, and traffic estimation. A Pipeline
-// holds the databases, the parameters, one counter set per step, one
-// hook and one clock; the backend's ingest kernel composes the steps,
+// holds the databases, one counter set per step, one hook and one
+// clock; the backend's ingest kernel composes the steps,
 // running the four CPU-bound ones from many goroutines at once.
 package stage
 
@@ -97,12 +97,11 @@ func Merge(groups ...[]Metrics) []Metrics {
 	return out
 }
 
+// minSpeedKmh and maxSpeedKmh bound the leg speeds Extract keeps.
+const minSpeedKmh, maxSpeedKmh = 2, 90
+
 // Config bundles what a pipeline needs beyond its databases.
 type Config struct {
-	// Cluster are the Eq. 1 co-clustering constants.
-	Cluster cluster.Params
-	// MinSpeedKmh / MaxSpeedKmh bound plausible leg observations.
-	MinSpeedKmh, MaxSpeedKmh float64
 	// Hook, when non-nil, observes every stage run.
 	Hook Hook
 	// Clock times every stage run: the durations in Metrics and the ones
@@ -185,7 +184,7 @@ func (p *Pipeline) Match(ctx context.Context, samples []probe.Sample) []cluster.
 // time-ordered matched samples into stop-visit candidates.
 func (p *Pipeline) Cluster(ctx context.Context, elems []cluster.Element) ([]cluster.Cluster, error) {
 	start := p.cfg.Clock.Now()
-	clusters, err := cluster.Sequence(elems, p.cfg.Cluster)
+	clusters, err := cluster.Sequence(elems, cluster.DefaultParams())
 	p.observe(ctx, iCluster, len(elems), len(clusters), 0, start)
 	return clusters, err
 }
@@ -203,7 +202,7 @@ func (p *Pipeline) Map(ctx context.Context, clusters []cluster.Cluster) ([]tripm
 // observations (BTT = arrive(next) − depart(prev), §III-D), attributed
 // to the route best supporting the visit sequence. Pairs no route
 // serves in order and travel times implying speeds outside
-// [MinSpeedKmh, MaxSpeedKmh] are discarded as mapping noise and
+// [minSpeedKmh, maxSpeedKmh] are discarded as mapping noise and
 // counted in the second result.
 func (p *Pipeline) Extract(ctx context.Context, visits []tripmap.Visit) ([]traffic.Observation, int) {
 	start := p.cfg.Clock.Now()
@@ -234,7 +233,7 @@ func (p *Pipeline) extract(visits []tripmap.Visit) (obs []traffic.Observation, d
 			continue
 		}
 		speedKmh := leg.LengthM / btt * 3.6
-		if speedKmh < p.cfg.MinSpeedKmh || speedKmh > p.cfg.MaxSpeedKmh {
+		if speedKmh < minSpeedKmh || speedKmh > maxSpeedKmh {
 			discarded++
 			continue
 		}

@@ -312,8 +312,7 @@ func TestTrafficRenderedOncePerVersion(t *testing.T) {
 	for _, tier := range tiers {
 		t.Run(tier.name, func(t *testing.T) {
 			core := fakeObsCore()
-			cfg := DefaultConfig()
-			cfg.Obs = core
+			cfg := Config{Obs: core}
 			api, err := tier.make(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -183,7 +183,7 @@ func (r *Recovery) replaySegment(seq uint64, fn func(rec []byte) error) error {
 	defer f.Close()
 	r.Report.SegmentsReplayed++
 	var fnErr error
-	st, err := readSegment(f, r.opts.MaxRecordBytes, func(line []byte) error {
+	st, err := readSegment(f, MaxRecordBytes, func(line []byte) error {
 		if len(line) > 0 {
 			r.Report.RecordsReplayed++
 			fnErr = fn(line)

@@ -35,6 +35,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -47,10 +48,14 @@ import (
 // written.
 const DefaultSegmentBytes = 4 << 20
 
-// DefaultMaxRecordBytes bounds one record line; longer lines are
-// skipped at replay (they cannot be valid records) and refused at
-// append.
-const DefaultMaxRecordBytes = 4 << 20
+// MaxRecordBytes bounds one record line; longer lines are skipped at
+// replay (they cannot be valid records) and refused at append with
+// ErrRecordTooLarge.
+const MaxRecordBytes = 4 << 20
+
+// ErrRecordTooLarge marks an append refused because the record reaches
+// MaxRecordBytes: retrying the same record fails the same way.
+var ErrRecordTooLarge = errors.New("store: record exceeds the line bound")
 
 // Options configures a store.
 type Options struct {
@@ -59,8 +64,6 @@ type Options struct {
 	// SegmentBytes is the seal threshold for the segment being written
 	// (0 = DefaultSegmentBytes).
 	SegmentBytes int64
-	// MaxRecordBytes bounds one record line (0 = DefaultMaxRecordBytes).
-	MaxRecordBytes int
 	// SnapshotEvery, when > 0, arms the snapshot signal: after that many
 	// records append since the last snapshot, SnapshotDue fires.
 	SnapshotEvery int
@@ -72,9 +75,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = DefaultMaxRecordBytes
 	}
 	if o.Clock == nil {
 		o.Clock = clock.Wall{}
@@ -131,8 +131,8 @@ func (s *Store) Append(ctx context.Context, rec []byte) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	if len(rec) >= s.opts.MaxRecordBytes {
-		return fmt.Errorf("store: record of %d bytes exceeds the %d-byte line bound", len(rec), s.opts.MaxRecordBytes)
+	if len(rec) >= MaxRecordBytes {
+		return fmt.Errorf("%w: %d bytes, bound %d", ErrRecordTooLarge, len(rec), MaxRecordBytes)
 	}
 	for _, b := range rec {
 		if b == '\n' {

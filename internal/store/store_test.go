@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,7 +20,7 @@ func testClock() clock.Clock {
 }
 
 func testOpts(dir string) Options {
-	return Options{Dir: dir, SegmentBytes: 256, MaxRecordBytes: 4096, Clock: testClock()}
+	return Options{Dir: dir, SegmentBytes: 256, Clock: testClock()}
 }
 
 // rec renders the i-th test record: fixed width (so segment-roll
@@ -345,11 +346,10 @@ func TestCompactKeepsTwoSnapshotsAndTheirTails(t *testing.T) {
 func TestOversizedLineSkipped(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOpts(dir)
-	opts.MaxRecordBytes = 64
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	content := frame(string(rec(1))) + frame(strings.Repeat("x", 200)) + frame(string(rec(2)))
+	content := frame(string(rec(1))) + frame(strings.Repeat("x", MaxRecordBytes+16)) + frame(string(rec(2)))
 	if err := os.WriteFile(segmentPath(dir, 1), []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +365,8 @@ func TestOversizedLineSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(context.Background(), []byte(strings.Repeat("y", 100))); err == nil {
-		t.Fatal("oversized append accepted")
+	if err := s.Append(context.Background(), []byte(strings.Repeat("y", MaxRecordBytes))); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("oversized append: err %v, want ErrRecordTooLarge", err)
 	}
 	appendRecords(t, s, 3, 1)
 	if err := s.Close(); err != nil {

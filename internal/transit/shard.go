@@ -32,18 +32,17 @@ type Partition struct {
 }
 
 // PartitionRoutes builds a route-closed partition of the DB's transit
-// network into the given number of shards, using zoneM-sized grid zones
-// to order route groups spatially. shards may exceed the number of
-// route groups; the surplus shards stay empty.
-func PartitionRoutes(db *DB, shards int, zoneM float64) (*Partition, error) {
+// network into the given number of shards, ordering route groups
+// spatially on the region model's fixed zone grid
+// (region.DefaultConfig().ZoneM), so every process that partitions the
+// same DB derives the same ownership map. shards may exceed the number
+// of route groups; the surplus shards stay empty.
+func PartitionRoutes(db *DB, shards int) (*Partition, error) {
 	if db == nil {
 		return nil, fmt.Errorf("transit: nil DB")
 	}
 	if shards <= 0 {
 		return nil, fmt.Errorf("transit: need at least one shard, got %d", shards)
-	}
-	if zoneM <= 0 {
-		return nil, fmt.Errorf("transit: non-positive zone size %v", zoneM)
 	}
 	routes := db.Routes()
 	if len(routes) == 0 {
@@ -130,7 +129,7 @@ func PartitionRoutes(db *DB, shards int, zoneM float64) (*Partition, error) {
 		g.stops = len(seen)
 		centroid.X /= float64(g.stops)
 		centroid.Y /= float64(g.stops)
-		g.zone = region.ZoneAt(centroid, zoneM)
+		g.zone = region.ZoneAt(centroid, region.DefaultConfig().ZoneM)
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].zone != order[j].zone {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"busprobe/internal/obs"
 
@@ -64,21 +65,47 @@ type Coordinator struct {
 	healthMu sync.Mutex
 	health   []shardHealth //lint:guardedby healthMu
 
-	// merged caches the fan-in traffic merge keyed by the shard
-	// snapshots it was built from (nil for a shard that did not answer):
-	// a read whose fetched parts are the cached ones serves the cached
-	// snapshot untouched. Every read fetches and compares under mergeMu,
-	// so no read serves a merge older than parts it fetched, and no merge
-	// of older parts lands over a newer one.
+	// merged caches the fan-in traffic merge and the shard snapshots it
+	// was built from (nil for a shard that did not answer). Reads fetch
+	// outside mergeMu, so one stalled shard costs each read at most its
+	// own timeout; under mergeMu a read only moves the cache forward,
+	// shard by shard (mergedTraffic.supersedes). fetches numbers the
+	// completed fan-outs so a read can tell whether its fetch began
+	// after a cached part's fetch returned.
 	mergeMu sync.Mutex
 	merged  mergedTraffic //lint:guardedby mergeMu
+	fetches atomic.Uint64
 }
 
 // mergedTraffic is one cached fan-in merge: the coordinator-versioned
-// snapshot plus the shard snapshots it was built from.
+// snapshot, the shard snapshots it was built from, and for each the
+// fetch sequence number at which its fan-out returned.
 type mergedTraffic struct {
 	snap  *traffic.Snapshot
 	parts []*traffic.Snapshot
+	done  []uint64
+}
+
+// supersedes reports whether part — shard i's answer to a fan-out that
+// began at fetch sequence start — is newer than the cached part. A fetch
+// that began after the cached one returned saw a later shard state, even
+// across a shard restart that reset its version sequence. Overlapping
+// fetches are ordered by the shard's version, an answer beating no
+// answer, so a slow reader never merges older parts over a newer merge
+// and a reader always serves a part at least as new as the one it
+// fetched.
+func (m *mergedTraffic) supersedes(i int, part *traffic.Snapshot, start uint64) bool {
+	old := m.parts[i]
+	switch {
+	case part == old:
+		return false
+	case start >= m.done[i]:
+		return true
+	case part == nil || old == nil:
+		return part != nil
+	default:
+		return part.Version > old.Version
+	}
 }
 
 // shardHealth is the coordinator's view of one shard's liveness.
@@ -153,7 +180,11 @@ func newCoordinator(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shards in
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{cfg: cfg, tdb: tdb, fpdb: fpdb, part: part, merged: mergedTraffic{snap: traffic.EmptySnapshot()}}
+	c := &Coordinator{cfg: cfg, tdb: tdb, fpdb: fpdb, part: part, merged: mergedTraffic{
+		snap:  traffic.EmptySnapshot(),
+		parts: make([]*traffic.Snapshot, shards),
+		done:  make([]uint64, shards),
+	}}
 	c.health = make([]shardHealth, shards)
 	for i := range c.health {
 		c.health[i] = shardHealth{healthy: true, lastProbe: "unprobed"}
@@ -357,40 +388,48 @@ func (c *Coordinator) StageMetrics() []stage.Metrics {
 // fan-out itself is cheap — a pointer load per in-process shard, a
 // conditional GET (usually 304, answered with the shard's cached
 // snapshot) per remote one — and the merge only re-runs when a fetched
-// part differs from the cached ones, so the derived reads and watch
-// pollers reuse one merge instead of re-merging per read. Fetch, compare
-// and merge all hold mergeMu: a read that queues behind a merge still
-// fetches after it, so it sees the reader's own acknowledged writes, and
-// the cache only ever moves forward. The coordinator keeps its own
-// version sequence over the merged map (shard versions are local
-// sequences and cannot be combined into one), maintained by
-// traffic.NextSnapshot so deltas account for segments a dead shard
-// dropped out of the view.
+// part supersedes a cached one, so the derived reads and watch pollers
+// reuse one merge instead of re-merging per read. The fan-out runs
+// outside mergeMu, so reads never queue behind one another's shard
+// calls; under the lock a read only adopts the parts that supersede the
+// cache, so it serves every write acknowledged before it began and the
+// cache never moves back. The coordinator keeps its own version sequence
+// over the merged map (shard versions are local sequences and cannot be
+// combined into one), maintained by traffic.NextSnapshot so deltas
+// account for segments a dead shard dropped out of the view.
 func (c *Coordinator) TrafficSnapshot() *traffic.Snapshot {
-	parts := make([]*traffic.Snapshot, len(c.shards))
-	errs := make([]error, len(c.shards))
-	c.mergeMu.Lock()
+	fetched := make([]*traffic.Snapshot, len(c.shards))
+	start := c.fetches.Load()
 	for i, sh := range c.shards {
-		parts[i], errs[i] = sh.Traffic(context.Background()) //lint:allow ctxpropagate reads stay ctx-free: shard read RPCs carry their own transport timeout
-	}
-	if !slices.Equal(c.merged.parts, parts) {
-		m := make(map[road.SegmentID]traffic.Estimate)
-		for _, p := range parts {
-			if p == nil {
-				continue
-			}
-			for sid, est := range p.Estimates {
-				m[sid] = est
-			}
-		}
-		c.merged = mergedTraffic{snap: traffic.NextSnapshot(c.merged.snap, m), parts: parts}
-	}
-	snap := c.merged.snap
-	c.mergeMu.Unlock()
-	for i, err := range errs {
+		snap, err := sh.Traffic(context.Background()) //lint:allow ctxpropagate reads stay ctx-free: shard read RPCs carry their own transport timeout
 		c.noteShard(i, err)
+		fetched[i] = snap
 	}
-	return snap
+	done := c.fetches.Add(1)
+
+	c.mergeMu.Lock()
+	defer c.mergeMu.Unlock()
+	parts, doneAt := slices.Clone(c.merged.parts), slices.Clone(c.merged.done)
+	moved := false
+	for i, p := range fetched {
+		if c.merged.supersedes(i, p, start) {
+			parts[i], doneAt[i], moved = p, done, true
+		}
+	}
+	if !moved {
+		return c.merged.snap
+	}
+	m := make(map[road.SegmentID]traffic.Estimate)
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		for sid, est := range p.Estimates {
+			m[sid] = est
+		}
+	}
+	c.merged = mergedTraffic{snap: traffic.NextSnapshot(c.merged.snap, m), parts: parts, done: doneAt}
+	return c.merged.snap
 }
 
 // Advance drives every shard's estimator clock, keeping the shard

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -655,47 +657,22 @@ func TestServingSurface(t *testing.T) {
 }
 
 // TestBuildFingerprintDBDerivesSurveySeed pins the one derivation every
-// process surveying a city shares: BuildFingerprintDB under a world seed
-// writes the same bytes as a survey under worldSeed ^ 0xf9 with the
-// paper's scoring and γ.
+// process surveying a city shares: BuildFingerprintDB under world seed 5
+// writes the bytes the survey wrote when each caller passed the derived
+// seed itself (worldSeed ^ 0xf9, the paper's scoring and γ).
 func TestBuildFingerprintDBDerivesSurveySeed(t *testing.T) {
+	const want = "75542c52becc1c23e4212b886a96a07cc07a6ed495bd62d65c173438d7e130d2"
 	w := testWorld(t)
-	const worldSeed = 5
-	got, err := BuildFingerprintDB(w.Cells, w.Transit, 2, worldSeed)
+	db, err := BuildFingerprintDB(w.Cells, w.Transit, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := stats.NewRNG(worldSeed ^ 0xf9).Fork("fp-survey")
-	entries := make(map[transit.StopID]cellular.Fingerprint, w.Transit.NumStops())
-	for _, st := range w.Transit.Stops() {
-		var samples []cellular.Fingerprint
-		for run := 0; run < 2; run++ {
-			cond := cellular.Condition{OnBus: run%2 == 1, Weather: rng.Range(-1, 1)}
-			for _, pid := range st.Platforms {
-				if fp := w.Cells.ScanFingerprint(w.Transit.Platform(pid).Pos, cond, rng); len(fp) > 0 {
-					samples = append(samples, fp)
-				}
-			}
-		}
-		fp, err := fingerprint.Representative(samples, fingerprint.DefaultScoring())
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries[st.ID] = fp
-	}
-	want, err := fingerprint.NewDB(fingerprint.DefaultScoring(), fingerprint.DefaultGamma, entries)
-	if err != nil {
+	var buf bytes.Buffer
+	if _, err := db.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var gotBuf, wantBuf bytes.Buffer
-	if _, err := got.WriteTo(&gotBuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := want.WriteTo(&wantBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
-		t.Error("BuildFingerprintDB does not survey under worldSeed ^ 0xf9 with the paper's scoring")
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("surveyed DB digest %s, want %s", got, want)
 	}
 }
 

@@ -12,8 +12,10 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"busprobe/internal/clock"
 	"busprobe/internal/core/fingerprint"
@@ -495,6 +497,80 @@ func TestDegradedReadsAfterShardDeath(t *testing.T) {
 	}
 	if len(shardRows) != 2 || shardRows[1].Healthy {
 		t.Errorf("/v1/shards rows = %+v", shardRows)
+	}
+}
+
+func TestStalledShardDoesNotQueueReads(t *testing.T) {
+	// A shard that hangs instead of refusing costs each coordinator read
+	// one stall, not one per reader queued ahead of it: the fan-out runs
+	// outside the merge lock, so concurrent reads wait side by side.
+	w, fpdb := twinWorld(t)
+	const stall = 300 * time.Millisecond
+	var stalling atomic.Bool
+	tier := startShardTier(t, w, fpdb, 2, Config{}, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if i == 1 && r.URL.Path == "/v1/traffic" && stalling.Load() {
+				time.Sleep(stall)
+			}
+			h.ServeHTTP(rw, r)
+		})
+	})
+	replayInto(t, tier.coord, twinCorpus(t, w, faults.Config{}))
+	tier.coord.Advance(3 * clock.DayS)
+	want := len(tier.coord.TrafficSnapshot().Estimates)
+
+	stalling.Store(true)
+	const readers = 6
+	took := make(chan time.Duration, readers)
+	var wg sync.WaitGroup
+	for range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			begin := clock.Wall{}.Now()
+			if n := len(tier.coord.TrafficSnapshot().Estimates); n != want {
+				t.Errorf("read during the stall serves %d segments, want %d", n, want)
+			}
+			took <- clock.Since(clock.Wall{}, begin)
+		}()
+	}
+	wg.Wait()
+	close(took)
+	for d := range took {
+		if d > 2*stall {
+			t.Errorf("a read took %v behind a %v shard stall; reads are queueing", d, stall)
+		}
+	}
+}
+
+// TestMergeCacheOnlyMovesForward pins the per-shard rule a read applies
+// under the merge lock: a part replaces the cached one when its fetch
+// began after the cached fetch returned (even at a lower version, which
+// only a restarted shard answers), and otherwise only when it is newer.
+func TestMergeCacheOnlyMovesForward(t *testing.T) {
+	v := func(n uint64) *traffic.Snapshot { return &traffic.Snapshot{Version: n} }
+	cached := v(5)
+	m := mergedTraffic{parts: []*traffic.Snapshot{cached}, done: []uint64{10}}
+	for _, tc := range []struct {
+		name  string
+		part  *traffic.Snapshot
+		start uint64
+		want  bool
+	}{
+		{"same part", cached, 20, false},
+		{"overlapping, older", v(4), 9, false},
+		{"overlapping, newer", v(6), 9, true},
+		{"overlapping, no answer", nil, 9, false},
+		{"later, restarted shard", v(1), 10, true},
+		{"later, no answer", nil, 10, true},
+	} {
+		if got := m.supersedes(0, tc.part, tc.start); got != tc.want {
+			t.Errorf("%s: supersedes = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	m.parts[0] = nil
+	if !m.supersedes(0, v(1), 9) {
+		t.Error("an overlapping answer does not replace a shard that did not answer")
 	}
 }
 

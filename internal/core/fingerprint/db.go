@@ -174,10 +174,86 @@ func sortMatches(out []Match) {
 // Match returns the best candidate for a sample, applying the γ filter
 // and the common-ID tie-break. ok is false when no stop clears γ — the
 // paper discards such samples "without further processing".
+//
+// The result is exactly MatchAll(sample)[0], found in one
+// branch-and-bound pass that allocates nothing for scan-sized
+// fingerprints. A stop whose entry shares h (sample, entry) position
+// pairs of equal IDs with the sample scores at most h·Match: every
+// aligned equal pair is one of those pairs, and penalties are never
+// negative. So candidates are visited by descending h (then ascending
+// stop), and the pass stops at the first whose bound is below γ or
+// strictly below the best score so far — equal bounds are still
+// aligned, since a tie can win on common IDs or stop ID. Common IDs
+// are counted only to break a score tie, and for the winner. γ = 0
+// keeps MatchAll's exhaustive scan, since every stop qualifies.
+// The sample is not retained.
 func (db *DB) Match(sample cellular.Fingerprint) (Match, bool) {
-	all := db.MatchAll(sample)
-	if len(all) == 0 {
+	if len(sample) == 0 {
 		return Match{}, false
 	}
-	return all[0], true
+	if db.gamma <= 0 {
+		if all := db.matchScan(sample); len(all) > 0 {
+			return all[0], true
+		}
+		return Match{}, false
+	}
+	var buf [64]hits
+	best, ok := Match{Common: -1}, false // Common < 0: not counted yet
+	for cands := db.candidateHits(sample, buf[:0]); len(cands) > 0; {
+		var c hits
+		c, cands = popMostHits(cands)
+		if db.bound(c.n) < max(db.gamma, best.Score) {
+			break
+		}
+		fp := db.entries[c.stop]
+		score := db.score(sample, fp)
+		switch {
+		case score < db.gamma || score < best.Score: // cannot win
+		case score > best.Score:
+			best, ok = Match{Stop: c.stop, Score: score, Common: -1}, true
+		default: // a score tie: more common IDs, then the lower stop, wins
+			if best.Common < 0 {
+				best.Common = CommonIDs(sample, db.entries[best.Stop])
+			}
+			common := CommonIDs(sample, fp)
+			if common > best.Common || (common == best.Common && c.stop < best.Stop) {
+				best = Match{Stop: c.stop, Score: score, Common: common}
+			}
+		}
+	}
+	if !ok {
+		return Match{}, false
+	}
+	if best.Common < 0 {
+		best.Common = CommonIDs(sample, db.entries[best.Stop])
+	}
+	return best, true
+}
+
+// bound is the highest score an alignment with n aligned equal pairs
+// can reach: n rewards added one by one, as the alignment adds them.
+// Rounding is monotone and penalties only subtract, so no computed
+// score exceeds it, whatever the weights.
+func (db *DB) bound(n int) float64 {
+	var b float64
+	for ; n > 0; n-- {
+		b += db.scoring.Match
+	}
+	return b
+}
+
+// stackCells is the longest stored fingerprint Match aligns on
+// stack-resident rows. Scans report at most 7 towers (cellular's
+// MaxVisible), so surveyed entries fit; longer ones take Similarity's
+// heap rows. Either way the score is the same kernel's.
+const stackCells = 8
+
+// score is Similarity(sample, fp, db.scoring) without the row
+// allocations.
+func (db *DB) score(sample, fp cellular.Fingerprint) float64 {
+	if len(fp) > stackCells {
+		return Similarity(sample, fp, db.scoring)
+	}
+	var rows [2][stackCells + 1]float64
+	return similarity(sample, fp, db.scoring, rows[0][:len(fp)+1], rows[1][:len(fp)+1])
 }

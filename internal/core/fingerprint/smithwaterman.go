@@ -13,6 +13,7 @@ package fingerprint
 
 import (
 	"fmt"
+	"slices"
 
 	"busprobe/internal/cellular"
 )
@@ -58,12 +59,17 @@ type Alignment struct {
 // fingerprints. It is Align without the traceback, saving the pointer
 // matrix on the hot path.
 func Similarity(a, b cellular.Fingerprint, sc Scoring) float64 {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
+	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
+	return similarity(a, b, sc, make([]float64, len(b)+1), make([]float64, len(b)+1))
+}
+
+// similarity is Similarity's kernel over caller-provided rows, each
+// len(b)+1 long, prev all zero. Every caller shares it, so a score does
+// not depend on where its rows live.
+func similarity(a, b cellular.Fingerprint, sc Scoring, prev, cur []float64) float64 {
+	n, m := len(a), len(b)
 	var best float64
 	for i := 1; i <= n; i++ {
 		for j := 1; j <= m; j++ {
@@ -158,17 +164,14 @@ func Align(a, b cellular.Fingerprint, sc Scoring) Alignment {
 }
 
 // CommonIDs returns the number of cell IDs present in both fingerprints,
-// the paper's tie-breaker when two stops score equally.
+// the paper's tie-breaker when two stops score equally. An ID repeated
+// in either fingerprint counts once. Fingerprints hold a handful of
+// towers, so the quadratic scan beats building a set.
 func CommonIDs(a, b cellular.Fingerprint) int {
-	set := make(map[cellular.CellID]bool, len(a))
-	for _, c := range a {
-		set[c] = true
-	}
 	n := 0
-	for _, c := range b {
-		if set[c] {
+	for j, c := range b {
+		if slices.Contains(a, c) && !slices.Contains(b[:j], c) {
 			n++
-			set[c] = false // count each ID once
 		}
 	}
 	return n

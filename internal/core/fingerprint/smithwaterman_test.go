@@ -179,15 +179,33 @@ func TestScoringValidate(t *testing.T) {
 	}
 }
 
+// TestCommonIDs: each ID both fingerprints hold counts once, however
+// often either repeats it, and counting allocates nothing.
 func TestCommonIDs(t *testing.T) {
-	if n := CommonIDs(fp(1, 2, 3), fp(3, 2, 9)); n != 2 {
-		t.Errorf("common = %d, want 2", n)
+	for _, c := range []struct {
+		a, b cellular.Fingerprint
+		want int
+	}{
+		{fp(1, 2, 3), fp(3, 2, 9), 2},
+		{fp(1, 1, 2), fp(1, 5), 1},
+		{fp(1, 5), fp(1, 1, 2), 1},
+		{fp(1, 1, 2, 2), fp(2, 1, 2, 1), 2},
+		{fp(7, 7, 7), fp(7), 1},
+		{fp(1, 2, 3, 1), fp(4, 1, 4, 3, 3), 2},
+		{fp(1, 2), fp(3, 4, 3), 0},
+		{nil, fp(1), 0},
+		{fp(1), nil, 0},
+	} {
+		if n := CommonIDs(c.a, c.b); n != c.want {
+			t.Errorf("CommonIDs(%v, %v) = %d, want %d", c.a, c.b, n, c.want)
+		}
+		if n := CommonIDs(c.b, c.a); n != c.want {
+			t.Errorf("CommonIDs(%v, %v) = %d, want %d", c.b, c.a, n, c.want)
+		}
 	}
-	if n := CommonIDs(fp(1, 1, 2), fp(1, 5)); n != 1 {
-		t.Errorf("duplicate handling: common = %d, want 1", n)
-	}
-	if n := CommonIDs(nil, fp(1)); n != 0 {
-		t.Errorf("empty common = %d", n)
+	a, b := fp(1, 2, 3, 4, 5, 6, 7), fp(7, 6, 9, 4, 4, 1, 8)
+	if allocs := testing.AllocsPerRun(100, func() { CommonIDs(a, b) }); allocs != 0 {
+		t.Errorf("CommonIDs allocates %v times per call", allocs)
 	}
 }
 

@@ -72,6 +72,39 @@ func now() time.Time { return time.Now() }
 	}
 }
 
+// TestAnalyzePatternsExternalTestImportsDependent: an external test
+// package may import a package that itself imports the package under
+// test, as `go test` allows. Both must see one set of types, and the
+// in-package test's helpers stay visible to the external test.
+func TestAnalyzePatternsExternalTestImportsDependent(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, filepath.Join(dir, "go.mod"), "module scratch\n\ngo 1.22\n")
+	writeFile(t, filepath.Join(dir, "a", "a.go"), "package a\n\ntype T struct{ N int }\n")
+	writeFile(t, filepath.Join(dir, "a", "export_test.go"), "package a\n\nfunc Peek(t *T) int { return t.N }\n")
+	writeFile(t, filepath.Join(dir, "b", "b.go"), "package b\n\nimport \"scratch/a\"\n\nfunc New() *a.T { return &a.T{N: 1} }\n")
+	writeFile(t, filepath.Join(dir, "a", "a_test.go"), `package a_test
+
+import (
+	"testing"
+
+	"scratch/a"
+	"scratch/b"
+)
+
+func TestT(t *testing.T) {
+	var x *a.T = b.New()
+	_ = a.Peek(x)
+}
+`)
+	findings, err := AnalyzePatterns(suite(), dir, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 0 {
+		t.Fatalf("findings = %v, want none", findings)
+	}
+}
+
 // TestUnitcheckProtocol drives the vet.cfg path the way the go command
 // does: the tool must write the facts file, print findings, strip the
 // "pkg [pkg.test]" import-path variant, and honor VetxOnly.

@@ -25,6 +25,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -74,7 +75,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
 	}
-	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
+	if l.inModule(path) {
 		if l.loading[path] {
 			return nil, fmt.Errorf("import cycle through %s", path)
 		}
@@ -89,6 +90,11 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return pkg, nil
 	}
 	return l.std.Import(path)
+}
+
+// inModule reports whether path names a package of the module.
+func (l *Loader) inModule(path string) bool {
+	return path == l.modPath || strings.HasPrefix(path, l.modPath+"/")
 }
 
 // checkDir parses the non-test Go files of one directory and
@@ -166,12 +172,10 @@ func (l *Loader) CheckPackage(importPath string, files []*ast.File) (*types.Pack
 		pkg = p
 	}
 	if len(xtest) > 0 {
-		imp := Func(func(path string) (*types.Package, error) {
-			if path == importPath && pkg != nil {
-				return pkg, nil
-			}
-			return l.Import(path)
-		})
+		imp := l
+		if pkg != nil {
+			imp = l.testVariant(importPath, pkg, xtest)
+		}
 		p, err := (&types.Config{Importer: imp}).Check(importPath+"_test", l.Fset, xtest, info)
 		if err != nil {
 			return nil, nil, err
@@ -181,6 +185,50 @@ func (l *Loader) CheckPackage(importPath string, files []*ast.File) (*types.Pack
 		}
 	}
 	return pkg, info, nil
+}
+
+// testVariant returns the loader an external test package of
+// importPath is checked with, mirroring `go test`: importPath resolves
+// to base, the package checked with its in-package tests, and every
+// module package that imports importPath, directly or not, is checked
+// again against base, so the test and its imports agree on one set of
+// types. Every other package is shared with l.
+func (l *Loader) testVariant(importPath string, base *types.Package, xtest []*ast.File) *Loader {
+	for _, f := range xtest {
+		for _, spec := range f.Imports {
+			if path, err := strconv.Unquote(spec.Path.Value); err == nil && path != importPath {
+				// Load what the test imports, to share what can be
+				// shared; an error resurfaces in the test's own Check.
+				_, _ = l.Import(path)
+			}
+		}
+	}
+	v := New(l.Fset, l.root, l.modPath)
+	v.std = l.std
+	v.pkgs[importPath] = base
+	for path, p := range l.pkgs {
+		if path != importPath && !l.importsPath(p, importPath, make(map[*types.Package]bool)) {
+			v.pkgs[path] = p
+		}
+	}
+	return v
+}
+
+// importsPath reports whether p imports the module package path,
+// directly or through other module packages.
+func (l *Loader) importsPath(p *types.Package, path string, seen map[*types.Package]bool) bool {
+	for _, q := range p.Imports() {
+		if q.Path() == path {
+			return true
+		}
+		if !seen[q] && l.inModule(q.Path()) {
+			seen[q] = true
+			if l.importsPath(q, path, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ModuleRoot walks up from dir to the enclosing go.mod and returns the

@@ -9,9 +9,11 @@ package stage
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"time"
 
+	"busprobe/internal/cellular"
 	"busprobe/internal/clock"
 	"busprobe/internal/core/cluster"
 	"busprobe/internal/core/fingerprint"
@@ -167,18 +169,37 @@ func (p *Pipeline) observe(ctx context.Context, i, in, out, dropped int, start t
 // Match is stage 1, the pipeline's hot path: per-sample Smith–Waterman
 // matching against the stop fingerprint database. It returns the
 // samples clearing the γ acceptance filter as cluster elements; the
-// rest (len(samples) − len(result)) are dropped.
+// rest (len(samples) − len(result)) are dropped. The result is what
+// fpdb.Match(s.Fingerprint()) gives for each sample, computed more
+// cheaply: each sample's cell list is built into one buffer reused
+// across the trip, and a sample whose cells equal the previous
+// sample's (a parked bus rescanning the same towers) takes the previous
+// answer, "no match" included, without matching again.
 func (p *Pipeline) Match(ctx context.Context, samples []probe.Sample) []cluster.Element {
 	start := p.cfg.Clock.Now()
 	var elems []cluster.Element
-	for _, s := range samples {
-		if mt, ok := p.fpdb.Match(s.Fingerprint()); ok {
+	var cells cellular.Fingerprint
+	var mt fingerprint.Match
+	ok := false
+	for i, s := range samples {
+		if i == 0 || !slices.EqualFunc(s.Readings, samples[i-1].Readings, sameCell) {
+			cells = cells[:0]
+			for _, r := range s.Readings {
+				cells = append(cells, r.Cell)
+			}
+			mt, ok = p.fpdb.Match(cells)
+		}
+		if ok {
 			elems = append(elems, cluster.Element{TimeS: s.TimeS, Stop: mt.Stop, Score: mt.Score})
 		}
 	}
 	p.observe(ctx, iMatch, len(samples), len(elems), len(samples)-len(elems), start)
 	return elems
 }
+
+// sameCell reports whether two readings name the same tower; their RSS
+// does not enter a fingerprint.
+func sameCell(a, b cellular.Reading) bool { return a.Cell == b.Cell }
 
 // Cluster is stage 2: Eq. 1 per-bus-stop co-clustering of one trip's
 // time-ordered matched samples into stop-visit candidates.

@@ -2,13 +2,16 @@ package stage
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"busprobe/internal/cellular"
+	"busprobe/internal/core/cluster"
 	"busprobe/internal/core/fingerprint"
 	"busprobe/internal/probe"
+	"busprobe/internal/transit"
 )
 
 func emptyFingerprintDB(t *testing.T) *fingerprint.DB {
@@ -126,5 +129,70 @@ func TestMetricsConcurrentReads(t *testing.T) {
 	got := p.Metrics()[0]
 	if got.Runs != 200 || got.ItemsIn != 200 {
 		t.Errorf("metrics after concurrent runs = %+v", got)
+	}
+}
+
+// scan is a sample at tS whose readings name the given towers, strongest
+// first; rss offsets every reading so equal scans can differ in RSS.
+func scan(tS, rss float64, towers ...int) probe.Sample {
+	s := probe.Sample{TimeS: tS}
+	for i, c := range towers {
+		s.Readings = append(s.Readings, cellular.Reading{Cell: cellular.CellID(c), RSS: rss - float64(10*i)})
+	}
+	return s
+}
+
+// TestStageMatchReusesRepeatedScan: reusing the previous sample's answer
+// for a repeated scan changes nothing. Every trip's elements, and the
+// match counters, equal a naive fpdb.Match(s.Fingerprint()) per sample,
+// across runs of identical scans, a repeat right after a scan that did
+// not match, a scan that extends or truncates the previous one, and a
+// scan equal to a non-adjacent earlier one.
+func TestStageMatchReusesRepeatedScan(t *testing.T) {
+	fpdb, err := fingerprint.NewDB(fingerprint.DefaultScoring(), fingerprint.DefaultGamma, map[transit.StopID]cellular.Fingerprint{
+		1: {10, 11, 12, 13},
+		2: {20, 21, 22, 23},
+		3: {10, 11, 30, 31},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trips := [][]probe.Sample{
+		{ // a parked bus: one scan repeated, RSS drifting
+			scan(0, -60, 10, 11, 12, 13), scan(1, -60, 10, 11, 12, 13), scan(2, -65, 10, 11, 12, 13),
+		},
+		{ // no match, then the same scan again, then a match
+			scan(0, -60, 50, 51), scan(1, -61, 50, 51), scan(2, -60, 20, 21, 22), scan(3, -60, 20, 21, 22),
+		},
+		{ // truncated, extended and reordered neighbours are not repeats
+			scan(0, -60, 10, 11, 12, 13), scan(1, -60, 10, 11, 12), scan(2, -60, 10, 11, 12, 13),
+			scan(3, -60, 10, 11, 30, 31), scan(4, -60, 11, 10, 30, 31), scan(5, -60, 10, 11),
+		},
+		{ // A, B, A: the second A follows B, not A
+			scan(0, -60, 20, 21, 22, 23), scan(1, -60, 10, 11, 30, 31), scan(2, -60, 20, 21, 22, 23),
+			scan(3, -60, 50, 51), scan(4, -60, 20, 21, 22, 23),
+		},
+		{ // empty scans match nothing, repeated or not
+			{TimeS: 0}, {TimeS: 1}, scan(2, -60, 10, 11, 12, 13), {TimeS: 3},
+		},
+	}
+	p := New(fpdb, nil, nil, Config{})
+	var in, out int64
+	for i, trip := range trips {
+		var want []cluster.Element
+		for _, s := range trip {
+			if mt, ok := fpdb.Match(s.Fingerprint()); ok {
+				want = append(want, cluster.Element{TimeS: s.TimeS, Stop: mt.Stop, Score: mt.Score})
+			}
+		}
+		if got := p.Match(context.Background(), trip); !reflect.DeepEqual(got, want) {
+			t.Errorf("trip %d: Match = %+v, want %+v", i, got, want)
+		}
+		in += int64(len(trip))
+		out += int64(len(want))
+	}
+	got := p.Metrics()[iMatch]
+	if got.Runs != int64(len(trips)) || got.ItemsIn != in || got.ItemsOut != out || got.Dropped != in-out {
+		t.Errorf("match counters = %+v, want runs %d, in %d, out %d, dropped %d", got, len(trips), in, out, in-out)
 	}
 }

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -113,12 +114,15 @@ type segState struct {
 // Safe for concurrent use.
 //
 // Reads never take the mutex: every mutator settles the fold eagerly
-// and hands the beliefs it moved to publishLocked, which, when any of
-// them differs from the published one, swaps in a fresh immutable
-// Snapshot through an atomic pointer. Because the fold is a pure
-// function of the report multiset and the watermark — and only
-// mutators move either — settling eagerly at mutation time yields
-// exactly the estimates the previous read-time settle produced.
+// and marks the segments whose belief it moved as pending; a publish
+// (Publish, or Advance, Compact and ExportState, which end in one)
+// patches the pending segments' current beliefs into a fresh immutable
+// Snapshot and swaps it in through an atomic pointer. Because the fold
+// is a pure function of the report multiset and the watermark — and
+// only mutators move either — the published map at every publish
+// boundary is exactly what a from-scratch fold of the same history
+// yields; where the boundaries fall only decides how many intermediate
+// versions exist.
 type Estimator struct {
 	mu        sync.Mutex
 	model     Model
@@ -130,6 +134,10 @@ type Estimator struct {
 	// Advance timestamps and never retreats.
 	watermarkIdx int64  //lint:guardedby mu
 	counts       Counts //lint:guardedby mu
+	// pending holds the segments whose belief moved since the last
+	// publish. publishLocked reads their current hist, never a value
+	// captured when they moved, so a publish cannot go stale.
+	pending map[road.SegmentID]*segState //lint:guardedby mu
 	// snap is the published copy-on-write state; Get/Snapshot/View load
 	// it without locking. Mutators swap it under mu, so versions are
 	// monotone.
@@ -154,6 +162,7 @@ func NewEstimator(model Model, periodS, driftVarPerS float64) (*Estimator, error
 		periodS:   periodS,
 		driftPerS: driftVarPerS,
 		segs:      make(map[road.SegmentID]*segState),
+		pending:   make(map[road.SegmentID]*segState),
 	}
 	e.snap.Store(EmptySnapshot())
 	return e, nil
@@ -167,12 +176,48 @@ func (e *Estimator) windowOf(tS float64) int64 {
 	return int64(math.Floor(tS / e.periodS))
 }
 
-// AddObservation converts a bus observation to an automobile speed via
+// Fold converts each observation of a group to an automobile speed via
 // Eq. 3 and buckets it into the update window of its own timestamp on
-// every covered segment (the uniform-speed-along-leg assumption). The
-// observation time also advances the fold watermark, so a fresher
-// report implicitly completes older windows.
+// every covered segment (the uniform-speed-along-leg assumption). An
+// observation's time also advances the fold watermark, so a fresher
+// report implicitly completes older windows. The whole group folds
+// under one lock acquisition and publishes nothing: the segments whose
+// belief moved wait in the pending set for the next publish. folded
+// counts the observations taken; err joins the reasons the others were
+// refused.
+func (e *Estimator) Fold(group []Observation) (folded int, err error) {
+	var refused []error
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, obs := range group {
+		if why := e.foldLocked(obs); why != nil {
+			refused = append(refused, why)
+			continue
+		}
+		folded++
+	}
+	return folded, errors.Join(refused...)
+}
+
+// AddObservation folds one observation and publishes it.
 func (e *Estimator) AddObservation(obs Observation) error {
+	_, err := e.Fold([]Observation{obs})
+	e.Publish()
+	return err
+}
+
+// Publish makes every belief folded so far visible: the pending
+// segments' current beliefs are patched into one successor snapshot, so
+// a publish bumps the version at most once however many folds preceded
+// it. Writers call it before acknowledging what they folded.
+func (e *Estimator) Publish() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.publishLocked()
+}
+
+// foldLocked is one observation of Fold.
+func (e *Estimator) foldLocked(obs Observation) error {
 	if len(obs.Segments) == 0 {
 		return fmt.Errorf("traffic: observation covers no segments")
 	}
@@ -180,14 +225,11 @@ func (e *Estimator) AddObservation(obs Observation) error {
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	idx := e.windowOf(obs.TimeS)
 	advanced := idx > e.watermarkIdx
 	if advanced {
 		e.watermarkIdx = idx
 	}
-	moved := make(map[road.SegmentID]Estimate, len(obs.Segments))
 	for _, sid := range obs.Segments {
 		st := e.segs[sid]
 		if st == nil {
@@ -203,13 +245,12 @@ func (e *Estimator) AddObservation(obs Observation) error {
 		at := e.insertLocked(st, idx, speed)
 		changed := idx < st.foldedIdx && e.refoldLocked(st, at)
 		if e.settleLocked(st) || changed {
-			moved[sid] = st.hist
+			e.pending[sid] = st
 		}
 	}
 	if advanced {
-		e.settleAllLocked(moved)
+		e.settleAllLocked()
 	}
-	e.publishLocked(moved)
 	return nil
 }
 
@@ -236,9 +277,8 @@ func (e *Estimator) Advance(nowS float64) {
 	if idx := e.windowOf(nowS); idx > e.watermarkIdx {
 		e.watermarkIdx = idx
 	}
-	moved := make(map[road.SegmentID]Estimate)
-	e.settleAllLocked(moved)
-	e.publishLocked(moved)
+	e.settleAllLocked()
+	e.publishLocked()
 }
 
 // foldWindow is one link of the chain: the belief prev, aged to the
@@ -300,27 +340,32 @@ func (e *Estimator) settleLocked(st *segState) bool {
 	return folded
 }
 
-// settleAllLocked settles every segment, recording in moved the belief
-// of each one that changed. moved is a set keyed by segment, so the map
-// iteration order here reaches nothing.
-func (e *Estimator) settleAllLocked(moved map[road.SegmentID]Estimate) {
+// settleAllLocked settles every segment, marking each one that changed
+// as pending. pending is a set, so the map iteration order here reaches
+// nothing.
+func (e *Estimator) settleAllLocked() {
 	for sid, st := range e.segs {
 		if e.settleLocked(st) {
-			moved[sid] = st.hist
+			e.pending[sid] = st
 		}
 	}
 }
 
-// publishLocked is the one publish point: every mutator ends here with
-// the beliefs it moved. patchSnapshot compares them with the published
-// ones, so a refold that landed on identical values publishes nothing
-// and the version moves exactly once per mutation that changes a
+// publishLocked is the one publish point: Publish, and every mutator
+// that is itself a publish boundary, ends here. patchSnapshot compares
+// the pending segments' current beliefs with the published ones, so a
+// refold that landed on identical values publishes nothing and the
+// version moves exactly once per publish boundary that changes a
 // published value.
-func (e *Estimator) publishLocked(moved map[road.SegmentID]Estimate) {
+func (e *Estimator) publishLocked() {
+	if len(e.pending) == 0 {
+		return
+	}
 	prev := e.snap.Load()
-	if next := patchSnapshot(prev, moved); next != prev {
+	if next := patchSnapshot(prev, e.pending); next != prev {
 		e.snap.Store(next)
 	}
+	clear(e.pending)
 }
 
 // Compact checkpoints every segment's belief and discards the folded
@@ -332,8 +377,7 @@ func (e *Estimator) publishLocked(moved map[road.SegmentID]Estimate) {
 func (e *Estimator) Compact() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	moved := make(map[road.SegmentID]Estimate)
-	e.settleAllLocked(moved)
+	e.settleAllLocked()
 	for _, st := range e.segs {
 		st.base, st.baseIdx = st.hist, st.foldedIdx
 		keep := sort.Search(len(st.wins), func(i int) bool { return st.wins[i].idx >= st.baseIdx })
@@ -341,7 +385,7 @@ func (e *Estimator) Compact() {
 		// A fresh slice, so the discarded windows' memory is released.
 		st.wins = slices.Clone(st.wins[keep:])
 	}
-	e.publishLocked(moved)
+	e.publishLocked()
 }
 
 // Counts are the estimator's size and work counters.
@@ -355,13 +399,18 @@ type Counts struct {
 	// LateDropped counts reports that arrived after their window was
 	// compacted away and could not be folded.
 	LateDropped int
+	// Pending is the number of segments whose belief moved since the
+	// last publish: zero whenever a writer has published what it folded.
+	Pending int
 }
 
 // Counts returns the current counters.
 func (e *Estimator) Counts() Counts {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.counts
+	c := e.counts
+	c.Pending = len(e.pending)
+	return c
 }
 
 // fuseAt is Fuse plus the update timestamp.

@@ -9,13 +9,16 @@ import (
 )
 
 // Snapshot is one immutable, versioned traffic map. Publishers build a
-// fresh Snapshot on every state change and swap it in atomically;
+// fresh Snapshot once per publish boundary that changes the map and
+// swap it in atomically;
 // readers load the pointer and walk the maps without locking. All three
 // maps are read-only after publication — a caller that needs a mutable
 // map takes CloneEstimates.
 //
 // Version is a publisher-local sequence number: it starts at 0 (empty
-// map), bumps by exactly one per published change, and never moves
+// map), bumps by exactly one per publish boundary that changes the map
+// (an estimator publishes once per acknowledged write, not once per
+// folded observation), and never moves
 // without a value-visible difference in Estimates. The per-segment
 // maps ChangedAt/RemovedAt record the version at which each segment
 // last changed or disappeared, which is what lets DeltaSince answer
@@ -103,17 +106,17 @@ func NextSnapshot(prev *Snapshot, estimates map[road.SegmentID]Estimate) *Snapsh
 }
 
 // patchSnapshot builds the successor of prev in which the segments of
-// moved hold the given estimates and every other entry — estimate and
+// moved hold their current beliefs and every other entry — estimate and
 // change version alike — is carried forward from a clone of prev's
 // maps: the cost is one map copy plus the entries that moved, not a
-// rebuild and a diff of the whole map. Entries of moved equal to prev's
-// are not changes; when none differs it returns prev itself, no version
-// bump, like NextSnapshot. prev.RemovedAt is shared as is: the caller
-// is a single estimator, which never removes a segment.
-func patchSnapshot(prev *Snapshot, moved map[road.SegmentID]Estimate) *Snapshot {
+// rebuild and a diff of the whole map. Beliefs equal to prev's are not
+// changes; when none differs it returns prev itself, no version bump,
+// like NextSnapshot. prev.RemovedAt is shared as is: the caller is a
+// single estimator, which never removes a segment.
+func patchSnapshot(prev *Snapshot, moved map[road.SegmentID]*segState) *Snapshot {
 	var next *Snapshot
-	for sid, est := range moved {
-		if old, ok := prev.Estimates[sid]; ok && old == est {
+	for sid, st := range moved {
+		if old, ok := prev.Estimates[sid]; ok && old == st.hist {
 			continue
 		}
 		if next == nil {
@@ -124,7 +127,7 @@ func patchSnapshot(prev *Snapshot, moved map[road.SegmentID]Estimate) *Snapshot 
 				RemovedAt: prev.RemovedAt,
 			}
 		}
-		next.Estimates[sid] = est
+		next.Estimates[sid] = st.hist
 		next.ChangedAt[sid] = next.Version
 	}
 	if next == nil {

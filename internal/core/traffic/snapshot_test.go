@@ -230,7 +230,8 @@ func TestEstimatorConcurrentReadersSeeMonotoneVersions(t *testing.T) {
 // TestPublishCarriesForward pins the clone-and-patch publish: a
 // snapshot a reader still holds shares no map with its successors,
 // segments a fold did not touch keep their estimate and their change
-// version, and concurrent readers only ever see versions move forward.
+// version, and concurrent readers only ever see versions move forward
+// while concurrent writers fold groups and publish.
 func TestPublishCarriesForward(t *testing.T) {
 	e, err := NewEstimator(DefaultModel(), DefaultPeriodS, DefaultDriftVarPerS)
 	if err != nil {
@@ -287,9 +288,34 @@ func TestPublishCarriesForward(t *testing.T) {
 			}
 		}()
 	}
-	// 1 000 further folds, late and fresh, on segments 0–4 only.
-	for i := 0; i < 1000; i++ {
-		report(road.SegmentID(i%5), 50+float64(i%90), float64(i%25)*DefaultPeriodS+float64(i%200))
+	// 1 000 further folds, late and fresh, on segments 0–4 only: four
+	// writers, each folding its share in groups of five and publishing
+	// after every group.
+	var writers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			var group []Observation
+			for i := w; i < 1000; i += 4 {
+				group = append(group, Observation{
+					Segments: []road.SegmentID{road.SegmentID(i % 5)}, LengthM: 500, FreeKmh: 50,
+					BTTSeconds: 50 + float64(i%90), TimeS: float64(i%25)*DefaultPeriodS + float64(i%200),
+				})
+				if len(group) == 5 {
+					if n, err := e.Fold(group); err != nil || n != len(group) {
+						t.Errorf("Fold of %d folded %d: %v", len(group), n, err)
+						return
+					}
+					e.Publish()
+					group = group[:0]
+				}
+			}
+		}(w)
+	}
+	writers.Wait()
+	if n := e.Counts().Pending; n != 0 {
+		t.Errorf("%d segments pending after every writer published", n)
 	}
 	e.Advance(26 * DefaultPeriodS)
 	close(stop)

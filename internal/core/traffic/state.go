@@ -78,10 +78,11 @@ func (e *Estimator) ExportState() *State {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// Every mutator leaves the fold settled; only a state imported with
-	// complete windows still unfolded has anything to do here.
-	moved := make(map[road.SegmentID]Estimate)
-	e.settleAllLocked(moved)
-	e.publishLocked(moved)
+	// complete windows still unfolded has anything to do here. The
+	// publish flushes the pending set, so the exported marks describe
+	// every belief exported.
+	e.settleAllLocked()
+	e.publishLocked()
 	st := &State{
 		WatermarkIdx: e.watermarkIdx,
 		LateDropped:  e.counts.LateDropped,
@@ -120,6 +121,13 @@ func (e *Estimator) ExportState() *State {
 // exactly where that fold lands: such a belief disagrees with the
 // reports it claims to summarise, and would be served as is until some
 // late report happened to refold the segment and the map jumped.
+//
+// It refuses version marks that disagree with the map for the same
+// reason: DeltaSince, and every watch client behind it, trusts them.
+// ChangedAt must mark exactly the covered segments, RemovedAt only
+// uncovered ones, each segment once, and every mark must lie in
+// [1, SnapVersion]; anything else makes a delta silently skip a
+// segment or report one forever.
 func (e *Estimator) ImportState(st *State) error {
 	if st == nil {
 		return fmt.Errorf("traffic: import nil state")
@@ -172,11 +180,30 @@ func (e *Estimator) ImportState(st *State) error {
 			estimates[sid] = seg.hist
 		}
 	}
+	changedAt, err := marksToMap("changedAt", st.ChangedAt, st.SnapVersion)
+	if err != nil {
+		return err
+	}
+	removedAt, err := marksToMap("removedAt", st.RemovedAt, st.SnapVersion)
+	if err != nil {
+		return err
+	}
+	for sid := range estimates {
+		if _, ok := changedAt[sid]; !ok {
+			return fmt.Errorf("traffic: import: covered segment %d has no change mark", sid)
+		}
+		if _, ok := removedAt[sid]; ok {
+			return fmt.Errorf("traffic: import: covered segment %d is marked removed", sid)
+		}
+	}
+	if len(changedAt) != len(estimates) {
+		return fmt.Errorf("traffic: import: %d change marks for %d covered segments", len(changedAt), len(estimates))
+	}
 	snap := &Snapshot{
 		Version:   st.SnapVersion,
 		Estimates: estimates,
-		ChangedAt: marksToMap(st.ChangedAt),
-		RemovedAt: marksToMap(st.RemovedAt),
+		ChangedAt: changedAt,
+		RemovedAt: removedAt,
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -185,6 +212,7 @@ func (e *Estimator) ImportState(st *State) error {
 	e.counts.Windows = windows
 	e.counts.WindowFolds += folds
 	e.counts.LateDropped = st.LateDropped
+	clear(e.pending)
 	e.snap.Store(snap)
 	return nil
 }
@@ -201,10 +229,18 @@ func marksOf(m map[road.SegmentID]uint64) []VersionMark {
 	return out
 }
 
-func marksToMap(marks []VersionMark) map[road.SegmentID]uint64 {
+// marksToMap rebuilds one of a snapshot's mark maps, refusing a segment
+// marked twice or a version outside [1, snapVersion].
+func marksToMap(field string, marks []VersionMark, snapVersion uint64) (map[road.SegmentID]uint64, error) {
 	out := make(map[road.SegmentID]uint64, len(marks))
 	for _, m := range marks {
+		if _, dup := out[m.Segment]; dup {
+			return nil, fmt.Errorf("traffic: import: %s marks segment %d twice", field, m.Segment)
+		}
+		if m.Version == 0 || m.Version > snapVersion {
+			return nil, fmt.Errorf("traffic: import: %s marks segment %d at version %d, outside [1, %d]", field, m.Segment, m.Version, snapVersion)
+		}
 		out[m.Segment] = m.Version
 	}
-	return out
+	return out, nil
 }

@@ -182,3 +182,65 @@ func TestStateImportRejectsMalformed(t *testing.T) {
 		t.Fatal("refused import replaced the published snapshot")
 	}
 }
+
+// TestStateImportRejectsInconsistentMarks: the version marks are what
+// DeltaSince and every watch client trust, so a state whose marks
+// disagree with its own map is refused, and the refusal leaves the
+// estimator as it was.
+func TestStateImportRejectsInconsistentMarks(t *testing.T) {
+	src, err := NewEstimator(DefaultModel(), DefaultPeriodS, DefaultDriftVarPerS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, src, stateObs(300, 4))
+	if good := src.ExportState(); len(good.ChangedAt) < 3 || good.SnapVersion < 2 {
+		t.Fatalf("fixture too small: %d marks at version %d", len(good.ChangedAt), good.SnapVersion)
+	}
+	uncovered := road.SegmentID(999)
+	for _, tc := range []struct {
+		name   string
+		tamper func(st *State)
+	}{
+		{"covered segment without a change mark", func(st *State) { st.ChangedAt = st.ChangedAt[1:] }},
+		{"change mark on an uncovered segment", func(st *State) {
+			st.ChangedAt = append(st.ChangedAt, VersionMark{Segment: uncovered, Version: 1})
+		}},
+		{"change mark above the snapshot version", func(st *State) { st.ChangedAt[0].Version = st.SnapVersion + 1 }},
+		{"change mark at version 0", func(st *State) { st.ChangedAt[0].Version = 0 }},
+		{"segment marked twice", func(st *State) { st.ChangedAt = append(st.ChangedAt, st.ChangedAt[0]) }},
+		{"covered segment marked removed", func(st *State) {
+			st.RemovedAt = []VersionMark{{Segment: st.ChangedAt[1].Segment, Version: 1}}
+		}},
+		{"removal mark above the snapshot version", func(st *State) {
+			st.RemovedAt = []VersionMark{{Segment: uncovered, Version: st.SnapVersion + 1}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEstimator(DefaultModel(), DefaultPeriodS, DefaultDriftVarPerS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := e.View()
+			st := src.ExportState()
+			tc.tamper(st)
+			if err := e.ImportState(st); err == nil {
+				t.Fatal("inconsistent marks accepted")
+			}
+			if e.View() != before {
+				t.Fatal("refused import replaced the published snapshot")
+			}
+		})
+	}
+	// An uncovered segment's removal inside the version range is a
+	// consistent mark (a merged view's kind), and the untampered state
+	// imports.
+	st := src.ExportState()
+	st.RemovedAt = []VersionMark{{Segment: uncovered, Version: st.SnapVersion}}
+	e, err := NewEstimator(DefaultModel(), DefaultPeriodS, DefaultDriftVarPerS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ImportState(st); err != nil {
+		t.Fatalf("consistent marks refused: %v", err)
+	}
+}

@@ -481,6 +481,12 @@ func (r *refEstimator) publish() {
 }
 
 func (r *refEstimator) add(o Observation) {
+	r.fold(o)
+	r.publish()
+}
+
+// fold buckets one observation without publishing.
+func (r *refEstimator) fold(o Observation) {
 	speed, err := r.cfg.model.SpeedKmh(o.LengthM, o.FreeKmh, o.BTTSeconds)
 	if err != nil {
 		panic(err)
@@ -500,7 +506,6 @@ func (r *refEstimator) add(o Observation) {
 		s.windows[idx] = append(s.windows[idx], speed)
 		sort.Float64s(s.windows[idx])
 	}
-	r.publish()
 }
 
 func (r *refEstimator) advance(nowS float64) {
@@ -544,11 +549,16 @@ func (r *refEstimator) state() *State {
 
 // oraclePair drives an Estimator and the reference through the same
 // history and, after every step, holds the estimator to the reference
-// bit for bit and to its own chain invariant.
+// bit for bit and to its own chain invariant. Both publish at the same
+// boundaries: a fold without a publish must leave the published view
+// where it was, on both sides.
 type oraclePair struct {
 	t   *testing.T
 	e   *Estimator
 	ref *refEstimator
+	// maxPending is the most segments ever left pending by a fold, so a
+	// schedule can show it held back more than one publish's worth.
+	maxPending int
 }
 
 func newOraclePair(t *testing.T) *oraclePair {
@@ -563,6 +573,27 @@ func (p *oraclePair) add(o Observation) {
 	}
 	p.ref.add(o)
 	p.check("AddObservation")
+}
+
+// fold folds a group as one call and publishes nothing.
+func (p *oraclePair) fold(group []Observation) {
+	p.t.Helper()
+	if n, err := p.e.Fold(group); err != nil || n != len(group) {
+		p.t.Fatalf("Fold of %d folded %d: %v", len(group), n, err)
+	}
+	for _, o := range group {
+		p.ref.fold(o)
+	}
+	p.maxPending = max(p.maxPending, p.e.Counts().Pending)
+	p.checkView("Fold")
+	p.checkChain("Fold")
+}
+
+func (p *oraclePair) publish() {
+	p.t.Helper()
+	p.e.Publish()
+	p.ref.publish()
+	p.check("Publish")
 }
 
 func (p *oraclePair) advance(nowS float64) {
@@ -581,12 +612,14 @@ func (p *oraclePair) compact() {
 
 // reimport replaces the estimator by a fresh one booted from its own
 // exported JSON: the derived chain must be rebuilt to the same state.
+// The export is a publish boundary.
 func (p *oraclePair) reimport() {
 	p.t.Helper()
 	blob, err := json.Marshal(p.e.ExportState())
 	if err != nil {
 		p.t.Fatal(err)
 	}
+	p.ref.publish()
 	var st State
 	if err := json.Unmarshal(blob, &st); err != nil {
 		p.t.Fatal(err)
@@ -598,17 +631,13 @@ func (p *oraclePair) reimport() {
 	p.check("ExportState → ImportState")
 }
 
+// check holds a publish boundary to the reference: the published view,
+// nothing left pending, and the exported state.
 func (p *oraclePair) check(step string) {
 	p.t.Helper()
-	got, want := p.e.View(), p.ref.snap
-	if got.Version != want.Version {
-		p.t.Fatalf("after %s: version %d, reference %d", step, got.Version, want.Version)
-	}
-	if !reflect.DeepEqual(got.Estimates, want.Estimates) {
-		p.t.Fatalf("after %s: estimates diverge from the from-scratch fold:\n%v\n%v", step, got.Estimates, want.Estimates)
-	}
-	if !reflect.DeepEqual(got.ChangedAt, want.ChangedAt) {
-		p.t.Fatalf("after %s: ChangedAt %v, reference %v", step, got.ChangedAt, want.ChangedAt)
+	p.checkView(step)
+	if n := p.e.Counts().Pending; n != 0 {
+		p.t.Fatalf("after %s: %d segments still pending", step, n)
 	}
 	gotJSON, err := json.Marshal(p.e.ExportState())
 	if err != nil {
@@ -622,6 +651,22 @@ func (p *oraclePair) check(step string) {
 		p.t.Fatalf("after %s: exported state differs from the reference:\n%s\n%s", step, gotJSON, wantJSON)
 	}
 	p.checkChain(step)
+}
+
+// checkView holds the published snapshot to the reference's: version,
+// estimates and change marks.
+func (p *oraclePair) checkView(step string) {
+	p.t.Helper()
+	got, want := p.e.View(), p.ref.snap
+	if got.Version != want.Version {
+		p.t.Fatalf("after %s: version %d, reference %d", step, got.Version, want.Version)
+	}
+	if !reflect.DeepEqual(got.Estimates, want.Estimates) {
+		p.t.Fatalf("after %s: estimates diverge from the from-scratch fold:\n%v\n%v", step, got.Estimates, want.Estimates)
+	}
+	if !reflect.DeepEqual(got.ChangedAt, want.ChangedAt) {
+		p.t.Fatalf("after %s: ChangedAt %v, reference %v", step, got.ChangedAt, want.ChangedAt)
+	}
 }
 
 // checkChain asserts the invariant the incremental fold rests on: the
@@ -668,7 +713,8 @@ func (p *oraclePair) checkChain(step string) {
 
 // TestEstimatorMatchesFromScratchFold holds the incremental fold and
 // the clone-and-patch publish to the from-scratch reference across
-// seeded random schedules — shuffled (so mostly late) reports, watermark
+// seeded random schedules — shuffled (so mostly late) reports folded in
+// random-size groups, publishes at random boundaries, watermark
 // advances, compactions and export/import reboots — and on the named
 // cases the early-stop rule has to get right.
 func TestEstimatorMatchesFromScratchFold(t *testing.T) {
@@ -682,11 +728,18 @@ func TestEstimatorMatchesFromScratchFold(t *testing.T) {
 			for step := 0; step < 250; step++ {
 				switch k := rng.Intn(20); {
 				case k < 15:
-					segs := []road.SegmentID{road.SegmentID(rng.Intn(4))}
-					for rng.Intn(3) == 0 {
-						segs = append(segs, road.SegmentID(rng.Intn(6))) // may repeat a segment
+					group := make([]Observation, 1+rng.Intn(5))
+					for i := range group {
+						segs := []road.SegmentID{road.SegmentID(rng.Intn(4))}
+						for rng.Intn(3) == 0 {
+							segs = append(segs, road.SegmentID(rng.Intn(6))) // may repeat a segment
+						}
+						group[i] = obs(segs, rng.Range(40, 400), rng.Range(0, at(30)))
 					}
-					p.add(obs(segs, rng.Range(40, 400), rng.Range(0, at(30))))
+					p.fold(group)
+					if rng.Intn(3) == 0 {
+						p.publish()
+					}
 				case k < 17:
 					p.advance(rng.Range(0, at(32)))
 				case k < 18:
@@ -694,6 +747,9 @@ func TestEstimatorMatchesFromScratchFold(t *testing.T) {
 				default:
 					p.reimport()
 				}
+			}
+			if p.maxPending < 2 {
+				t.Fatalf("seed %d: no fold left more than %d segments pending; the boundaries are untested", seed, p.maxPending)
 			}
 		}
 	})

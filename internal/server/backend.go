@@ -333,7 +333,9 @@ func (b *Backend) ProcessTrip(ctx context.Context, trip probe.Trip) (ProcessedTr
 //     is one worker, across a pool otherwise. workers <= 0 means
 //     GOMAXPROCS;
 //  3. ordered fold — estimator updates and counters land in input order,
-//     which makes the outcome independent of workers.
+//     which makes the outcome independent of workers; then one publish,
+//     so the whole call moves the traffic map's version at most once
+//     and every trip it acknowledges is visible to readers first.
 //
 // The context bounds admission and carries the trace; with observability
 // on, every admitted trip's run is bracketed by a "trip" span emitted
@@ -387,6 +389,7 @@ func (b *Backend) ingest(ctx context.Context, trips []probe.Trip, workers int) [
 		b.endTripSpan(w.ctx, w.start, trips[i].ID)
 		res[i] = TripResult{Trip: w.out, Err: w.err}
 	}
+	b.est.Publish()
 	return res
 }
 
@@ -686,6 +689,9 @@ func (b *Backend) foldScatter(ctx context.Context, key string, obs []traffic.Obs
 		}
 	}
 	out := b.pipe.Estimate(ctx, obs)
+	// Published before the home shard hears back, so its ack never runs
+	// ahead of the owner's map.
+	b.est.Publish()
 	if key != "" {
 		b.scatterSeen[key] = out
 	}

@@ -6,6 +6,9 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -727,6 +730,23 @@ func TestDocsNameRealSurface(t *testing.T) {
 		}
 	}
 
+	// Every -flag a doc passes to a busprobe command is one that
+	// command defines. The scanner must see a stale one, or the check is
+	// vacuous.
+	flags := commandFlags(t)
+	if stale := staleDocFlags("`busprobe-server -addr x -no-such-flag`", flags); len(stale) != 1 {
+		t.Fatalf("flag scanner found %v in a line with one stale flag", stale)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stale := range staleDocFlags(string(text), flags) {
+			t.Errorf("%s: %s", doc, stale)
+		}
+	}
+
 	src, err := os.ReadFile(filepath.Join("..", "..", "cmd", "busprobe-server", "main.go"))
 	if err != nil {
 		t.Fatal(err)
@@ -740,4 +760,158 @@ func TestDocsNameRealSurface(t *testing.T) {
 			t.Errorf("route %s %s is missing from busprobe-server's endpoint list", rt.method, rt.path)
 		}
 	}
+}
+
+// commandFlags maps each busprobe-<name> command to the flag names its
+// source defines: the first string argument of a flag definition on the
+// flag package or a FlagSet, and a "-name" literal an argument is
+// compared with (busprobe-vet parses its few arguments by hand, in its
+// driver package).
+func commandFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	cmds, err := os.ReadDir(filepath.Join(root, "cmd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	definers := map[string]bool{}
+	for _, kind := range []string{"Bool", "Duration", "Float64", "Func", "Int", "Int64", "String", "TextVar", "Uint", "Uint64"} {
+		definers[kind], definers[kind+"Var"] = true, true
+	}
+	handParsed := regexp.MustCompile(`^"--?([A-Za-z][\w-]*)`)
+	out := make(map[string]map[string]bool)
+	for _, cmd := range cmds {
+		name, ok := strings.CutPrefix(cmd.Name(), "busprobe-")
+		if !ok {
+			continue
+		}
+		dirs := []string{filepath.Join(root, "cmd", cmd.Name())}
+		if name == "vet" {
+			dirs = append(dirs, filepath.Join(root, "internal", "lint", "driver"))
+		}
+		set := map[string]bool{}
+		for _, dir := range dirs {
+			pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+				return !strings.HasSuffix(fi.Name(), "_test.go")
+			}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pkg := range pkgs {
+				flagSets := map[string]bool{"flag": true}
+				ast.Inspect(pkg, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						if call, ok := n.Rhs[0].(*ast.CallExpr); ok && len(n.Lhs) == 1 {
+							if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewFlagSet" {
+								if id, ok := n.Lhs[0].(*ast.Ident); ok {
+									flagSets[id.Name] = true
+								}
+							}
+						}
+					case *ast.CallExpr:
+						sel, ok := n.Fun.(*ast.SelectorExpr)
+						if !ok || !definers[sel.Sel.Name] {
+							return true
+						}
+						if x, ok := sel.X.(*ast.Ident); !ok || !flagSets[x.Name] {
+							return true
+						}
+						for _, arg := range n.Args {
+							if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+								if v, err := strconv.Unquote(lit.Value); err == nil {
+									set[v] = true
+								}
+								break
+							}
+						}
+					case *ast.BinaryExpr:
+						if lit, ok := n.Y.(*ast.BasicLit); ok && n.Op == token.EQL && lit.Kind == token.STRING {
+							if m := handParsed.FindStringSubmatch(lit.Value); m != nil {
+								set[m[1]] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+		out[name] = set
+	}
+	if len(out["server"]) == 0 || len(out["lab"]) == 0 || !out["vet"]["json"] {
+		t.Fatalf("flag extraction found too little: %v", out)
+	}
+	return out
+}
+
+// staleDocFlags lists every -flag the markdown text passes to a
+// busprobe command that the command does not define. A fenced shell
+// line (backslash continuations joined) splits into commands at |, ||,
+// &&, ; and &, and a # starts a comment; a prose line's code spans are
+// its pieces. A piece starting with a flag continues the previous
+// piece's command, as a table cell or prose naming a flag does;
+// otherwise the piece's first busprobe-<cmd> word names its command, so
+// a flag before it (go build -o) or a binary passed as a value
+// (-server-bin /tmp/busprobe-server) is not the command's.
+func staleDocFlags(text string, flags map[string]map[string]bool) []string {
+	cmdRE := regexp.MustCompile(`(?:^|/)busprobe-([a-z]+)$`)
+	flagRE := regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=.*)?$`)
+	spanRE := regexp.MustCompile("`([^`]*)`")
+	var stale []string
+	check := func(line string, pieces [][]string) {
+		cmd := ""
+		for _, toks := range pieces {
+			for i, tok := range toks {
+				tok = strings.Trim(tok, "`\"'(),;:")
+				if m := flagRE.FindStringSubmatch(tok); m != nil {
+					if cmd != "" && !flags[cmd][m[1]] {
+						stale = append(stale, fmt.Sprintf("busprobe-%s has no flag -%s: %s", cmd, m[1], strings.TrimSpace(line)))
+					}
+					continue
+				}
+				if i == 0 {
+					cmd = ""
+				}
+				if m := cmdRE.FindStringSubmatch(tok); m != nil && cmd == "" && flags[m[1]] != nil {
+					cmd = m[1]
+				}
+			}
+		}
+	}
+	fenced, logical := false, ""
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced, logical = !fenced, ""
+			continue
+		}
+		if !fenced {
+			var pieces [][]string
+			for _, m := range spanRE.FindAllStringSubmatch(line, -1) {
+				pieces = append(pieces, strings.Fields(m[1]))
+			}
+			check(line, pieces)
+			continue
+		}
+		logical += line
+		if strings.HasSuffix(logical, "\\") {
+			logical = strings.TrimSuffix(logical, "\\") + " "
+			continue
+		}
+		var pieces [][]string
+		var cur []string
+		for _, tok := range strings.Fields(logical) {
+			if strings.HasPrefix(tok, "#") {
+				break
+			}
+			switch tok {
+			case "|", "||", "&&", ";", "&":
+				pieces, cur = append(pieces, cur), nil
+			default:
+				cur = append(cur, tok)
+			}
+		}
+		check(logical, append(pieces, cur))
+		logical = ""
+	}
+	return stale
 }

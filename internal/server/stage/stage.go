@@ -351,18 +351,15 @@ type EstimateOutput struct {
 }
 
 // Estimate is stage 5: observations fold into the Bayesian per-segment
-// traffic estimator (Eq. 4). Individually invalid observations are
-// dropped, never failing the trip.
+// traffic estimator (Eq. 4) as one group. Individually invalid
+// observations are dropped, never failing the trip. The fold is not
+// published here: the writer publishes once, before it acknowledges.
 func (p *Pipeline) Estimate(ctx context.Context, obs []traffic.Observation) EstimateOutput {
 	start := p.cfg.Clock.Now()
-	var out EstimateOutput
-	for _, o := range obs {
-		if err := p.est.AddObservation(o); err != nil {
-			out.Discarded++
-			continue
-		}
-		out.Folded++
-	}
+	// The refusal reasons are not reported per observation; the count is
+	// what the stage row and the scatter wire carry.
+	folded, _ := p.est.Fold(obs)
+	out := EstimateOutput{Folded: folded, Discarded: len(obs) - folded}
 	p.observe(ctx, iEstimate, len(obs), out.Folded, out.Discarded, start)
 	return out
 }

@@ -39,8 +39,8 @@ type Options struct {
 	// ground-truth traffic).
 	World sim.WorldConfig
 	// Backend holds the backend's operational settings (admission,
-	// request timeout, observability); the matching, clustering, mapping
-	// and estimation stages always run the paper's constants.
+	// observability); the matching, clustering, mapping and estimation
+	// stages always run the paper's constants.
 	Backend server.Config
 	// SurveyRuns is the number of fingerprint-survey passes per stop
 	// platform used to bootstrap the stop database.

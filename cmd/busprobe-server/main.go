@@ -41,7 +41,7 @@
 //
 // The first two run shard processes (region shard N of len(addrs),
 // serving the public read API — which is also what the coordinator
-// tier reads — plus the four internal routed writes; public writes
+// tier reads — plus the three internal routed writes; public writes
 // answer 421). The last runs a stateless coordinator tier that
 // routes uploads to the shard processes and merges reads; any number of
 // coordinators can front the same shards. Every process derives the
@@ -127,10 +127,13 @@ func main() {
 
 // validateFlags rejects contradictory flags, all at once, before
 // anything is built or any file touched.
-func validateFlags(nShards int, dir string, id int, addrs []string) error {
+func validateFlags(nShards int, reqTimeoutS float64, dir string, id int, addrs []string) error {
 	var errs []error
 	if nShards < 1 {
 		errs = append(errs, errors.New("-shards must be >= 1"))
+	}
+	if reqTimeoutS < 0 {
+		errs = append(errs, errors.New("-request-timeout must be >= 0"))
 	}
 	switch {
 	case id >= 0 && len(addrs) == 0:
@@ -147,7 +150,7 @@ func validateFlags(nShards int, dir string, id int, addrs []string) error {
 // the backends this process owns, recover them from the store, serve.
 func run() error {
 	shardAddrs := strings.FieldsFunc(*shardAddrList, func(r rune) bool { return r == ',' || r == ' ' })
-	if err := validateFlags(*shards, *storeDir, *shardID, shardAddrs); err != nil {
+	if err := validateFlags(*shards, *reqTimeoutS, *storeDir, *shardID, shardAddrs); err != nil {
 		return err
 	}
 	// Root context: canceled on SIGTERM/SIGINT so recovery replay and
@@ -167,7 +170,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cfg := server.Config{MaxInflightBatches: *maxInflight, RequestTimeoutS: *reqTimeoutS, Obs: core}
+	cfg := server.Config{MaxInflightBatches: *maxInflight, Obs: core}
 	fpdb, err := loadOrSurvey(world, *surveyRuns, *seed, *fpdbPath)
 	if err != nil {
 		return err
@@ -180,7 +183,7 @@ func run() error {
 	// The API this process serves, the coordinator behind it (nil in a
 	// shard process) and the backends it owns: one for a shard process,
 	// none for a coordinator tier, every shard for an in-process layout.
-	hc := server.HandlerConfig{Obs: core, Pprof: *pprofOn}
+	hc := server.HandlerConfig{RequestTimeoutS: *reqTimeoutS, Obs: core, Pprof: *pprofOn}
 	var handler http.Handler
 	var coord *server.Coordinator
 	var local []*server.Backend
@@ -202,14 +205,6 @@ func run() error {
 		if coord, err = server.NewRemoteCoordinator(cfg, world.Transit, fpdb, shardAddrs); err != nil {
 			return err
 		}
-		probeCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		err = coord.ProbeShards(probeCtx)
-		cancel()
-		if err != nil {
-			// Not fatal: the shard may still be starting, and /v1/shards
-			// reports per-shard health while reads degrade around it.
-			log.Printf("warning: shard probe: %v", err)
-		}
 	default:
 		if coord, err = server.NewCoordinator(cfg, world.Transit, fpdb, *shards); err != nil {
 			return err
@@ -217,9 +212,11 @@ func run() error {
 		local = coord.Shards()
 	}
 	if coord != nil {
+		// Each row probes its shard. An unhealthy shard is not fatal: it
+		// may still be starting, and reads degrade around it meanwhile.
 		for _, st := range coord.ShardStatuses() {
-			fmt.Printf("shard %d @ %s: healthy=%t, %d routes, %d stops, %d segments\n",
-				st.Shard, st.Addr, st.Healthy, st.Routes, st.Stops, st.Segments)
+			fmt.Printf("shard %d @ %s: healthy=%t (last probe: %s), %d routes, %d stops, %d segments\n",
+				st.Shard, st.Addr, st.Healthy, st.LastProbe, st.Routes, st.Stops, st.Segments)
 		}
 		handler = server.NewHandler(coord, hc)
 	}

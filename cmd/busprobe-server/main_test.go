@@ -21,12 +21,13 @@ import (
 func TestValidateFlags(t *testing.T) {
 	two := []string{"http://a", "http://b"}
 	for _, tc := range []struct {
-		name   string
-		shards int
-		dir    string
-		id     int
-		addrs  []string
-		want   []string // substrings of the error; none = valid
+		name    string
+		shards  int
+		timeout float64
+		dir     string
+		id      int
+		addrs   []string
+		want    []string // substrings of the error; none = valid
 	}{
 		{name: "monolith", shards: 1, id: -1},
 		{name: "monolith store", shards: 1, dir: "d", id: -1},
@@ -35,9 +36,11 @@ func TestValidateFlags(t *testing.T) {
 		{name: "store on coordinator tier", shards: 1, dir: "d", id: -1, addrs: two, want: []string{"coordinator tier"}},
 		{name: "shard id without addrs", shards: 1, id: 0, want: []string{"-shard-id requires -shard-addrs"}},
 		{name: "shard id outside addrs", shards: 1, id: 2, addrs: two, want: []string{"outside the 2-entry"}},
+		{name: "request timeout", shards: 1, timeout: 30, id: -1},
+		{name: "negative request timeout", shards: 1, timeout: -1, id: -1, want: []string{"-request-timeout must be"}},
 		{name: "all listed at once", shards: 0, id: 0, want: []string{"-shards must be", "-shard-id requires"}},
 	} {
-		err := validateFlags(tc.shards, tc.dir, tc.id, tc.addrs)
+		err := validateFlags(tc.shards, tc.timeout, tc.dir, tc.id, tc.addrs)
 		if len(tc.want) == 0 {
 			if err != nil {
 				t.Errorf("%s: refused: %v", tc.name, err)

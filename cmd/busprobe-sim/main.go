@@ -81,7 +81,7 @@ func run(days, participants int, tripsPerDay float64, seed uint64, serverURL str
 	}
 
 	var uploader phone.Uploader
-	var backend server.API
+	var backend *server.Coordinator
 	if serverURL == "" {
 		fpdb, err := server.BuildFingerprintDB(world.Cells, world.Transit, 4, seed)
 		if err != nil {
@@ -123,7 +123,12 @@ func run(days, participants int, tripsPerDay float64, seed uint64, serverURL str
 		return err
 	}
 	if backend != nil {
-		camp.MinuteHook = func(tS float64) { backend.Advance(tS) }
+		// The campaign's clock drives each in-process shard's estimator.
+		camp.MinuteHook = func(tS float64) {
+			for _, b := range backend.Shards() {
+				b.Advance(tS)
+			}
+		}
 	}
 
 	fmt.Printf("running %d-day campaign: %d participants, %.1f trips/day each...\n",

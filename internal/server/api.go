@@ -40,10 +40,6 @@ type API interface {
 	// ShardStatuses reports per-shard footprint and counters (one row
 	// for a monolithic backend).
 	ShardStatuses() []ShardStatus
-	// Advance drives the estimator clocks.
-	Advance(nowS float64)
-	// Config returns the serving configuration.
-	Config() Config
 	// Transit returns the transit database the derived reads resolve
 	// routes and road geometry against.
 	Transit() *transit.DB

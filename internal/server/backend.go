@@ -56,9 +56,6 @@ type Config struct {
 	// beyond it the admission gate sheds the batch (HTTP 429 with
 	// Retry-After). 0 disables shedding.
 	MaxInflightBatches int
-	// RequestTimeoutS bounds each HTTP request's handling time; slow
-	// requests get 503. 0 disables the per-request timeout.
-	RequestTimeoutS float64
 	// Obs, when non-nil, is the unified observability core: backend
 	// counters and per-stage durations register into its metrics
 	// registry, and every stage run of a traced trip emits a span. Nil
@@ -158,16 +155,16 @@ type Backend struct {
 	admission stage.Metrics //lint:guardedby statsMu
 
 	// Scatter topology, set before any ingestion (by a Coordinator or a
-	// shard process) and read-only afterwards. obsOwner names the shard
-	// index owning an observation's road segments; shardIdx is this
-	// backend's own index. Observations owned elsewhere are handed to
-	// obsScatter as one group per owner under a deterministic
-	// idempotency key, so a trip whose best-matching route lives on
-	// another shard still folds into the city-wide map exactly once —
-	// even when the scatter crosses a wire and gets retried. A nil
-	// obsOwner folds everything locally (monolithic deployment).
+	// shard process) and read-only afterwards. part is the route
+	// partition naming the shard that owns an observation's road
+	// segments; shardIdx is this backend's own index. Observations owned
+	// elsewhere are handed to obsScatter as one group per owner under a
+	// deterministic idempotency key, so a trip whose best-matching route
+	// lives on another shard still folds into the city-wide map exactly
+	// once — even when the scatter crosses a wire and gets retried. A nil
+	// part folds everything locally (monolithic deployment).
 	shardIdx   int
-	obsOwner   func(traffic.Observation) (int, bool)
+	part       *transit.Partition
 	obsScatter func(ctx context.Context, owner int, key string, obs []traffic.Observation) (stage.EstimateOutput, error)
 
 	// scatterMu guards scatterSeen — the idempotency record of cross-
@@ -214,9 +211,6 @@ func newBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shardIdx int)
 	if cfg.MaxInflightBatches < 0 {
 		return nil, fmt.Errorf("server: negative max inflight batches %d", cfg.MaxInflightBatches)
 	}
-	if cfg.RequestTimeoutS < 0 {
-		return nil, fmt.Errorf("server: negative request timeout %v", cfg.RequestTimeoutS)
-	}
 	est, err := traffic.NewEstimator(traffic.DefaultModel(), traffic.DefaultPeriodS, traffic.DefaultDriftVarPerS)
 	if err != nil {
 		return nil, err
@@ -248,9 +242,6 @@ func newBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shardIdx int)
 	b.pipe = stage.New(fpdb, tdb, est, stage.Config{Hook: hook, Clock: clk})
 	return b, nil
 }
-
-// Config returns the backend configuration.
-func (b *Backend) Config() Config { return b.cfg }
 
 // Transit returns the transit database.
 func (b *Backend) Transit() *transit.DB { return b.transit }
@@ -513,7 +504,7 @@ func (b *Backend) compute(trip probe.Trip, w *tripWork) {
 // order) and each group folds on its owner, so every segment's report
 // multiset lives in exactly one estimator and the fan-in merge stays
 // exact. Groups owned by this backend, by no shard, or — with no
-// obsOwner installed — by definition, fold locally; the rest travel
+// partition installed — by definition, fold locally; the rest travel
 // through obsScatter under a deterministic key, making a retried or
 // replayed scatter fold-once.
 func (b *Backend) fold(w *tripWork) {
@@ -524,9 +515,10 @@ func (b *Backend) fold(w *tripWork) {
 		}
 		var groups []group
 		for _, o := range w.obs {
+			// A leg's segments all belong to one route, hence one shard.
 			owner := b.shardIdx
-			if b.obsOwner != nil {
-				if own, ok := b.obsOwner(o); ok {
+			if b.part != nil && len(o.Segments) > 0 {
+				if own, ok := b.part.SegmentShard(o.Segments[0]); ok {
 					owner = own
 				}
 			}
@@ -699,7 +691,9 @@ func (b *Backend) foldScatter(ctx context.Context, key string, obs []traffic.Obs
 }
 
 // Advance drives the estimator's periodic refresh from the caller's
-// clock.
+// clock. Only backends have a clock: an in-process caller advances each
+// backend it owns (a coordinator's Shards), and a shard process owns
+// its own.
 func (b *Backend) Advance(nowS float64) { b.est.Advance(nowS) }
 
 // Traffic returns the current fused estimate per covered road segment,
@@ -717,17 +711,22 @@ func (b *Backend) TrafficSnapshot() *traffic.Snapshot {
 	return b.est.View()
 }
 
-// ShardStatuses reports the backend as a single all-owning shard, so the
-// monolithic and sharded deployments share one observability surface.
+// ShardStatuses reports the backend as its one shard, so the monolithic
+// and sharded deployments share one observability surface: a standalone
+// backend is shard 0 owning the whole city, a partitioned one (a shard
+// process) reports its own index and partition footprint.
 func (b *Backend) ShardStatuses() []ShardStatus {
-	return []ShardStatus{{
-		Shard:     0,
-		Addr:      LocalAddr,
-		Healthy:   true,
-		LastProbe: "ok",
-		Routes:    b.transit.NumRoutes(),
-		Stops:     b.transit.NumStops(),
-		Segments:  b.transit.Network().NumSegments(),
-		Stats:     b.Stats(),
-	}}
+	row := ShardStatus{
+		Routes:   b.transit.NumRoutes(),
+		Stops:    b.transit.NumStops(),
+		Segments: b.transit.Network().NumSegments(),
+	}
+	if b.part != nil {
+		row = footprint(b.part, b.shardIdx)
+	}
+	row.Addr = LocalAddr
+	row.Healthy = true
+	row.LastProbe = "ok"
+	row.Stats = b.Stats()
+	return []ShardStatus{row}
 }

@@ -318,7 +318,7 @@ func TestRequestTimeoutHandler(t *testing.T) {
 	// With RequestTimeoutS set, a handler stuck past the budget answers
 	// 503 instead of pinning the connection.
 	w := testWorld(t)
-	cfg := Config{RequestTimeoutS: 0.05}
+	var cfg Config
 	cfg.StageHook = func(_ context.Context, stage string, in, out, dropped int, d time.Duration) {
 		if stage == "match" {
 			time.Sleep(300 * time.Millisecond)
@@ -332,7 +332,7 @@ func TestRequestTimeoutHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(Handler(b))
+	srv := httptest.NewServer(NewHandler(b, HandlerConfig{RequestTimeoutS: 0.05}))
 	defer srv.Close()
 
 	trip, _ := rideTrip(t, w, 0, 0, 4, "slow-trip")

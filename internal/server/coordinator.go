@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -52,7 +51,6 @@ import (
 //
 // Safe for concurrent use.
 type Coordinator struct {
-	cfg      Config
 	tdb      *transit.DB
 	fpdb     *fingerprint.DB
 	part     *transit.Partition
@@ -125,7 +123,7 @@ var (
 // Shards may outnumber route groups; the surplus shards simply stay
 // empty.
 func NewCoordinator(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shards int) (*Coordinator, error) {
-	c, err := newCoordinator(cfg, tdb, fpdb, shards)
+	c, err := newCoordinator(tdb, fpdb, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +139,7 @@ func NewCoordinator(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shards in
 	// Installed after every shard exists: the scatter can target any
 	// peer's estimator.
 	for _, b := range c.backends {
-		b.obsOwner = segmentOwner(c.part)
+		b.part = c.part
 		b.obsScatter = c.scatter
 	}
 	return c, nil
@@ -155,7 +153,7 @@ func NewCoordinator(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shards in
 // merges reads across the wire. It holds no trip state: any number of
 // coordinator processes can front the same shard tier.
 func NewRemoteCoordinator(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, addrs []string) (*Coordinator, error) {
-	c, err := newCoordinator(cfg, tdb, fpdb, len(addrs))
+	c, err := newCoordinator(tdb, fpdb, len(addrs))
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +167,7 @@ func NewRemoteCoordinator(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, add
 
 // newCoordinator builds the shard-implementation-independent core: the
 // deterministic route partition and the health table.
-func newCoordinator(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shards int) (*Coordinator, error) {
+func newCoordinator(tdb *transit.DB, fpdb *fingerprint.DB, shards int) (*Coordinator, error) {
 	if tdb == nil || fpdb == nil {
 		return nil, fmt.Errorf("server: nil transit or fingerprint DB")
 	}
@@ -180,7 +178,7 @@ func newCoordinator(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shards in
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{cfg: cfg, tdb: tdb, fpdb: fpdb, part: part, merged: mergedTraffic{
+	c := &Coordinator{tdb: tdb, fpdb: fpdb, part: part, merged: mergedTraffic{
 		snap:  traffic.EmptySnapshot(),
 		parts: make([]*traffic.Snapshot, shards),
 		done:  make([]uint64, shards),
@@ -190,19 +188,6 @@ func newCoordinator(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shards in
 		c.health[i] = shardHealth{healthy: true, lastProbe: "unprobed"}
 	}
 	return c, nil
-}
-
-// segmentOwner builds a backend's obsOwner over the route partition:
-// the shard owning an observation's road segments (a leg's segments all
-// belong to one route, hence one shard). Unowned segments fold on the
-// home shard.
-func segmentOwner(part *transit.Partition) func(traffic.Observation) (int, bool) {
-	return func(o traffic.Observation) (int, bool) {
-		if len(o.Segments) > 0 {
-			return part.SegmentShard(o.Segments[0])
-		}
-		return 0, false
-	}
 }
 
 // scatter forwards one cross-shard observation group to its owner.
@@ -230,32 +215,6 @@ func (c *Coordinator) shardHealthAt(i int) shardHealth {
 	defer c.healthMu.Unlock()
 	return c.health[i]
 }
-
-// ProbeShards checks every shard's readiness concurrently — a shard that
-// answers a Stats call is ready — records the outcomes in the health
-// table served by GET /v1/shards, and returns the joined errors of the
-// shards that failed (nil when all are ready).
-func (c *Coordinator) ProbeShards(ctx context.Context) error {
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i, sh := range c.shards {
-		wg.Add(1)
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			_, err := sh.Stats(ctx)
-			if err != nil {
-				err = fmt.Errorf("shard %d (%s): %w", i, sh.Addr(), err)
-			}
-			c.noteShard(i, err)
-			errs[i] = err
-		}(i, sh)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// Config returns the serving configuration.
-func (c *Coordinator) Config() Config { return c.cfg }
 
 // Transit returns the transit database shared by every shard.
 func (c *Coordinator) Transit() *transit.DB { return c.tdb }
@@ -432,14 +391,6 @@ func (c *Coordinator) TrafficSnapshot() *traffic.Snapshot {
 	return c.merged.snap
 }
 
-// Advance drives every shard's estimator clock, keeping the shard
-// watermarks in lockstep with a monolithic deployment's.
-func (c *Coordinator) Advance(nowS float64) {
-	for i, sh := range c.shards {
-		c.noteShard(i, sh.Advance(context.Background(), nowS)) //lint:allow ctxpropagate clock ticks must reach every shard even when a caller's request ctx has expired
-	}
-}
-
 // registerObs projects the coordinator's partition footprint into the
 // metrics registry: shard count plus per-shard route/stop/segment
 // gauges, labeled consistently with the per-shard stage series.
@@ -479,17 +430,19 @@ func (c *Coordinator) ShardStatuses() []ShardStatus {
 		stats, err := sh.Stats(context.Background()) //lint:allow ctxpropagate reads stay ctx-free: shard read RPCs carry their own transport timeout
 		c.noteShard(i, err)
 		h := c.shardHealthAt(i)
-		out[i] = ShardStatus{
-			Shard:     i,
-			Addr:      sh.Addr(),
-			Remote:    sh.Addr() != LocalAddr,
-			Healthy:   h.healthy,
-			LastProbe: h.lastProbe,
-			Routes:    len(c.part.RoutesIn(i)),
-			Stops:     c.part.StopsIn(i),
-			Segments:  c.part.SegmentsIn(i),
-			Stats:     stats,
-		}
+		row := footprint(c.part, i)
+		row.Addr = sh.Addr()
+		row.Remote = row.Addr != LocalAddr
+		row.Healthy = h.healthy
+		row.LastProbe = h.lastProbe
+		row.Stats = stats
+		out[i] = row
 	}
 	return out
+}
+
+// footprint is shard i's partition row: its index and the routes, stops
+// and road segments it owns.
+func footprint(part *transit.Partition, i int) ShardStatus {
+	return ShardStatus{Shard: i, Routes: len(part.RoutesIn(i)), Stops: part.StopsIn(i), Segments: part.SegmentsIn(i)}
 }

@@ -67,6 +67,24 @@ func replayInto(t *testing.T, sink API, trips []probe.Trip) {
 	}
 }
 
+// advance drives the estimator clock of every backend api holds in
+// process: a Backend's own, or each shard of an in-process Coordinator.
+// A remote tier's shard processes own their clocks; advance its
+// backends directly.
+func advance(tb testing.TB, api API, nowS float64) {
+	tb.Helper()
+	switch a := api.(type) {
+	case *Backend:
+		a.Advance(nowS)
+	case *Coordinator:
+		for _, b := range a.Shards() {
+			b.Advance(nowS)
+		}
+	default:
+		tb.Fatalf("advance: %T holds no backend", api)
+	}
+}
+
 // readBytes serves one GET in process and returns the status code plus
 // the body, so error answers (404, 503) compare as strictly as 200s.
 func readBytes(tb testing.TB, b API, path string) []byte {
@@ -155,7 +173,7 @@ func TestShardEquivalence(t *testing.T) {
 				replayInto(t, api, trips)
 			}
 			for _, api := range apis {
-				api.Advance(3 * clock.DayS)
+				advance(t, api, 3*clock.DayS)
 			}
 
 			wantTraffic := trafficBytes(t, mono)
@@ -379,7 +397,7 @@ func TestCoordinatorReadYourWritesDuringMerge(t *testing.T) {
 
 	c.mergeMu.Lock() // an in-flight merge
 	replayInto(t, c, twinCorpus(t, w, faults.Config{}))
-	c.Advance(12 * 3600)
+	advance(t, c, 12*3600)
 	done := make(chan *traffic.Snapshot, 1)
 	go func() { done <- c.TrafficSnapshot() }()
 	// Queuing on a mutex is not observable, so give the reader time to

@@ -188,9 +188,13 @@ func uploadRow(tripID string, res ProcessedTrip, err error) UploadResponseJSON {
 // which it is talking to.
 func Handler(b API) http.Handler { return NewHandler(b, HandlerConfig{}) }
 
-// HandlerConfig extends the API handler with the observability
-// surfaces.
+// HandlerConfig is what the HTTP edge adds around the API: the
+// per-request budget and the observability surfaces.
 type HandlerConfig struct {
+	// RequestTimeoutS bounds each /v1 request's handling time; slow
+	// requests get 503, and a traffic watch waits at most half of it.
+	// 0 disables the per-request timeout.
+	RequestTimeoutS float64
 	// Obs, when non-nil, mounts the Prometheus exposition at
 	// GET /metrics and wraps the API in request counting + latency
 	// histograms (busprobe_http_*).
@@ -204,9 +208,9 @@ type HandlerConfig struct {
 // /metrics scrapes and pprof profiles have their own lifecycles (a
 // 30-second CPU profile is not a stuck request).
 func NewHandler(b API, hc HandlerConfig) http.Handler {
-	api := apiMux(b, hc.Obs)
+	api := apiMux(b, hc)
 	var handler http.Handler = api
-	if s := b.Config().RequestTimeoutS; s > 0 {
+	if s := hc.RequestTimeoutS; s > 0 {
 		handler = http.TimeoutHandler(api, time.Duration(s*float64(time.Second)), "request timed out")
 	}
 	if hc.Obs == nil && !hc.Pprof {
@@ -248,10 +252,10 @@ type route struct {
 // writes, and a shard's read side IS these reads (RemoteShard fetches
 // /v1/stats, /v1/pipeline and /v1/traffic). A new derived read is one
 // function of (Transit, TrafficSnapshot) plus one row here.
-func publicRoutes(b API, core *obs.Core) []route {
+func publicRoutes(b API, hc HandlerConfig) []route {
 	render := renderTraffic
-	if core != nil {
-		renders := core.Registry.Counter("busprobe_traffic_renders_total",
+	if hc.Obs != nil {
+		renders := hc.Obs.Registry.Counter("busprobe_traffic_renders_total",
 			"Full-map /v1/traffic bodies rendered: one per snapshot version that was read.")
 		render = func(snap *traffic.Snapshot) []byte {
 			renders.Inc()
@@ -362,7 +366,7 @@ func publicRoutes(b API, core *obs.Core) []route {
 			// The long poll must resolve inside the per-request timeout
 			// wrapping the /v1 surface, or TimeoutHandler would cut it off
 			// mid-wait and answer 503 for a healthy server.
-			if rt := b.Config().RequestTimeoutS; rt > 0 && waitS > rt/2 {
+			if rt := hc.RequestTimeoutS; rt > 0 && waitS > rt/2 {
 				waitS = rt / 2
 			}
 			snap, resync := watchSnapshot(r.Context(), b, since, waitS)
@@ -457,18 +461,18 @@ func publicRoutes(b API, core *obs.Core) []route {
 }
 
 // apiMux builds the /v1 + /healthz surface from publicRoutes.
-func apiMux(b API, core *obs.Core) http.Handler {
+func apiMux(b API, hc HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	paths := make(map[string]bool)
-	for _, rt := range publicRoutes(b, core) {
+	for _, rt := range publicRoutes(b, hc) {
 		mux.HandleFunc(rt.method+" "+rt.path, rt.handler)
 		paths[rt.path] = true
 	}
 	var handler http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mux.ServeHTTP(w, traceCtx(r))
 	})
-	if core != nil {
-		handler = obsMiddleware(core, paths, handler)
+	if hc.Obs != nil {
+		handler = obsMiddleware(hc.Obs, paths, handler)
 	}
 	return handler
 }

@@ -52,7 +52,7 @@ func TestTrafficByteIdenticalWithObs(t *testing.T) {
 
 	for _, api := range []API{bare, instrumented, fourBare, fourObs} {
 		replayInto(t, api, trips)
-		api.Advance(3 * clock.DayS)
+		advance(t, api, 3*clock.DayS)
 	}
 
 	want := trafficBytes(t, bare)

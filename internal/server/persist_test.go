@@ -292,7 +292,7 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 
 	ref := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
 	replayInto(t, ref, trips)
-	ref.Advance(3 * clock.DayS)
+	advance(t, ref, 3*clock.DayS)
 	want := trafficBytes(t, ref)
 
 	base := t.TempDir()
@@ -334,7 +334,7 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 	if replayedShards == 0 {
 		t.Fatal("no shard recovered from a snapshot; the checkpoint path is untested")
 	}
-	second.Advance(3 * clock.DayS)
+	advance(t, second, 3*clock.DayS)
 	if got := trafficBytes(t, second); !bytes.Equal(got, want) {
 		t.Error("recovered 2-shard /v1/traffic differs from the uninterrupted run")
 	}
@@ -573,7 +573,7 @@ func checkDamagedReplay(t *testing.T, shards int, dmg logDamage) {
 			t.Errorf("shard %d: store-level skips with no note", i)
 		}
 	}
-	api.Advance(3 * clock.DayS)
+	advance(t, api, 3*clock.DayS)
 	if got := trafficBytes(t, api); !bytes.Equal(got, want) {
 		t.Error("replayed /v1/traffic differs from the uninterrupted run over the unaltered trips")
 	}
@@ -592,7 +592,7 @@ func checkDamagedReplay(t *testing.T, shards int, dmg logDamage) {
 			t.Fatalf("shard %d: post-checkpoint recovery %+v, want snapshot+tail replaying nothing", i, rec)
 		}
 	}
-	api.Advance(3 * clock.DayS)
+	advance(t, api, 3*clock.DayS)
 	if got := trafficBytes(t, api); !bytes.Equal(got, want) {
 		t.Error("checkpointed recovery of the damaged store differs")
 	}
@@ -883,7 +883,7 @@ func TestPendingScatterDurableAcrossCompaction(t *testing.T) {
 
 	ref := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
 	replayInto(t, ref, trips)
-	ref.Advance(3 * clock.DayS)
+	advance(t, ref, 3*clock.DayS)
 	want := trafficBytes(t, ref)
 
 	base := t.TempDir()
@@ -960,7 +960,7 @@ func TestPendingScatterDurableAcrossCompaction(t *testing.T) {
 			t.Fatalf("shard %d still holds %d pending groups after recovery retry", i, n)
 		}
 	}
-	second.Advance(3 * clock.DayS)
+	advance(t, second, 3*clock.DayS)
 	if got := trafficBytes(t, second); !bytes.Equal(got, want) {
 		t.Error("recovered /v1/traffic differs from the unfailed run; pending scatters were lost")
 	}

@@ -436,12 +436,9 @@ func TestBackendAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBackend(Config{RequestTimeoutS: 3}, w.Transit, fpdb)
+	b, err := NewBackend(Config{}, w.Transit, fpdb)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if b.Config().RequestTimeoutS != 3 {
-		t.Error("Config accessor wrong")
 	}
 	if b.Transit() != w.Transit {
 		t.Error("Transit accessor wrong")

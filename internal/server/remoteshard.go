@@ -32,7 +32,7 @@ const scatterAttempts = 3
 
 // RemoteShard is one shard process as the coordinator sees it. It
 // implements Shard, so a Coordinator dispatches to it exactly as it does
-// to an in-process backend: the four writes travel the internal wire
+// to an in-process backend: the three writes travel the internal wire
 // (shardrpc.go), the three reads are plain GETs of the public API the
 // shard process serves anyway, and contexts ride every hop
 // (cancellation and the X-Busprobe-Trace header, via Client.do).
@@ -85,20 +85,17 @@ func (s *RemoteShard) unavailable(op string, err error) error {
 func (s *RemoteShard) Addr() string { return s.cli.baseURL }
 
 // call posts one pre-encoded body to an internal route and, when the
-// shard answers want, decodes the response into out (nil: none
-// expected). Any other status is an error carrying the head of the
-// body. Errors come back bare; each caller wraps them as unavailable.
-func (s *RemoteShard) call(ctx context.Context, path string, body []byte, want int, out any) error {
+// shard answers 200, decodes the response into out. Any other status is
+// an error carrying the head of the body. Errors come back bare; each
+// caller wraps them as unavailable.
+func (s *RemoteShard) call(ctx context.Context, path string, body []byte, out any) error {
 	resp, err := s.cli.do(ctx, http.MethodPost, path, body, "")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != want {
+	if resp.StatusCode != http.StatusOK {
 		return errors.New(statusText(resp))
-	}
-	if out == nil {
-		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
@@ -113,7 +110,7 @@ func (s *RemoteShard) ProcessTrip(ctx context.Context, trip probe.Trip) (Process
 		return ProcessedTrip{}, fmt.Errorf("server: encode trip: %w", err)
 	}
 	var out shardTripJSON
-	if err := s.call(ctx, "/internal/v1/trip", body, http.StatusOK, &out); err != nil {
+	if err := s.call(ctx, "/internal/v1/trip", body, &out); err != nil {
 		return ProcessedTrip{}, s.unavailable("server: forward trip to", err)
 	}
 	return out.Trip, out.err()
@@ -138,7 +135,7 @@ func (s *RemoteShard) IngestBatch(ctx context.Context, trips []probe.Trip) []Tri
 		return fail(fmt.Errorf("server: encode batch: %w", err))
 	}
 	var rows []shardTripJSON
-	if err := s.call(ctx, "/internal/v1/trips", body, http.StatusOK, &rows); err != nil {
+	if err := s.call(ctx, "/internal/v1/trips", body, &rows); err != nil {
 		return fail(s.unavailable("server: forward batch to", err))
 	}
 	if len(rows) != len(trips) {
@@ -169,7 +166,7 @@ func (s *RemoteShard) Scatter(ctx context.Context, key string, obsGroup []traffi
 			}
 		}
 		var out stage.EstimateOutput
-		if lastErr = s.call(ctx, "/internal/v1/scatter", body, http.StatusOK, &out); lastErr == nil {
+		if lastErr = s.call(ctx, "/internal/v1/scatter", body, &out); lastErr == nil {
 			return out, nil
 		}
 		if ctx.Err() != nil {
@@ -180,7 +177,7 @@ func (s *RemoteShard) Scatter(ctx context.Context, key string, obsGroup []traffi
 }
 
 // Stats fetches the shard's work counters; answering at all is also the
-// shard's readiness probe (Coordinator.ProbeShards).
+// shard's readiness probe (Coordinator.ShardStatuses).
 func (s *RemoteShard) Stats(ctx context.Context) (Stats, error) {
 	out, err := getJSON[Stats](ctx, s.cli, "/v1/stats")
 	if err != nil {
@@ -244,16 +241,4 @@ func (s *RemoteShard) Traffic(ctx context.Context) (*traffic.Snapshot, error) {
 	s.lastTraffic = snap
 	s.trafficMu.Unlock()
 	return snap, nil
-}
-
-// Advance drives the shard's estimator clock.
-func (s *RemoteShard) Advance(ctx context.Context, nowS float64) error {
-	body, err := json.Marshal(nowS)
-	if err != nil {
-		return fmt.Errorf("server: encode advance: %w", err)
-	}
-	if err := s.call(ctx, "/internal/v1/advance", body, http.StatusNoContent, nil); err != nil {
-		return s.unavailable("server: advance", err)
-	}
-	return nil
 }

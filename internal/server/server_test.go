@@ -122,9 +122,6 @@ func TestBackendValidation(t *testing.T) {
 	if _, err := NewBackend(Config{MaxInflightBatches: -1}, w.Transit, fpdb); err == nil {
 		t.Error("want error for negative max inflight batches")
 	}
-	if _, err := NewBackend(Config{RequestTimeoutS: -1}, w.Transit, fpdb); err == nil {
-		t.Error("want error for negative request timeout")
-	}
 }
 
 func TestPipelineMapsCleanTrip(t *testing.T) {
@@ -341,8 +338,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		h      http.Handler
 		routes []route
 	}{
-		{Handler(b), publicRoutes(b, nil)},
-		{shard, publicRoutes(b, nil)},
+		{Handler(b), publicRoutes(b, HandlerConfig{})},
+		{shard, publicRoutes(b, HandlerConfig{})},
 		{shard, shardRoutes(b)},
 	} {
 		for _, rt := range c.routes {
@@ -360,15 +357,22 @@ func TestHTTPBadRequests(t *testing.T) {
 			}
 		}
 	}
-	if n := len(shardRoutes(b)); n != 4 {
-		t.Errorf("internal wire has %d routes, want the four writes", n)
+	if n := len(shardRoutes(b)); n != 3 {
+		t.Errorf("internal wire has %d routes, want the three writes", n)
 	}
-	// A shard's read side is the public API: the internal GETs are gone.
-	for _, path := range []string{"/internal/v1/traffic", "/internal/v1/stats", "/internal/v1/pipeline", "/internal/v1/ready"} {
+	// A shard's read side is the public API: the internal GETs are gone,
+	// and so is the clock write (a shard process owns its clock).
+	for _, r := range []struct{ method, path string }{
+		{http.MethodGet, "/internal/v1/traffic"},
+		{http.MethodGet, "/internal/v1/stats"},
+		{http.MethodGet, "/internal/v1/pipeline"},
+		{http.MethodGet, "/internal/v1/ready"},
+		{http.MethodPost, "/internal/v1/advance"},
+	} {
 		rec := httptest.NewRecorder()
-		shard.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		shard.ServeHTTP(rec, httptest.NewRequest(r.method, r.path, strings.NewReader("0")))
 		if rec.Code != http.StatusNotFound {
-			t.Errorf("GET %s on a shard gave %d, want 404", path, rec.Code)
+			t.Errorf("%s %s on a shard gave %d, want 404", r.method, r.path, rec.Code)
 		}
 	}
 	// Malformed and non-finite query parameters: strconv parses NaN and
@@ -633,14 +637,14 @@ func TestDerivedReadsLoadOneSnapshot(t *testing.T) {
 
 func TestServingSurface(t *testing.T) {
 	// The two interfaces every topology restates must not silently
-	// regrow: a new derived read is a function of (Transit,
-	// TrafficSnapshot), not an API method, and Shard carries only what
-	// the coordinator dispatches.
-	if n := reflect.TypeOf((*API)(nil)).Elem().NumMethod(); n > 9 {
-		t.Errorf("API declares %d methods, want at most 9", n)
+	// regrow: API carries only what the HTTP edge calls (a new derived
+	// read is a function of (Transit, TrafficSnapshot), not an API
+	// method), and Shard carries only what the coordinator dispatches.
+	if n := reflect.TypeOf((*API)(nil)).Elem().NumMethod(); n > 7 {
+		t.Errorf("API declares %d methods, want at most 7", n)
 	}
-	if n := reflect.TypeOf((*Shard)(nil)).Elem().NumMethod(); n > 8 {
-		t.Errorf("Shard declares %d methods, want at most 8", n)
+	if n := reflect.TypeOf((*Shard)(nil)).Elem().NumMethod(); n > 7 {
+		t.Errorf("Shard declares %d methods, want at most 7", n)
 	}
 	// The configuration surface carries only what deployments set: the
 	// algorithm runs the paper's constants, so no option can make two
@@ -649,7 +653,8 @@ func TestServingSurface(t *testing.T) {
 		typ reflect.Type
 		max int
 	}{
-		{reflect.TypeOf(Config{}), 4},
+		{reflect.TypeOf(Config{}), 3},
+		{reflect.TypeOf(HandlerConfig{}), 3},
 		{reflect.TypeOf(stage.Config{}), 2},
 		{reflect.TypeOf(store.Options{}), 4},
 	} {
@@ -698,7 +703,7 @@ func TestDocsNameRealSurface(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(rec.Body.String(), -1) {
 		metrics = append(metrics, m[1])
 	}
-	for _, rt := range publicRoutes(c, nil) {
+	for _, rt := range publicRoutes(c, HandlerConfig{}) {
 		paths = append(paths, rt.path)
 	}
 	known := func(name string, real []string) bool {
@@ -755,7 +760,7 @@ func TestDocsNameRealSurface(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^//\s+(GET|POST)\s+([^\s?]+)`).FindAllStringSubmatch(string(src), -1) {
 		listed[m[1]+" "+m[2]] = true
 	}
-	for _, rt := range publicRoutes(c, nil) {
+	for _, rt := range publicRoutes(c, HandlerConfig{}) {
 		if !listed[rt.method+" "+rt.path] {
 			t.Errorf("route %s %s is missing from busprobe-server's endpoint list", rt.method, rt.path)
 		}

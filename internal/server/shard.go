@@ -48,8 +48,6 @@ type Shard interface {
 	// leaves them nil — the coordinator diffs its own merged view). The
 	// snapshot is immutable: callers must not modify its maps.
 	Traffic(ctx context.Context) (*traffic.Snapshot, error)
-	// Advance drives the shard's estimator clock.
-	Advance(ctx context.Context, nowS float64) error
 }
 
 // localShard adapts an in-process *Backend to the Shard boundary. The
@@ -82,9 +80,4 @@ func (s localShard) StageMetrics(context.Context) ([]stage.Metrics, error) {
 
 func (s localShard) Traffic(context.Context) (*traffic.Snapshot, error) {
 	return s.b.TrafficSnapshot(), nil
-}
-
-func (s localShard) Advance(_ context.Context, nowS float64) error {
-	s.b.Advance(nowS)
-	return nil
 }

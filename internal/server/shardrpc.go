@@ -17,7 +17,7 @@ import (
 // (which doubles as the readiness probe), /v1/pipeline and the
 // versioned /v1/traffic, so a coordinator polling an idle shard is
 // answered 304 and its fan-in shows in the shard's busprobe_http_*
-// series. The internal wire (shardRoutes) is only the four writes no
+// series. The internal wire (shardRoutes) is only the three writes no
 // rider makes:
 //
 //	POST /internal/v1/trip       ingest one routed trip
@@ -26,8 +26,6 @@ import (
 //	                             order)
 //	POST /internal/v1/scatter    fold a cross-shard observation group,
 //	                             exactly once per key
-//	POST /internal/v1/advance    drive the estimator clock to the
-//	                             watermark in the body (a bare number)
 //
 // One endpoint per Shard write, no per-request options. Bodies are
 // JSON. encoding/json renders float64 with the shortest round-tripping
@@ -95,7 +93,7 @@ func NewShardBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB, shardID 
 		}
 		peers[i] = NewRemoteShard(addr)
 	}
-	b.obsOwner = segmentOwner(part)
+	b.part = part
 	b.obsScatter = func(ctx context.Context, owner int, key string, group []traffic.Observation) (stage.EstimateOutput, error) {
 		return peers[owner].Scatter(ctx, key, group)
 	}
@@ -140,14 +138,6 @@ func shardRoutes(b *Backend) []route {
 			}
 			writeJSON(w, http.StatusOK, out)
 		}},
-		{http.MethodPost, "/internal/v1/advance", func(w http.ResponseWriter, r *http.Request) {
-			var nowS float64
-			if !decodeBody(w, r, maxUploadBytes, &nowS, nil) {
-				return
-			}
-			b.Advance(nowS)
-			w.WriteHeader(http.StatusNoContent)
-		}},
 	}
 }
 
@@ -171,7 +161,7 @@ func NewShardHandler(b *Backend, hc HandlerConfig) http.Handler {
 		http.Error(w, "shard process: uploads go through the coordinator tier",
 			http.StatusMisdirectedRequest)
 	}
-	for _, rt := range publicRoutes(b, nil) {
+	for _, rt := range publicRoutes(b, HandlerConfig{}) {
 		if rt.method == http.MethodPost {
 			mux.HandleFunc(rt.method+" "+rt.path, misdirected)
 		}

@@ -78,8 +78,10 @@ func startShardTier(t *testing.T, w *sim.World, fpdb *fingerprint.DB, n int, cfg
 		t.Fatal(err)
 	}
 	tier.coord = coord
-	if err := coord.ProbeShards(context.Background()); err != nil {
-		t.Fatalf("shard tier not ready: %v", err)
+	for _, st := range coord.ShardStatuses() {
+		if !st.Healthy {
+			t.Fatalf("shard tier not ready: shard %d: %s", st.Shard, st.LastProbe)
+		}
 	}
 	return tier
 }
@@ -87,6 +89,15 @@ func startShardTier(t *testing.T, w *sim.World, fpdb *fingerprint.DB, n int, cfg
 // kill hard-stops shard i's server: the coordinator's next call to it
 // fails at the socket, as if the process died.
 func (tier *shardTier) kill(i int) { _ = tier.srvs[i].Close() }
+
+// advance drives every shard process's estimator clock: each process
+// owns its clock, so the tier advances its backends, not the
+// coordinator.
+func (tier *shardTier) advance(nowS float64) {
+	for _, b := range tier.backends {
+		b.Advance(nowS)
+	}
+}
 
 func TestShardProcsEquivalenceOverSockets(t *testing.T) {
 	// The tentpole acceptance bar, over the wire: a monolith, a 2-shard
@@ -132,8 +143,8 @@ func TestShardProcsEquivalenceOverSockets(t *testing.T) {
 				}
 			}
 			mono.Advance(3 * clock.DayS)
-			inproc.Advance(3 * clock.DayS)
-			tier.coord.Advance(3 * clock.DayS)
+			advance(t, inproc, 3*clock.DayS)
+			tier.advance(3 * clock.DayS)
 
 			want := trafficBytes(t, mono)
 			if len(mono.Traffic()) == 0 {
@@ -176,6 +187,32 @@ func TestShardProcsEquivalenceOverSockets(t *testing.T) {
 				t.Errorf("remote-tier Stats() = %+v, monolith %+v", wireStats, monoStats)
 			}
 		})
+	}
+}
+
+func TestShardProcessReportsOwnShard(t *testing.T) {
+	// A shard process's own /v1/shards row names its index and its
+	// partition footprint — the row the coordinator tier reports for
+	// it — not shard 0 owning the whole city.
+	w, fpdb := twinWorld(t)
+	tier := startShardTier(t, w, fpdb, 2, Config{}, nil)
+	direct, err := NewClient(tier.addrs[1], http.DefaultClient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := direct.Shards(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("shard process reports %d rows, want its own one", len(rows))
+	}
+	got, want := rows[0], tier.coord.ShardStatuses()[1]
+	if want.Routes == 0 || want.Routes >= w.Transit.NumRoutes() {
+		t.Fatalf("shard 1 owns %d of %d routes; the footprint check is vacuous", want.Routes, w.Transit.NumRoutes())
+	}
+	if got.Shard != want.Shard || got.Routes != want.Routes || got.Stops != want.Stops || got.Segments != want.Segments {
+		t.Errorf("shard 1 reports itself as %+v, the coordinator tier as %+v", got, want)
 	}
 }
 
@@ -420,7 +457,7 @@ func TestDegradedReadsAfterShardDeath(t *testing.T) {
 	tier := startShardTier(t, w, fpdb, 2, Config{}, nil)
 	trips := twinCorpus(t, w, faults.Config{})
 	replayInto(t, tier.coord, trips)
-	tier.coord.Advance(3 * clock.DayS)
+	tier.advance(3 * clock.DayS)
 	full := tier.coord.TrafficSnapshot().Estimates
 	if len(full) == 0 {
 		t.Fatal("no estimates before the kill")
@@ -462,9 +499,6 @@ func TestDegradedReadsAfterShardDeath(t *testing.T) {
 	}
 	if got := readBytes(t, tier.coord, lost); !bytes.HasPrefix(got, []byte("404\n")) {
 		t.Errorf("dead shard's segment %s = %s, want 404", lost, got)
-	}
-	if err := tier.coord.ProbeShards(context.Background()); err == nil {
-		t.Error("ProbeShards reported a dead shard ready")
 	}
 	statuses := tier.coord.ShardStatuses()
 	if !statuses[0].Healthy {
@@ -516,7 +550,7 @@ func TestStalledShardDoesNotQueueReads(t *testing.T) {
 		})
 	})
 	replayInto(t, tier.coord, twinCorpus(t, w, faults.Config{}))
-	tier.coord.Advance(3 * clock.DayS)
+	tier.advance(3 * clock.DayS)
 	want := len(tier.coord.TrafficSnapshot().Estimates)
 
 	stalling.Store(true)

@@ -329,7 +329,7 @@ func TestTrafficRenderedOncePerVersion(t *testing.T) {
 			}
 
 			replayInto(t, api, trips[:len(trips)/2])
-			api.Advance(12 * 3600)
+			advance(t, api, 12*3600)
 			// Loading the snapshot first also settles the coordinator's
 			// merge, so every reader below is handed the same version.
 			snap := api.TrafficSnapshot()
@@ -374,7 +374,7 @@ func TestTrafficRenderedOncePerVersion(t *testing.T) {
 			}
 
 			replayInto(t, api, trips[len(trips)/2:])
-			api.Advance(13 * 3600)
+			advance(t, api, 13*3600)
 			next := api.TrafficSnapshot()
 			if next.Version == snap.Version {
 				t.Fatal("second half of the corpus folded nothing; the new-version check is vacuous")
@@ -419,7 +419,7 @@ func TestTrafficDefensiveCopies(t *testing.T) {
 	wTwin, fpdb := twinWorld(t)
 	c := newTwinCoordinator(t, wTwin, fpdb, 2)
 	replayInto(t, c, twinCorpus(t, wTwin, faults.Config{}))
-	c.Advance(12 * 3600)
+	advance(t, c, 12*3600)
 	wantC := trafficBytes(t, c)
 	mc := c.TrafficSnapshot().CloneEstimates()
 	if len(mc) == 0 {
@@ -437,7 +437,7 @@ func TestCoordinatorSnapshotCacheStable(t *testing.T) {
 	w, fpdb := twinWorld(t)
 	c := newTwinCoordinator(t, w, fpdb, 2)
 	replayInto(t, c, twinCorpus(t, w, faults.Config{}))
-	c.Advance(12 * 3600)
+	advance(t, c, 12*3600)
 
 	first := c.TrafficSnapshot()
 	if first.Version == 0 || len(first.Estimates) == 0 {
@@ -453,7 +453,7 @@ func TestCoordinatorSnapshotCacheStable(t *testing.T) {
 
 	// A shard folds new data: the vector moves and the merge re-runs at
 	// the next version.
-	c.Advance(13*3600 + 1)
+	advance(t, c, 13*3600+1)
 	if c.TrafficSnapshot() == first {
 		// Advance may not fold anything new if all windows were settled;
 		// force a distinguishable state check rather than failing hard.

@@ -52,10 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	events, err := det.Process(pcm)
-	if err != nil {
-		log.Fatal(err)
-	}
+	events := det.Process(pcm)
 	fmt.Printf("Goertzel detector found %d/%d beeps:\n", len(events), len(beepTimes))
 	for _, e := range events {
 		fmt.Printf("  t=%6.2fs  score=%.0f sigma\n", e.TimeS, e.Score)

@@ -159,12 +159,6 @@ func (c Classifier) Variance(trace []float64) float64 {
 	return acc.Var()
 }
 
-// IsBusLike reports whether the trace's variance clears the bus
-// threshold.
-func (c Classifier) IsBusLike(trace []float64) bool {
-	return c.Variance(trace) > c.BusThreshold
-}
-
 // Classify buckets a trace into a mobility mode using two variance
 // bands: below stillCeiling it is still, above BusThreshold it is a bus,
 // in between a train.

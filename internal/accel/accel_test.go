@@ -67,10 +67,10 @@ func TestClassifierSeparatesBusFromTrain(t *testing.T) {
 	busOK, trainOK := 0, 0
 	const trials = 30
 	for seed := uint64(1); seed <= trials; seed++ {
-		if c.IsBusLike(synth(t, ModeBus, seed)) {
+		if c.Classify(synth(t, ModeBus, seed)) == ModeBus {
 			busOK++
 		}
-		if !c.IsBusLike(synth(t, ModeTrain, seed)) {
+		if c.Classify(synth(t, ModeTrain, seed)) != ModeBus {
 			trainOK++
 		}
 	}
@@ -119,7 +119,7 @@ func TestVarianceEmptyTrace(t *testing.T) {
 	if c.Variance(nil) != 0 {
 		t.Error("empty variance should be 0")
 	}
-	if c.IsBusLike(nil) {
+	if c.Classify(nil) == ModeBus {
 		t.Error("empty trace should not be bus-like")
 	}
 }

@@ -158,10 +158,7 @@ func TestDetectorFindsBeeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := det.Process(pcm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := det.Process(pcm)
 	if len(events) != len(beeps) {
 		t.Fatalf("detected %d events, want %d: %+v", len(events), len(beeps), events)
 	}
@@ -186,10 +183,7 @@ func TestDetectorNoFalsePositivesOnNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := det.Process(pcm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := det.Process(pcm)
 	if len(events) > 1 {
 		t.Errorf("false positives on pure noise: %+v", events)
 	}
@@ -207,10 +201,7 @@ func TestDetectorRejectsSingleToneForDualProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := det.Process(pcm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := det.Process(pcm)
 	if len(events) != 0 {
 		t.Errorf("dual-tone detector triggered on single tone: %+v", events)
 	}
@@ -228,10 +219,7 @@ func TestDetectorStreamingChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := one.Process(pcm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	whole := one.Process(pcm)
 	chunked, err := NewDetector(SingaporeBeep, cfg.SampleRate, DefaultDetectorConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -242,10 +230,7 @@ func TestDetectorStreamingChunks(t *testing.T) {
 		if end > len(pcm) {
 			end = len(pcm)
 		}
-		ev, err := chunked.Process(pcm[i:end])
-		if err != nil {
-			t.Fatal(err)
-		}
+		ev := chunked.Process(pcm[i:end])
 		got = append(got, ev...)
 	}
 	if len(got) != len(whole) {
@@ -254,40 +239,6 @@ func TestDetectorStreamingChunks(t *testing.T) {
 	for i := range got {
 		if got[i].TimeS != whole[i].TimeS {
 			t.Errorf("event %d time differs: %v vs %v", i, got[i].TimeS, whole[i].TimeS)
-		}
-	}
-}
-
-func TestDetectorFFTModeEquivalent(t *testing.T) {
-	cfg := DefaultSynthConfig()
-	beeps := []float64{2.0, 5.5}
-	pcm, err := Synthesize(SingaporeBeep, beeps, 8.0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewDetector(SingaporeBeep, cfg.SampleRate, DefaultDetectorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewDetector(SingaporeBeep, cfg.SampleRate, DefaultDetectorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetUseFFT(true)
-	ge, err := g.Process(pcm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := f.Process(pcm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ge) != len(fe) {
-		t.Fatalf("Goertzel found %d, FFT %d", len(ge), len(fe))
-	}
-	for i := range ge {
-		if math.Abs(ge[i].TimeS-fe[i].TimeS) > 0.1 {
-			t.Errorf("event %d times differ: %v vs %v", i, ge[i].TimeS, fe[i].TimeS)
 		}
 	}
 }
@@ -302,10 +253,7 @@ func TestDetectorLondonProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := det.Process(pcm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := det.Process(pcm)
 	if len(events) != 1 || math.Abs(events[0].TimeS-3.0) > 0.15 {
 		t.Errorf("Oyster beep not detected: %+v", events)
 	}

@@ -77,7 +77,6 @@ type Detector struct {
 	seeded   int
 
 	lastDetectFrame int
-	useFFT          bool // baseline comparison mode for the benchmark
 }
 
 // NewDetector returns a detector for the given reader profile.
@@ -105,45 +104,26 @@ func NewDetector(profile BeepProfile, sampleRate int, cfg DetectorConfig) (*Dete
 	}, nil
 }
 
-// SetUseFFT switches the band-power computation from Goertzel to the FFT
-// baseline. Detection results are equivalent; only the compute cost
-// differs. Used by the §IV-D comparison.
-func (d *Detector) SetUseFFT(v bool) { d.useFFT = v }
-
 // Process consumes PCM samples (values roughly in [-1, 1]) and returns
 // any beeps completed within them. It may be called repeatedly with
 // arbitrary chunk sizes; partial frames are buffered.
-func (d *Detector) Process(samples []float64) ([]Detection, error) {
+func (d *Detector) Process(samples []float64) []Detection {
 	var out []Detection
 	d.buf = append(d.buf, samples...)
 	for len(d.buf) >= d.frameLen {
-		frame := d.buf[:d.frameLen]
-		det, err := d.processFrame(frame)
-		if err != nil {
-			return out, err
-		}
-		if det != nil {
+		if det := d.processFrame(d.buf[:d.frameLen]); det != nil {
 			out = append(out, *det)
 		}
 		d.buf = d.buf[d.frameLen:]
 		d.frameIdx++
 	}
-	return out, nil
+	return out
 }
 
 // processFrame analyzes one frame and returns a detection if the smoothed
 // normalized band power jumps above the baseline.
-func (d *Detector) processFrame(frame []float64) (*Detection, error) {
-	var powers []float64
-	if d.useFFT {
-		var err error
-		powers, err = FFTBinPower(frame, float64(d.sampleRate), d.profile.FreqsHz)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		powers = GoertzelBank(frame, float64(d.sampleRate), d.profile.FreqsHz)
-	}
+func (d *Detector) processFrame(frame []float64) *Detection {
+	powers := GoertzelBank(frame, float64(d.sampleRate), d.profile.FreqsHz)
 	energy := FrameEnergy(frame)
 	if energy == 0 {
 		energy = 1e-12
@@ -175,7 +155,7 @@ func (d *Detector) processFrame(frame []float64) (*Detection, error) {
 	if d.seeded < d.cfg.WarmupFrames {
 		d.updateBaseline(avg, 0.2)
 		d.seeded++
-		return nil, nil
+		return nil
 	}
 
 	dev := math.Max(d.baseDev, 1e-9)
@@ -188,14 +168,14 @@ func (d *Detector) processFrame(frame []float64) (*Detection, error) {
 		return &Detection{
 			TimeS: float64(d.frameIdx) * d.cfg.FrameS,
 			Score: score,
-		}, nil
+		}
 	}
 	// Update the baseline only with non-event frames so beeps do not
 	// inflate it.
 	if !jumped && !inRefractory {
 		d.updateBaseline(avg, lam)
 	}
-	return nil, nil
+	return nil
 }
 
 // updateBaseline folds a quiescent frame into the noise statistics.
@@ -209,6 +189,3 @@ func (d *Detector) updateBaseline(v, lam float64) {
 	dev := math.Abs(v - d.baseMean)
 	d.baseDev += lam * (dev - d.baseDev)
 }
-
-// FrameLen returns the analysis frame length in samples.
-func (d *Detector) FrameLen() int { return d.frameLen }

@@ -43,43 +43,6 @@ func WriteWAV(w io.Writer, pcm []float64, sampleRate int) error {
 	return nil
 }
 
-// ReadWAV decodes a 16-bit mono PCM WAV stream back into floats,
-// returning the samples and sample rate. Only the minimal subset
-// produced by WriteWAV is supported.
-func ReadWAV(r io.Reader) ([]float64, int, error) {
-	var header [44]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, 0, fmt.Errorf("audio: read WAV header: %w", err)
-	}
-	if string(header[0:4]) != "RIFF" || string(header[8:12]) != "WAVE" {
-		return nil, 0, fmt.Errorf("audio: not a WAV stream")
-	}
-	if binary.LittleEndian.Uint16(header[20:22]) != 1 {
-		return nil, 0, fmt.Errorf("audio: only PCM WAV supported")
-	}
-	if binary.LittleEndian.Uint16(header[22:24]) != 1 {
-		return nil, 0, fmt.Errorf("audio: only mono WAV supported")
-	}
-	if bits := binary.LittleEndian.Uint16(header[34:36]); bits != 16 {
-		return nil, 0, fmt.Errorf("audio: only 16-bit WAV supported, got %d", bits)
-	}
-	sampleRate := int(binary.LittleEndian.Uint32(header[24:28]))
-	dataLen := int(binary.LittleEndian.Uint32(header[40:44]))
-	if dataLen%2 != 0 {
-		return nil, 0, fmt.Errorf("audio: odd WAV data length %d", dataLen)
-	}
-	raw := make([]byte, dataLen)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, 0, fmt.Errorf("audio: read WAV data: %w", err)
-	}
-	pcm := make([]float64, dataLen/2)
-	for i := range pcm {
-		s := int16(binary.LittleEndian.Uint16(raw[i*2:]))
-		pcm[i] = float64(s) / 32767
-	}
-	return pcm, sampleRate, nil
-}
-
 func clamp(v, lo, hi float64) float64 {
 	return math.Max(lo, math.Min(hi, v))
 }

@@ -218,9 +218,6 @@ func (d *Deployment) NumTowers() int { return len(d.towers) }
 // Towers returns the tower list; callers must not modify it.
 func (d *Deployment) Towers() []Tower { return d.towers }
 
-// Model returns the propagation parameters.
-func (d *Deployment) Model() Model { return d.model }
-
 // meanRSS returns the noise-free RSS of a tower at a position: path loss
 // plus frozen shadowing.
 func (d *Deployment) meanRSS(t *Tower, pos geo.XY) float64 {

@@ -54,8 +54,8 @@ func TestScanVisibleCount(t *testing.T) {
 		pos := geo.XY{X: rng.Range(500, 3500), Y: rng.Range(500, 2500)}
 		rs := d.Scan(pos, Condition{}, rng)
 		acc.Add(float64(len(rs)))
-		if len(rs) > d.Model().MaxVisible {
-			t.Fatalf("scan returned %d towers, cap %d", len(rs), d.Model().MaxVisible)
+		if len(rs) > d.model.MaxVisible {
+			t.Fatalf("scan returned %d towers, cap %d", len(rs), d.model.MaxVisible)
 		}
 	}
 	// The paper reports typically 4-7 visible towers.
@@ -76,7 +76,7 @@ func TestScanSortedByRSS(t *testing.T) {
 			}
 		}
 		for j, r := range rs {
-			if r.RSS < d.Model().SensitivityDBm {
+			if r.RSS < d.model.SensitivityDBm {
 				t.Fatalf("reading %d below sensitivity: %v", j, r.RSS)
 			}
 		}
@@ -167,8 +167,8 @@ func TestShadowFrozenPerPlace(t *testing.T) {
 	// The field is spatially correlated: 10 m away moves the fade by
 	// far less than sigma.
 	c := d.shadow(id, geo.XY{X: pos.X + 10, Y: pos.Y + 10})
-	if math.Abs(a-c) > d.Model().ShadowSigmaDB {
-		t.Errorf("fade moved %v dB over 14 m, sigma %v", math.Abs(a-c), d.Model().ShadowSigmaDB)
+	if math.Abs(a-c) > d.model.ShadowSigmaDB {
+		t.Errorf("fade moved %v dB over 14 m, sigma %v", math.Abs(a-c), d.model.ShadowSigmaDB)
 	}
 	// A distant place should (almost surely) differ.
 	far := d.shadow(id, geo.XY{X: pos.X + 1500, Y: pos.Y + 1500})

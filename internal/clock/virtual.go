@@ -38,12 +38,6 @@ func HourOfDay(t float64) float64 { return TimeOfDayS(t) / 3600 }
 // DayIndex returns the zero-based simulated day of an absolute time.
 func DayIndex(t float64) int { return int(math.Floor(t / DayS)) }
 
-// InServiceHours reports whether buses run at the given time.
-func InServiceHours(t float64) bool {
-	tod := TimeOfDayS(t)
-	return tod >= ServiceStartS && tod < ServiceEndS
-}
-
 // Stamp renders an absolute virtual time as "d2 08:30" for reports.
 func Stamp(t float64) string {
 	tod := TimeOfDayS(t)

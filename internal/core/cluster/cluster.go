@@ -80,15 +80,6 @@ type Cluster struct {
 	Candidates []Candidate
 }
 
-// Best returns the highest-ranked candidate stop. It panics on an empty
-// pool, which Sequence never produces.
-func (c *Cluster) Best() Candidate {
-	if len(c.Candidates) == 0 {
-		panic("cluster: empty candidate pool")
-	}
-	return c.Candidates[0]
-}
-
 // Affinity computes the Eq. 1 left-hand side for two elements.
 func Affinity(a, b Element, p Params) float64 {
 	l := 0.0

@@ -25,7 +25,7 @@ func TestTwoBurstsTwoClusters(t *testing.T) {
 	if len(cs) != 2 {
 		t.Fatalf("clusters = %d, want 2", len(cs))
 	}
-	if cs[0].Best().Stop != 1 || cs[1].Best().Stop != 2 {
+	if cs[0].Candidates[0].Stop != 1 || cs[1].Candidates[0].Stop != 2 {
 		t.Errorf("best stops wrong: %+v", cs)
 	}
 	if cs[0].ArriveS != 100 || cs[0].DepartS != 106 {
@@ -53,7 +53,7 @@ func TestNoisyMemberJoinsPool(t *testing.T) {
 	if len(c.Candidates) != 2 {
 		t.Fatalf("pool size = %d, want 2", len(c.Candidates))
 	}
-	best := c.Best()
+	best := c.Candidates[0]
 	if best.Stop != 1 {
 		t.Errorf("best = %+v", best)
 	}
@@ -180,15 +180,6 @@ func TestInvariantsProperty(t *testing.T) {
 			t.Fatalf("trial %d: %d elements in, %d out", trial, n, total)
 		}
 	}
-}
-
-func TestBestPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	(&Cluster{}).Best()
 }
 
 func TestDwellTimeExtraction(t *testing.T) {

@@ -69,12 +69,6 @@ func NewDB(scoring Scoring, gamma float64, entries map[transit.StopID]cellular.F
 	return db, nil
 }
 
-// Scoring returns the alignment weights in use.
-func (db *DB) Scoring() Scoring { return db.scoring }
-
-// Gamma returns the acceptance threshold.
-func (db *DB) Gamma() float64 { return db.gamma }
-
 // Len returns the number of fingerprinted stops.
 func (db *DB) Len() int { return len(db.entries) }
 

@@ -43,7 +43,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if second := writeBytes(t, back); !bytes.Equal(second, first) {
 		t.Errorf("write → read → write moved the bytes:\n%s\nwant\n%s", second, first)
 	}
-	if back.Len() != db.Len() || back.Gamma() != db.Gamma() || back.Scoring() != db.Scoring() {
+	if back.Len() != db.Len() || back.gamma != db.gamma || back.scoring != db.scoring {
 		t.Error("parameters lost")
 	}
 	for _, sample := range []cellular.Fingerprint{fp(10, 20, 30), fp(40, 50), fp(60, 70, 80, 90)} {

@@ -168,9 +168,6 @@ func NewEstimator(model Model, periodS, driftVarPerS float64) (*Estimator, error
 	return e, nil
 }
 
-// Model returns the transit model in use.
-func (e *Estimator) Model() Model { return e.model }
-
 // windowOf buckets a timestamp into its update-window index.
 func (e *Estimator) windowOf(tS float64) int64 {
 	return int64(math.Floor(tS / e.periodS))
@@ -197,13 +194,6 @@ func (e *Estimator) Fold(group []Observation) (folded int, err error) {
 		folded++
 	}
 	return folded, errors.Join(refused...)
-}
-
-// AddObservation folds one observation and publishes it.
-func (e *Estimator) AddObservation(obs Observation) error {
-	_, err := e.Fold([]Observation{obs})
-	e.Publish()
-	return err
 }
 
 // Publish makes every belief folded so far visible: the pending
@@ -438,15 +428,4 @@ func (e *Estimator) View() *Snapshot {
 // Lock-free; use View to avoid the copy.
 func (e *Estimator) Snapshot() map[road.SegmentID]Estimate {
 	return e.snap.Load().CloneEstimates()
-}
-
-// CoveredSegments returns the IDs with folded estimates, ascending.
-func (e *Estimator) CoveredSegments() []road.SegmentID {
-	snap := e.View()
-	out := make([]road.SegmentID, 0, len(snap.Estimates))
-	for sid := range snap.Estimates {
-		out = append(out, sid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -6,10 +6,7 @@
 // per-segment traffic map refreshed every T = 5 minutes.
 package traffic
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Model is the Eq. 3 transit traffic model: ATT = a + b·BTT, where
 // a = road length / free travel speed is an automobile's uncongested
@@ -150,31 +147,4 @@ func LevelOf(speedKmh float64) Level {
 	default:
 		return LevelVeryFast
 	}
-}
-
-// FitB estimates the model coefficient b from paired (BTT, ATT)
-// observations on a segment of known geometry, via least squares on
-// ATT - a = b·BTT. It is the ablation hook validating the paper's claim
-// that b lands in [0.3, 0.8].
-func FitB(lengthM, freeKmh float64, bttS, attS []float64) (float64, error) {
-	if len(bttS) != len(attS) || len(bttS) < 2 {
-		return 0, fmt.Errorf("traffic: need >= 2 paired observations")
-	}
-	if lengthM <= 0 || freeKmh <= 0 {
-		return 0, fmt.Errorf("traffic: bad segment geometry")
-	}
-	a := lengthM / (freeKmh / 3.6)
-	var num, den float64
-	for i := range bttS {
-		num += bttS[i] * (attS[i] - a)
-		den += bttS[i] * bttS[i]
-	}
-	if den == 0 {
-		return 0, fmt.Errorf("traffic: degenerate BTT inputs")
-	}
-	b := num / den
-	if math.IsNaN(b) || math.IsInf(b, 0) {
-		return 0, fmt.Errorf("traffic: non-finite fit")
-	}
-	return b, nil
 }

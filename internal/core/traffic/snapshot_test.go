@@ -121,7 +121,7 @@ func TestEstimatorPublishesVersionedSnapshots(t *testing.T) {
 	}
 
 	obs := Observation{Segments: []road.SegmentID{7}, LengthM: 500, FreeKmh: 50, BTTSeconds: 80, TimeS: 100}
-	if err := e.AddObservation(obs); err != nil {
+	if err := foldPublish(e, obs); err != nil {
 		t.Fatal(err)
 	}
 	// The observation sits in an open window: nothing folded, nothing
@@ -156,7 +156,7 @@ func TestEstimatorSnapshotIsDefensiveCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := Observation{Segments: []road.SegmentID{7}, LengthM: 500, FreeKmh: 50, BTTSeconds: 80, TimeS: 100}
-	if err := e.AddObservation(obs); err != nil {
+	if err := foldPublish(e, obs); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(600)
@@ -215,7 +215,7 @@ func TestEstimatorConcurrentReadersSeeMonotoneVersions(t *testing.T) {
 			BTTSeconds: 60 + float64(i%30),
 			TimeS:      float64(i) * 40,
 		}
-		if err := e.AddObservation(obs); err != nil {
+		if err := foldPublish(e, obs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,7 +240,7 @@ func TestPublishCarriesForward(t *testing.T) {
 	report := func(sid road.SegmentID, btt, atS float64) {
 		t.Helper()
 		o := Observation{Segments: []road.SegmentID{sid}, LengthM: 500, FreeKmh: 50, BTTSeconds: btt, TimeS: atS}
-		if err := e.AddObservation(o); err != nil {
+		if err := foldPublish(e, o); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -35,7 +35,7 @@ func stateObs(n int, seed int64) []Observation {
 func feed(t *testing.T, e *Estimator, obs []Observation) {
 	t.Helper()
 	for _, o := range obs {
-		if err := e.AddObservation(o); err != nil {
+		if err := foldPublish(e, o); err != nil {
 			t.Fatal(err)
 		}
 	}

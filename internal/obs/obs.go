@@ -44,6 +44,3 @@ func NewCore(clk clock.Clock) *Core {
 		Clock:    clk,
 	}
 }
-
-// Enabled reports whether the core is live (nil-safe).
-func (c *Core) Enabled() bool { return c != nil }

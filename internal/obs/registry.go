@@ -23,33 +23,11 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Add increments the counter by d (d must be >= 0; negative deltas are
-// ignored so a counter can never run backwards).
-func (c *Counter) Add(d int64) {
-	if d > 0 {
-		c.v.Add(d)
-	}
-}
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an instrument that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by d (may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // metric kinds, named by their Prometheus TYPE keyword.
 const (
@@ -64,7 +42,6 @@ const (
 type series struct {
 	labels string // rendered {k="v",...} signature, "" for unlabeled
 	ctr    *Counter
-	gauge  *Gauge
 	hist   *Histogram
 	fn     func() float64
 }
@@ -168,21 +145,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return s.ctr
 }
 
-// Gauge returns the gauge named name with the given labels, creating it
-// on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.lookup(name, help, kindGauge, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.gauge == nil && s.fn == nil {
-		s.gauge = &Gauge{}
-	}
-	if s.gauge == nil {
-		panic(fmt.Sprintf("obs: gauge %q already registered as a func", name))
-	}
-	return s.gauge
-}
-
 // Histogram returns the histogram named name with the given bucket
 // upper bounds and labels, creating it on first use. Bounds must be
 // sorted ascending; the +Inf overflow bucket is implicit.
@@ -214,7 +176,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	s := r.lookup(name, help, kindGauge, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s.gauge = nil
 	s.fn = fn
 }
 
@@ -231,7 +192,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	type pendingSeries struct {
 		labels string
 		ctr    *Counter
-		gauge  *Gauge
 		hist   *Histogram
 		fn     func() float64
 	}
@@ -247,7 +207,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		pf := pendingFamily{name: fam.name, help: fam.help, kind: fam.kind}
 		for _, s := range fam.series {
 			pf.series = append(pf.series, pendingSeries{
-				labels: s.labels, ctr: s.ctr, gauge: s.gauge, hist: s.hist, fn: s.fn,
+				labels: s.labels, ctr: s.ctr, hist: s.hist, fn: s.fn,
 			})
 		}
 		sort.Slice(pf.series, func(i, j int) bool { return pf.series[i].labels < pf.series[j].labels })
@@ -266,7 +226,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 		for _, s := range fam.series {
-			if err := writeSeries(w, fam.name, s.labels, s.ctr, s.gauge, s.hist, s.fn); err != nil {
+			if err := writeSeries(w, fam.name, s.labels, s.ctr, s.hist, s.fn); err != nil {
 				return err
 			}
 		}
@@ -275,16 +235,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // writeSeries renders one series' sample lines.
-func writeSeries(w io.Writer, name, labels string, ctr *Counter, gauge *Gauge, hist *Histogram, fn func() float64) error {
+func writeSeries(w io.Writer, name, labels string, ctr *Counter, hist *Histogram, fn func() float64) error {
 	switch {
 	case fn != nil:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(fn()))
 		return err
 	case ctr != nil:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", name, labels, ctr.Value())
-		return err
-	case gauge != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", name, labels, gauge.Value())
 		return err
 	case hist != nil:
 		return writeHistogram(w, name, labels, hist.Snapshot())

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 
@@ -47,24 +45,19 @@ type Span struct {
 	Attrs []Attr    `json:"attrs,omitempty"`
 }
 
-// DurationNs returns the span's duration in nanoseconds.
-func (s Span) DurationNs() int64 { return s.End.Sub(s.Start).Nanoseconds() }
-
-// Tracer collects completed spans into a bounded in-memory ring and,
-// optionally, an append-only JSONL sink. Timestamps come from the
-// injected clock, so tests running a clock.Fake get byte-stable spans.
-// Safe for concurrent use; the mutex guards only the ring and sequence
-// map — never a channel operation or a user callback.
+// Tracer collects completed spans into a bounded in-memory ring.
+// Timestamps come from the injected clock, so tests running a
+// clock.Fake get byte-stable spans. Safe for concurrent use; the mutex
+// guards only the ring and sequence map — never a channel operation or
+// a user callback.
 type Tracer struct {
 	clk clock.Clock
 
-	mu      sync.Mutex
-	seq     map[string]int //lint:guardedby mu
-	ring    []Span         //lint:guardedby mu
-	next    int            //lint:guardedby mu ring write cursor
-	full    bool           //lint:guardedby mu
-	sink    io.Writer      //lint:guardedby mu
-	emitted int64          //lint:guardedby mu
+	mu   sync.Mutex
+	seq  map[string]int //lint:guardedby mu
+	ring []Span         //lint:guardedby mu
+	next int            //lint:guardedby mu ring write cursor
+	full bool           //lint:guardedby mu
 }
 
 // NewTracer returns a tracer holding up to capacity spans (<= 0 uses
@@ -87,15 +80,6 @@ func NewTracer(clk clock.Clock, capacity int) *Tracer {
 // so every span of a deployment shares one time base.
 func (t *Tracer) Now() time.Time { return t.clk.Now() }
 
-// SetSink directs every emitted span to w as one JSON line, in addition
-// to the in-memory ring. Pass nil to detach. The write happens under
-// the tracer mutex so lines never interleave.
-func (t *Tracer) SetSink(w io.Writer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sink = w
-}
-
 // Emit records one completed span. Nil-safe: a nil tracer drops it.
 func (t *Tracer) Emit(trace, name string, start, end time.Time, attrs ...Attr) {
 	if t == nil || trace == "" {
@@ -114,28 +98,7 @@ func (t *Tracer) Emit(trace, name string, start, end time.Time, attrs ...Attr) {
 		t.next = 0
 		t.full = true
 	}
-	t.emitted++
-	sink := t.sink
-	var line []byte
-	if sink != nil {
-		// Encode under the lock so sink lines never interleave; the
-		// sink is a local file or buffer, not a network hop.
-		line, _ = json.Marshal(sp)
-		line = append(line, '\n')
-		sink.Write(line) //lint:allow errcheckio a failed trace-sink write must not fail the traced request; the ring still holds the span
-	}
 	t.mu.Unlock()
-}
-
-// Emitted returns the total number of spans emitted (including any that
-// have since rotated out of the ring).
-func (t *Tracer) Emitted() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.emitted
 }
 
 // snapshotLocked copies the ring oldest-first.

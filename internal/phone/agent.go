@@ -66,7 +66,6 @@ type Agent struct {
 	current   *probe.Trip
 	lastBeepS float64
 	tripSeq   int
-	uploadErr error
 }
 
 // NewAgent returns an agent writing trips to the uploader.
@@ -136,22 +135,15 @@ func (a *Agent) Flush(ctx context.Context) {
 	}
 }
 
-// conclude uploads the open trip and resets the recorder. Upload errors
-// are retained for UploadErr; the agent drops the trip, as the real app
-// does when its buffer cannot reach the server.
+// conclude uploads the open trip and resets the recorder. On an upload
+// error the agent drops the trip, as the real app does when its buffer
+// cannot reach the server; the uploader chain below it (retry spool,
+// campaign counters) is where failures are handled and counted.
 func (a *Agent) conclude(ctx context.Context) {
 	trip := a.current
 	a.current = nil
 	if len(trip.Samples) == 0 {
 		return
 	}
-	if err := a.uploader.Upload(ctx, *trip); err != nil {
-		a.uploadErr = err
-	}
+	_ = a.uploader.Upload(ctx, *trip)
 }
-
-// Recording reports whether a trip is currently open.
-func (a *Agent) Recording() bool { return a.current != nil }
-
-// UploadErr returns the last upload error, if any.
-func (a *Agent) UploadErr() error { return a.uploadErr }

@@ -2,7 +2,6 @@ package phone
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 
@@ -22,13 +21,9 @@ func (f *fakeScanner) ScanAt(timeS float64) []cellular.Reading { return f.readin
 // sink collects uploaded trips.
 type sink struct {
 	trips []probe.Trip
-	err   error
 }
 
 func (s *sink) Upload(_ context.Context, t probe.Trip) error {
-	if s.err != nil {
-		return s.err
-	}
 	s.trips = append(s.trips, t)
 	return nil
 }
@@ -65,17 +60,17 @@ func TestTripLifecycle(t *testing.T) {
 	up := &sink{}
 	a := newAgent(t, up)
 	a.OnBeep(100)
-	if !a.Recording() {
+	if a.current == nil {
 		t.Fatal("trip should be open after beep")
 	}
 	a.OnBeep(160)
 	a.OnBeep(220)
 	a.Tick(context.Background(), 300) // still within idle timeout
-	if !a.Recording() {
+	if a.current == nil {
 		t.Fatal("trip closed too early")
 	}
 	a.Tick(context.Background(), 220+DefaultIdleTimeoutS)
-	if a.Recording() {
+	if a.current != nil {
 		t.Fatal("trip should have concluded")
 	}
 	if len(up.trips) != 1 {
@@ -113,13 +108,13 @@ func TestTrainModeFiltersBeeps(t *testing.T) {
 	a := newAgent(t, up)
 	a.SetMobilityMode(accel.ModeTrain)
 	a.OnBeep(100)
-	if a.Recording() {
+	if a.current != nil {
 		t.Fatal("train beep started a trip")
 	}
 	// Back on a bus, beeps record again.
 	a.SetMobilityMode(accel.ModeBus)
 	a.OnBeep(200)
-	if !a.Recording() {
+	if a.current == nil {
 		t.Fatal("bus beep ignored")
 	}
 	// Train beeps do not extend an open trip either.
@@ -140,7 +135,7 @@ func TestNoCoverageSkipsSample(t *testing.T) {
 	}
 	a.SetMobilityMode(accel.ModeBus)
 	a.OnBeep(10)
-	if a.Recording() {
+	if a.current != nil {
 		t.Error("trip opened with no cellular coverage")
 	}
 }
@@ -156,16 +151,6 @@ func TestFlushUploadsOpenTrip(t *testing.T) {
 	a.Flush(context.Background()) // idempotent
 	if len(up.trips) != 1 {
 		t.Error("double flush re-uploaded")
-	}
-}
-
-func TestUploadErrorRetained(t *testing.T) {
-	up := &sink{err: errors.New("backend down")}
-	a := newAgent(t, up)
-	a.OnBeep(10)
-	a.Flush(context.Background())
-	if a.UploadErr() == nil {
-		t.Error("upload error lost")
 	}
 }
 

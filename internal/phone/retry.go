@@ -264,8 +264,5 @@ func (r *RetryUploader) FlushSpool(ctx context.Context) {
 	r.drainSpool(ctx)
 }
 
-// SpoolLen reports how many trips are parked.
-func (r *RetryUploader) SpoolLen() int { return len(r.spool) }
-
 // Stats returns a snapshot of the counters.
 func (r *RetryUploader) Stats() RetryStats { return r.stats }

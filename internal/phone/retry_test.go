@@ -146,14 +146,14 @@ func TestRetrySpoolRecovery(t *testing.T) {
 	if err := r.Upload(context.Background(), tripN(0)); !errors.Is(err, errNetwork) {
 		t.Fatalf("exhausted upload error = %v", err)
 	}
-	if r.SpoolLen() != 1 {
-		t.Fatalf("spool len = %d, want 1", r.SpoolLen())
+	if len(r.spool) != 1 {
+		t.Fatalf("spool len = %d, want 1", len(r.spool))
 	}
 	if err := r.Upload(context.Background(), tripN(1)); err != nil {
 		t.Fatal(err)
 	}
-	if r.SpoolLen() != 0 {
-		t.Errorf("spool not drained after success: %d left", r.SpoolLen())
+	if len(r.spool) != 0 {
+		t.Errorf("spool not drained after success: %d left", len(r.spool))
 	}
 	st := r.Stats()
 	if st.Spooled != 1 || st.SpoolRecovered != 1 {
@@ -182,8 +182,8 @@ func TestRetrySpoolBoundEvictsOldest(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		_ = r.Upload(context.Background(), tripN(i))
 	}
-	if r.SpoolLen() != 2 {
-		t.Fatalf("spool len = %d, want bound 2", r.SpoolLen())
+	if len(r.spool) != 2 {
+		t.Fatalf("spool len = %d, want bound 2", len(r.spool))
 	}
 	st := r.Stats()
 	if st.Spooled != 4 || st.SpoolDropped != 2 {
@@ -193,8 +193,8 @@ func TestRetrySpoolBoundEvictsOldest(t *testing.T) {
 	ok := &scriptedUploader{}
 	r.next = ok
 	r.FlushSpool(context.Background())
-	if r.SpoolLen() != 0 || len(ok.trips) != 2 {
-		t.Fatalf("flush delivered %d, spool %d", len(ok.trips), r.SpoolLen())
+	if len(r.spool) != 0 || len(ok.trips) != 2 {
+		t.Fatalf("flush delivered %d, spool %d", len(ok.trips), len(r.spool))
 	}
 	if ok.trips[0].ID != "trip-2" || ok.trips[1].ID != "trip-3" {
 		t.Errorf("recovered %s, %s — oldest were not the ones evicted", ok.trips[0].ID, ok.trips[1].ID)
@@ -215,8 +215,8 @@ func TestRetryDrainStopsAtTransientFailure(t *testing.T) {
 	if err := r.Upload(context.Background(), tripN(2)); err != nil {
 		t.Fatal(err)
 	}
-	if r.SpoolLen() != 1 {
-		t.Errorf("spool len = %d, want 1 (drain must stop at the first failure)", r.SpoolLen())
+	if len(r.spool) != 1 {
+		t.Errorf("spool len = %d, want 1 (drain must stop at the first failure)", len(r.spool))
 	}
 	if st := r.Stats(); st.SpoolRecovered != 1 {
 		t.Errorf("stats = %+v", st)
@@ -272,8 +272,8 @@ func TestUploadCancelMidBackoff(t *testing.T) {
 	if s.calls != 1 {
 		t.Errorf("delivery attempts = %d, want 1 (no attempts after cancel)", s.calls)
 	}
-	if r.SpoolLen() != 0 {
-		t.Errorf("spool = %d trips; a canceled upload must not be parked", r.SpoolLen())
+	if len(r.spool) != 0 {
+		t.Errorf("spool = %d trips; a canceled upload must not be parked", len(r.spool))
 	}
 	if st := r.Stats(); st.Retries != 0 || st.Spooled != 0 {
 		t.Errorf("stats after cancel = %+v", st)
@@ -296,8 +296,8 @@ func TestUploadCanceledBeforeStart(t *testing.T) {
 	if s.calls != 0 {
 		t.Errorf("delivery attempts = %d, want 0", s.calls)
 	}
-	if r.SpoolLen() != 0 {
-		t.Errorf("spool = %d, want 0", r.SpoolLen())
+	if len(r.spool) != 0 {
+		t.Errorf("spool = %d, want 0", len(r.spool))
 	}
 }
 
@@ -323,8 +323,8 @@ func TestRetrySpoolsClientSideTimeout(t *testing.T) {
 	if err := r.Upload(context.Background(), tripN(0)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("exhausted upload error = %v", err)
 	}
-	if r.SpoolLen() != 1 {
-		t.Fatalf("spool len = %d, want 1 — a client-side timeout with a live caller context must park the trip", r.SpoolLen())
+	if len(r.spool) != 1 {
+		t.Fatalf("spool len = %d, want 1 — a client-side timeout with a live caller context must park the trip", len(r.spool))
 	}
 	// The retried-but-delivered case: the next delivery answers 409
 	// (duplicate) for the spooled trip. The drain must count it as a
@@ -333,8 +333,8 @@ func TestRetrySpoolsClientSideTimeout(t *testing.T) {
 	if err := r.Upload(context.Background(), tripN(1)); err != nil {
 		t.Fatal(err)
 	}
-	if r.SpoolLen() != 0 {
-		t.Errorf("spool len = %d after drain, want 0", r.SpoolLen())
+	if len(r.spool) != 0 {
+		t.Errorf("spool len = %d after drain, want 0", len(r.spool))
 	}
 	st := r.Stats()
 	if st.SpoolRecovered != 1 || st.DupSuccesses != 1 {
@@ -359,8 +359,8 @@ func TestRetryCallerDeadlineNotSpooled(t *testing.T) {
 	if err := r.Upload(ctx, tripN(0)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("upload error = %v", err)
 	}
-	if r.SpoolLen() != 0 {
-		t.Errorf("spool len = %d, want 0 — dead caller context must not park the trip", r.SpoolLen())
+	if len(r.spool) != 0 {
+		t.Errorf("spool len = %d, want 0 — dead caller context must not park the trip", len(r.spool))
 	}
 }
 

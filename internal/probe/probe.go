@@ -10,7 +10,6 @@ package probe
 
 import (
 	"fmt"
-	"sort"
 
 	"busprobe/internal/cellular"
 )
@@ -67,20 +66,4 @@ func (t *Trip) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortSamples orders the samples by time, restoring the invariant for
-// trips assembled from unordered parts.
-func (t *Trip) SortSamples() {
-	sort.SliceStable(t.Samples, func(i, j int) bool {
-		return t.Samples[i].TimeS < t.Samples[j].TimeS
-	})
-}
-
-// DurationS returns the time span covered by the trip's samples.
-func (t *Trip) DurationS() float64 {
-	if len(t.Samples) < 2 {
-		return 0
-	}
-	return t.Samples[len(t.Samples)-1].TimeS - t.Samples[0].TimeS
 }

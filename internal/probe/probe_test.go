@@ -48,28 +48,6 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-func TestSortSamples(t *testing.T) {
-	trip := Trip{ID: "x", Samples: []Sample{sample(20, 1), sample(10, 2)}}
-	trip.SortSamples()
-	if trip.Samples[0].TimeS != 10 {
-		t.Error("not sorted")
-	}
-	if err := trip.Validate(); err != nil {
-		t.Errorf("sorted trip invalid: %v", err)
-	}
-}
-
-func TestDurationS(t *testing.T) {
-	trip := validTrip()
-	if trip.DurationS() != 10 {
-		t.Errorf("duration = %v", trip.DurationS())
-	}
-	short := Trip{ID: "s", Samples: []Sample{sample(5, 1)}}
-	if short.DurationS() != 0 {
-		t.Error("single-sample duration should be 0")
-	}
-}
-
 func TestFingerprint(t *testing.T) {
 	s := sample(1, 7, 8, 9)
 	fp := s.Fingerprint()

@@ -128,15 +128,6 @@ func (n *Network) Segments() []*Segment { return n.segments }
 // modify the returned slice.
 func (n *Network) Outgoing(id NodeID) []SegmentID { return n.out[id] }
 
-// TotalLengthM returns the summed length of all directed segments.
-func (n *Network) TotalLengthM() float64 {
-	var sum float64
-	for _, s := range n.segments {
-		sum += s.LengthM()
-	}
-	return sum
-}
-
 // UndirectedLengthM returns the summed road length counting each two-way
 // pair once, which is the denominator of the paper's coverage ratios.
 func (n *Network) UndirectedLengthM() float64 {

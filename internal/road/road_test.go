@@ -56,13 +56,15 @@ func TestSegmentReversePairing(t *testing.T) {
 
 func TestGridLengths(t *testing.T) {
 	n := mustGrid(t, smallCfg())
+	var total float64
 	for _, s := range n.Segments() {
 		if math.Abs(s.LengthM()-500) > 1e-9 {
 			t.Fatalf("segment %d length %v, want 500 (no jitter)", s.ID, s.LengthM())
 		}
+		total += s.LengthM()
 	}
-	if und := n.UndirectedLengthM(); math.Abs(und-n.TotalLengthM()/2) > 1e-6 {
-		t.Errorf("undirected %v != total/2 %v", und, n.TotalLengthM()/2)
+	if und := n.UndirectedLengthM(); math.Abs(und-total/2) > 1e-6 {
+		t.Errorf("undirected %v != total/2 %v", und, total/2)
 	}
 }
 

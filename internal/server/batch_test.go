@@ -229,7 +229,7 @@ func TestHTTPBatchEndpoint(t *testing.T) {
 	}
 	// Pipeline metrics are served and ordered, with the admission gate
 	// appended as a pseudo-stage.
-	ms, err := client.PipelineMetrics(context.Background())
+	ms, err := getJSON[[]stage.Metrics](context.Background(), client, "/v1/pipeline")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 // fresh backend with the given fault-injection and retry layers, then
 // settles the estimator past the campaign's end so the traffic map is
 // fully folded.
-func runChaosCampaign(t *testing.T, w *sim.World, fcfg faults.Config, retry phone.RetryConfig, batch int) (*sim.Campaign, sim.CampaignStats, *Backend) {
+func runChaosCampaign(t *testing.T, w *sim.World, fcfg faults.Config, retry phone.RetryConfig, batch int) (sim.CampaignStats, *Backend) {
 	t.Helper()
 	b := testBackend(t, w)
 	cfg := sim.DefaultCampaignConfig()
@@ -41,7 +41,7 @@ func runChaosCampaign(t *testing.T, w *sim.World, fcfg faults.Config, retry phon
 		t.Fatal(err)
 	}
 	b.Advance(float64(cfg.Days) * clock.DayS)
-	return camp, st, b
+	return st, b
 }
 
 // trafficBytes renders the /v1/traffic response of any serving API.
@@ -63,21 +63,22 @@ func TestChaosEquivalenceDupReorder(t *testing.T) {
 	// observation into the window of its own timestamp, so delivery
 	// order cannot leak into the map.
 	w := testWorld(t)
-	_, cleanStats, clean := runChaosCampaign(t, w, faults.Config{}, phone.RetryConfig{}, 0)
+	cleanStats, clean := runChaosCampaign(t, w, faults.Config{}, phone.RetryConfig{}, 0)
 	fcfg := faults.Config{
 		Seed:        77,
 		DupRate:     0.3,
 		ReorderRate: 0.3,
 		DelayRate:   0.1,
 	}
-	camp, chaosStats, chaos := runChaosCampaign(t, w, fcfg, phone.RetryConfig{}, 0)
+	chaosStats, chaos := runChaosCampaign(t, w, fcfg, phone.RetryConfig{}, 0)
 
-	fs := camp.Injector().Stats()
-	if fs.Duplicated == 0 || fs.Reordered+fs.Delayed == 0 {
-		t.Fatalf("fault campaign injected nothing: %+v", fs)
+	if chaosStats.FaultTripsDuplicated == 0 || chaosStats.FaultTripsReordered+chaosStats.FaultTripsDelayed == 0 {
+		t.Fatalf("fault campaign injected nothing: %+v", chaosStats)
 	}
-	if camp.Injector().Pending() != 0 {
-		t.Errorf("%d trips still held after Run", camp.Injector().Pending())
+	// Nothing is still held after Run: every offer was delivered once,
+	// plus its duplicates (the drop rate is 0).
+	if held := chaosStats.FaultTripsOffered + chaosStats.FaultTripsDuplicated - chaosStats.FaultTripsDelivered; held != 0 {
+		t.Errorf("%d trips still held after Run", held)
 	}
 	if cleanStats.ParticipantTrips != chaosStats.ParticipantTrips {
 		t.Fatalf("campaigns diverged before upload: %d vs %d rides",
@@ -93,8 +94,8 @@ func TestChaosEquivalenceDupReorder(t *testing.T) {
 	// The duplicates must be visible in the backend counters even
 	// though the map is unchanged.
 	cb, xb := clean.Stats(), chaos.Stats()
-	if xb.DuplicateTrips != fs.Duplicated {
-		t.Errorf("backend saw %d duplicates, injector made %d", xb.DuplicateTrips, fs.Duplicated)
+	if xb.DuplicateTrips != chaosStats.FaultTripsDuplicated {
+		t.Errorf("backend saw %d duplicates, injector made %d", xb.DuplicateTrips, chaosStats.FaultTripsDuplicated)
 	}
 	if got, want := xb.TripsReceived-xb.DuplicateTrips, cb.TripsReceived; got != want {
 		t.Errorf("unique trips %d != clean %d", got, want)
@@ -108,20 +109,19 @@ func TestChaosDropCampaignCounters(t *testing.T) {
 	w := testWorld(t)
 	fcfg := faults.Config{Seed: 77, DropRate: 0.2}
 	retry := phone.DefaultRetryConfig(99)
-	camp, st, b := runChaosCampaign(t, w, fcfg, retry, 8)
+	st, b := runChaosCampaign(t, w, fcfg, retry, 8)
 
-	fs := camp.Injector().Stats()
-	if fs.Offered == 0 || fs.Dropped == 0 {
-		t.Fatalf("campaign too small to exercise drops: %+v", fs)
+	if st.FaultTripsOffered == 0 || st.FaultTripsDropped == 0 {
+		t.Fatalf("campaign too small to exercise drops: %+v", st)
 	}
 	// Conservation: offers either deliver or drop (dup rate is 0).
-	if fs.Delivered != fs.Offered-fs.Dropped+fs.Duplicated {
+	if st.FaultTripsDelivered != st.FaultTripsOffered-st.FaultTripsDropped+st.FaultTripsDuplicated {
 		t.Errorf("injector leaked trips: delivered %d, offered %d, dropped %d, duplicated %d",
-			fs.Delivered, fs.Offered, fs.Dropped, fs.Duplicated)
+			st.FaultTripsDelivered, st.FaultTripsOffered, st.FaultTripsDropped, st.FaultTripsDuplicated)
 	}
 	bs := b.Stats()
-	if bs.TripsReceived != fs.Delivered {
-		t.Errorf("backend received %d trips, injector delivered %d", bs.TripsReceived, fs.Delivered)
+	if bs.TripsReceived != st.FaultTripsDelivered {
+		t.Errorf("backend received %d trips, injector delivered %d", bs.TripsReceived, st.FaultTripsDelivered)
 	}
 	accepted := bs.TripsReceived - bs.DuplicateTrips - bs.TripsRejected
 	if accepted <= 0 {
@@ -131,17 +131,9 @@ func TestChaosDropCampaignCounters(t *testing.T) {
 	if st.UploadRetries == 0 {
 		t.Error("20%% drop rate produced no retries")
 	}
-	if st.FaultTripsDropped != fs.Dropped || st.FaultTripsOffered != fs.Offered {
-		t.Errorf("campaign stats diverged from injector: %+v vs %+v", st, fs)
-	}
 	// Every surfaced failure is an injected drop in this scenario.
 	if st.UploadFailures != st.UploadsDropped {
 		t.Errorf("failures %d != dropped %d", st.UploadFailures, st.UploadsDropped)
-	}
-	if st.UploadFailures > 0 {
-		if lastErr := camp.LastUploadError(); !errors.Is(lastErr, faults.ErrDropped) {
-			t.Errorf("last upload error = %v, want faults.ErrDropped", lastErr)
-		}
 	}
 	// The map still exists: a 20% loss degrades, it must not destroy.
 	if len(b.Traffic()) == 0 {

@@ -7,16 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
-	"busprobe/internal/core/arrival"
 	"busprobe/internal/obs"
 	"busprobe/internal/phone"
 	"busprobe/internal/probe"
-	"busprobe/internal/server/stage"
 )
 
 // DefaultClientTimeout bounds a client request when the caller does not
@@ -145,12 +141,6 @@ func (c *Client) UploadBatch(ctx context.Context, trips []probe.Trip) []error {
 	return errs
 }
 
-// PipelineMetrics fetches the backend's per-stage instrumentation
-// counters.
-func (c *Client) PipelineMetrics(ctx context.Context) ([]stage.Metrics, error) {
-	return getJSON[[]stage.Metrics](ctx, c, "/v1/pipeline")
-}
-
 // Traffic fetches the full traffic-map snapshot.
 func (c *Client) Traffic(ctx context.Context) ([]SegmentEstimateJSON, error) {
 	return getJSON[[]SegmentEstimateJSON](ctx, c, "/v1/traffic")
@@ -178,18 +168,6 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 // monolithic backend).
 func (c *Client) Shards(ctx context.Context) ([]ShardStatus, error) {
 	return getJSON[[]ShardStatus](ctx, c, "/v1/shards")
-}
-
-// Region fetches the inferred regional congestion summary.
-func (c *Client) Region(ctx context.Context) (RegionJSON, error) {
-	return getJSON[RegionJSON](ctx, c, "/v1/region")
-}
-
-// Arrivals fetches downstream ETAs for a bus departing stop index
-// fromIdx of a route at departS.
-func (c *Client) Arrivals(ctx context.Context, route string, fromIdx int, departS float64) ([]arrival.Prediction, error) {
-	q := url.Values{"route": {route}, "stop": {strconv.Itoa(fromIdx)}, "depart": {strconv.FormatFloat(departS, 'g', -1, 64)}}
-	return getJSON[[]arrival.Prediction](ctx, c, "/v1/arrivals?"+q.Encode())
 }
 
 // Healthy reports whether the backend answers its liveness probe.

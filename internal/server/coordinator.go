@@ -219,14 +219,11 @@ func (c *Coordinator) shardHealthAt(i int) shardHealth {
 // Transit returns the transit database shared by every shard.
 func (c *Coordinator) Transit() *transit.DB { return c.tdb }
 
-// Partition exposes the route-closed shard assignment.
-func (c *Coordinator) Partition() *transit.Partition { return c.part }
-
 // Shards exposes the underlying in-process shard backends (read-mostly;
 // used by evaluations and tests). Entries are nil for remote shards.
 func (c *Coordinator) Shards() []*Backend { return c.backends }
 
-// ShardFor routes a trip to its home shard by fingerprint pre-match: the
+// shardFor routes a trip to its home shard by fingerprint pre-match: the
 // first sample whose best match clears γ names a stop, and that stop's
 // shard takes the trip. The decision depends only on trip content, so a
 // duplicated upload routes identically and is absorbed by the home
@@ -234,7 +231,7 @@ func (c *Coordinator) Shards() []*Backend { return c.backends }
 // produce no visits anywhere, so only the counter placement varies).
 // With one shard the answer is necessarily 0, so the monolith-as-
 // coordinator pays no pre-match per upload.
-func (c *Coordinator) ShardFor(trip probe.Trip) int {
+func (c *Coordinator) shardFor(trip probe.Trip) int {
 	if len(c.shards) == 1 {
 		return 0
 	}
@@ -252,7 +249,7 @@ func (c *Coordinator) ShardFor(trip probe.Trip) int {
 
 // ProcessTrip routes one trip to its home shard and ingests it there.
 func (c *Coordinator) ProcessTrip(ctx context.Context, trip probe.Trip) (ProcessedTrip, error) {
-	return c.shards[c.ShardFor(trip)].ProcessTrip(ctx, trip)
+	return c.shards[c.shardFor(trip)].ProcessTrip(ctx, trip)
 }
 
 // Upload implements phone.Uploader.
@@ -273,7 +270,7 @@ func (c *Coordinator) Upload(ctx context.Context, trip probe.Trip) error {
 func (c *Coordinator) IngestBatch(ctx context.Context, trips []probe.Trip) []TripResult {
 	byShard := make([][]int, len(c.shards))
 	for i, trip := range trips {
-		sh := c.ShardFor(trip)
+		sh := c.shardFor(trip)
 		byShard[sh] = append(byShard[sh], i)
 	}
 	res := make([]TripResult, len(trips))

@@ -168,7 +168,7 @@ func TestShardEquivalence(t *testing.T) {
 			four := newTwinCoordinator(t, w, fpdb, 4)
 			names := []string{"monolith", "1-shard coordinator", "4-shard coordinator"}
 			apis := []API{mono, one, four}
-			checkDerivedReads(t, w, four.Partition(), names, apis)
+			checkDerivedReads(t, w, four.part, names, apis)
 			for _, api := range apis {
 				replayInto(t, api, trips)
 			}
@@ -186,7 +186,7 @@ func TestShardEquivalence(t *testing.T) {
 			if got := trafficBytes(t, four); !bytes.Equal(got, wantTraffic) {
 				t.Errorf("4-shard coordinator /v1/traffic differs from monolith")
 			}
-			checkDerivedReads(t, w, four.Partition(), names, apis)
+			checkDerivedReads(t, w, four.part, names, apis)
 
 			// The sharding must be real: both islands' shards ingested.
 			busy := 0
@@ -236,11 +236,11 @@ func TestShardForRoutesByIsland(t *testing.T) {
 	// the twin-city corpus must exercise at least two shards.
 	w, fpdb := twinWorld(t)
 	four := newTwinCoordinator(t, w, fpdb, 4)
-	part := four.Partition()
+	part := four.part
 	trips := twinCorpus(t, w, faults.Config{})
 	seen := make(map[int]int)
 	for _, trip := range trips {
-		sh := four.ShardFor(trip)
+		sh := four.shardFor(trip)
 		seen[sh]++
 		// The contract: the first sample whose best match clears γ names
 		// the home shard. (Later samples can disagree — a tower in the
@@ -266,8 +266,8 @@ func TestShardForRoutesByIsland(t *testing.T) {
 	}
 	// Deterministic: re-routing the same trips gives the same answers.
 	for _, trip := range trips {
-		if four.ShardFor(trip) != four.ShardFor(trip) {
-			t.Fatal("ShardFor not deterministic")
+		if four.shardFor(trip) != four.shardFor(trip) {
+			t.Fatal("shardFor not deterministic")
 		}
 	}
 }
@@ -286,7 +286,7 @@ func TestPerShardShedding(t *testing.T) {
 	trips := twinCorpus(t, w, faults.Config{})
 	byShard := make(map[int][]probe.Trip)
 	for _, trip := range trips {
-		sh := coord.ShardFor(trip)
+		sh := coord.shardFor(trip)
 		byShard[sh] = append(byShard[sh], trip)
 	}
 	if len(byShard[0]) == 0 || len(byShard[1]) == 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"busprobe/internal/core/arrival"
-	"busprobe/internal/core/reconstruct"
 	"busprobe/internal/core/region"
 	"busprobe/internal/transit"
 )
@@ -21,38 +20,6 @@ import (
 // the published snapshot without a copy.
 func RegionModel(api API) (*region.Model, error) {
 	return region.Infer(api.Transit().Network(), api.TrafficSnapshot().Estimates, region.DefaultConfig())
-}
-
-// ReconstructTrip rebuilds the continuous bus trajectory of a processed
-// trip from its mapped visits: the route best supporting the visit
-// sequence provides the geometry, and visits that break that route's
-// order (mapping noise) are dropped, mirroring the observation stage's
-// discard policy. At least two ordered visits must survive.
-func (b *Backend) ReconstructTrip(visits []VisitRecord) (*reconstruct.Trajectory, error) {
-	if len(visits) < 2 {
-		return nil, fmt.Errorf("server: need at least two visits")
-	}
-	routes := b.pipe.RankRoutesByVisitSupport(visits)
-	if len(routes) == 0 {
-		return nil, fmt.Errorf("server: no routes in transit DB")
-	}
-	rt := routes[0]
-	// Keep the longest order-consistent subsequence on the chosen route
-	// (greedy: visits must strictly advance along it).
-	var kept []VisitRecord
-	prevIdx := -1
-	for _, v := range visits {
-		idx := rt.StopIndex(v.Stop)
-		if idx <= prevIdx {
-			continue
-		}
-		kept = append(kept, v)
-		prevIdx = idx
-	}
-	if len(kept) < 2 {
-		return nil, fmt.Errorf("server: fewer than two visits fit route %s", rt.ID)
-	}
-	return reconstruct.Build(b.transit.Network(), rt, kept)
 }
 
 // PredictArrivals forecasts arrival times at the stops after fromIdx of

@@ -201,8 +201,8 @@ type StoreLog struct {
 	s *store.Store
 }
 
-// NewStoreLog wraps an open store.
-func NewStoreLog(s *store.Store) *StoreLog { return &StoreLog{s: s} }
+// newStoreLog wraps an open store.
+func newStoreLog(s *store.Store) *StoreLog { return &StoreLog{s: s} }
 
 // Store exposes the underlying store (checkpointing, tests).
 func (l *StoreLog) Store() *store.Store { return l.s }
@@ -385,7 +385,7 @@ func recoverBackends(ctx context.Context, opts store.Options, targets []recoverT
 			continue
 		}
 		plans[i] = plan
-		recs[i].log = NewStoreLog(s)
+		recs[i].log = newStoreLog(s)
 		t.b.attachScatterLog(recs[i].log)
 	}
 	for i, plan := range plans {

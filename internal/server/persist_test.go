@@ -505,7 +505,7 @@ func checkDamagedReplay(t *testing.T, shards int, dmg logDamage) {
 	router := newTwinCoordinator(t, fx.world, fx.fpdb, shards)
 	byShard := make([][]probe.Trip, shards)
 	for _, trip := range trips {
-		sh := router.ShardFor(trip)
+		sh := router.shardFor(trip)
 		byShard[sh] = append(byShard[sh], trip)
 	}
 	base := t.TempDir()
@@ -701,7 +701,7 @@ func TestRecoverStoresContinuesPastFailedShard(t *testing.T) {
 	c := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
 	var shard0 []probe.Trip
 	for _, trip := range trips {
-		if c.ShardFor(trip) == 0 {
+		if c.shardFor(trip) == 0 {
 			shard0 = append(shard0, trip)
 		}
 	}
@@ -1057,8 +1057,8 @@ func TestOversizedTripRefusedAsInvalid(t *testing.T) {
 	if err := retry.Upload(context.Background(), big); !errors.Is(err, probe.ErrInvalidTrip) {
 		t.Fatalf("retry upload: err %v, want ErrInvalidTrip", err)
 	}
-	if st := retry.Stats(); retry.SpoolLen() != 0 || st.Attempts != 1 || st.PermanentFailures != 1 {
-		t.Errorf("retry layer: spool %d, stats %+v; want one attempt, a permanent failure, nothing spooled", retry.SpoolLen(), st)
+	if st := retry.Stats(); st.Spooled != 0 || st.Attempts != 1 || st.PermanentFailures != 1 {
+		t.Errorf("retry layer: stats %+v; want one attempt, a permanent failure, nothing spooled", st)
 	}
 	if st := b.Stats(); st.TripsReceived != 3 || st.TripsRejected != 3 {
 		t.Errorf("stats = %+v, want 3 received and 3 rejected", st)

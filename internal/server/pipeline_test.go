@@ -11,7 +11,6 @@ import (
 
 	"busprobe/internal/core/fingerprint"
 	"busprobe/internal/core/tripmap"
-	"busprobe/internal/geo"
 	"busprobe/internal/server/stage"
 	"busprobe/internal/transit"
 )
@@ -291,46 +290,6 @@ func TestStatsStringableFields(t *testing.T) {
 }
 
 var _ = clock.DayS // virtual-time helpers now live in internal/clock
-
-func TestReconstructTrip(t *testing.T) {
-	w := testWorld(t)
-	b := testBackend(t, w)
-	trip, _ := ridLongTrip(t, w)
-	res, err := b.ProcessTrip(context.Background(), trip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := b.ReconstructTrip(res.Visits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.EndS() <= tr.StartS() {
-		t.Fatal("degenerate trajectory span")
-	}
-	// The reconstructed track should pass near the true stop platforms.
-	rt := w.Transit.Routes()[0]
-	pos, ok := tr.At(tr.StartS())
-	if !ok {
-		t.Fatal("no position at start")
-	}
-	start := w.Transit.Stop(rt.Stops[0]).Pos
-	if d := distM(pos, start); d > 100 {
-		t.Errorf("start position %v m from first stop", d)
-	}
-	// Too few visits is an error.
-	if _, err := b.ReconstructTrip(res.Visits[:1]); err == nil {
-		t.Error("want error for single visit")
-	}
-	if _, err := b.ReconstructTrip(nil); err == nil {
-		t.Error("want error for no visits")
-	}
-}
-
-// distM avoids importing geo for one call.
-func distM(a, b geo.XY) float64 {
-	dx, dy := a.X-b.X, a.Y-b.Y
-	return math.Sqrt(dx*dx + dy*dy)
-}
 
 func TestRankRoutesSkippedStopsStillSupport(t *testing.T) {
 	// A visit pair that skips intermediate stops (nobody tapped there)

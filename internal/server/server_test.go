@@ -23,6 +23,7 @@ import (
 
 	"busprobe/internal/cellular"
 	"busprobe/internal/clock"
+	"busprobe/internal/core/arrival"
 	"busprobe/internal/core/fingerprint"
 	"busprobe/internal/core/traffic"
 	"busprobe/internal/probe"
@@ -471,7 +472,7 @@ func TestHTTPRegionAndArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Before any estimates: region inference is unavailable (503).
-	if _, err := client.Region(context.Background()); err == nil {
+	if _, err := getJSON[RegionJSON](context.Background(), client, "/v1/region"); err == nil {
 		t.Error("region should fail with no estimates")
 	}
 	trip, _ := ridLongTrip(t, w)
@@ -479,7 +480,7 @@ func TestHTTPRegionAndArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Advance(12 * 3600)
-	region, err := client.Region(context.Background())
+	region, err := getJSON[RegionJSON](context.Background(), client, "/v1/region")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +492,7 @@ func TestHTTPRegionAndArrivals(t *testing.T) {
 	}
 
 	rt := w.Transit.Routes()[0]
-	preds, err := client.Arrivals(context.Background(), string(rt.ID), 0, 13*3600)
+	preds, err := getJSON[[]arrival.Prediction](context.Background(), client, "/v1/arrivals?route="+string(rt.ID)+"&stop=0&depart=46800")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -736,12 +737,17 @@ func TestDocsNameRealSurface(t *testing.T) {
 	}
 
 	// Every -flag a doc passes to a busprobe command is one that
-	// command defines. The scanner must see a stale one, or the check is
-	// vacuous.
+	// command defines, and every "N-method" claim a doc makes about API
+	// is its real method count. Each scanner must see a stale line, or
+	// its check is vacuous.
 	flags := commandFlags(t)
 	if stale := staleDocFlags("`busprobe-server -addr x -no-such-flag`", flags); len(stale) != 1 {
 		t.Fatalf("flag scanner found %v in a line with one stale flag", stale)
 	}
+	if claims := apiMethodClaims("the 9-method serving `API` and `API` is a 9-method kernel"); len(claims) != 2 || claims[0] != 9 || claims[1] != 9 {
+		t.Fatalf("method-count scanner found %v in a line with two claims of 9", claims)
+	}
+	apiMethods := reflect.TypeOf((*API)(nil)).Elem().NumMethod()
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(filepath.Join("..", "..", doc))
 		if err != nil {
@@ -749,6 +755,11 @@ func TestDocsNameRealSurface(t *testing.T) {
 		}
 		for _, stale := range staleDocFlags(string(text), flags) {
 			t.Errorf("%s: %s", doc, stale)
+		}
+		for _, n := range apiMethodClaims(string(text)) {
+			if n != apiMethods {
+				t.Errorf("%s calls API %d-method; it declares %d methods", doc, n, apiMethods)
+			}
 		}
 	}
 
@@ -845,6 +856,23 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 	}
 	if len(out["server"]) == 0 || len(out["lab"]) == 0 || !out["vet"]["json"] {
 		t.Fatalf("flag extraction found too little: %v", out)
+	}
+	return out
+}
+
+// apiMethodRE matches an "N-method" claim and `API` within one sentence
+// of 40 characters or less on either side.
+var apiMethodRE = regexp.MustCompile("`API`[^.\n]{0,40}?\\b(\\d+)-method|\\b(\\d+)-method[^.\n]{0,40}?`API`")
+
+// apiMethodClaims returns the N of every "N-method" claim the markdown
+// text makes about `API`, in order.
+func apiMethodClaims(text string) []int {
+	var out []int
+	for _, m := range apiMethodRE.FindAllStringSubmatch(text, -1) {
+		n, err := strconv.Atoi(m[1] + m[2])
+		if err == nil {
+			out = append(out, n)
+		}
 	}
 	return out
 }

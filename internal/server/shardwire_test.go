@@ -134,7 +134,7 @@ func TestShardProcsEquivalenceOverSockets(t *testing.T) {
 
 			names := []string{"monolith", "in-process coordinator", "shard-process coordinator"}
 			apis := []API{mono, inproc, tier.coord}
-			checkDerivedReads(t, w, tier.coord.Partition(), names, apis)
+			checkDerivedReads(t, w, tier.coord.part, names, apis)
 			replayInto(t, mono, trips)
 			replayInto(t, inproc, trips)
 			for _, trip := range trips {
@@ -165,7 +165,7 @@ func TestShardProcsEquivalenceOverSockets(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("shard-process coordinator /v1/traffic differs from monolith")
 			}
-			checkDerivedReads(t, w, tier.coord.Partition(), names, apis)
+			checkDerivedReads(t, w, tier.coord.part, names, apis)
 
 			// Both shard processes must have taken real traffic.
 			busy := 0
@@ -376,7 +376,7 @@ func TestRemoteShardBackpressure(t *testing.T) {
 	trips := twinCorpus(t, w, faults.Config{})
 	byShard := make(map[int][]probe.Trip)
 	for _, trip := range trips {
-		sh := tier.coord.ShardFor(trip)
+		sh := tier.coord.shardFor(trip)
 		byShard[sh] = append(byShard[sh], trip)
 	}
 	if len(byShard[0]) < 3 || len(byShard[1]) == 0 {

@@ -47,9 +47,6 @@ type Metrics struct {
 	DurationNs int64  `json:"durationNs"`
 }
 
-// Duration returns the stage's cumulative run time.
-func (m Metrics) Duration() time.Duration { return time.Duration(m.DurationNs) }
-
 // Hook observes one completed stage run (counters + duration). The
 // context is the run's request context — it carries the trip's trace
 // ID, which is how the observability layer turns stage runs into

@@ -234,15 +234,14 @@ type busRun struct {
 
 // classifyUpload files one trip's delivery outcome into the campaign
 // stats, preserving the error identity instead of discarding it.
-// Duplicate rejections are idempotent successes, not failures. Returns
-// the error when it was a real failure, nil otherwise.
-func classifyUpload(err error, st *CampaignStats) error {
+// Duplicate rejections are idempotent successes, not failures.
+func classifyUpload(err error, st *CampaignStats) {
 	switch {
 	case err == nil:
-		return nil
+		return
 	case errors.Is(err, probe.ErrDuplicateTrip):
 		st.UploadDuplicates++
-		return nil
+		return
 	}
 	st.UploadFailures++
 	switch {
@@ -253,18 +252,16 @@ func classifyUpload(err error, st *CampaignStats) error {
 	case errors.Is(err, probe.ErrInvalidTrip):
 		st.UploadsInvalid++
 	}
-	return err
 }
 
 // batchingUploader buffers concluded trips and flushes them through a
 // phone.BatchUploader in fixed-size batches, exercising the backend's
 // concurrent ingest path. Trips reach the sink in conclusion order.
 type batchingUploader struct {
-	sink    phone.BatchUploader
-	size    int
-	buf     []probe.Trip
-	stats   *CampaignStats
-	lastErr *error
+	sink  phone.BatchUploader
+	size  int
+	buf   []probe.Trip
+	stats *CampaignStats
 }
 
 // Upload implements phone.Uploader by buffering; delivery errors
@@ -285,9 +282,7 @@ func (u *batchingUploader) flush(ctx context.Context) {
 	}
 	u.stats.BatchFlushes++
 	for _, err := range u.sink.UploadBatch(ctx, u.buf) {
-		if ferr := classifyUpload(err, u.stats); ferr != nil {
-			*u.lastErr = ferr
-		}
+		classifyUpload(err, u.stats)
 	}
 	u.buf = u.buf[:0]
 }
@@ -295,17 +290,14 @@ func (u *batchingUploader) flush(ctx context.Context) {
 // countingUploader classifies immediate (non-batched) uploads into the
 // campaign stats on their way to the sink.
 type countingUploader struct {
-	sink    phone.Uploader
-	stats   *CampaignStats
-	lastErr *error
+	sink  phone.Uploader
+	stats *CampaignStats
 }
 
 // Upload implements phone.Uploader.
 func (u *countingUploader) Upload(ctx context.Context, trip probe.Trip) error {
 	err := u.sink.Upload(ctx, trip)
-	if ferr := classifyUpload(err, u.stats); ferr != nil {
-		*u.lastErr = ferr
-	}
+	classifyUpload(err, u.stats)
 	return err
 }
 
@@ -333,8 +325,6 @@ type Campaign struct {
 	// injector → uploader).
 	injector *faults.Injector
 	retrier  *phone.RetryUploader
-	// lastUploadErr retains the most recent real upload failure.
-	lastUploadErr error
 
 	// MinuteHook, when set, is invoked once per simulated minute with
 	// the current time — the attachment point for live evaluations
@@ -392,10 +382,10 @@ func NewCampaign(w *World, cfg CampaignConfig, uploader phone.Uploader, observer
 		if !ok {
 			return nil, fmt.Errorf("sim: UploadBatchSize set but uploader %T has no batch path", sink)
 		}
-		c.batcher = &batchingUploader{sink: bsink, size: cfg.UploadBatchSize, stats: &c.stats, lastErr: &c.lastUploadErr}
+		c.batcher = &batchingUploader{sink: bsink, size: cfg.UploadBatchSize, stats: &c.stats}
 		agentSink = c.batcher
 	} else {
-		agentSink = &countingUploader{sink: sink, stats: &c.stats, lastErr: &c.lastUploadErr}
+		agentSink = &countingUploader{sink: sink, stats: &c.stats}
 	}
 	for i := 0; i < cfg.Participants; i++ {
 		// The global index keys both the identity and the randomness, so
@@ -419,9 +409,6 @@ func NewCampaign(w *World, cfg CampaignConfig, uploader phone.Uploader, observer
 	}
 	return c, nil
 }
-
-// Stats returns the run summary.
-func (c *Campaign) Stats() CampaignStats { return c.stats }
 
 // Run executes the whole campaign. The context cancels the run between
 // days and rides every upload, so an aborted campaign stops promptly
@@ -475,13 +462,6 @@ func (c *Campaign) collectFaultStats() {
 		c.stats.UploadSpoolRecovered = rs.SpoolRecovered
 	}
 }
-
-// Injector exposes the fault-injection layer, when configured.
-func (c *Campaign) Injector() *faults.Injector { return c.injector }
-
-// LastUploadError returns the most recent real (non-duplicate) upload
-// failure the campaign observed, or nil.
-func (c *Campaign) LastUploadError() error { return c.lastUploadErr }
 
 // weatherOfDay returns the day's frozen weather in [-1, 1].
 func (c *Campaign) weatherOfDay(day int) float64 {

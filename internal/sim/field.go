@@ -130,9 +130,6 @@ func dist(p geo.XY, c [2]float64) float64 {
 	return math.Hypot(p.X-c[0], p.Y-c[1])
 }
 
-// Config returns the field configuration.
-func (f *Field) Config() FieldConfig { return f.cfg }
-
 // CongestionFactor returns the instantaneous fraction of free-flow speed
 // on a segment, in [MinFactor, 1.05].
 func (f *Field) CongestionFactor(sid road.SegmentID, t float64) float64 {

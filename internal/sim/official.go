@@ -46,8 +46,3 @@ func (o *OfficialFeed) SpeedKmh(sid road.SegmentID, t float64) float64 {
 	}
 	return v
 }
-
-// WindowStart returns the start time of the window containing t.
-func (o *OfficialFeed) WindowStart(t float64) float64 {
-	return float64(int(t/o.WindowS)) * o.WindowS
-}

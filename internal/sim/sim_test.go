@@ -23,12 +23,6 @@ func TestClockHelpers(t *testing.T) {
 	if clock.DayIndex(2.5*clock.DayS) != 2 {
 		t.Error("DayIndex wrong")
 	}
-	if !clock.InServiceHours(7 * 3600) {
-		t.Error("07:00 should be in service")
-	}
-	if clock.InServiceHours(3 * 3600) {
-		t.Error("03:00 should not be in service")
-	}
 	if got := clock.Stamp(clock.DayS + 8*3600 + 30*60); got != "d1 08:30" {
 		t.Errorf("ClockTime = %q", got)
 	}
@@ -106,7 +100,7 @@ func TestFieldBusAndTaxiRelations(t *testing.T) {
 			if bus > car {
 				t.Fatalf("bus %v faster than car %v", bus, car)
 			}
-			if bus > f.Config().BusCapKmh+1e-9 {
+			if bus > f.cfg.BusCapKmh+1e-9 {
 				t.Fatalf("bus %v above cap", bus)
 			}
 			if taxi < car-1e-9 {
@@ -274,9 +268,6 @@ func TestOfficialFeed(t *testing.T) {
 	if a != b {
 		t.Error("same window should give same value")
 	}
-	if feed.WindowStart(1234) != 1200 {
-		t.Errorf("WindowStart = %v", feed.WindowStart(1234))
-	}
 	// Tracks the diurnal pattern.
 	rush := feed.SpeedKmh(sid, 8.5*3600)
 	off := feed.SpeedKmh(sid, 13*3600)
@@ -338,9 +329,6 @@ func TestCampaignEndToEnd(t *testing.T) {
 	for _, tr := range sink.trips {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("uploaded trip invalid: %v", err)
-		}
-		if tr.DurationS() < 0 {
-			t.Fatal("negative duration")
 		}
 	}
 	if st.ParticipantTrips == 0 {
@@ -507,7 +495,7 @@ func TestLondonPresetBuilds(t *testing.T) {
 		t.Errorf("extent = %v", got)
 	}
 	// London buses are slower than Singapore's.
-	if w.Field.Config().BusCapKmh >= DefaultFieldConfig().BusCapKmh {
+	if w.Field.cfg.BusCapKmh >= DefaultFieldConfig().BusCapKmh {
 		t.Error("London bus cap should be lower")
 	}
 	// The denser plan yields more stops than the default city.
@@ -557,29 +545,6 @@ func TestBusPosWhileDriving(t *testing.T) {
 
 func distXY(a, b geo.XY) float64 {
 	return math.Hypot(a.X-b.X, a.Y-b.Y)
-}
-
-func TestCampaignStatsAccessor(t *testing.T) {
-	w := buildSmallWorld(t)
-	cfg := DefaultCampaignConfig()
-	cfg.Days = 1
-	cfg.Participants = 2
-	cfg.SparseTripsPerDay = 1
-	cfg.IntensiveFromDay = 99
-	camp, err := NewCampaign(w, cfg, &tripSink{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if camp.Stats().BusRuns != 0 {
-		t.Error("stats non-zero before run")
-	}
-	want, err := camp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if camp.Stats() != want {
-		t.Error("Stats() disagrees with Run result")
-	}
 }
 
 func TestNegativeTimeOfDay(t *testing.T) {

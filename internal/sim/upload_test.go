@@ -39,8 +39,7 @@ func TestBatchFlushClassifiesPerTripErrors(t *testing.T) {
 		"unknown": errors.New("connection reset"),
 	}}
 	var st CampaignStats
-	var lastErr error
-	u := &batchingUploader{sink: sink, size: 100, stats: &st, lastErr: &lastErr}
+	u := &batchingUploader{sink: sink, size: 100, stats: &st}
 	for _, id := range []string{"ok", "dup", "lost", "shed", "invalid", "unknown"} {
 		if err := u.Upload(context.Background(), probe.Trip{ID: id}); err != nil {
 			t.Fatalf("buffered upload %q returned %v", id, err)
@@ -61,9 +60,6 @@ func TestBatchFlushClassifiesPerTripErrors(t *testing.T) {
 		t.Errorf("classified = dropped %d, shed %d, invalid %d",
 			st.UploadsDropped, st.UploadsShed, st.UploadsInvalid)
 	}
-	if lastErr == nil || lastErr.Error() != "connection reset" {
-		t.Errorf("lastErr = %v, want the final failing trip's error", lastErr)
-	}
 
 	// An empty re-flush is a no-op.
 	u.flush(context.Background())
@@ -78,8 +74,7 @@ func TestCountingUploaderClassifies(t *testing.T) {
 		"lost": faults.ErrDropped,
 	}}
 	var st CampaignStats
-	var lastErr error
-	u := &countingUploader{sink: sink, stats: &st, lastErr: &lastErr}
+	u := &countingUploader{sink: sink, stats: &st}
 	if err := u.Upload(context.Background(), probe.Trip{ID: "dup"}); !errors.Is(err, probe.ErrDuplicateTrip) {
 		t.Fatalf("duplicate error not passed through: %v", err)
 	}
@@ -88,9 +83,6 @@ func TestCountingUploaderClassifies(t *testing.T) {
 	}
 	if st.UploadDuplicates != 1 || st.UploadFailures != 1 || st.UploadsDropped != 1 {
 		t.Errorf("stats = %+v", st)
-	}
-	if !errors.Is(lastErr, faults.ErrDropped) {
-		t.Errorf("lastErr = %v", lastErr)
 	}
 }
 

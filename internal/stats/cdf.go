@@ -15,13 +15,6 @@ type ECDF struct {
 	sorted bool
 }
 
-// NewECDF builds an ECDF over a copy of the sample.
-func NewECDF(sample []float64) *ECDF {
-	xs := make([]float64, len(sample))
-	copy(xs, sample)
-	return &ECDF{xs: xs}
-}
-
 // Add appends one observation.
 func (e *ECDF) Add(x float64) {
 	e.xs = append(e.xs, x)
@@ -76,26 +69,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 // Median returns the 0.5 quantile.
 func (e *ECDF) Median() float64 { return e.Quantile(0.5) }
 
-// Points samples the CDF at n evenly spaced abscissae between the sample
-// min and max, returning (x, P(X<=x)) pairs suitable for plotting or for
-// the experiment tables.
-func (e *ECDF) Points(n int) [][2]float64 {
-	if len(e.xs) == 0 || n <= 0 {
-		return nil
-	}
-	e.Sort()
-	lo, hi := e.xs[0], e.xs[len(e.xs)-1]
-	pts := make([][2]float64, 0, n)
-	if hi == lo {
-		return append(pts, [2]float64{lo, 1})
-	}
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		pts = append(pts, [2]float64{x, e.At(x)})
-	}
-	return pts
-}
-
 // Table renders the CDF at the given abscissae as an aligned two-column
 // text table with the given value label, for the experiment reports.
 func (e *ECDF) Table(label string, xs []float64) string {
@@ -109,12 +82,3 @@ func (e *ECDF) Table(label string, xs []float64) string {
 
 // Percentile is shorthand for Quantile(p/100).
 func (e *ECDF) Percentile(p float64) float64 { return e.Quantile(p / 100) }
-
-// Quantiles computes several quantiles in one pass.
-func (e *ECDF) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = e.Quantile(q)
-	}
-	return out
-}

@@ -8,8 +8,18 @@ import (
 	"testing/quick"
 )
 
+// ecdfOf builds an ECDF over xs the way the experiment harness does,
+// one Add per observation.
+func ecdfOf(xs []float64) *ECDF {
+	var e ECDF
+	for _, x := range xs {
+		e.Add(x)
+	}
+	return &e
+}
+
 func TestECDFBasics(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 3, 4})
+	e := ecdfOf([]float64{1, 2, 3, 4})
 	cases := []struct {
 		x    float64
 		want float64
@@ -24,7 +34,7 @@ func TestECDFBasics(t *testing.T) {
 }
 
 func TestECDFWithTies(t *testing.T) {
-	e := NewECDF([]float64{2, 2, 2, 5})
+	e := ecdfOf([]float64{2, 2, 2, 5})
 	if got := e.At(2); got != 0.75 {
 		t.Errorf("At(2) = %v, want 0.75 (ties included)", got)
 	}
@@ -38,9 +48,6 @@ func TestECDFEmpty(t *testing.T) {
 	if e.At(3) != 0 {
 		t.Error("empty ECDF should return 0")
 	}
-	if e.Points(5) != nil {
-		t.Error("empty ECDF Points should be nil")
-	}
 }
 
 func TestECDFQuantile(t *testing.T) {
@@ -48,7 +55,7 @@ func TestECDFQuantile(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i + 1) // 1..100
 	}
-	e := NewECDF(xs)
+	e := ecdfOf(xs)
 	if m := e.Median(); m != 51 {
 		t.Errorf("median = %v, want 51 (nearest rank)", m)
 	}
@@ -73,7 +80,7 @@ func TestECDFQuantilePanicsEmpty(t *testing.T) {
 }
 
 func TestECDFAddAfterQuery(t *testing.T) {
-	e := NewECDF([]float64{1, 3})
+	e := ecdfOf([]float64{1, 3})
 	_ = e.At(2)
 	e.Add(2)
 	if got := e.At(2); math.Abs(got-2.0/3) > 1e-12 {
@@ -96,7 +103,7 @@ func TestECDFMonotoneProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		e := NewECDF(xs)
+		e := ecdfOf(xs)
 		var ps []float64
 		for _, p := range probe {
 			if !math.IsNaN(p) && !math.IsInf(p, 0) {
@@ -119,49 +126,10 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestECDFPoints(t *testing.T) {
-	e := NewECDF([]float64{0, 10})
-	pts := e.Points(11)
-	if len(pts) != 11 {
-		t.Fatalf("got %d points, want 11", len(pts))
-	}
-	if pts[0][0] != 0 || pts[10][0] != 10 {
-		t.Errorf("endpoints wrong: %v %v", pts[0], pts[10])
-	}
-	if pts[10][1] != 1 {
-		t.Errorf("final CDF value %v, want 1", pts[10][1])
-	}
-}
-
-func TestECDFPointsDegenerate(t *testing.T) {
-	e := NewECDF([]float64{5, 5, 5})
-	pts := e.Points(4)
-	if len(pts) != 1 || pts[0][0] != 5 || pts[0][1] != 1 {
-		t.Errorf("degenerate Points = %v", pts)
-	}
-}
-
 func TestECDFTable(t *testing.T) {
-	e := NewECDF([]float64{1, 2})
+	e := ecdfOf([]float64{1, 2})
 	s := e.Table("score", []float64{0, 1, 2})
 	if !strings.Contains(s, "score") || !strings.Contains(s, "1.0000") {
 		t.Errorf("table output unexpected:\n%s", s)
-	}
-}
-
-func TestNewECDFCopies(t *testing.T) {
-	src := []float64{3, 1, 2}
-	e := NewECDF(src)
-	e.Sort()
-	if src[0] != 3 {
-		t.Error("NewECDF mutated caller slice")
-	}
-}
-
-func TestQuantiles(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	qs := e.Quantiles(0.1, 0.5, 0.9)
-	if len(qs) != 3 || qs[0] > qs[1] || qs[1] > qs[2] {
-		t.Errorf("Quantiles not monotone: %v", qs)
 	}
 }

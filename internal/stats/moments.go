@@ -3,28 +3,16 @@ package stats
 import "math"
 
 // Accumulator tracks running mean and variance with Welford's online
-// algorithm, plus min/max. The zero value is an empty accumulator.
+// algorithm. The zero value is an empty accumulator.
 type Accumulator struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds one observation into the accumulator.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
 	d := x - a.mean
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
@@ -47,18 +35,3 @@ func (a *Accumulator) Var() float64 {
 
 // StdDev returns the unbiased sample standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Var()) }
-
-// Min returns the smallest observation, or 0 if empty.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation, or 0 if empty.
-func (a *Accumulator) Max() float64 { return a.max }
-
-// RelStdDev returns the relative standard deviation (stddev/mean) as used
-// by the paper's Table III parentheses, or 0 when the mean is 0.
-func (a *Accumulator) RelStdDev() float64 {
-	if a.mean == 0 {
-		return 0
-	}
-	return a.StdDev() / math.Abs(a.mean)
-}

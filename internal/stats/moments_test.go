@@ -28,9 +28,6 @@ func TestAccumulatorKnown(t *testing.T) {
 	if v := a.Var(); math.Abs(v-32.0/7) > 1e-12 {
 		t.Errorf("var = %v, want %v", v, 32.0/7)
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Errorf("min/max = %v/%v", a.Min(), a.Max())
-	}
 }
 
 func TestAccumulatorSingle(t *testing.T) {
@@ -38,9 +35,6 @@ func TestAccumulatorSingle(t *testing.T) {
 	a.Add(3)
 	if a.Var() != 0 {
 		t.Error("variance of single sample must be 0")
-	}
-	if a.Min() != 3 || a.Max() != 3 {
-		t.Error("min/max of single sample must equal it")
 	}
 }
 
@@ -76,21 +70,6 @@ func TestAccumulatorMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestRelStdDev(t *testing.T) {
-	var a Accumulator
-	a.Add(90)
-	a.Add(110)
-	want := a.StdDev() / 100
-	if got := a.RelStdDev(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("RelStdDev = %v, want %v", got, want)
-	}
-	var zero Accumulator
-	zero.Add(0)
-	if zero.RelStdDev() != 0 {
-		t.Error("RelStdDev with zero mean should be 0")
-	}
-}
-
 func TestLinregKnownLine(t *testing.T) {
 	x := []float64{0, 1, 2, 3, 4}
 	y := []float64{1, 3, 5, 7, 9} // y = 1 + 2x
@@ -103,9 +82,6 @@ func TestLinregKnownLine(t *testing.T) {
 	}
 	if math.Abs(fit.R2-1) > 1e-12 {
 		t.Errorf("R2 = %v, want 1", fit.R2)
-	}
-	if p := fit.Predict(10); math.Abs(p-21) > 1e-12 {
-		t.Errorf("Predict(10) = %v", p)
 	}
 }
 
@@ -142,12 +118,6 @@ func TestLinregErrors(t *testing.T) {
 }
 
 func TestMeanAndClamp(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean wrong")
-	}
 	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
 		t.Error("Clamp wrong")
 	}

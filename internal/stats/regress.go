@@ -53,21 +53,6 @@ func Linreg(x, y []float64) (LinearFit, error) {
 	return LinearFit{A: a, B: b, R2: r2, N: n}, nil
 }
 
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.A + f.B*x }
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Clamp bounds x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	return math.Max(lo, math.Min(hi, x))

@@ -47,20 +47,11 @@ func (db *DB) Platform(id PlatformID) Platform { return db.platforms[id] }
 // Stops returns all logical stops; callers must not modify the slice.
 func (db *DB) Stops() []Stop { return db.stops }
 
-// Platforms returns all platforms; callers must not modify the slice.
-func (db *DB) Platforms() []Platform { return db.platforms }
-
 // Routes returns all routes; callers must not modify the slice.
 func (db *DB) Routes() []*Route { return db.routes }
 
 // Route returns the route with the given ID, or nil.
 func (db *DB) Route(id RouteID) *Route { return db.routeIdx[id] }
-
-// StopAtNode returns the logical stop at a road node, if one exists.
-func (db *DB) StopAtNode(n road.NodeID) (StopID, bool) {
-	id, ok := db.stopsAtNode[n]
-	return id, ok
-}
 
 // RoutesOf returns the IDs of routes serving the stop; callers must not
 // modify the slice.
@@ -79,9 +70,6 @@ func (db *DB) R(x, y StopID) float64 {
 	}
 	return 0
 }
-
-// After reports whether stop y appears after stop x on some route.
-func (db *DB) After(x, y StopID) bool { return db.after[x][y] }
 
 // CoverageByRouteCount returns, for each undirected road pair covered by
 // at least one route, how many distinct routes traverse it (in either

@@ -22,7 +22,6 @@ import (
 // least-loaded shard (by stop count) — deterministic for a given DB, and
 // balanced enough that one downtown cluster cannot swallow the city.
 type Partition struct {
-	shards    int
 	stopShard map[StopID]int
 	segShard  map[road.SegmentID]int
 
@@ -139,7 +138,6 @@ func PartitionRoutes(db *DB, shards int) (*Partition, error) {
 	})
 
 	p := &Partition{
-		shards:    shards,
 		stopShard: make(map[StopID]int, db.NumStops()),
 		segShard:  make(map[road.SegmentID]int),
 		routesIn:  make([][]RouteID, shards),
@@ -178,9 +176,6 @@ func PartitionRoutes(db *DB, shards int) (*Partition, error) {
 	}
 	return p, nil
 }
-
-// Shards returns the shard count the partition was built for.
-func (p *Partition) Shards() int { return p.shards }
 
 // StopShard returns the shard owning a stop.
 func (p *Partition) StopShard(id StopID) (int, bool) {

@@ -109,7 +109,7 @@ func TestOrderRelation(t *testing.T) {
 	if db.R(s[2], s[2]) != 1 {
 		t.Error("R(self) should be 1")
 	}
-	if !db.After(s[0], s[4]) || db.After(s[4], s[0]) {
+	if !db.after[s[0]][s[4]] || db.after[s[4]][s[0]] {
 		t.Error("After wrong")
 	}
 }
@@ -216,10 +216,10 @@ func TestStopAtNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := bl.Build()
-	if _, ok := db.StopAtNode(0); !ok {
+	if _, ok := db.stopsAtNode[0]; !ok {
 		t.Error("expected stop at node 0")
 	}
-	if _, ok := db.StopAtNode(road.NodeID(net.NumNodes() - 1)); ok {
+	if _, ok := db.stopsAtNode[road.NodeID(net.NumNodes()-1)]; ok {
 		t.Error("unexpected stop at unserved node")
 	}
 }
